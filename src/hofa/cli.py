@@ -248,14 +248,12 @@ def cmd_bench(args) -> int:
     M = args.M if args.M is not None else max(1, box.dims[0] - 1)
     impls = [("numpy", kernels.pattern_count_numpy),
              ("naive", kernels.pattern_count_pointwise)]
-    if kernels.pattern_count_numba is not None:
-        impls.insert(0, ("numba", kernels.pattern_count_numba))
     masks = [A.mask] * (box.n + 1)
     rows = []
     results = {}
     for name, fn in impls:
         shift_rows = [tuple(r ** mi for mi in m) for r in range(1, M + 1)]
-        fn(masks, box.dims, shift_rows[0])  # warm-up (jit compile, caches)
+        fn(masks, box.dims, shift_rows[0])  # warm-up (caches)
         t0 = time.perf_counter()
         counts = [fn(masks, box.dims, row) for row in shift_rows]
         dt = time.perf_counter() - t0

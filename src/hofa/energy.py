@@ -8,6 +8,8 @@ operator stays above delta.  Each accepted step must raise the energy
 (the squared 2-norm of the projected slices, averaged over the other
 coordinates) of some axis by at least tau * N_i, so the loop terminates
 within n * ceil(2 / tau) steps; the scale dies once (delta / 8n) L < 1.
+Axis projections and their energies take their atom sums from
+``partition.Atoms``.
 
 Existential parameters in the underlying theory (the modulus bound, the
 shrink rate, the final constant) are replaced by explicit knobs: exhaustive
@@ -27,6 +29,7 @@ import numpy as np
 from .core import BoxSpec, ConfigSpec, GridFunction, SetIndicator
 from .counting import (best_popular_difference, lambda_general,
                        lambda_indicator_counts, popular_count)
+from .partition import APPartition, Atoms
 
 
 class DecompositionError(RuntimeError):
@@ -84,25 +87,12 @@ def box_count_naive(f: GridFunction) -> float:
 # Axis projections
 
 
-def _atom_ids(length: int, Q: int, Lp: int) -> tuple[np.ndarray, int]:
-    xs = np.arange(1, length + 1)
-    r0 = (xs - 1) % Q
-    s = (xs - 1 - r0) // (Q * Lp)
-    _, aid = np.unique(s * Q + r0, return_inverse=True)
-    return aid.ravel(), int(aid.max()) + 1
-
-
 def axis_projection_energy(f: GridFunction, axis: int, Q: int, Lp: int) -> float:
     """Average over the other coordinates of the energy of the axis slices
     projected on the (Q, Lp) partition: E ||proj of slice||_2^2."""
-    ax = axis - 1
-    arr = np.moveaxis(f.values, ax, 0)
+    arr = np.moveaxis(f.values, axis - 1, 0)
     length = arr.shape[0]
-    cols = arr.reshape(length, -1)
-    aid, K = _atom_ids(length, Q, Lp)
-    onehot = np.zeros((K, length))
-    onehot[aid, np.arange(length)] = 1.0
-    sums = onehot @ cols
+    sums = Atoms(APPartition(Q, Lp), 1, length).sum(arr.reshape(length, -1))
     energies = np.sum(np.abs(sums) ** 2, axis=0) / Lp
     return float(energies.mean())
 
@@ -114,10 +104,12 @@ def axis_approximant(f: GridFunction, axis: int, Q: int, Lp: int) -> GridFunctio
     dims = f.box.dims
     n_i = dims[ax]
     arr = np.moveaxis(f.values, ax, 0).reshape(n_i, -1)
-    aid_full, K = _atom_ids(2 * n_i, Q, Lp)
-    sums = np.zeros((K, arr.shape[1]), dtype=np.complex128)
-    np.add.at(sums, aid_full[:n_i], arr)
-    vals = sums[aid_full] / Lp
+    P = APPartition(Q, Lp)
+    doubled = Atoms(P, 1, 2 * n_i)
+    sums = np.zeros((len(doubled.first), arr.shape[1]), dtype=np.complex128)
+    # both windows number the atoms meeting [1, N_i] in label order
+    sums[doubled.order[doubled.first] < n_i] = Atoms(P, 1, n_i).sum(arr)
+    vals = sums[doubled.atom] / Lp
     out_dims = tuple(2 * d if a == ax else d for a, d in enumerate(dims))
     moved = tuple(out_dims[ax:ax + 1] + out_dims[:ax] + out_dims[ax + 1:])
     vals = np.moveaxis(vals.reshape(moved), 0, ax)

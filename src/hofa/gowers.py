@@ -13,7 +13,7 @@ stated in this unnormalized convention.
 Alongside the norms live the degree-2 spectral tools (exact quadrature of
 |fhat|^4, frequency search), the Fejer kernel, a van der Corput implication
 checker, and the two projection-vs-difference interchange verifiers on 2-D
-grids.
+grids, whose projections take their atom sums from ``partition.Atoms``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import GridFunction, Line, PhaseTable, TorusPhase, read_window
+from .partition import APPartition, Atoms
 
 MAX_GOWERS_ORDER = 4
 
@@ -359,21 +360,8 @@ def _axis2_diff(values: np.ndarray, hs: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _proj_energy_matrix(q: int, L: int, length: int) -> np.ndarray:
-    """One-hot atom matrix over [1, length] for the (q, L) partition."""
-    xs = np.arange(1, length + 1)
-    r0 = (xs - 1) % q
-    s = (xs - 1 - r0) // (q * L)
-    _, aid = np.unique(s * q + r0, return_inverse=True)
-    aid = aid.ravel()
-    onehot = np.zeros((aid.max() + 1, length))
-    onehot[aid, np.arange(length)] = 1.0
-    return onehot
-
-
-def _column_energies(mat: np.ndarray, onehot: np.ndarray, L: int) -> np.ndarray:
-    sums = onehot @ mat
-    return np.sum(np.abs(sums) ** 2, axis=0) / L
+def _column_energies(mat: np.ndarray, atoms: Atoms, L: int) -> np.ndarray:
+    return np.sum(np.abs(atoms.sum(mat)) ** 2, axis=0) / L
 
 
 def interchange_verify_2d(family: Sequence[GridFunction], q: int, L: int,
@@ -396,12 +384,12 @@ def interchange_verify_2d(family: Sequence[GridFunction], q: int, L: int,
     if L < delta * N1:
         raise ValueError("need L >= delta N1")
     F = np.mean([f.values for f in family], axis=0)
-    onehot = _proj_energy_matrix(q, L, N1)
+    atoms = Atoms(APPartition(q, L), 1, N1)
     prem_vals = []
     conc_vals = []
     for hs in _h_tuples(N2, s):
         dF = _axis2_diff(F, hs)
-        prem_vals.append(np.mean(_column_energies(dF, onehot, L)))
+        prem_vals.append(np.mean(_column_energies(dF, atoms, L)))
         dfs = np.mean([_axis2_diff(f.values, hs) for f in family], axis=0)
         conc_vals.append(np.mean(np.abs(np.mean(dfs, axis=0))))
     premise = float(np.mean(prem_vals))
@@ -432,12 +420,12 @@ def same_coord_verify(f: GridFunction, q: int, L: int, s: int, delta: float,
         raise ValueError("need N2 >= delta^-3")
     if L < delta * N2 - 1e-9:
         raise ValueError("need L >= delta N2")
-    onehot = _proj_energy_matrix(q, L, N2)
+    atoms = Atoms(APPartition(q, L), 1, N2)
     prem_vals = []
     for hs in _h_tuples(N2, s):
         dF = _axis2_diff(f.values, hs)
         # slices at fixed x are rows; project along y
-        prem_vals.append(np.mean(_column_energies(dF.T, onehot, L)))
+        prem_vals.append(np.mean(_column_energies(dF.T, atoms, L)))
     premise = float(np.mean(prem_vals))
     conclusion = float(np.mean([gowers_inner(f.values[x], s + 1)
                                 for x in range(N1)]))

@@ -1,41 +1,24 @@
 """Hot counting kernels.
 
 The pattern count (how many base points x have x in A_0 and x + d_j e_j in
-A_j for every axis j) is the performance core of the package.  Three
+A_j for every axis j) is the performance core of the package.  Two
 implementations are kept side by side:
 
-* ``pattern_count_fast`` - shifted-mask AND over dense boolean grids,
-  numba-jitted when available;
-* ``pattern_count_numpy`` - the same AND expressed with array slicing, used
-  as the fallback and always importable;
+* ``pattern_count_numpy`` - shifted-mask AND over dense boolean grids,
+  expressed with array slicing; ``pattern_count_fast`` validates its
+  arguments and calls it;
 * ``pattern_count_pointwise`` - a member-driven bounds-checked membership
   loop, kept as the independent oracle.
 
-Set ``HOFA_NO_NUMBA=1`` to force the numpy path everywhere.  The ``bench``
-CLI subcommand times the implementations against each other and insists they
-agree exactly before reporting.
+The ``bench`` CLI subcommand times the implementations against each other
+and insists they agree exactly before reporting.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import numpy as np
-
-_DISABLED = os.environ.get("HOFA_NO_NUMBA", "").strip() not in ("", "0")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-USING_NUMBA = HAVE_NUMBA
 
 
 def _axis_limits(masks: Sequence[np.ndarray], base_dims: Sequence[int],
@@ -90,63 +73,9 @@ def pattern_count_pointwise(masks: Sequence[np.ndarray],
     return int(ok.sum())
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _count_1d(a0, a1, b1, d1):  # pragma: no cover - jitted
-        x1m = min(b1, a0.shape[0], a1.shape[0] - d1)
-        total = 0
-        for x1 in range(x1m):
-            if a0[x1] and a1[x1 + d1]:
-                total += 1
-        return total
-
-    @njit(cache=True)
-    def _count_2d(a0, a1, a2, b1, b2, d1, d2):  # pragma: no cover - jitted
-        x1m = min(b1, a0.shape[0], a1.shape[0] - d1, a2.shape[0])
-        x2m = min(b2, a0.shape[1], a1.shape[1], a2.shape[1] - d2)
-        total = 0
-        for x1 in range(x1m):
-            for x2 in range(x2m):
-                if a0[x1, x2] and a1[x1 + d1, x2] and a2[x1, x2 + d2]:
-                    total += 1
-        return total
-
-    @njit(cache=True)
-    def _count_3d(a0, a1, a2, a3, b1, b2, b3, d1, d2, d3):  # pragma: no cover
-        x1m = min(b1, a0.shape[0], a1.shape[0] - d1, a2.shape[0], a3.shape[0])
-        x2m = min(b2, a0.shape[1], a1.shape[1], a2.shape[1] - d2, a3.shape[1])
-        x3m = min(b3, a0.shape[2], a1.shape[2], a2.shape[2], a3.shape[2] - d3)
-        total = 0
-        for x1 in range(x1m):
-            for x2 in range(x2m):
-                for x3 in range(x3m):
-                    if (a0[x1, x2, x3] and a1[x1 + d1, x2, x3]
-                            and a2[x1, x2 + d2, x3] and a3[x1, x2, x3 + d3]):
-                        total += 1
-        return total
-
-    def pattern_count_numba(masks, base_dims, shifts) -> int:
-        n = len(base_dims)
-        if n == 1:
-            return int(_count_1d(masks[0], masks[1], base_dims[0], shifts[0]))
-        if n == 2:
-            return int(_count_2d(masks[0], masks[1], masks[2],
-                                 base_dims[0], base_dims[1],
-                                 shifts[0], shifts[1]))
-        if n == 3:
-            return int(_count_3d(masks[0], masks[1], masks[2], masks[3],
-                                 base_dims[0], base_dims[1], base_dims[2],
-                                 shifts[0], shifts[1], shifts[2]))
-        return pattern_count_numpy(masks, base_dims, shifts)
-
-else:
-    pattern_count_numba = None
-
-
 def pattern_count_fast(masks: Sequence[np.ndarray], base_dims: Sequence[int],
                        shifts: Sequence[int]) -> int:
-    """Default fast path honoring the HOFA_NO_NUMBA flag."""
+    """Default fast path: argument checks, then the numpy slice kernel."""
     masks = [np.ascontiguousarray(m, dtype=bool) for m in masks]
     base_dims = tuple(int(b) for b in base_dims)
     shifts = tuple(int(d) for d in shifts)
@@ -154,6 +83,4 @@ def pattern_count_fast(masks: Sequence[np.ndarray], base_dims: Sequence[int],
         raise ValueError("pattern shifts must be nonnegative")
     if len(masks) != len(base_dims) + 1 or len(shifts) != len(base_dims):
         raise ValueError("need one mask per slot and one shift per axis")
-    if USING_NUMBA and len(base_dims) <= 3:
-        return pattern_count_numba(masks, base_dims, shifts)
     return pattern_count_numpy(masks, base_dims, shifts)

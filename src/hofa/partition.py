@@ -13,8 +13,13 @@ shifts, almost-refinement) drives the energy-increment machinery.
 
 Atom averages divide by the full atom length, so projections extend past the
 support of the input onto whole atoms; atoms not meeting the support are
-zero.  Sums over atoms are exact integers whenever the input is
-integer-valued.
+zero.
+
+``Atoms`` is the only route to atom sums in the package: conditional
+expectation here, and the axis projections and projected energies of
+``energy`` and ``gowers``, all group points by its closed-form atom labels
+and sum with one grouped reduction.  Sums keep the input dtype, so
+integer-valued input sums exactly.
 """
 
 from __future__ import annotations
@@ -41,6 +46,10 @@ class APPartition:
     @property
     def block(self) -> int:
         return self.q * self.L
+
+    @property
+    def parts(self) -> tuple["APPartition"]:
+        return (self,)
 
     @classmethod
     def from_block(cls, block: int, q: int) -> "APPartition":
@@ -89,55 +98,59 @@ def refines(coarse: APPartition, fine: Partition) -> bool:
     return fine.q % coarse.q == 0 and coarse.block % fine.block == 0
 
 
-def _is_integral(values: np.ndarray) -> bool:
-    return bool(np.all(values.imag == 0) and np.all(values.real == np.rint(values.real)))
+class Atoms:
+    """The points start, ..., start + n - 1 grouped by the atoms of P.
 
-
-def _atom_data(f: Line, P: Partition):
-    """Atom ids, exact sums, and full atom sizes on a hull of whole atoms.
-
-    Returns (hull_start, atom_id_per_point, sums_per_atom, size_per_atom).
-    The hull is wide enough that every atom meeting supp(f) lies inside it
-    entirely, so sums and sizes are those of the full atoms.
+    The atom {qLs + qk + r} through a point x gets the closed-form label
+    s q + r - 1 = q floor((x - 1) / qL) + (x - 1) mod q, and one stable sort
+    of the labels (lexicographic over the components of a common
+    refinement) groups the points.  Building costs O(n log n) time and O(n)
+    memory for every (q, L), also when q or qL exceeds n; build once and sum
+    many arrays over the same window.
     """
-    parts = P.parts if isinstance(P, RefinedPartition) else (P,)
-    if len(f) == 0:
-        xs = np.arange(1, 2)
-    else:
-        pad = max(p.q * p.L for p in parts)
-        xs = np.arange(f.start - pad, f.stop + pad)
-    labels = np.empty((len(xs), len(parts)), dtype=np.int64)
-    for col, p in enumerate(parts):
-        r0 = (xs - 1) % p.q
-        s = (xs - 1 - r0) // p.block
-        labels[:, col] = s * p.q + r0
-    _, atom_id, counts = np.unique(labels, axis=0, return_inverse=True,
-                                   return_counts=True)
-    atom_id = atom_id.ravel()
-    fext = np.zeros(len(xs), dtype=np.complex128)
-    if len(f):
-        fext[f.start - xs[0]: f.start - xs[0] + len(f)] = f.values
-    if _is_integral(fext):
-        ints = np.rint(fext.real).astype(np.int64)
-        acc = np.zeros(len(counts), dtype=np.int64)
-        np.add.at(acc, atom_id, ints)
-        sums = acc.astype(np.complex128)
-    else:
-        sums = (np.bincount(atom_id, weights=fext.real, minlength=len(counts))
-                + 1j * np.bincount(atom_id, weights=fext.imag, minlength=len(counts)))
-    if isinstance(P, RefinedPartition):
-        sizes = counts  # refined atoms vary in size; the hull holds all of each
-    else:
-        sizes = np.full(len(counts), P.L, dtype=np.int64)
-    return int(xs[0]), atom_id, sums, sizes
+
+    def __init__(self, P: Partition, start: int, n: int):
+        x = np.arange(start - 1, start - 1 + n, dtype=np.int64)
+        labels = [x // p.block * p.q + x % p.q for p in P.parts]
+        # stable, so each atom's points stay in coordinate order
+        self.order = np.lexsort(labels[::-1])
+        new = np.zeros(n, dtype=bool)
+        new[:1] = True
+        for lab in labels:
+            lab = lab[self.order]
+            new[1:] |= lab[1:] != lab[:-1]
+        self.first = np.flatnonzero(new)
+        # atom index of each point; atoms are numbered in label order
+        self.atom = np.empty(n, dtype=np.intp)
+        self.atom[self.order] = np.cumsum(new) - 1
+        # points of each atom inside the window
+        self.sizes = np.diff(self.first, append=n)
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Sums of a 1-D or 2-D array along axis 0 over each atom.
+
+        Row i of ``values`` sits at start + i; row a of the result is the sum
+        over the points of atom a in the window.  The dtype is kept, so
+        integer input sums exactly.  O(n) time and memory per column.
+        """
+        return np.add.reduceat(values[self.order], self.first, axis=0)
 
 
 def cond_expect(f: Line, P: Partition) -> Line:
-    """Average f over each atom; zero on atoms not meeting supp(f)."""
-    start, atom_id, sums, sizes = _atom_data(f, P)
+    """Average f over each atom; zero on atoms not meeting supp(f).
+
+    The result lives on a hull wide enough that every atom meeting supp(f)
+    lies inside it entirely, so the averages divide by full atom sizes.
+    """
+    pad = max(p.block for p in P.parts)
+    fext = np.zeros(len(f) + 2 * pad, dtype=np.complex128)
+    fext[pad:pad + len(f)] = f.values
+    atoms = Atoms(P, f.start - pad, len(fext))
+    sums = atoms.sum(fext)
+    # atoms cut by the hull edges miss supp(f), so only their sizes are short
     # divide componentwise: complex-by-real division rounds differently
-    means = sums.real / sizes + 1j * (sums.imag / sizes)
-    return Line(start, means[atom_id])
+    means = sums.real / atoms.sizes + 1j * (sums.imag / atoms.sizes)
+    return Line(f.start - pad, means[atoms.atom])
 
 
 def projection_lk_norm(f: Line, P: APPartition, k: int) -> float:
@@ -149,10 +162,10 @@ def projection_lk_norm(f: Line, P: APPartition, k: int) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _, atom_id, sums, sizes = _atom_data(f, P)
+    # f vanishes off its support, so sums over the support are full atom sums
+    sums = Atoms(P, f.start, len(f)).sum(f.values)
     # one representative per atom: |S/L|^k * L summed over atoms
-    means_abs = np.abs(sums) / sizes
-    return float(np.sum(means_abs**k * sizes))
+    return float(np.sum((np.abs(sums) / P.L) ** k * P.L))
 
 
 def self_adjointness_check(f: Line, g: Line, P: Partition) -> tuple[complex, complex]:

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import BoxSpec, SetIndicator
+from .core import MAX_GRID_CELLS, BoxSpec, SetIndicator
 
 MAGIC = b"HOFA1"
 
@@ -34,7 +34,11 @@ def _parse_header(line: str) -> BoxSpec:
         raise SetFileError(f"bad header line: {line!r}") from exc
     if not dims:
         raise SetFileError("header lists no dimensions")
-    return BoxSpec(dims)
+    box = BoxSpec(dims)
+    if box.cells > MAX_GRID_CELLS:
+        raise SetFileError(f"box {box} has {box.cells} cells, more than the "
+                           f"dense-storage cap of 2^27")
+    return box
 
 
 def read_set(path: Union[str, os.PathLike]) -> SetIndicator:

@@ -6,7 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from hofa.setfile import read_set
+from hofa.setfile import SetFileError, _parse_header, read_set
 
 
 def run_cli(*args, cwd=None):
@@ -197,6 +197,22 @@ def test_malformed_set_exit2(tmp_path):
     proc = run_cli("count", "--set", str(bad), "--m", "1,2", "--N", "2")
     assert proc.returncode == 2
     assert "bad set file" in proc.stderr
+
+
+def test_oversized_header_exit2(tmp_path):
+    # refused from the header alone, before the mask is allocated
+    header = b"box 100000 100000 100000\n"
+    for name, data in (("text.box", header + b"1 1 1\n"),
+                       ("binary.box", b"HOFA1\n" + header + b"\x01")):
+        path = tmp_path / name
+        path.write_bytes(data)
+        proc = run_cli("popdiff", "--set", str(path), "--m", "1,2,3")
+        assert proc.returncode == 2
+        assert "bad set file" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert _parse_header("box 2048 65536").cells == 1 << 27  # at the cap
+    with pytest.raises(SetFileError):
+        _parse_header("box 2048 65537")
 
 
 def test_usage_error_exit2():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import random_grid, random_set
@@ -103,6 +105,21 @@ def test_axis_projection_energy_monotone_under_scale(rng):
     base = energy.axis_projection_energy(f, 1, 1, 16)
     finer = energy.axis_projection_energy(f, 1, 1, 4)
     assert finer >= base - 1e-9
+
+
+def test_axis_projection_energy_memory_linear_in_axis(rng):
+    # at (1, 1) every point is its own atom, so the energy is E ||slice||^2;
+    # a K x length atom matrix would need 384 MB here and 4 GB on 4x16384
+    for dims in ((8, 4096), (4, 16384)):
+        f = random_grid(rng, dims)
+        tracemalloc.start()
+        try:
+            e = energy.axis_projection_energy(f, 2, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert e == pytest.approx(np.sum(np.abs(f.values) ** 2) / dims[0])
 
 
 def test_energy_increment_trivial_converges_at_zero():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hofa.core import Line
-from hofa.partition import (APPartition, RefinedPartition,
+from hofa.partition import (APPartition, Atoms, RefinedPartition,
                             almost_refinement_delta, cond_expect,
                             projection_lk_norm, refinement_pythagoras,
                             refines, self_adjointness_check, shift_norm_delta)
@@ -49,6 +49,33 @@ def test_atoms_tile_disjointly():
     for lab, pts in seen.items():
         full = P.atom_points(*lab)
         assert [p for p in full if -30 <= p <= 30] == pts
+
+
+def test_atom_sums_match_pointwise_labels():
+    # windows shorter than q and than qL included; int64 sums beyond 2^53
+    # must be exact, and atoms are numbered in (s, r) label order
+    rng = make_rng(12)
+    for _ in range(300):
+        parts = tuple(APPartition(int(rng.integers(1, 60)), int(rng.integers(1, 12)))
+                      for _ in range(int(rng.integers(1, 3))))
+        P = parts[0] if len(parts) == 1 else RefinedPartition(parts)
+        start = int(rng.integers(-100, 100))
+        n = int(rng.integers(0, 40))
+        vals = rng.integers(-2**56, 2**56, size=(n, 3))
+        atoms = Atoms(P, start, n)
+        sums = atoms.sum(vals)
+        assert sums.dtype == np.int64
+        expect = {}
+        for i in range(n):
+            row = expect.setdefault(P.atom_of(start + i), [0, 0, 0, 0])
+            row[:3] = [a + int(v) for a, v in zip(row, vals[i])]
+            row[3] += 1
+        labels = sorted(expect)
+        assert [labels[a] for a in atoms.atom] == \
+            [P.atom_of(start + i) for i in range(n)]
+        assert sums.tolist() == [expect[lab][:3] for lab in labels]
+        assert atoms.sizes.tolist() == [expect[lab][3] for lab in labels]
+        assert atoms.sum(vals[:, 0]).tolist() == [expect[lab][0] for lab in labels]
 
 
 def test_cond_expect_indicator_of_aligned_interval():
