@@ -101,10 +101,9 @@ def cmd_count(args) -> int:
         else:
             operator = "simple"
             lam = counting.lambda_simple(fs, m, args.N)
-            shifts = [[r ** mi for mi in m] for r in range(1, args.N + 1)]
-            integer_count = sum(
-                kernels.pattern_count_fast([A.mask] * (n + 1), base_dims, row)
-                for row in shifts)
+            spec = ConfigSpec(m, BoxSpec(base_dims), 1, args.N)
+            integer_count = int(counting.lambda_indicator_counts(
+                [A] * (n + 1), spec).sum())
             oracle = (counting.lambda_simple_bruteforce(fs, m, args.N)
                       if args.oracle else None)
     else:

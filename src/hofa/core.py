@@ -9,6 +9,9 @@ Conventions used throughout the package:
 * All averaging denominators are exact integers; floating point enters only
   through the stored values themselves.  Reductions over arrays rely on
   numpy's pairwise summation for deterministic low-error results.
+* ``read_window`` is the one zero-padded window read (translated, optionally
+  strided).  Pattern sums that only need the base points whose reads all
+  stay in range use the cropped views of ``kernels.pattern_views`` instead.
 """
 
 from __future__ import annotations
@@ -115,12 +118,9 @@ class GridFunction:
         return float(np.abs(self.values).max())
 
     def read_window(self, offsets: Sequence[int], out_dims: Sequence[int]) -> np.ndarray:
-        """Values f(x + offsets) for x in [1, out_dims], zero-padded.
-
-        This is the only read primitive the counting operators need: a window
+        """Values f(x + offsets) for x in [1, out_dims], zero-padded: a window
         of the grid translated by an integer vector, with out-of-box reads
-        returning zero.
-        """
+        returning zero."""
         return read_window(self.values, offsets, out_dims)
 
     def slice_line(self, axis: int, hat_index: tuple[int, ...]) -> "Line":
@@ -141,24 +141,30 @@ class GridFunction:
 
 
 def read_window(values: np.ndarray, offsets: Sequence[int],
-                out_dims: Sequence[int]) -> np.ndarray:
-    """Window of a dense array under translation, with zero padding.
+                out_dims: Sequence[int],
+                strides: Sequence[int] | None = None) -> np.ndarray:
+    """Strided window of a dense array under translation, zero-padded.
 
-    out[x - 1] = values[x + offsets - 1] when x + offsets is inside the array
-    and 0 otherwise, for x in the box [1, out_dims].
+    out[k] = values[offsets + strides * k] when that index is inside the
+    array and 0 otherwise, for 0 <= k < out_dims; strides default to 1.
+    A view of ``values`` is returned whenever the window lies inside it.
     """
     out_dims = tuple(int(d) for d in out_dims)
     offsets = tuple(int(o) for o in offsets)
-    if len(offsets) != values.ndim or len(out_dims) != values.ndim:
-        raise ValueError("offsets/out_dims rank mismatch")
+    strides = (1,) * values.ndim if strides is None else tuple(int(s) for s in strides)
+    if not len(offsets) == len(out_dims) == len(strides) == values.ndim:
+        raise ValueError("offsets/out_dims/strides rank mismatch")
+    if any(s < 1 for s in strides):
+        raise ValueError("window strides must be positive")
     src_sl = []
     dst_sl = []
-    for size, off, out_size in zip(values.shape, offsets, out_dims):
-        lo = max(0, -off)
-        hi = min(out_size, size - off)
+    for size, off, out_size, s in zip(values.shape, offsets, out_dims, strides):
+        # in range iff 0 <= off + s k < size, i.e. -off/s <= k < (size - off)/s
+        lo = max(0, -(off // s))
+        hi = min(out_size, -((off - size) // s))
         if lo >= hi:
             return np.zeros(out_dims, dtype=values.dtype)
-        src_sl.append(slice(lo + off, hi + off))
+        src_sl.append(slice(off + s * lo, off + s * (hi - 1) + 1, s))
         dst_sl.append(slice(lo, hi))
     src = values[tuple(src_sl)]
     if src.shape == out_dims:

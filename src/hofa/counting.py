@@ -7,7 +7,9 @@ The basic object is the normalized count of patterns
 averaged over base points x in a box and differences r in a range.  Complex
 weights give the averaged operators ``lambda_*``; 0/1 indicators admit an
 exact integer path (``popular_count`` and friends) built on the kernels
-module.  Brute-force oracles are kept alongside for verification.
+module.  The first multiplies and the second ANDs the cropped views of
+``kernels.pattern_views``; the strided zero-padded windows of the averaging
+identity come from ``core.read_window``.  Brute-force oracles are kept too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .core import BoxSpec, ConfigSpec, GridFunction, PhaseTable, SetIndicator
+from .core import (MAX_GRID_CELLS, BoxSpec, ConfigSpec, GridFunction,
+                   PhaseTable, SetIndicator, read_window)
 
 MAX_SHIFT = 1 << 62
 
@@ -60,17 +63,18 @@ def _lambda_sum(fs: Sequence[GridFunction], base_dims: tuple[int, ...],
                 shift_rows: Sequence[tuple[int, ...]],
                 phase_factors: Sequence[np.ndarray] | None = None) -> complex:
     """Sum over r-rows of sum_x f_0(x) prod_j f_j(x + d_j e_j) [, phase(x, r)]."""
-    n = len(base_dims)
-    zero = (0,) * n
-    f0_win = fs[0].read_window(zero, base_dims)
+    arrays = [f.values for f in fs]
     per_r = []
     for ri, row in enumerate(shift_rows):
-        prod = f0_win.copy()
-        for j in range(n):
-            off = tuple(row[j] if a == j else 0 for a in range(n))
-            prod *= fs[j + 1].read_window(off, base_dims)
+        views = kernels.pattern_views(arrays, base_dims, row)
+        if views is None:
+            per_r.append(0j)
+            continue
+        prod = views[0] * views[1]
+        for v in views[2:]:
+            prod *= v
         if phase_factors is not None:
-            prod *= phase_factors[ri]
+            prod *= phase_factors[ri][tuple(slice(0, d) for d in prod.shape)]
         per_r.append(prod.sum())
     return complex(np.sum(np.asarray(per_r))) if per_r else 0j
 
@@ -81,20 +85,15 @@ def lambda_simple(fs: Sequence[GridFunction], m: Sequence[int], N: int) -> compl
 
     Each f_j lives on the base box, possibly doubled along any axis; reads
     outside its own box are zero.  The normalization is exactly
-    N^(m_1 + ... + m_n) * N.
+    N^(m_1 + ... + m_n) * N.  This is lambda_general with q = 1, M = N on the
+    box prod [N^(m_j)].
     """
     m = tuple(int(v) for v in m)
     n = len(fs) - 1
     if len(m) != n:
         raise ValueError(f"{n + 1} functions need an exponent tuple of length {n}")
-    base_dims = tuple(_check_shift(N ** mi) for mi in m)
-    _check_compatible(fs, base_dims)
-    rows = [_shifts(m, r) for r in range(1, N + 1)]
-    total = _lambda_sum(fs, base_dims, rows)
-    norm = N
-    for d in base_dims:
-        norm *= d
-    return total / norm
+    box = BoxSpec([_check_shift(N ** mi) for mi in m])
+    return lambda_general(fs, ConfigSpec(m, box, q=1, M=N))
 
 
 def lambda_general(fs: Sequence[GridFunction], spec: ConfigSpec) -> complex:
@@ -210,13 +209,6 @@ def lambda_general_bruteforce(fs: Sequence[GridFunction], spec: ConfigSpec) -> c
 # Exact integer counting for indicators
 
 
-def pattern_count_int(inds: Sequence[SetIndicator], base_dims: Sequence[int],
-                      shifts: Sequence[int]) -> int:
-    """#{x in base box : x in A_0 and x + d_j e_j in A_j for all j}."""
-    masks = [A.mask for A in inds]
-    return kernels.pattern_count_fast(masks, base_dims, shifts)
-
-
 def popular_count(A: SetIndicator, m: Sequence[int], r: int) -> int:
     """Exact size of {x in A : x + r^(m_j) e_j in A for every axis j}."""
     if r < 1:
@@ -248,17 +240,27 @@ class PopDiffResult:
 
 
 def best_popular_difference(A: SetIndicator, m: Sequence[int], M: int) -> PopDiffResult:
-    """Arg-max of popular_count over r in [1, M]; ties go to the smallest r."""
+    """Arg-max of popular_count over r in [1, M]; ties go to the smallest r.
+    The kernel runs only while every r^(m_j) < N_j; later counts are 0."""
+    m = tuple(int(v) for v in m)
     if M < 1:
         raise ValueError("difference range M must be >= 1")
-    m = tuple(int(v) for v in m)
-    rs = range(1, M + 1)
+    if M > MAX_GRID_CELLS:
+        raise ValueError(f"difference range M = {M} exceeds the cap of 2^27")
+    if any(mi < 1 for mi in m):
+        raise ValueError(f"exponents must be >= 1, got {m}")
+    useful = 0
+    while useful < M and all((useful + 1) ** mi < d
+                             for mi, d in zip(m, A.box.dims)):
+        useful += 1
+    rs = range(1, useful + 1)
     if _threads > 1:
         with ThreadPoolExecutor(max_workers=_threads) as pool:
             counts = list(pool.map(lambda r: popular_count(A, m, r), rs))
     else:
         counts = [popular_count(A, m, r) for r in rs]
-    hist = np.asarray(counts, dtype=np.int64)
+    hist = np.zeros(M, dtype=np.int64)
+    hist[:useful] = counts
     r_star = int(np.argmax(hist)) + 1  # argmax returns the first maximum
     return PopDiffResult(r_star, int(hist[r_star - 1]), hist)
 
@@ -268,31 +270,15 @@ def lambda_indicator_counts(inds: Sequence[SetIndicator],
     """Per-r integer pattern counts behind lambda_general on indicators."""
     if len(inds) != spec.n + 1:
         raise ValueError(f"spec has n={spec.n}, got {len(inds)} indicators")
-    counts = [pattern_count_int(inds, spec.box.dims, _shifts(spec.m, spec.q * r))
+    masks = [A.mask for A in inds]
+    counts = [kernels.pattern_count_fast(masks, spec.box.dims,
+                                         _shifts(spec.m, spec.q * r))
               for r in range(1, spec.M + 1)]
     return np.asarray(counts, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
 # Averaging identity linking the general operator to the simple one
-
-
-def _strided_window(values: np.ndarray, starts: Sequence[int],
-                    strides: Sequence[int], out_dims: Sequence[int]) -> np.ndarray:
-    """out[k] = values[starts + strides * k] with zero padding (0-based)."""
-    axes_idx = []
-    valid = []
-    for size, st, sp, od in zip(values.shape, starts, strides, out_dims):
-        ks = np.arange(od)
-        idx = st + sp * ks
-        good = (idx >= 0) & (idx < size)
-        axes_idx.append(idx[good])
-        valid.append(good)
-    if any(len(ix) == 0 for ix in axes_idx):
-        return np.zeros(tuple(out_dims), dtype=values.dtype)
-    out = np.zeros(tuple(out_dims), dtype=values.dtype)
-    out[np.ix_(*valid)] = values[np.ix_(*axes_idx)]
-    return out
 
 
 def averaging_identity_check(fs: Sequence[GridFunction],
@@ -321,7 +307,7 @@ def averaging_identity_check(fs: Sequence[GridFunction],
             out = tuple(2 * inner_dims[a] if (i >= 1 and a == i - 1)
                         else inner_dims[a] for a in range(n))
             starts = tuple(x[a] - 1 + strides[a] for a in range(n))
-            win = _strided_window(f.values, starts, strides, out)
+            win = read_window(f.values, starts, out, strides)
             slices.append(GridFunction(BoxSpec(out), win))
         vals.append(lambda_simple(slices, m, M))
     rhs = c_n * complex(np.mean(np.asarray(vals)))

@@ -12,9 +12,11 @@ Axis projections and their energies take their atom sums from
 ``partition.Atoms``.
 
 Existential parameters in the underlying theory (the modulus bound, the
-shrink rate, the final constant) are replaced by explicit knobs: exhaustive
-modulus search up to Qmax, a configurable shrink factor gamma, and a
-reporting divisor that is a stand-in, never a proved constant.
+shrink rate, the final constant) are replaced by explicit knobs in
+``IncrementParams``: exhaustive modulus search up to Qmax, the energy gain
+tau, and a configurable shrink factor gamma.  The iteration cap
+n * ceil(2 / tau) and the reporting divisor 2^(n+1) are fixed; the divisor
+is a stand-in, never a proved constant.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BoxSpec, ConfigSpec, GridFunction, SetIndicator
+from .core import BoxSpec, ConfigSpec, GridFunction, SetIndicator, read_window
 from .counting import (best_popular_difference, lambda_general,
-                       lambda_indicator_counts, popular_count)
+                       lambda_indicator_counts)
 from .partition import APPartition, Atoms
 
 
@@ -156,9 +158,8 @@ def cond_box_expansion(f: GridFunction, qs: Sequence[int],
     for s in np.ndindex(*[len(b) for b in blocks]):
         for x0 in np.ndindex(*[len(o) for o in offsets]):
             # cell grid: x + q_i k_i along axis i, k_i in [0, L_i)
-            idx = [s[a] * qs[a] * Ls[a] + x0[a] + qs[a] * np.arange(Ls[a])
-                   for a in range(n)]
-            sub = g[np.ix_(*idx)]
+            starts = [s[a] * qs[a] * Ls[a] + x0[a] for a in range(n)]
+            sub = read_window(g, starts, Ls, qs)
             bc = box_count(GridFunction(BoxSpec(sub.shape), sub))
             mean_pow = float(sub.mean()) ** (n + 1)
             cells.append({"cell_box_count": bc, "cell_mean_pow": mean_pow})
@@ -235,12 +236,11 @@ class IncrementParams:
     Qmax: int = 8
     tau: float = 0.05
     gamma: float | None = None  # default delta / (16 n)
-    iter_cap: int | None = None  # default n * ceil(2 / tau)
 
     def resolved(self, n: int, delta: float) -> tuple[float, int]:
+        """The shrink factor and the iteration cap n * ceil(2 / tau)."""
         gamma = self.gamma if self.gamma is not None else delta / (16 * n)
-        cap = self.iter_cap if self.iter_cap is not None else n * int(np.ceil(2 / self.tau))
-        return gamma, cap
+        return gamma, n * int(np.ceil(2 / self.tau))
 
 
 @dataclass
@@ -264,7 +264,6 @@ class DecompositionResult:
     q: int
     L: int
     status: str  # converged | iteration_cap | scale_exhausted | oracle_stalled
-    approximants: list[GridFunction]
     trace: list[TraceStep]
     iterations: int
     final_gap: float | None
@@ -333,31 +332,26 @@ def energy_increment(fs: Sequence[GridFunction], m: Sequence[int], delta: float,
     final_gap = None
     range_ok = True
 
-    def approximants() -> list[GridFunction]:
-        return [axis_approximant(fs[i + 1], i + 1, part[i][0], part[i][1])
-                for i in range(n)]
-
     while True:
         M_t = int(delta * L / (8 * n))
         if M_t < 1:
-            return DecompositionResult(q_acc, L, "scale_exhausted",
-                                       approximants(), trace, steps,
-                                       final_gap, range_ok)
+            return DecompositionResult(q_acc, L, "scale_exhausted", trace,
+                                       steps, final_gap, range_ok)
         spec_t = ConfigSpec(m, box, q=q_acc, M=M_t)
         range_ok = range_ok and spec_t.validate().ok
-        F = approximants()
+        F = [axis_approximant(fs[i + 1], i + 1, *part[i]) for i in range(n)]
         lam_f = lambda_general(fs, spec_t)
         lam_F = lambda_general([fs[0]] + F, spec_t)
         final_gap = abs(lam_f - lam_F)
         if final_gap <= delta:
-            return DecompositionResult(q_acc, L, "converged", F, trace,
+            return DecompositionResult(q_acc, L, "converged", trace,
                                        steps, final_gap, range_ok)
         if steps >= cap:
-            return DecompositionResult(q_acc, L, "iteration_cap", F, trace,
+            return DecompositionResult(q_acc, L, "iteration_cap", trace,
                                        steps, final_gap, range_ok)
         L_next = int(gamma * L)
         if L_next < 1:
-            return DecompositionResult(q_acc, L, "scale_exhausted", F, trace,
+            return DecompositionResult(q_acc, L, "scale_exhausted", trace,
                                        steps, final_gap, range_ok)
         found = None
         energy_now = [axis_projection_energy(fs[i + 1], i + 1, *part[i])
@@ -373,7 +367,7 @@ def energy_increment(fs: Sequence[GridFunction], m: Sequence[int], delta: float,
             if found:
                 break
         if not found:
-            return DecompositionResult(q_acc, L, "oracle_stalled", F, trace,
+            return DecompositionResult(q_acc, L, "oracle_stalled", trace,
                                        steps, final_gap, range_ok)
         q_step, i, e_before, e_after = found
         q_acc *= q_step
@@ -402,8 +396,7 @@ class PipelineResult:
 
 def popular_difference_pipeline(A: SetIndicator, m: Sequence[int], delta: float,
                                 params: IncrementParams | None = None,
-                                allow_fallback: bool = True,
-                                divisor_exponent: int | None = None) -> PipelineResult:
+                                allow_fallback: bool = True) -> PipelineResult:
     """Locate a difference r whose configuration count in A is large.
 
     Runs the energy-increment decomposition on the indicator, evaluates the
@@ -411,7 +404,7 @@ def popular_difference_pipeline(A: SetIndicator, m: Sequence[int], delta: float,
     [1, floor(delta L / 8n)] (the counted difference is q times it).  When
     the decomposition does not converge the direct search over the full
     admissible range is used instead and flagged.  The certificate reports
-    the density power mu^(n+1) and a configurable reporting threshold
+    the density power mu^(n+1) and a reporting threshold
     (mu^(n+1) - delta) / 2^(n+1); the divisor is a stand-in, never a proved
     constant.
     """
@@ -424,7 +417,7 @@ def popular_difference_pipeline(A: SetIndicator, m: Sequence[int], delta: float,
     mu = A.density
     mu_pow = mu ** (n + 1)
     L0 = _integer_root(dims[-1], m[-1])
-    div = 2 ** (n + 1) if divisor_exponent is None else 2 ** divisor_exponent
+    div = 2 ** (n + 1)
     cert: dict = {"mu": mu, "mu_pow": mu_pow, "delta": delta,
                   "threshold": (mu_pow - delta) / div,
                   "threshold_divisor": div}

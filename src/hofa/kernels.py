@@ -1,12 +1,14 @@
 """Hot counting kernels.
 
 The pattern count (how many base points x have x in A_0 and x + d_j e_j in
-A_j for every axis j) is the performance core of the package.  Two
+A_j for every axis j) is the performance core of the package.
+``pattern_views`` owns the cropped pattern read, the aligned views a_0[x],
+a_j[x + d_j e_j] over the base points whose reads all stay in range (the
+zero-padded windows are ``core.read_window``'s).  Two counting
 implementations are kept side by side:
 
-* ``pattern_count_numpy`` - shifted-mask AND over dense boolean grids,
-  expressed with array slicing; ``pattern_count_fast`` validates its
-  arguments and calls it;
+* ``pattern_count_numpy`` - AND of the pattern views of dense boolean grids;
+  ``pattern_count_fast`` validates its arguments and calls it;
 * ``pattern_count_pointwise`` - a member-driven bounds-checked membership
   loop, kept as the independent oracle.
 
@@ -35,17 +37,30 @@ def _axis_limits(masks: Sequence[np.ndarray], base_dims: Sequence[int],
     return lims
 
 
+def pattern_views(arrays: Sequence[np.ndarray], base_dims: Sequence[int],
+                  shifts: Sequence[int]) -> list[np.ndarray] | None:
+    """Aligned views a_0[x], a_j[x + d_j e_j] (0-based x) over the base points
+    whose n + 1 reads all fall inside the arrays; None when there are none."""
+    lims = _axis_limits(arrays, base_dims, shifts)
+    if any(v <= 0 for v in lims):
+        return None
+    n = len(base_dims)
+    views = [arrays[0][tuple(slice(0, v) for v in lims)]]
+    for j in range(n):
+        views.append(arrays[j + 1][tuple(
+            slice(shifts[j], shifts[j] + lims[a]) if a == j
+            else slice(0, lims[a]) for a in range(n))])
+    return views
+
+
 def pattern_count_numpy(masks: Sequence[np.ndarray], base_dims: Sequence[int],
                         shifts: Sequence[int]) -> int:
-    lims = _axis_limits(masks, base_dims, shifts)
-    if any(v <= 0 for v in lims):
+    views = pattern_views(masks, base_dims, shifts)
+    if views is None:
         return 0
-    acc = masks[0][tuple(slice(0, v) for v in lims)]
-    n = len(base_dims)
-    for j in range(n):
-        sl = tuple(slice(shifts[j], shifts[j] + lims[a]) if a == j
-                   else slice(0, lims[a]) for a in range(n))
-        acc = acc & masks[j + 1][sl]
+    acc = views[0]
+    for v in views[1:]:
+        acc = acc & v
     return int(np.count_nonzero(acc))
 
 

@@ -6,12 +6,14 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from hofa import counting
 from hofa.setfile import SetFileError, _parse_header, read_set
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     proc = subprocess.run([sys.executable, "-m", "hofa", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          timeout=timeout)
     return proc
 
 
@@ -63,6 +65,20 @@ def test_count_general_operator(tmp_path, schema):
     assert doc["operator"] == "general"
     assert doc["normalization"] == 10 * 100 * 3
     assert doc["ok"] is True
+
+
+def test_count_power_box_integer_count(tmp_path, schema):
+    out = tmp_path / "rand.box"
+    run_cli("gen", "random", "--box", "3,9", "--p", "0.6", "--seed", "8",
+            "--out", str(out))
+    proc = run_cli("count", "--set", str(out), "--m", "1,2", "--N", "3")
+    assert proc.returncode == 0
+    doc = check_json(proc, schema)
+    assert doc["operator"] == "simple"
+    assert doc["normalization"] == 3 * 9 * 3
+    assert doc["integer_count"] > 0
+    assert doc["integer_count"] == round(doc["lambda"]["re"]
+                                         * doc["normalization"])
 
 
 def test_gen_determinism(tmp_path):
@@ -127,6 +143,28 @@ def test_popdiff_pipeline_fallback(tmp_path, schema):
     proc2 = run_cli("popdiff", "--set", str(out), "--m", "1,2", "--delta",
                     "0.1", "--pipeline")
     assert proc2.returncode == 3  # fallback disabled, decomposition dies
+
+
+def test_popdiff_huge_M_bounded(tmp_path):
+    out = tmp_path / "r.box"
+    run_cli("gen", "random", "--box", "4,16", "--p", "0.7", "--seed", "1",
+            "--out", str(out))
+    proc = run_cli("popdiff", "--set", str(out), "--m", "1,2",
+                   "--M", "100000000000", timeout=60)
+    assert proc.returncode == 3
+    assert "precondition violated" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # only r <= 3 has r < 4 and r^2 < 16; the rest of the histogram is zeros
+    hist = tmp_path / "hist.json"
+    proc = run_cli("popdiff", "--set", str(out), "--m", "1,2", "--M", "1000",
+                   "--out", str(hist), timeout=60)
+    assert proc.returncode == 0
+    counts = json.loads(hist.read_text())["histogram"]
+    assert len(counts) == 1000
+    assert any(counts[:3]) and not any(counts[3:])
+    A = read_set(out)
+    assert counts == [counting.popular_count_naive(A, (1, 2), r)
+                      for r in range(1, 1001)]
 
 
 def test_popdiff_empty_set_exit3(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hofa.core import (BoxSpec, ConfigSpec, GridFunction, Line, PhaseTable,
-                       SetIndicator, TorusPhase, validate_config)
+                       SetIndicator, TorusPhase, read_window, validate_config)
 from hofa.setfile import SetFileError, read_set, write_set
 
 
@@ -44,6 +44,42 @@ def test_grid_function_out_of_box_reads_zero():
     assert np.all(win[1:] == 0)
     win2 = g.read_window((-1, -1), (3, 4))
     assert win2[0, 0] == 0 and win2[1, 1] == 0j + 0
+
+
+def test_read_window_strided_matches_pointwise(rng):
+    # out[k] = values[off + s k] when that index is in range, else 0
+    dtypes = (np.int64, np.float64, np.complex128, bool)
+    for trial in range(400):
+        ndim = int(rng.integers(1, 4))
+        shape = tuple(int(v) for v in rng.integers(1, 7, ndim))
+        dtype = dtypes[trial % len(dtypes)]
+        values = (rng.integers(1, 100, shape) % 3 if dtype is bool
+                  else rng.integers(1, 100, shape)).astype(dtype)
+        # offsets from well before the array to well past its end, so some
+        # windows miss it entirely
+        offs = tuple(int(v) for v in rng.integers(-12, 12, ndim))
+        out_dims = tuple(int(v) for v in rng.integers(1, 7, ndim))
+        strides = tuple(int(v) for v in rng.integers(1, 5, ndim))
+        expect = np.zeros(out_dims, dtype=dtype)
+        for k in np.ndindex(*out_dims):
+            src = tuple(o + s * c for o, s, c in zip(offs, strides, k))
+            if all(0 <= c < d for c, d in zip(src, shape)):
+                expect[k] = values[src]
+        got = read_window(values, offs, out_dims, strides)
+        assert got.dtype == values.dtype and got.shape == out_dims
+        assert np.array_equal(got, expect)
+        if all(s == 1 for s in strides):
+            plain = read_window(values, offs, out_dims)
+            assert plain.dtype == values.dtype
+            assert np.array_equal(plain, expect)
+    grid = np.arange(24).reshape(4, 6)
+    inside = read_window(grid, (1, 0), (2, 3), (2, 2))
+    assert np.shares_memory(inside, grid)  # a view when fully in range
+    assert inside.tolist() == [[6, 8, 10], [18, 20, 22]]
+    assert not read_window(grid, (4, 0), (2, 3), (1, 1)).any()
+    assert not read_window(grid, (-9, 0), (2, 3), (4, 1)).any()
+    with pytest.raises(ValueError):
+        read_window(grid, (0, 0), (2, 3), (0, 1))
 
 
 def test_grid_function_caps():

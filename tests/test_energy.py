@@ -133,6 +133,19 @@ def test_energy_increment_trivial_converges_at_zero():
     assert res.q == 1
 
 
+def test_energy_increment_dead_first_scale_builds_no_approximant(monkeypatch):
+    # L = 16^(1/2) = 4 and floor(0.1 * 4 / 16) = 0: the first scale is dead
+    calls = []
+    original = energy.axis_approximant
+    monkeypatch.setattr(energy, "axis_approximant",
+                        lambda *a: calls.append(a) or original(*a))
+    ones = GridFunction.ones(BoxSpec((4, 16)))
+    res = energy.energy_increment([ones] * 3, (1, 2), 0.1)
+    assert res.status == "scale_exhausted"
+    assert res.iterations == 0
+    assert calls == []
+
+
 def test_energy_increment_random_signs_converge(rng):
     box = BoxSpec((32, 1024))
     fs = [GridFunction(box, rng.choice([-1.0, 1.0], box.dims).astype(complex),
