@@ -245,15 +245,17 @@ def cmd_bench(args) -> int:
     rng = make_rng(args.seed)
     A = SetIndicator(box, rng.random(box.dims) < args.p)
     M = args.M if args.M is not None else max(1, box.dims[0] - 1)
-    impls = [("numpy", kernels.pattern_count_numpy),
-             ("naive", kernels.pattern_count_pointwise)]
-    masks = [A.mask] * (box.n + 1)
+    # the fast row packs the set once inside the timed region, as the
+    # histogram does
+    impls = [("fast", kernels.pattern_count_fast, kernels.pack_mask),
+             ("naive", kernels.pattern_count_pointwise, lambda mask: mask)]
     rows = []
     results = {}
-    for name, fn in impls:
+    for name, fn, prepare in impls:
         shift_rows = [tuple(r ** mi for mi in m) for r in range(1, M + 1)]
-        fn(masks, box.dims, shift_rows[0])  # warm-up (caches)
+        fn([A.mask] * (box.n + 1), box.dims, shift_rows[0])  # warm-up (caches)
         t0 = time.perf_counter()
+        masks = [prepare(A.mask)] * (box.n + 1)
         counts = [fn(masks, box.dims, row) for row in shift_rows]
         dt = time.perf_counter() - t0
         results[name] = counts

@@ -209,7 +209,7 @@ class SetIndicator:
 
     @property
     def count(self) -> int:
-        return int(self.mask.sum())
+        return int(np.count_nonzero(self.mask))
 
     @property
     def density(self) -> float:

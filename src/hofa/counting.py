@@ -7,9 +7,12 @@ The basic object is the normalized count of patterns
 averaged over base points x in a box and differences r in a range.  Complex
 weights give the averaged operators ``lambda_*``; 0/1 indicators admit an
 exact integer path (``popular_count`` and friends) built on the kernels
-module.  The first multiplies and the second ANDs the cropped views of
-``kernels.pattern_views``; the strided zero-padded windows of the averaging
-identity come from ``core.read_window``.  Brute-force oracles are kept too.
+module.  The first multiplies the cropped views of
+``kernels.pattern_views``; the second packs each distinct mask once per call
+(``kernels.pack_mask``) and counts every difference r with the packed-word
+kernel ``kernels.pattern_count_fast``.  The strided zero-padded windows of
+the averaging identity come from ``core.read_window``.  Brute-force oracles
+are kept too.
 """
 
 from __future__ import annotations
@@ -253,12 +256,17 @@ def best_popular_difference(A: SetIndicator, m: Sequence[int], M: int) -> PopDif
     while useful < M and all((useful + 1) ** mi < d
                              for mi, d in zip(m, A.box.dims)):
         useful += 1
+    masks = [kernels.pack_mask(A.mask)] * (A.box.n + 1)
+
+    def count(r: int) -> int:
+        return kernels.pattern_count_fast(masks, A.box.dims, _shifts(m, r))
+
     rs = range(1, useful + 1)
     if _threads > 1:
         with ThreadPoolExecutor(max_workers=_threads) as pool:
-            counts = list(pool.map(lambda r: popular_count(A, m, r), rs))
+            counts = list(pool.map(count, rs))
     else:
-        counts = [popular_count(A, m, r) for r in rs]
+        counts = [count(r) for r in rs]
     hist = np.zeros(M, dtype=np.int64)
     hist[:useful] = counts
     r_star = int(np.argmax(hist)) + 1  # argmax returns the first maximum
@@ -270,7 +278,7 @@ def lambda_indicator_counts(inds: Sequence[SetIndicator],
     """Per-r integer pattern counts behind lambda_general on indicators."""
     if len(inds) != spec.n + 1:
         raise ValueError(f"spec has n={spec.n}, got {len(inds)} indicators")
-    masks = [A.mask for A in inds]
+    masks = kernels.pack_masks([A.mask for A in inds])
     counts = [kernels.pattern_count_fast(masks, spec.box.dims,
                                          _shifts(spec.m, spec.q * r))
               for r in range(1, spec.M + 1)]

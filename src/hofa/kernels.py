@@ -4,23 +4,76 @@ The pattern count (how many base points x have x in A_0 and x + d_j e_j in
 A_j for every axis j) is the performance core of the package.
 ``pattern_views`` owns the cropped pattern read, the aligned views a_0[x],
 a_j[x + d_j e_j] over the base points whose reads all stay in range (the
-zero-padded windows are ``core.read_window``'s).  Two counting
-implementations are kept side by side:
+zero-padded windows are ``core.read_window``'s); the complex operators of
+``counting`` multiply them.  Two counting implementations are kept side by
+side:
 
-* ``pattern_count_numpy`` - AND of the pattern views of dense boolean grids;
-  ``pattern_count_fast`` validates its arguments and calls it;
+* ``pattern_count_fast`` - the packed-word kernel.  ``pack_mask`` packs a
+  boolean mask once along its last axis into ``uint64`` words
+  (``PackedMask``); a shift along any other axis is then a row offset, a
+  shift along the last axis is a word offset plus a bit shift, and the
+  count is ``np.bitwise_count`` of the AND of the shifted words;
 * ``pattern_count_pointwise`` - a member-driven bounds-checked membership
   loop, kept as the independent oracle.
 
-The ``bench`` CLI subcommand times the implementations against each other
-and insists they agree exactly before reporting.
+The ``bench`` CLI subcommand times the two against each other and insists
+they agree exactly before reporting.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
+
+WORD_BITS = 64
+# words per block of the counting loop (its buffers take about 0.5 MiB)
+BLOCK_WORDS = 1 << 15
+
+
+@dataclass(frozen=True)
+class PackedMask:
+    """A boolean mask packed along its last axis.
+
+    ``shape`` is the logical boolean shape.  ``words`` has shape
+    ``shape[:-1] + (ceil(shape[-1] / 64) + 1,)``: bit b of word k of a row
+    is cell 64k + b of that row, and the last word of every row is a spare
+    zero word, so a shifted read of k words at word offset q may touch word
+    q + k without a bounds check.
+    """
+
+    shape: tuple[int, ...]
+    words: np.ndarray
+
+
+def pack_mask(mask: np.ndarray) -> PackedMask:
+    """Pack a boolean mask of at least one axis along its last axis."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim < 1:
+        raise ValueError("a packed mask needs at least one axis")
+    width = mask.shape[-1]
+    nwords = -(-width // WORD_BITS) + 1
+    raw = np.zeros(mask.shape[:-1] + (nwords * 8,), dtype=np.uint8)
+    raw[..., :-(-width // 8)] = np.packbits(mask, axis=-1, bitorder="little")
+    # the bytes are little-endian words; astype makes them native (a no-op
+    # on little-endian hosts)
+    words = raw.view("<u8").astype(np.uint64, copy=False)
+    return PackedMask(tuple(mask.shape), words)
+
+
+def pack_masks(masks: Sequence[Union[np.ndarray, PackedMask]]) -> list[PackedMask]:
+    """``pack_mask`` of each boolean mask, packing every distinct array
+    object once; ``PackedMask``s pass through."""
+    by_id: dict[int, PackedMask] = {}
+    out = []
+    for m in masks:
+        if not isinstance(m, PackedMask):
+            if id(m) not in by_id:
+                by_id[id(m)] = pack_mask(m)
+            m = by_id[id(m)]
+        out.append(m)
+    return out
 
 
 def _axis_limits(masks: Sequence[np.ndarray], base_dims: Sequence[int],
@@ -53,17 +106,6 @@ def pattern_views(arrays: Sequence[np.ndarray], base_dims: Sequence[int],
     return views
 
 
-def pattern_count_numpy(masks: Sequence[np.ndarray], base_dims: Sequence[int],
-                        shifts: Sequence[int]) -> int:
-    views = pattern_views(masks, base_dims, shifts)
-    if views is None:
-        return 0
-    acc = views[0]
-    for v in views[1:]:
-        acc = acc & v
-    return int(np.count_nonzero(acc))
-
-
 def pattern_count_pointwise(masks: Sequence[np.ndarray],
                             base_dims: Sequence[int],
                             shifts: Sequence[int]) -> int:
@@ -88,14 +130,72 @@ def pattern_count_pointwise(masks: Sequence[np.ndarray],
     return int(ok.sum())
 
 
-def pattern_count_fast(masks: Sequence[np.ndarray], base_dims: Sequence[int],
+def _count_packed(packed: Sequence[PackedMask], base_dims: tuple[int, ...],
+                  shifts: tuple[int, ...]) -> int:
+    lims = _axis_limits(packed, base_dims, shifts)
+    if any(v <= 0 for v in lims):
+        return 0
+    n = len(base_dims)
+    width = lims[-1]
+    k = -(-width // WORD_BITS)
+
+    def rows(slot: int) -> tuple[slice, ...]:
+        # leading-axis crop of a slot; slot j shifts along axis j - 1
+        return tuple(slice(shifts[a], shifts[a] + lims[a]) if a == slot - 1
+                     else slice(0, lims[a]) for a in range(n - 1))
+
+    # Slots 0..n-1 are row offsets of their words; the last slot shifts
+    # along the last axis by q words and s bits, so it reads k + 1 words.
+    q, s = divmod(shifts[-1], WORD_BITS)
+    views = [packed[j].words[rows(j) + (slice(0, k),)] for j in range(n)]
+    last = packed[n].words[rows(n) + (slice(q, q + k + 1),)]
+    if n == 1:
+        views, last = [views[0][None]], last[None]
+    # Work through axis 0 in blocks of about BLOCK_WORDS words, so that the
+    # per-call buffers stay in a core's L2 cache between the passes over a
+    # block (2.7x faster than whole-array passes on 2048x32768).
+    step = max(1, BLOCK_WORDS // views[0][0].size)
+    acc = np.empty((min(step, views[0].shape[0]),) + views[0].shape[1:],
+                   dtype=np.uint64)
+    spill = np.empty_like(acc)
+    popcounts = np.empty(acc.shape, dtype=np.uint8)
+    tail = width - WORD_BITS * (k - 1)
+    tail_mask = np.uint64((1 << tail) - 1)
+    total = 0
+    for b0 in range(0, views[0].shape[0], step):
+        blk = slice(b0, b0 + step)
+        h = len(views[0][blk])
+        a = acc[:h]
+        if s:
+            np.right_shift(last[blk, ..., :k], np.uint64(s), out=a)
+            t = spill[:h]
+            np.left_shift(last[blk, ..., 1:], np.uint64(WORD_BITS - s), out=t)
+            a |= t
+        else:
+            a[...] = last[blk, ..., :k]
+        for v in views:
+            a &= v[blk]
+        if tail < WORD_BITS:
+            a[..., k - 1] &= tail_mask
+        total += int(np.bitwise_count(a, out=popcounts[:h]).sum(dtype=np.int64))
+    return total
+
+
+def pattern_count_fast(masks: Sequence[Union[np.ndarray, PackedMask]],
+                       base_dims: Sequence[int],
                        shifts: Sequence[int]) -> int:
-    """Default fast path: argument checks, then the numpy slice kernel."""
-    masks = [np.ascontiguousarray(m, dtype=bool) for m in masks]
+    """Exact pattern count on boolean masks or ``PackedMask``s (a mix is
+    fine).  Boolean inputs are packed here by ``pack_masks``; callers
+    counting many shifts of the same masks pack them first."""
     base_dims = tuple(int(b) for b in base_dims)
     shifts = tuple(int(d) for d in shifts)
     if any(d < 0 for d in shifts):
         raise ValueError("pattern shifts must be nonnegative")
     if len(masks) != len(base_dims) + 1 or len(shifts) != len(base_dims):
         raise ValueError("need one mask per slot and one shift per axis")
-    return pattern_count_numpy(masks, base_dims, shifts)
+    if not base_dims:
+        raise ValueError("need at least one axis")
+    packed = pack_masks(masks)
+    if any(len(p.shape) != len(base_dims) for p in packed):
+        raise ValueError(f"every mask needs {len(base_dims)} axes")
+    return _count_packed(packed, base_dims, shifts)

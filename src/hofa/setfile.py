@@ -82,7 +82,7 @@ def _read_binary(fh) -> SetIndicator:
         raise SetFileError(f"bitset payload is {len(payload)} bytes, expected {need}")
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8),
                          count=box.cells, bitorder="little")
-    return SetIndicator(box, bits.astype(bool).reshape(box.dims))
+    return SetIndicator(box, bits.view(bool).reshape(box.dims))
 
 
 def write_set(A: SetIndicator, path: Union[str, os.PathLike],

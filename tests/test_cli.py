@@ -199,7 +199,7 @@ def test_bench_csv_and_agreement():
     assert lines[0] == "impl,box,M,total_count,seconds"
     totals = {row.split(",")[0]: row.split(",")[3] for row in lines[1:]}
     assert len(set(totals.values())) == 1  # all implementations agree
-    assert "naive" in totals and "numpy" in totals
+    assert "naive" in totals and "fast" in totals
 
 
 def test_bench_trivial_box():

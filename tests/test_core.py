@@ -159,6 +159,25 @@ def test_setfile_binary_roundtrip(tmp_path, rng):
     assert np.array_equal(A.mask, B.mask)
 
 
+def test_setfile_binary_read_memory(tmp_path, rng):
+    # the unpacked bytes are the mask itself; a second bool copy would put
+    # the peak above 2 bytes per cell
+    import tracemalloc
+    from conftest import random_set
+    A = random_set(rng, (1024, 8192), p=0.5)
+    path = tmp_path / "big.boxb"
+    write_set(A, path, binary=True)
+    tracemalloc.start()
+    try:
+        B = read_set(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * A.box.cells
+    assert np.array_equal(A.mask, B.mask)
+    assert B.count == int(A.mask.sum())
+
+
 def test_setfile_rejects_garbage(tmp_path):
     p = tmp_path / "bad.box"
     p.write_text("nonsense 1 2\n")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from conftest import random_grid, random_set
 
@@ -105,8 +106,74 @@ def test_pattern_count_3d_and_numpy_agree(rng):
         shifts = (r, r**2, r**3)
         masks = [A.mask] * 4
         fast = kernels.pattern_count_fast(masks, A.box.dims, shifts)
-        assert fast == kernels.pattern_count_numpy(masks, A.box.dims, shifts)
         assert fast == kernels.pattern_count_pointwise(masks, A.box.dims, shifts)
+
+
+def _random_pattern_case(rng):
+    """Masks, base dims and shifts of one random 1-D to 3-D pattern count."""
+    n = int(rng.integers(1, 4))
+    lead = [int(rng.integers(1, 7)) for _ in range(n - 1)]
+    width = int(rng.choice([int(rng.integers(1, 200)), 64, 128, 192]))
+    dims = tuple(lead) + (width,)
+    base = tuple(d - int(rng.integers(0, d)) if rng.random() < 0.3 else d
+                 for d in dims)
+    masks = []
+    for j in range(n + 1):
+        d = list(dims)
+        if j and rng.random() < 0.4:
+            d[j - 1] *= 2  # doubled along the slot's axis
+        masks.append(rng.random(d) < rng.random())
+    if rng.random() < 0.3:
+        masks = [masks[0]] * (n + 1)
+    shifts = [int(rng.integers(0, d + 3)) for d in dims]
+    if rng.random() < 0.4:
+        shifts[-1] = 64 * int(rng.integers(0, 4))
+    return masks, base, tuple(shifts)
+
+
+@pytest.mark.parametrize("block_words", [kernels.BLOCK_WORDS, 3])
+def test_packed_count_matches_pointwise(rng, monkeypatch, block_words):
+    monkeypatch.setattr(kernels, "BLOCK_WORDS", block_words)
+    for _ in range(300):
+        masks, base, shifts = _random_pattern_case(rng)
+        ref = kernels.pattern_count_pointwise(masks, base, shifts)
+        assert kernels.pattern_count_fast(masks, base, shifts) == ref
+        packed = kernels.pack_masks(masks)
+        assert kernels.pattern_count_fast(packed, base, shifts) == ref
+        mixed = [packed[0]] + list(masks[1:])
+        assert kernels.pattern_count_fast(mixed, base, shifts) == ref
+
+
+def test_packed_count_word_edges(rng):
+    # widths around word boundaries; last-axis shifts at, past and beyond
+    # the width
+    for width in (1, 63, 64, 65, 127, 128, 129, 320):
+        A = random_set(rng, (5, width), p=0.7)
+        packed = [kernels.pack_mask(A.mask)] * 3
+        for d in sorted({0, 1, 63, 64, 65, 128, width - 1, width, width + 1,
+                         width + 64}):
+            for shifts in ((1, d), (0, d)):
+                ref = kernels.pattern_count_pointwise([A.mask] * 3, (5, width),
+                                                      shifts)
+                assert kernels.pattern_count_fast(packed, (5, width),
+                                                  shifts) == ref
+        assert kernels.pattern_count_fast(packed, (5, width), (5, 0)) == 0
+
+
+def test_pack_mask_layout(rng):
+    mask = rng.random((3, 130)) < 0.5
+    p = kernels.pack_mask(mask)
+    assert p.shape == (3, 130) and p.words.dtype == np.uint64
+    assert p.words.shape == (3, 4)  # three data words and a spare zero word
+    assert not p.words[:, 3].any()
+    for c in range(130):
+        bit = (p.words[:, c // 64] >> np.uint64(c % 64)) & np.uint64(1)
+        assert np.array_equal(bit.astype(bool), mask[:, c])
+    assert not (p.words[:, 2] >> np.uint64(2)).any()  # past the width
+    with pytest.raises(ValueError):
+        kernels.pack_mask(np.bool_(True))
+    with pytest.raises(ValueError):
+        kernels.pattern_count_fast([mask[0]] * 3, (3, 130), (1, 1))
 
 
 def test_best_popular_difference_tie_break():
@@ -130,6 +197,21 @@ def test_threads_do_not_change_results(rng):
         counting.set_threads(1)
     assert list(base.histogram) == list(threaded.histogram)
     assert base.r_star == threaded.r_star
+
+
+def test_threads_histogram_wide_grid(rng):
+    # 66 words per row, two row blocks per count
+    A = random_set(rng, (600, 4160), p=0.5)
+    base = counting.best_popular_difference(A, (1, 2), 70)
+    counting.set_threads(2)
+    try:
+        threaded = counting.best_popular_difference(A, (1, 2), 70)
+    finally:
+        counting.set_threads(1)
+    assert list(base.histogram) == list(threaded.histogram)
+    for r in (1, 9, 64, 65):
+        assert base.histogram[r - 1] == counting.popular_count_naive(A, (1, 2), r)
+    assert list(base.histogram[65:]) == [0] * 5  # 65^2 > 4160
 
 
 def test_overflow_guard():
