@@ -3,7 +3,8 @@
 Subcommands: ``count`` (the averaged counting operators over set files),
 ``popdiff`` (popular-difference search, direct or through the decomposition
 pipeline), ``verify`` (seeded property suites), ``gen`` (deterministic set
-generation), and ``bench`` (kernel implementations timed against each other).
+generation), and ``bench`` (the popular-difference histogram timed against
+the pointwise oracle).
 
 stdout carries exactly one JSON document (CSV for ``bench``); diagnostics go
 to stderr.  JSON outputs conform to the schema shipped at
@@ -86,9 +87,9 @@ def cmd_count(args) -> int:
         raise UsageError("need more exponents than phases")
     if A.box.n != n:
         raise ValueError(f"set is {A.box.n}-D but the configuration needs {n}-D")
-    grid = A.to_grid()
-    fs = [grid] * (n + 1)
-    integer_count = None
+    # the complex grid serves only the phased operator and the oracles
+    fs = [A.to_grid()] * (n + 1) if phases or args.oracle else None
+    integer_count = oracle = None
     if args.N is not None:
         base_dims = tuple(args.N ** mi for mi in m[:n])
         rng_size = args.N
@@ -96,16 +97,11 @@ def cmd_count(args) -> int:
             operator = "phased"
             alphas = [PhaseTable.constant(BoxSpec(base_dims), p) for p in phases]
             lam = counting.lambda_phased(fs, alphas, m, args.N)
-            oracle = (counting.lambda_phased_bruteforce(fs, alphas, m, args.N)
-                      if args.oracle else None)
+            if args.oracle:
+                oracle = counting.lambda_phased_bruteforce(fs, alphas, m, args.N)
         else:
             operator = "simple"
-            lam = counting.lambda_simple(fs, m, args.N)
             spec = ConfigSpec(m, BoxSpec(base_dims), 1, args.N)
-            integer_count = int(counting.lambda_indicator_counts(
-                [A] * (n + 1), spec).sum())
-            oracle = (counting.lambda_simple_bruteforce(fs, m, args.N)
-                      if args.oracle else None)
     else:
         if phases:
             raise UsageError("--phase-const needs --N (the phased operator "
@@ -115,13 +111,18 @@ def cmd_count(args) -> int:
         spec = ConfigSpec(m, A.box, q=args.q, M=M)
         base_dims = A.box.dims
         rng_size = M
-        lam = counting.lambda_general(fs, spec)
-        integer_count = int(counting.lambda_indicator_counts(
-            [A] * (n + 1), spec).sum())
-        oracle = counting.lambda_general_bruteforce(fs, spec) if args.oracle else None
     norm = rng_size
     for d in base_dims:
         norm *= d
+    if operator != "phased":
+        # on indicators the operator is exactly the integer count over norm
+        integer_count = int(counting.lambda_indicator_counts(
+            [A] * (n + 1), spec).sum())
+        lam = complex(integer_count / norm)
+        if args.oracle:
+            oracle = (counting.lambda_simple_bruteforce(fs, m, args.N)
+                      if operator == "simple"
+                      else counting.lambda_general_bruteforce(fs, spec))
     doc = {"command": "count", "operator": operator,
            "lambda": _complex_doc(lam), "normalization": int(norm),
            "integer_count": integer_count, "oracle": None, "ok": True}
@@ -245,27 +246,22 @@ def cmd_bench(args) -> int:
     rng = make_rng(args.seed)
     A = SetIndicator(box, rng.random(box.dims) < args.p)
     M = args.M if args.M is not None else max(1, box.dims[0] - 1)
-    # the fast row packs the set once inside the timed region, as the
-    # histogram does
-    impls = [("fast", kernels.pattern_count_fast, kernels.pack_mask),
-             ("naive", kernels.pattern_count_pointwise, lambda mask: mask)]
-    rows = []
-    results = {}
-    for name, fn, prepare in impls:
-        shift_rows = [tuple(r ** mi for mi in m) for r in range(1, M + 1)]
-        fn([A.mask] * (box.n + 1), box.dims, shift_rows[0])  # warm-up (caches)
-        t0 = time.perf_counter()
-        masks = [prepare(A.mask)] * (box.n + 1)
-        counts = [fn(masks, box.dims, row) for row in shift_rows]
-        dt = time.perf_counter() - t0
-        results[name] = counts
-        rows.append((name, "x".join(map(str, box.dims)), M, sum(counts), dt))
-    reference = results[impls[0][0]]
-    agree = all(v == reference for v in results.values())
+    inds, spec = [A] * (box.n + 1), ConfigSpec(m, box, 1, M)
+    counting.lambda_indicator_counts(inds, spec)  # warm-up; checks the range
+    t0 = time.perf_counter()
+    fast = counting.lambda_indicator_counts(inds, spec)  # packing included
+    t1 = time.perf_counter()
+    masks = [A.mask] * (box.n + 1)
+    naive = counting._over_differences(
+        lambda r, shifts: kernels.pattern_count_pointwise(masks, box.dims, shifts),
+        masks, m, 1, M)
+    t2 = time.perf_counter()
     sys.stdout.write("impl,box,M,total_count,seconds\n")
-    for name, boxs, Mv, tot, dt in rows:
-        sys.stdout.write(f"{name},{boxs},{Mv},{tot},{dt:.6f}\n")
-    if not agree:
+    for name, counts, dt in (("fast", fast, t1 - t0), ("naive", naive, t2 - t1)):
+        sys.stdout.write(f"{name},{'x'.join(map(str, box.dims))},{M},"
+                         f"{int(np.sum(counts))},{dt:.6f}\n")
+    # the naive row stops after the last r with a base point
+    if list(fast[:len(naive)]) != naive or fast[len(naive):].any():
         print("bench: implementations disagree", file=sys.stderr)
         return EXIT_PROPERTY
     return EXIT_OK
@@ -330,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--M", type=int)
     b.add_argument("--p", type=float, default=0.5)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--format", choices=["csv"], default="csv")
     b.set_defaults(fn=cmd_bench)
     return p
 

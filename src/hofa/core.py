@@ -315,10 +315,6 @@ class Line:
         if self.values.ndim != 1:
             raise ValueError("Line values must be 1-D")
 
-    @classmethod
-    def on_interval(cls, values: Sequence[complex], start: int = 1) -> "Line":
-        return cls(start, np.asarray(values, dtype=np.complex128))
-
     @property
     def stop(self) -> int:
         """One past the last stored coordinate."""

@@ -6,20 +6,24 @@ The basic object is the normalized count of patterns
 
 averaged over base points x in a box and differences r in a range.  Complex
 weights give the averaged operators ``lambda_*``; 0/1 indicators admit an
-exact integer path (``popular_count`` and friends) built on the kernels
-module.  The first multiplies the cropped views of
-``kernels.pattern_views``; the second packs each distinct mask once per call
-(``kernels.pack_mask``) and counts every difference r with the packed-word
-kernel ``kernels.pattern_count_fast``.  The strided zero-padded windows of
-the averaging identity come from ``core.read_window``.  Brute-force oracles
-are kept too.
+exact integer path (``lambda_indicator_counts``, ``best_popular_difference``
+and ``popular_count``) built on the kernels module.  ``_over_differences`` is
+the one loop over r: it checks the range, stops after the last r with a base
+point and spreads the r over the ``set_threads`` workers.  Per r, the
+complex operators multiply the cropped views of ``kernels.pattern_views``;
+the integer path packs each distinct mask once per call
+(``kernels.pack_mask``) and counts with the packed-word kernel
+``kernels.pattern_count_fast``.  The strided zero-padded windows of the
+averaging identity come from ``core.read_window``.  Brute-force oracles are
+kept too.
 """
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,10 +42,6 @@ def set_threads(k: int) -> None:
     _threads = max(1, int(k))
 
 
-def get_threads() -> int:
-    return _threads
-
-
 def _check_shift(d: int) -> int:
     if d > MAX_SHIFT:
         raise OverflowError(f"shift {d} exceeds 2^62 index guard")
@@ -52,7 +52,8 @@ def _shifts(m: Sequence[int], step: int) -> tuple[int, ...]:
     return tuple(_check_shift(step ** mi) for mi in m)
 
 
-def _check_compatible(fs: Sequence[GridFunction], base_dims: Sequence[int]) -> None:
+def _check_compatible(fs: Sequence[GridFunction | SetIndicator],
+                      base_dims: Sequence[int]) -> None:
     for i, f in enumerate(fs):
         if f.box.n != len(base_dims):
             raise ValueError(f"f_{i} has dimension {f.box.n}, expected {len(base_dims)}")
@@ -62,23 +63,53 @@ def _check_compatible(fs: Sequence[GridFunction], base_dims: Sequence[int]) -> N
                     f"f_{i} axis {a + 1} has extent {d}; expected {b} or {2 * b}")
 
 
+def _over_differences(term: Callable[[int, tuple[int, ...]], object],
+                      arrays: Sequence, m: Sequence[int], q: int,
+                      M: int) -> list:
+    """``term(r, shifts)`` with shifts[j] = (q r)^(m_j), for r = 1, 2, ...
+    while every shifts[j] is below the extent of ``arrays[j + 1]`` along
+    axis j, in r order, on ``set_threads`` workers.
+
+    Each shift grows with r, so no r past the first failing one has a base
+    point and the terms of r beyond the returned ones are all zero.
+    """
+    if not 1 <= M <= MAX_GRID_CELLS:
+        raise ValueError(f"difference range M = {M} must lie in [1, 2^27]")
+    if q < 1:
+        raise ValueError(f"modulus q must be >= 1, got {q}")
+    if min(m) < 1:
+        raise ValueError(f"exponents must be >= 1, got {m}")
+    extents = [a.shape[j] for j, a in enumerate(arrays[1:])]
+    rows = []
+    for r in range(1, M + 1):
+        shifts = tuple([(q * r) ** mi for mi in m])
+        if not all(map(operator.lt, shifts, extents)):
+            break
+        rows.append(shifts)
+    if _threads > 1 and len(rows) > 1:
+        with ThreadPoolExecutor(max_workers=_threads) as pool:
+            return list(pool.map(term, range(1, len(rows) + 1), rows))
+    return [term(r, row) for r, row in enumerate(rows, 1)]
+
+
 def _lambda_sum(fs: Sequence[GridFunction], base_dims: tuple[int, ...],
-                shift_rows: Sequence[tuple[int, ...]],
-                phase_factors: Sequence[np.ndarray] | None = None) -> complex:
-    """Sum over r-rows of sum_x f_0(x) prod_j f_j(x + d_j e_j) [, phase(x, r)]."""
+                m: Sequence[int], q: int, M: int,
+                phase: Callable[[int], np.ndarray] | None = None) -> complex:
+    """Sum over r in [M] of sum_x f_0(x) prod_j f_j(x + (q r)^(m_j) e_j)
+    [* phase(r)(x)]."""
+    _check_compatible(fs, base_dims)
     arrays = [f.values for f in fs]
-    per_r = []
-    for ri, row in enumerate(shift_rows):
-        views = kernels.pattern_views(arrays, base_dims, row)
-        if views is None:
-            per_r.append(0j)
-            continue
+
+    def term(r: int, shifts: tuple[int, ...]) -> complex:
+        views = kernels.pattern_views(arrays, base_dims, shifts)
         prod = views[0] * views[1]
         for v in views[2:]:
             prod *= v
-        if phase_factors is not None:
-            prod *= phase_factors[ri][tuple(slice(0, d) for d in prod.shape)]
-        per_r.append(prod.sum())
+        if phase is not None:
+            prod *= phase(r)[tuple(slice(0, d) for d in prod.shape)]
+        return prod.sum()
+
+    per_r = _over_differences(term, arrays, m, q, M)
     return complex(np.sum(np.asarray(per_r))) if per_r else 0j
 
 
@@ -105,10 +136,7 @@ def lambda_general(fs: Sequence[GridFunction], spec: ConfigSpec) -> complex:
     n = spec.n
     if len(fs) != n + 1:
         raise ValueError(f"spec has n={n}, got {len(fs)} functions")
-    base_dims = spec.box.dims
-    _check_compatible(fs, base_dims)
-    rows = [_shifts(spec.m, spec.q * r) for r in range(1, spec.M + 1)]
-    total = _lambda_sum(fs, base_dims, rows)
+    total = _lambda_sum(fs, spec.box.dims, spec.m, spec.q, spec.M)
     return total / (spec.box.cells * spec.M)
 
 
@@ -127,19 +155,16 @@ def lambda_phased(fs: Sequence[GridFunction], alphas: Sequence[PhaseTable],
     if any(a >= b for a, b in zip(m, m[1:])):
         raise ValueError(f"m must be strictly increasing, got {m}")
     base_dims = tuple(_check_shift(N ** mi) for mi in m[:n])
-    _check_compatible(fs, base_dims)
     zero = (0,) * n
     alpha_wins = [a.window_frac(zero, base_dims) for a in alphas]
-    rows = []
-    phases = []
-    for r in range(1, N + 1):
-        rows.append(_shifts(m[:n], r))
-        if k:
-            acc = np.zeros(base_dims, dtype=np.float64)
-            for j in range(k):
-                acc += alpha_wins[j] * float(r ** m[n + j])
-            phases.append(np.exp(2j * np.pi * acc))
-    total = _lambda_sum(fs, base_dims, rows, phases if k else None)
+
+    def phase(r: int) -> np.ndarray:
+        acc = np.zeros(base_dims, dtype=np.float64)
+        for j in range(k):
+            acc += alpha_wins[j] * float(r ** m[n + j])
+        return np.exp(2j * np.pi * acc)
+
+    total = _lambda_sum(fs, base_dims, m[:n], 1, N, phase if k else None)
     norm = N
     for d in base_dims:
         norm *= d
@@ -242,47 +267,27 @@ class PopDiffResult:
                 "histogram": [int(c) for c in self.histogram]}
 
 
-def best_popular_difference(A: SetIndicator, m: Sequence[int], M: int) -> PopDiffResult:
-    """Arg-max of popular_count over r in [1, M]; ties go to the smallest r.
-    The kernel runs only while every r^(m_j) < N_j; later counts are 0."""
-    m = tuple(int(v) for v in m)
-    if M < 1:
-        raise ValueError("difference range M must be >= 1")
-    if M > MAX_GRID_CELLS:
-        raise ValueError(f"difference range M = {M} exceeds the cap of 2^27")
-    if any(mi < 1 for mi in m):
-        raise ValueError(f"exponents must be >= 1, got {m}")
-    useful = 0
-    while useful < M and all((useful + 1) ** mi < d
-                             for mi, d in zip(m, A.box.dims)):
-        useful += 1
-    masks = [kernels.pack_mask(A.mask)] * (A.box.n + 1)
-
-    def count(r: int) -> int:
-        return kernels.pattern_count_fast(masks, A.box.dims, _shifts(m, r))
-
-    rs = range(1, useful + 1)
-    if _threads > 1:
-        with ThreadPoolExecutor(max_workers=_threads) as pool:
-            counts = list(pool.map(count, rs))
-    else:
-        counts = [count(r) for r in rs]
-    hist = np.zeros(M, dtype=np.int64)
-    hist[:useful] = counts
-    r_star = int(np.argmax(hist)) + 1  # argmax returns the first maximum
-    return PopDiffResult(r_star, int(hist[r_star - 1]), hist)
-
-
 def lambda_indicator_counts(inds: Sequence[SetIndicator],
                             spec: ConfigSpec) -> np.ndarray:
-    """Per-r integer pattern counts behind lambda_general on indicators."""
+    """Per-r integer pattern counts behind lambda_general on indicators
+    (entry r - 1 for difference r, zero past the last r with a base point)."""
     if len(inds) != spec.n + 1:
         raise ValueError(f"spec has n={spec.n}, got {len(inds)} indicators")
+    _check_compatible(inds, spec.box.dims)
     masks = kernels.pack_masks([A.mask for A in inds])
-    counts = [kernels.pattern_count_fast(masks, spec.box.dims,
-                                         _shifts(spec.m, spec.q * r))
-              for r in range(1, spec.M + 1)]
-    return np.asarray(counts, dtype=np.int64)
+    counts = _over_differences(
+        lambda r, shifts: kernels.pattern_count_fast(masks, spec.box.dims, shifts),
+        masks, spec.m, spec.q, spec.M)
+    out = np.zeros(spec.M, dtype=np.int64)
+    out[:len(counts)] = counts
+    return out
+
+
+def best_popular_difference(A: SetIndicator, m: Sequence[int], M: int) -> PopDiffResult:
+    """Arg-max of popular_count over r in [1, M]; ties go to the smallest r."""
+    hist = lambda_indicator_counts([A] * (len(m) + 1), ConfigSpec(m, A.box, 1, M))
+    r_star = int(np.argmax(hist)) + 1  # argmax returns the first maximum
+    return PopDiffResult(r_star, int(hist[r_star - 1]), hist)
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,8 @@ class DecompositionResult:
 
 
 def _integer_root(N: int, m: int) -> int:
+    if m < 1:
+        raise ValueError(f"exponents must be >= 1, got {m}")
     r = int(round(N ** (1.0 / m)))
     while r**m > N:
         r -= 1

@@ -54,10 +54,6 @@ class RationalApprox:
     q: int
     residuals: tuple[float, ...]  # ||q alpha_i|| N^i per degree
 
-    @property
-    def score(self) -> float:
-        return max(self.residuals) if self.residuals else 0.0
-
     def to_dict(self) -> dict:
         return {"q": self.q, "residuals": list(self.residuals)}
 

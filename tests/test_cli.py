@@ -167,6 +167,45 @@ def test_popdiff_huge_M_bounded(tmp_path):
                       for r in range(1, 1001)]
 
 
+def test_difference_range_preconditions_exit3(tmp_path):
+    out = tmp_path / "r.box"
+    run_cli("gen", "random", "--box", "4,16", "--p", "0.7", "--seed", "1",
+            "--out", str(out))
+    count = ("count", "--set", str(out), "--m", "1,2")
+    cases = [(count + ("--M", "100000000000"), "M = 100000000000"),
+             (("bench", "--box", "2,4", "--M", "100000000000"),
+              "M = 100000000000"),
+             (count + ("--q", "0", "--M", "200000"), "q must be >= 1"),
+             (count + ("--q", "-1", "--M", "200000"), "q must be >= 1"),
+             (("popdiff", "--set", str(out), "--m", "1,0"),
+              "exponents must be >= 1"),
+             (("popdiff", "--set", str(out), "--m", "1,-2"),
+              "exponents must be >= 1")]
+    for args, message in cases:
+        proc = run_cli(*args, timeout=60)
+        assert proc.returncode == 3, args
+        assert "precondition violated" in proc.stderr and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_count_M_past_useful_range(tmp_path):
+    # only r <= 3 has r < 4 and r^2 < 16
+    out = tmp_path / "r.box"
+    run_cli("gen", "random", "--box", "4,16", "--p", "0.7", "--seed", "1",
+            "--out", str(out))
+    docs = {}
+    for M in ("3", "1000000"):
+        proc = run_cli("count", "--set", str(out), "--m", "1,2", "--M", M,
+                       timeout=60)
+        assert proc.returncode == 0
+        docs[M] = json.loads(proc.stdout)
+    assert docs["1000000"]["integer_count"] == docs["3"]["integer_count"] > 0
+    assert docs["1000000"]["normalization"] == 64 * 1000000
+    assert docs["1000000"]["lambda"]["re"] == \
+        docs["3"]["integer_count"] / (64 * 1000000)
+
+
 def test_popdiff_empty_set_exit3(tmp_path):
     out = tmp_path / "empty.box"
     run_cli("gen", "empty", "--box", "4,16", "--out", str(out))

@@ -189,14 +189,61 @@ def test_best_popular_difference_tie_break():
 
 def test_threads_do_not_change_results(rng):
     A = random_set(rng, (16, 256))
-    base = counting.best_popular_difference(A, (1, 2), 12)
+    fs = [random_grid(rng, (16, 256)), random_grid(rng, (32, 256)),
+          random_grid(rng, (16, 512))]
+    spec = ConfigSpec((1, 2), BoxSpec((16, 256)), q=1, M=12)
+    phased = [random_grid(rng, (3, 9)), random_grid(rng, (6, 9)),
+              random_grid(rng, (3, 18))]
+    al = PhaseTable.from_floats(BoxSpec((3, 9)), rng.random((3, 9)))
+    inds = [A, random_set(rng, (32, 256)), random_set(rng, (16, 512))]
+
+    def run():
+        res = counting.best_popular_difference(A, (1, 2), 12)
+        return (list(res.histogram), res.r_star,
+                counting.lambda_general(fs, spec),
+                counting.lambda_phased(phased, [al], (1, 2, 4), 3),
+                list(counting.lambda_indicator_counts(inds, spec)))
+
+    base = run()
     counting.set_threads(4)
     try:
-        threaded = counting.best_popular_difference(A, (1, 2), 12)
+        threaded = run()
     finally:
         counting.set_threads(1)
-    assert list(base.histogram) == list(threaded.histogram)
-    assert base.r_star == threaded.r_star
+    assert base == threaded  # exactly, the complex sums included
+
+
+def test_indicator_lambda_is_exact_count_ratio(rng):
+    # on indicators lambda_general is integer_count / normalization exactly,
+    # which is how the count command reports it
+    for _ in range(400):
+        n = int(rng.integers(1, 4))
+        base = tuple(int(rng.integers(1, 9)) for _ in range(n))
+        m = tuple(int(v) for v in rng.integers(1, 4, n))
+        spec = ConfigSpec(m, BoxSpec(base), q=int(rng.integers(1, 3)),
+                          M=int(rng.integers(1, 7)))
+        inds = [random_set(rng, tuple(d * int(rng.integers(1, 3)) for d in base))
+                for _ in range(n + 1)]
+        count = int(counting.lambda_indicator_counts(inds, spec).sum())
+        lam = counting.lambda_general([A.to_grid() for A in inds], spec)
+        assert lam.real == count / (spec.box.cells * spec.M)
+        assert lam.imag == 0 and np.copysign(1.0, lam.imag) == 1.0
+
+
+def test_difference_range_preconditions():
+    A = SetIndicator.full(BoxSpec((4, 16)))
+    for m, q, M in (((1, 2), 1, 0), ((1, 2), 1, (1 << 27) + 1),
+                    ((1, 2), 0, 3), ((1, 2), -1, 3), ((1, 0), 1, 3)):
+        spec = ConfigSpec(m, A.box, q, M)
+        with pytest.raises(ValueError):
+            counting.lambda_indicator_counts([A] * 3, spec)
+        with pytest.raises(ValueError):
+            counting.lambda_general([A.to_grid()] * 3, spec)
+    with pytest.raises(ValueError):
+        counting.best_popular_difference(A, (1, 2), 1 << 40)
+    # no r past 3 has a base point
+    hist = counting.best_popular_difference(A, (1, 2), 1 << 20).histogram
+    assert len(hist) == 1 << 20 and not hist[3:].any()
 
 
 def test_threads_histogram_wide_grid(rng):
