@@ -87,37 +87,37 @@ def cmd_count(args) -> int:
         raise UsageError("need more exponents than phases")
     if A.box.n != n:
         raise ValueError(f"set is {A.box.n}-D but the configuration needs {n}-D")
-    # the complex grid serves only the phased operator and the oracles
-    fs = [A.to_grid()] * (n + 1) if phases or args.oracle else None
-    integer_count = oracle = None
     if args.N is not None:
-        base_dims = tuple(args.N ** mi for mi in m[:n])
+        if args.q is not None or args.M is not None:
+            raise UsageError("--N sets the range of the power-box operator; "
+                             "--q and --M belong to the general operator")
+        operator = "phased" if phases else "simple"
         rng_size = args.N
-        if phases:
-            operator = "phased"
-            alphas = [PhaseTable.constant(BoxSpec(base_dims), p) for p in phases]
-            lam = counting.lambda_phased(fs, alphas, m, args.N)
-            if args.oracle:
-                oracle = counting.lambda_phased_bruteforce(fs, alphas, m, args.N)
-        else:
-            operator = "simple"
-            spec = ConfigSpec(m, BoxSpec(base_dims), 1, args.N)
+        spec = ConfigSpec(m[:n], BoxSpec([args.N ** mi for mi in m[:n]]), 1,
+                          args.N)
     else:
         if phases:
             raise UsageError("--phase-const needs --N (the phased operator "
                              "averages over the power box)")
         operator = "general"
-        M = args.M if args.M is not None else 1
-        spec = ConfigSpec(m, A.box, q=args.q, M=M)
-        base_dims = A.box.dims
-        rng_size = M
-    norm = rng_size
-    for d in base_dims:
-        norm *= d
-    if operator != "phased":
+        rng_size = args.M if args.M is not None else 1
+        spec = ConfigSpec(m, A.box, q=1 if args.q is None else args.q,
+                          M=rng_size)
+    norm = rng_size * spec.box.cells
+    if args.oracle and norm > counting.ORACLE_MAX_TERMS:
+        raise ValueError(f"--oracle needs cells x range <= 2^20, got {norm}")
+    # the complex grid serves only the phased operator and the oracles
+    fs = [A.to_grid()] * (n + 1) if phases or args.oracle else None
+    integer_count = oracle = None
+    if operator == "phased":
+        alphas = [PhaseTable.constant(spec.box, p) for p in phases]
+        lam = counting.lambda_phased(fs, alphas, m, args.N)
+        if args.oracle:
+            oracle = counting.lambda_phased_bruteforce(fs, alphas, m, args.N)
+    else:
         # on indicators the operator is exactly the integer count over norm
-        integer_count = int(counting.lambda_indicator_counts(
-            [A] * (n + 1), spec).sum())
+        integer_count = counting.lambda_indicator_counts(
+            [A] * (n + 1), spec).sum()
         lam = complex(integer_count / norm)
         if args.oracle:
             oracle = (counting.lambda_simple_bruteforce(fs, m, args.N)
@@ -136,6 +136,20 @@ def cmd_count(args) -> int:
 
 # ---------------------------------------------------------------------------
 # popdiff
+
+
+def _write_histogram(fh, hist: counting.Histogram) -> None:
+    """The text of ``json.dump({"histogram": list(hist)}, fh)``, with the
+    zero tail past the counted prefix written in bounded chunks."""
+    fh.write('{"histogram": [' + ", ".join(map(str, hist.counts.tolist())))
+    zeros = hist.M - len(hist.counts)
+    if zeros and not len(hist.counts):
+        fh.write("0")
+        zeros -= 1
+    chunk = 1 << 16
+    for k in range(0, zeros, chunk):
+        fh.write(", 0" * min(chunk, zeros - k))
+    fh.write("]}")
 
 
 def cmd_popdiff(args) -> int:
@@ -164,7 +178,7 @@ def cmd_popdiff(args) -> int:
     doc["histogram_path"] = None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"histogram": [int(c) for c in hist]}, fh)
+            _write_histogram(fh, hist)
         doc["histogram_path"] = args.out
     _emit(doc)
     return EXIT_OK
@@ -244,24 +258,28 @@ def cmd_bench(args) -> int:
     box = BoxSpec(_parse_ints(args.box))
     m = _parse_ints(args.m)
     rng = make_rng(args.seed)
-    A = SetIndicator(box, rng.random(box.dims) < args.p)
+    mask = rng.random(box.dims) < args.p
     M = args.M if args.M is not None else max(1, box.dims[0] - 1)
-    inds, spec = [A] * (box.n + 1), ConfigSpec(m, box, 1, M)
-    counting.lambda_indicator_counts(inds, spec)  # warm-up; checks the range
+    spec = ConfigSpec(m, box, 1, M)
+    # warm-up; checks the range
+    counting.lambda_indicator_counts([SetIndicator(box, mask)] * (box.n + 1), spec)
     t0 = time.perf_counter()
-    fast = counting.lambda_indicator_counts(inds, spec)  # packing included
+    # a fresh indicator, so that the one packing is timed too
+    fast = counting.lambda_indicator_counts(
+        [SetIndicator(box, mask)] * (box.n + 1), spec)
     t1 = time.perf_counter()
-    masks = [A.mask] * (box.n + 1)
+    masks = [mask] * (box.n + 1)
     naive = counting._over_differences(
         lambda r, shifts: kernels.pattern_count_pointwise(masks, box.dims, shifts),
         masks, m, 1, M)
     t2 = time.perf_counter()
     sys.stdout.write("impl,box,M,total_count,seconds\n")
-    for name, counts, dt in (("fast", fast, t1 - t0), ("naive", naive, t2 - t1)):
+    for name, total, dt in (("fast", fast.sum(), t1 - t0),
+                            ("naive", sum(naive), t2 - t1)):
         sys.stdout.write(f"{name},{'x'.join(map(str, box.dims))},{M},"
-                         f"{int(np.sum(counts))},{dt:.6f}\n")
-    # the naive row stops after the last r with a base point
-    if list(fast[:len(naive)]) != naive or fast[len(naive):].any():
+                         f"{total},{dt:.6f}\n")
+    # both stop after the last r with a base point
+    if fast.counts.tolist() != naive:
         print("bench: implementations disagree", file=sys.stderr)
         return EXIT_PROPERTY
     return EXIT_OK
@@ -281,11 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--set", required=True)
     c.add_argument("--m", required=True, help="comma-separated exponents")
     c.add_argument("--N", type=int, help="difference range of the power-box operator")
-    c.add_argument("--q", type=int, default=1)
+    c.add_argument("--q", type=int, help="modulus of the general operator "
+                   "(default 1)")
     c.add_argument("--M", type=int, help="difference range of the general operator")
     c.add_argument("--phase-const", help="constant phases t/T, comma-separated")
     c.add_argument("--oracle", action="store_true",
-                   help="cross-check against the brute-force path")
+                   help="cross-check against the brute-force path (cells "
+                        "times range at most 2^20)")
     c.add_argument("--threads", type=int)
     c.set_defaults(fn=cmd_count)
 

@@ -12,6 +12,9 @@ Conventions used throughout the package:
 * ``read_window`` is the one zero-padded window read (translated, optionally
   strided).  Pattern sums that only need the base points whose reads all
   stay in range use the cropped views of ``kernels.pattern_views`` instead.
+* A ``SetIndicator`` is stored as packed ``uint64`` words
+  (``kernels.PackedMask``); its boolean mask is unpacked only when a caller
+  needs cells, and then cached.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from . import kernels
 
 MAX_GRID_CELLS = 1 << 27
 MAX_GRID_DIM = 3
@@ -174,18 +179,30 @@ def read_window(values: np.ndarray, offsets: Sequence[int],
     return out
 
 
-@dataclass
 class SetIndicator:
-    """Subset of a box stored as a dense bit mask (axis 1 slowest)."""
+    """Subset of a box (axis 1 slowest).
 
-    box: BoxSpec
-    mask: np.ndarray
+    The primary storage is a ``kernels.PackedMask``, the cells packed 64 to a
+    ``uint64`` word along the last axis; ``setfile.read_set`` fills it
+    straight from a binary set file and the integer counting path reads
+    only the words.  ``SetIndicator(box, mask)`` also takes a boolean mask,
+    kept as given (no copy; do not modify it afterwards).  Either form is
+    built from the other on first use and cached: ``packed`` packs the mask,
+    and ``mask`` unpacks the words (read-only) for the callers that need
+    cells (``to_grid``, ``members``, the pointwise oracles, ``write_set``).
+    """
 
-    def __post_init__(self):
-        self.mask = np.ascontiguousarray(self.mask, dtype=bool)
-        if self.mask.shape != self.box.dims:
-            raise ValueError(
-                f"mask shape {self.mask.shape} != box {self.box.dims}")
+    def __init__(self, box: BoxSpec, mask: np.ndarray | kernels.PackedMask):
+        self.box = box
+        self._mask: np.ndarray | None = None
+        self._packed: kernels.PackedMask | None = None
+        if isinstance(mask, kernels.PackedMask):
+            shape, self._packed = mask.shape, mask
+        else:
+            self._mask = np.ascontiguousarray(mask, dtype=bool)
+            shape = self._mask.shape
+        if shape != box.dims:
+            raise ValueError(f"mask shape {shape} != box {box.dims}")
 
     @classmethod
     def empty(cls, box: BoxSpec) -> "SetIndicator":
@@ -195,21 +212,28 @@ class SetIndicator:
     def full(cls, box: BoxSpec) -> "SetIndicator":
         return cls(box, np.ones(box.dims, dtype=bool))
 
-    @classmethod
-    def from_members(cls, box: BoxSpec, members: Iterable[Sequence[int]]) -> "SetIndicator":
-        mask = np.zeros(box.dims, dtype=bool)
-        for pt in members:
-            idx = tuple(int(c) - 1 for c in pt)
-            if len(idx) != box.n:
-                raise ValueError(f"point {pt} has wrong dimension")
-            if any(c < 0 or c >= d for c, d in zip(idx, box.dims)):
-                raise ValueError(f"point {pt} outside box {box}")
-            mask[idx] = True
-        return cls(box, mask)
+    @property
+    def mask(self) -> np.ndarray:
+        """The boolean mask, unpacked from the words on first use."""
+        if self._mask is None:
+            mask = kernels.unpack_mask(self._packed)
+            mask.flags.writeable = False
+            self._mask = mask
+        return self._mask
+
+    @property
+    def packed(self) -> kernels.PackedMask:
+        """The packed words, packed from the mask on first use."""
+        if self._packed is None:
+            self._packed = kernels.pack_mask(self._mask)
+        return self._packed
 
     @property
     def count(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        if self._packed is None:
+            return int(np.count_nonzero(self._mask))
+        # the spare word of every row is zero
+        return int(np.bitwise_count(self._packed.words).sum(dtype=np.int64))
 
     @property
     def density(self) -> float:
@@ -422,10 +446,6 @@ class TorusPhase:
     def e(self) -> complex:
         """exp(2 pi i a)."""
         return cmath.exp(2j * cmath.pi * self.approx)
-
-
-def e_of(x: float | Fraction) -> complex:
-    return cmath.exp(2j * cmath.pi * float(x))
 
 
 @dataclass

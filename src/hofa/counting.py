@@ -11,15 +11,19 @@ and ``popular_count``) built on the kernels module.  ``_over_differences`` is
 the one loop over r: it checks the range, stops after the last r with a base
 point and spreads the r over the ``set_threads`` workers.  Per r, the
 complex operators multiply the cropped views of ``kernels.pattern_views``;
-the integer path packs each distinct mask once per call
-(``kernels.pack_mask``) and counts with the packed-word kernel
-``kernels.pattern_count_fast``.  The strided zero-padded windows of the
-averaging identity come from ``core.read_window``.  Brute-force oracles are
-kept too.
+the integer path counts on the indicators' packed words
+(``SetIndicator.packed``, so a set read from a binary file is never
+unpacked) with the packed-word kernel ``kernels.pattern_count_fast`` and
+returns a ``Histogram`` that keeps only the counted prefix of the range.
+The strided zero-padded windows of the averaging identity come from
+``core.read_window``.  Brute-force oracles are kept too; they stop after the
+last useful r as well, and ``ORACLE_MAX_TERMS`` bounds what ``count
+--oracle`` asks of them.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -175,12 +179,28 @@ def lambda_phased(fs: Sequence[GridFunction], alphas: Sequence[PhaseTable],
 # Brute-force oracles (small inputs only; every read is an independent
 # per-point lookup)
 
+# Largest cells x M that ``count --oracle`` accepts: the oracles walk every
+# (x, r) in Python at about 6.5 us each, so this is seconds of work.
+ORACLE_MAX_TERMS = 1 << 20
+
 
 def _read_point(f: GridFunction, pt: Sequence[int]) -> complex:
     idx = tuple(c - 1 for c in pt)
     if any(c < 0 or c >= d for c, d in zip(idx, f.box.dims)):
         return 0j
     return complex(f.values[idx])
+
+
+def _last_useful_r(fs: Sequence[GridFunction], m: Sequence[int], q: int,
+                   M: int) -> int:
+    # The last r <= M before some shift (q r)^(m_j) reaches the extent of
+    # f_{j+1} along axis j.  From that r on the read of f_{j+1} is outside
+    # its box for every x, since the shift only grows with r (q >= 1).
+    for r in range(1, M + 1):
+        if any((q * r) ** mj >= f.box.dims[j]
+               for j, (mj, f) in enumerate(zip(m, fs[1:]))):
+            return r - 1
+    return M
 
 
 def lambda_phased_bruteforce(fs: Sequence[GridFunction],
@@ -190,10 +210,11 @@ def lambda_phased_bruteforce(fs: Sequence[GridFunction],
     n = len(fs) - 1
     k = len(alphas)
     base_dims = tuple(N ** mi for mi in m[:n])
+    r_stop = _last_useful_r(fs, m[:n], 1, N)
     total = 0j
     for idx in np.ndindex(*base_dims):
         x = tuple(c + 1 for c in idx)
-        for r in range(1, N + 1):
+        for r in range(1, r_stop + 1):
             term = _read_point(fs[0], x)
             if term == 0:
                 continue
@@ -218,10 +239,11 @@ def lambda_simple_bruteforce(fs, m, N) -> complex:
 
 
 def lambda_general_bruteforce(fs: Sequence[GridFunction], spec: ConfigSpec) -> complex:
+    r_stop = _last_useful_r(fs, spec.m, spec.q, spec.M)
     total = 0j
     for idx in np.ndindex(*spec.box.dims):
         x = tuple(c + 1 for c in idx)
-        for r in range(1, spec.M + 1):
+        for r in range(1, r_stop + 1):
             term = _read_point(fs[0], x)
             if term == 0:
                 continue
@@ -245,8 +267,8 @@ def popular_count(A: SetIndicator, m: Sequence[int], r: int) -> int:
     if len(m) != A.box.n:
         raise ValueError("exponent tuple does not match the box dimension")
     shifts = _shifts(m, r)
-    masks = [A.mask] * (A.box.n + 1)
-    return kernels.pattern_count_fast(masks, A.box.dims, shifts)
+    return kernels.pattern_count_fast([A.packed] * (A.box.n + 1), A.box.dims,
+                                      shifts)
 
 
 def popular_count_naive(A: SetIndicator, m: Sequence[int], r: int) -> int:
@@ -256,38 +278,73 @@ def popular_count_naive(A: SetIndicator, m: Sequence[int], r: int) -> int:
     return kernels.pattern_count_pointwise(masks, A.box.dims, shifts)
 
 
+@dataclass(frozen=True, eq=False)
+class Histogram:
+    """Counts over the differences r in [1, M], stored as the counted prefix.
+
+    ``counts[r - 1]`` is the count at difference r for r <= len(counts);
+    every later entry is zero (no later r has a base point), so the storage
+    is bounded by the grid, not by M.  Indexing, iteration and ``len`` see
+    all M entries; a slice (step >= 1) is the histogram of that sub-range.
+    """
+
+    counts: np.ndarray  # int64
+    M: int
+
+    def __len__(self) -> int:
+        return self.M
+
+    def __getitem__(self, key):
+        rng = range(self.M)[key]
+        if isinstance(key, slice):
+            if rng.step < 1:
+                raise ValueError("histogram slices need a positive step")
+            return Histogram(self.counts[rng.start:rng.stop:rng.step], len(rng))
+        return int(self.counts[rng]) if rng < len(self.counts) else 0
+
+    def __iter__(self):
+        yield from self.counts.tolist()
+        yield from itertools.repeat(0, self.M - len(self.counts))
+
+    def sum(self) -> int:
+        return int(self.counts.sum())
+
+    def any(self) -> bool:
+        return bool(self.counts.any())
+
+    def argmax(self) -> int:
+        """Index of the first maximum (counts are nonnegative, so the zero
+        tail never wins)."""
+        return int(np.argmax(self.counts)) if len(self.counts) else 0
+
+
 @dataclass
 class PopDiffResult:
     r_star: int
     count: int
-    histogram: np.ndarray  # histogram[r-1] = count at difference r
-
-    def to_dict(self) -> dict:
-        return {"r_star": self.r_star, "count": self.count,
-                "histogram": [int(c) for c in self.histogram]}
+    histogram: Histogram  # histogram[r-1] = count at difference r
 
 
 def lambda_indicator_counts(inds: Sequence[SetIndicator],
-                            spec: ConfigSpec) -> np.ndarray:
+                            spec: ConfigSpec) -> Histogram:
     """Per-r integer pattern counts behind lambda_general on indicators
-    (entry r - 1 for difference r, zero past the last r with a base point)."""
+    (entry r - 1 for difference r), counted on the indicators' packed words
+    only while some base point remains."""
     if len(inds) != spec.n + 1:
         raise ValueError(f"spec has n={spec.n}, got {len(inds)} indicators")
     _check_compatible(inds, spec.box.dims)
-    masks = kernels.pack_masks([A.mask for A in inds])
+    masks = [A.packed for A in inds]
     counts = _over_differences(
         lambda r, shifts: kernels.pattern_count_fast(masks, spec.box.dims, shifts),
         masks, spec.m, spec.q, spec.M)
-    out = np.zeros(spec.M, dtype=np.int64)
-    out[:len(counts)] = counts
-    return out
+    return Histogram(np.array(counts, dtype=np.int64), spec.M)
 
 
 def best_popular_difference(A: SetIndicator, m: Sequence[int], M: int) -> PopDiffResult:
     """Arg-max of popular_count over r in [1, M]; ties go to the smallest r."""
     hist = lambda_indicator_counts([A] * (len(m) + 1), ConfigSpec(m, A.box, 1, M))
-    r_star = int(np.argmax(hist)) + 1  # argmax returns the first maximum
-    return PopDiffResult(r_star, int(hist[r_star - 1]), hist)
+    r_star = hist.argmax() + 1
+    return PopDiffResult(r_star, hist[r_star - 1], hist)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import BoxSpec, ConfigSpec, GridFunction, SetIndicator, read_window
-from .counting import (best_popular_difference, lambda_general,
+from .counting import (Histogram, best_popular_difference, lambda_general,
                        lambda_indicator_counts)
 from .partition import APPartition, Atoms
 
@@ -388,7 +388,7 @@ class PipelineResult:
     r: int                  # effective difference achieving the count
     count: int
     certificate: dict
-    histogram: np.ndarray   # per-multiplier counts over the searched range
+    histogram: Histogram    # per-multiplier counts over the searched range
 
     def to_dict(self) -> dict:
         return {"r": self.r, "count": self.count,
@@ -441,9 +441,9 @@ def popular_difference_pipeline(A: SetIndicator, m: Sequence[int], delta: float,
         spec = ConfigSpec(m, A.box, q=dec.q, M=Mp)
         counts = lambda_indicator_counts([A] * (n + 1), spec)
         lam = float(counts.sum()) / (cells * Mp)
-        best = int(np.argmax(counts))
+        best = counts.argmax()
         r_eff = dec.q * (best + 1)
-        count = int(counts[best])
+        count = counts[best]
         cert.update({"fallback": False, "q": dec.q, "L": dec.L, "M": Mp,
                      "lambda": lam, "r_multiplier": best + 1,
                      "normalized_count": count / cells,

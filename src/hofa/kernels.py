@@ -1,20 +1,26 @@
-"""Hot counting kernels.
+"""Hot counting kernels and the packed-mask storage they read.
 
 The pattern count (how many base points x have x in A_0 and x + d_j e_j in
 A_j for every axis j) is the performance core of the package.
 ``pattern_views`` owns the cropped pattern read, the aligned views a_0[x],
 a_j[x + d_j e_j] over the base points whose reads all stay in range (the
 zero-padded windows are ``core.read_window``'s); the complex operators of
-``counting`` multiply them.  Two counting implementations are kept side by
-side:
+``counting`` multiply them.
 
-* ``pattern_count_fast`` - the packed-word kernel.  ``pack_mask`` packs a
-  boolean mask once along its last axis into ``uint64`` words
-  (``PackedMask``); a shift along any other axis is then a row offset, a
-  shift along the last axis is a word offset plus a bit shift, and the
-  count is ``np.bitwise_count`` of the AND of the shifted words;
+``PackedMask`` is a boolean mask packed along its last axis into ``uint64``
+words.  It is the primary storage of ``core.SetIndicator``: ``setfile``
+reads a binary set file straight into it (``word_bytes`` and
+``from_word_bytes``), ``pack_mask`` packs a boolean mask and
+``unpack_mask`` rebuilds the mask for the callers that need cells.
+
+Two counting implementations are kept side by side:
+
+* ``pattern_count_fast`` - the packed-word kernel.  A shift along any axis
+  but the last is a row offset of the words, a shift along the last axis is
+  a word offset plus a bit shift, and the count is ``np.bitwise_count`` of
+  the AND of the shifted words;
 * ``pattern_count_pointwise`` - a member-driven bounds-checked membership
-  loop, kept as the independent oracle.
+  loop on boolean masks, kept as the independent oracle.
 
 The ``bench`` CLI subcommand times the two against each other and insists
 they agree exactly before reporting.
@@ -47,19 +53,44 @@ class PackedMask:
     words: np.ndarray
 
 
+def word_bytes(shape: Sequence[int]) -> np.ndarray:
+    """Zeroed storage for the words of a packed mask of logical ``shape``,
+    as bytes of shape ``shape[:-1] + (8 * words per row,)``.
+
+    The words are little-endian: byte 8k + i of a row holds cells
+    64k + 8i .. 64k + 8i + 7 of that row, lowest bit first, which is the
+    byte layout of ``np.packbits(..., bitorder="little")`` along the row.
+    ``from_word_bytes`` turns the filled bytes into the ``PackedMask``.
+    """
+    shape = tuple(int(d) for d in shape)
+    if not shape:
+        raise ValueError("a packed mask needs at least one axis")
+    nwords = -(-shape[-1] // WORD_BITS) + 1
+    return np.zeros(shape[:-1] + (nwords * 8,), dtype=np.uint8)
+
+
+def from_word_bytes(shape: Sequence[int], raw: np.ndarray) -> PackedMask:
+    """The ``PackedMask`` of logical ``shape`` whose words are the bytes of
+    ``raw`` (from ``word_bytes``), made native: a view of the bytes on
+    little-endian hosts, a byte-swapped copy elsewhere."""
+    return PackedMask(tuple(int(d) for d in shape),
+                      raw.view("<u8").astype(np.uint64, copy=False))
+
+
 def pack_mask(mask: np.ndarray) -> PackedMask:
     """Pack a boolean mask of at least one axis along its last axis."""
     mask = np.asarray(mask, dtype=bool)
-    if mask.ndim < 1:
-        raise ValueError("a packed mask needs at least one axis")
-    width = mask.shape[-1]
-    nwords = -(-width // WORD_BITS) + 1
-    raw = np.zeros(mask.shape[:-1] + (nwords * 8,), dtype=np.uint8)
-    raw[..., :-(-width // 8)] = np.packbits(mask, axis=-1, bitorder="little")
-    # the bytes are little-endian words; astype makes them native (a no-op
-    # on little-endian hosts)
-    words = raw.view("<u8").astype(np.uint64, copy=False)
-    return PackedMask(tuple(mask.shape), words)
+    raw = word_bytes(mask.shape)
+    raw[..., :-(-mask.shape[-1] // 8)] = np.packbits(mask, axis=-1,
+                                                     bitorder="little")
+    return from_word_bytes(mask.shape, raw)
+
+
+def unpack_mask(packed: PackedMask) -> np.ndarray:
+    """The boolean mask of a ``PackedMask`` (a new array)."""
+    raw = packed.words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=packed.shape[-1],
+                         bitorder="little").view(bool)
 
 
 def pack_masks(masks: Sequence[Union[np.ndarray, PackedMask]]) -> list[PackedMask]:

@@ -15,9 +15,13 @@ from typing import Union
 
 import numpy as np
 
+from . import kernels
 from .core import MAX_GRID_CELLS, BoxSpec, SetIndicator
 
 MAGIC = b"HOFA1"
+# cells per block of a binary read (a multiple of 8): bounds the read buffer
+# and, for widths that are not a multiple of 8, the bits unpacked at once
+READ_BLOCK_CELLS = 1 << 20
 
 
 class SetFileError(ValueError):
@@ -76,13 +80,60 @@ def _read_binary(fh) -> SetIndicator:
     if magic_line.rstrip(b"\n") != MAGIC:
         raise SetFileError("bad magic")
     box = _parse_header(fh.readline().decode("utf-8").rstrip("\n"))
-    payload = fh.read()
+    start = fh.tell()
+    size = fh.seek(0, os.SEEK_END) - start
     need = (box.cells + 7) // 8
-    if len(payload) != need:
-        raise SetFileError(f"bitset payload is {len(payload)} bytes, expected {need}")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8),
-                         count=box.cells, bitorder="little")
-    return SetIndicator(box, bits.view(bool).reshape(box.dims))
+    if size != need:
+        raise SetFileError(f"bitset payload is {size} bytes, expected {need}")
+    fh.seek(start)
+    return SetIndicator(box, _read_words(fh, box.dims))
+
+
+def _blocks(rows: int, width: int):
+    """(row slice, first cell, end cell) of the payload's blocks in file
+    order: whole rows, or the cells of one row when a row alone exceeds
+    READ_BLOCK_CELLS (the first cell is then a multiple of 8)."""
+    if width <= READ_BLOCK_CELLS:
+        step = READ_BLOCK_CELLS // width
+        for b0 in range(0, rows, step):
+            yield slice(b0, min(b0 + step, rows)), 0, width
+    else:
+        for r in range(rows):
+            for c0 in range(0, width, READ_BLOCK_CELLS):
+                yield slice(r, r + 1), c0, min(c0 + READ_BLOCK_CELLS, width)
+
+
+def _read_words(fh, dims: tuple[int, ...]) -> kernels.PackedMask:
+    width = dims[-1]
+    raw = kernels.word_bytes(dims)
+    out = raw.reshape(-1, raw.shape[-1])  # one row of word bytes per row
+    # buf[0] carries the byte that holds the first unread bit
+    buf = np.empty(READ_BLOCK_CELLS // 8 + 2, dtype=np.uint8)
+    pos = 0  # payload bits consumed
+
+    def read_into(view: np.ndarray) -> None:
+        if fh.readinto(view) != len(view):
+            raise SetFileError("bitset payload ended early")
+
+    for rs, c0, c1 in _blocks(len(out), width):
+        h, w = rs.stop - rs.start, c1 - c0
+        if width % 8 == 0:
+            # every block starts on a byte, and its bytes are word bytes
+            chunk = buf[1:1 + h * w // 8]
+            read_into(chunk)
+            out[rs, c0 // 8:c1 // 8] = chunk.reshape(h, -1)
+        else:
+            # the block starts at bit pos % 8 of the carried byte buf[0]
+            off = pos % 8
+            new = -(-(pos + h * w) // 8) - -(-pos // 8)  # bytes not yet read
+            read_into(buf[1:1 + new])
+            bits = np.unpackbits(buf[0 if off else 1:1 + new],
+                                 count=off + h * w, bitorder="little")[off:]
+            out[rs, c0 // 8:-(-c1 // 8)] = np.packbits(
+                bits.reshape(h, w), axis=-1, bitorder="little")
+            buf[0] = buf[new]
+            pos += h * w
+    return kernels.from_word_bytes(dims, raw)
 
 
 def write_set(A: SetIndicator, path: Union[str, os.PathLike],

@@ -1,12 +1,14 @@
+import io
 import json
 import subprocess
 import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
-from hofa import counting
+from hofa import cli, counting
 from hofa.setfile import SetFileError, _parse_header, read_set
 
 
@@ -311,3 +313,66 @@ def test_incompatible_box_exit3(tmp_path):
     proc = run_cli("count", "--set", str(out), "--m", "1,2", "--N", "2")
     assert proc.returncode == 3
     assert "precondition" in proc.stderr
+
+
+def test_count_N_refuses_q_and_M(tmp_path):
+    # --q and --M belong to the general operator; with --N they are refused
+    # instead of being ignored
+    out = tmp_path / "r.box"
+    run_cli("gen", "random", "--box", "3,9", "--p", "0.5", "--seed", "1",
+            "--out", str(out))
+    count = ("count", "--set", str(out), "--m", "1,2", "--N", "3")
+    for extra in (("--q", "0", "--M", "100000000000"), ("--q", "1"),
+                  ("--M", "3"), ("--q", "2", "--oracle")):
+        proc = run_cli(*count, *extra, timeout=60)
+        assert proc.returncode == 2, extra
+        assert "usage error" in proc.stderr and "--N" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+    assert run_cli(*count).returncode == 0
+
+
+def test_count_oracle_size_cap(tmp_path, schema):
+    # cells x M = 64 x 16384 = 2^20 is the cap: it runs (the oracle stops
+    # after r = 3, the last r with r < 4 and r^2 < 16) and one more is exit 3
+    out = tmp_path / "r.box"
+    run_cli("gen", "random", "--box", "4,16", "--p", "0.7", "--seed", "1",
+            "--out", str(out))
+    count = ("count", "--set", str(out), "--m", "1,2", "--oracle")
+    proc = run_cli(*count, "--M", "16384", timeout=60)
+    assert proc.returncode == 0
+    doc = check_json(proc, schema)
+    assert doc["ok"] is True and doc["oracle"]["max_dev"] <= 1e-9
+    assert doc["normalization"] == counting.ORACLE_MAX_TERMS
+    for M in ("16385", "100000000"):
+        proc = run_cli(*count, "--M", M, timeout=60)
+        assert proc.returncode == 3
+        assert "precondition violated" in proc.stderr and "--oracle" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_popdiff_out_streams_zero_tail(tmp_path):
+    # the file is what json.dump of all M entries writes, byte for byte,
+    # while the histogram itself keeps only the counted prefix
+    out = tmp_path / "r.box"
+    run_cli("gen", "random", "--box", "4,16", "--p", "0.7", "--seed", "1",
+            "--out", str(out))
+    A = read_set(out)
+    for M in (1, 2, 3, 4, 70000, 200000):
+        hist = tmp_path / f"h{M}.json"
+        proc = run_cli("popdiff", "--set", str(out), "--m", "1,2", "--M",
+                       str(M), "--out", str(hist), timeout=60)
+        assert proc.returncode == 0
+        res = counting.best_popular_difference(A, (1, 2), M)
+        assert len(res.histogram.counts) == min(M, 3) and len(res.histogram) == M
+        naive = [counting.popular_count_naive(A, (1, 2), r)
+                 for r in range(1, min(M, 3) + 1)]
+        want = naive + [0] * (M - len(naive))
+        assert hist.read_text() == json.dumps({"histogram": want})
+    # an empty counted prefix: no r has r^2 < 1
+    for M in (1, 5):
+        h = counting.Histogram(np.zeros(0, dtype=np.int64), M)
+        buf = io.StringIO()
+        cli._write_histogram(buf, h)
+        assert buf.getvalue() == json.dumps({"histogram": [0] * M})

@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hofa import counting, kernels, setfile
 from hofa.core import (BoxSpec, ConfigSpec, GridFunction, Line, PhaseTable,
                        SetIndicator, TorusPhase, read_window, validate_config)
 from hofa.setfile import SetFileError, read_set, write_set
@@ -187,3 +190,84 @@ def test_setfile_rejects_garbage(tmp_path):
     p2.write_text("box 2 2\n3 1\n")
     with pytest.raises(SetFileError):
         read_set(p2)
+
+
+# widths on and off multiples of 8 and 64, and any width up to 200
+WIDTHS = st.one_of(st.sampled_from([1, 7, 8, 9, 56, 63, 64, 65, 72, 127, 128,
+                                    129, 192, 193, 200]),
+                   st.integers(1, 200))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lead=st.lists(st.integers(1, 5), max_size=2), width=WIDTHS,
+       p=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+       seed=st.integers(0, 2**32 - 1), M=st.integers(1, 8))
+def test_binary_read_gives_packed_words(tmp_path, lead, width, p, seed, M):
+    # a binary file is read straight into the words pack_mask would build;
+    # the count, the lazily unpacked mask and the histogram agree with the
+    # boolean mask
+    dims = tuple(lead) + (width,)
+    n = len(dims)
+    mask = np.random.default_rng(seed).random(dims) < p
+    path = tmp_path / "a.boxb"
+    write_set(SetIndicator(BoxSpec(dims), mask), path, binary=True)
+    B = read_set(path)
+    assert B.box.dims == dims
+    packed = kernels.pack_mask(mask)
+    assert B.packed.shape == packed.shape
+    assert B.packed.words.dtype == np.uint64
+    assert np.array_equal(B.packed.words, packed.words)
+    assert B.count == int(mask.sum())
+    assert np.array_equal(B.mask, mask) and not B.mask.flags.writeable
+    m = tuple(range(1, n + 1))
+    hist = counting.best_popular_difference(B, m, M).histogram
+    naive = [kernels.pattern_count_pointwise([mask] * (n + 1), dims,
+                                             tuple(r ** mj for mj in m))
+             for r in range(1, M + 1)]
+    assert list(hist) == naive
+
+
+@pytest.mark.parametrize("dims", [(3, 5000), (1, 3000), (2, 1, 2077)])
+def test_binary_read_blocks_split_rows(tmp_path, rng, monkeypatch, dims):
+    # rows longer than a read block are read one block of cells at a time
+    monkeypatch.setattr(setfile, "READ_BLOCK_CELLS", 256)
+    mask = rng.random(dims) < 0.5
+    path = tmp_path / "a.boxb"
+    write_set(SetIndicator(BoxSpec(dims), mask), path, binary=True)
+    B = read_set(path)
+    assert np.array_equal(B.packed.words, kernels.pack_mask(mask).words)
+
+
+def test_setfile_binary_payload_length_checked(tmp_path):
+    mask = np.zeros((3, 13), dtype=bool)
+    path = tmp_path / "a.boxb"
+    write_set(SetIndicator(BoxSpec((3, 13)), mask), path, binary=True)
+    good = path.read_bytes()
+    for data in (good[:-1], good + b"\x00"):
+        path.write_bytes(data)
+        with pytest.raises(SetFileError, match="payload"):
+            read_set(path)
+
+
+def test_packed_read_and_histogram_memory(tmp_path, rng):
+    # the set stays in its packed words (1/8 byte per cell) from the file to
+    # the histogram; a boolean mask anywhere on the way is 1 byte per cell
+    import tracemalloc
+    dims = (1024, 8192)
+    mask = rng.random(dims) < 0.5
+    path = tmp_path / "big.boxb"
+    write_set(SetIndicator(BoxSpec(dims), mask), path, binary=True)
+    want = counting.best_popular_difference(
+        SetIndicator(BoxSpec(dims), mask), (1, 2), 60)
+    del mask
+    tracemalloc.start()
+    try:
+        B = read_set(path)
+        res = counting.best_popular_difference(B, (1, 2), 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * B.box.cells
+    assert list(res.histogram) == list(want.histogram)
+    assert (res.r_star, res.count) == (want.r_star, want.count)

@@ -349,3 +349,54 @@ def test_compatibility_rejection(rng):
     g = random_grid(rng, (2, 4))
     with pytest.raises(ValueError):
         counting.lambda_simple([f_bad, g, g], (1, 2), 2)
+
+
+def test_bruteforce_oracles_stop_after_useful_range(rng, monkeypatch):
+    # on 4x16 at m = (1, 2) only r <= 3 has r < 4 and r^2 < 16, so the
+    # oracles read each point for three r however large the range is
+    reads = []
+    read_point = counting._read_point
+    monkeypatch.setattr(counting, "_read_point",
+                        lambda f, pt: reads.append(pt) or read_point(f, pt))
+    ones = GridFunction.ones(BoxSpec((4, 16)))
+    spec = ConfigSpec((1, 2), ones.box, q=1, M=1000)
+    val = counting.lambda_general_bruteforce([ones] * 3, spec)
+    assert len(reads) == 64 * 3 * 3
+    assert val == pytest.approx(counting.lambda_general([ones] * 3, spec),
+                                abs=1e-15)
+    # q = 2: only r = 1 has 2r < 4 and (2r)^2 < 16
+    reads.clear()
+    spec2 = ConfigSpec((1, 2), ones.box, q=2, M=1000)
+    val2 = counting.lambda_general_bruteforce([ones] * 3, spec2)
+    assert len(reads) == 64 * 3
+    assert val2 == pytest.approx(counting.lambda_general([ones] * 3, spec2),
+                                 abs=1e-15)
+    # the power box of N = 3 is 3x9; on it r = 3 has no base point
+    fs = [random_grid(rng, (3, 9)) for _ in range(3)]
+    al = PhaseTable.from_floats(BoxSpec((3, 9)), rng.random((3, 9)))
+    reads.clear()
+    b = counting.lambda_phased_bruteforce(fs, [al], (1, 2, 4), 3)
+    assert len(reads) <= 27 * 2 * 3
+    assert b == pytest.approx(counting.lambda_phased(fs, [al], (1, 2, 4), 3),
+                              abs=1e-12)
+
+
+def test_histogram_keeps_counted_prefix(rng):
+    A = random_set(rng, (4, 16), p=0.7)
+    hist = counting.best_popular_difference(A, (1, 2), 1 << 27).histogram
+    assert hist.counts.shape == (3,) and len(hist) == 1 << 27
+    naive = [counting.popular_count_naive(A, (1, 2), r) for r in (1, 2, 3)]
+    assert hist.counts.tolist() == naive and hist.sum() == sum(naive)
+    assert hist[0] == naive[0] and hist[2] == naive[2]
+    assert hist[3] == 0 and hist[-1] == 0 and hist[(1 << 27) - 1] == 0
+    with pytest.raises(IndexError):
+        hist[1 << 27]
+    assert list(hist[1:5]) == naive[1:] + [0, 0]
+    assert len(hist[2:]) == (1 << 27) - 2 and hist[2:].any()
+    assert not hist[3:].any() and hist[3:10].sum() == 0
+    assert list(hist[0:6:2]) == [naive[0], naive[2], 0]
+    with pytest.raises(ValueError):
+        hist[::-1]
+    assert hist.argmax() == int(np.argmax(naive))
+    empty = counting.Histogram(np.zeros(0, dtype=np.int64), 4)
+    assert empty.argmax() == 0 and list(empty) == [0] * 4 and not empty.any()
