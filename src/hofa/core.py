@@ -10,8 +10,11 @@ Conventions used throughout the package:
   through the stored values themselves.  Reductions over arrays rely on
   numpy's pairwise summation for deterministic low-error results.
 * ``read_window`` is the one zero-padded window read (translated, optionally
-  strided).  Pattern sums that only need the base points whose reads all
-  stay in range use the cropped views of ``kernels.pattern_views`` instead.
+  strided), and ``read_translates`` stacks such windows for every translate
+  in a box as one read-only strided view, for operators that sum over many
+  translates of one small array at once.  Pattern sums that only need the
+  base points whose reads all stay in range use the cropped views of
+  ``kernels.pattern_views`` instead.
 * A ``SetIndicator`` is stored as packed ``uint64`` words
   (``kernels.PackedMask``); its boolean mask is unpacked only when a caller
   needs cells, and then cached.
@@ -177,6 +180,39 @@ def read_window(values: np.ndarray, offsets: Sequence[int],
     out = np.zeros(out_dims, dtype=values.dtype)
     out[tuple(dst_sl)] = src
     return out
+
+
+def read_translates(values: np.ndarray, first: Sequence[int],
+                    counts: Sequence[int], out_dims: Sequence[int],
+                    strides: Sequence[int] | None = None) -> np.ndarray:
+    """Stacked strided windows of a dense array under every translate in a
+    box, zero-padded.
+
+    The result has shape counts + out_dims, and entry [t][k] is
+    values[first + t + strides * k] when that index is inside the array and
+    0 otherwise, for 0 <= t < counts and 0 <= k < out_dims; strides default
+    to 1.  So entry [t] is ``read_window(values, first + t, out_dims,
+    strides)``.  All windows are one read-only strided view: of ``values``
+    when every read lies inside it, else of one zero-padded copy of the part
+    of ``values`` they cover.
+    """
+    first = tuple(int(o) for o in first)
+    counts = tuple(int(c) for c in counts)
+    out_dims = tuple(int(d) for d in out_dims)
+    strides = (1,) * values.ndim if strides is None else tuple(int(s) for s in strides)
+    if not len(first) == len(counts) == len(out_dims) == len(strides) == values.ndim:
+        raise ValueError("first/counts/out_dims/strides rank mismatch")
+    if any(s < 1 for s in strides):
+        raise ValueError("window strides must be positive")
+    if any(c < 1 for c in counts) or any(d < 1 for d in out_dims):
+        raise ValueError("translate counts and window dims must be positive")
+    # one read covers indices first .. first + (counts - 1) + s (out - 1)
+    span = tuple(c + s * (d - 1) for c, s, d in zip(counts, strides, out_dims))
+    padded = read_window(values, first, span)
+    step = padded.strides
+    return np.lib.stride_tricks.as_strided(
+        padded, counts + out_dims,
+        step + tuple(b * s for b, s in zip(step, strides)), writeable=False)
 
 
 class SetIndicator:

@@ -15,10 +15,12 @@ the integer path counts on the indicators' packed words
 (``SetIndicator.packed``, so a set read from a binary file is never
 unpacked) with the packed-word kernel ``kernels.pattern_count_fast`` and
 returns a ``Histogram`` that keeps only the counted prefix of the range.
-The strided zero-padded windows of the averaging identity come from
-``core.read_window``.  Brute-force oracles are kept too; they stop after the
-last useful r as well, and ``ORACLE_MAX_TERMS`` bounds what ``count
---oracle`` asks of them.
+``_lambda_sum`` and ``pattern_views`` treat leading array axes as batch
+axes, so the averaging identity sums the simple operator over every
+translate x at once: its strided zero-padded windows for all x are one
+stacked view from ``core.read_translates``.  Brute-force oracles are kept
+too; they stop after the last useful r as well, and ``ORACLE_MAX_TERMS``
+bounds what ``count --oracle`` asks of them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import kernels
 from .core import (MAX_GRID_CELLS, BoxSpec, ConfigSpec, GridFunction,
-                   PhaseTable, SetIndicator, read_window)
+                   PhaseTable, SetIndicator, read_translates)
 
 MAX_SHIFT = 1 << 62
 
@@ -72,7 +74,8 @@ def _over_differences(term: Callable[[int, tuple[int, ...]], object],
                       M: int) -> list:
     """``term(r, shifts)`` with shifts[j] = (q r)^(m_j), for r = 1, 2, ...
     while every shifts[j] is below the extent of ``arrays[j + 1]`` along
-    axis j, in r order, on ``set_threads`` workers.
+    axis j of its trailing n = len(m) axes, in r order, on ``set_threads``
+    workers.
 
     Each shift grows with r, so no r past the first failing one has a base
     point and the terms of r beyond the returned ones are all zero.
@@ -83,7 +86,8 @@ def _over_differences(term: Callable[[int, tuple[int, ...]], object],
         raise ValueError(f"modulus q must be >= 1, got {q}")
     if min(m) < 1:
         raise ValueError(f"exponents must be >= 1, got {m}")
-    extents = [a.shape[j] for j, a in enumerate(arrays[1:])]
+    n = len(m)
+    extents = [a.shape[j - n] for j, a in enumerate(arrays[1:])]
     rows = []
     for r in range(1, M + 1):
         shifts = tuple([(q * r) ** mi for mi in m])
@@ -96,13 +100,17 @@ def _over_differences(term: Callable[[int, tuple[int, ...]], object],
     return [term(r, row) for r, row in enumerate(rows, 1)]
 
 
-def _lambda_sum(fs: Sequence[GridFunction], base_dims: tuple[int, ...],
+def _lambda_sum(arrays: Sequence[np.ndarray], base_dims: tuple[int, ...],
                 m: Sequence[int], q: int, M: int,
                 phase: Callable[[int], np.ndarray] | None = None) -> complex:
     """Sum over r in [M] of sum_x f_0(x) prod_j f_j(x + (q r)^(m_j) e_j)
-    [* phase(r)(x)]."""
-    _check_compatible(fs, base_dims)
-    arrays = [f.values for f in fs]
+    [* phase(r)(x)], where f_i is the grid ``arrays[i]`` (zero outside it).
+
+    The trailing n = len(base_dims) axes of each array are the grid; leading
+    axes are batch axes, and the sum runs over them too, so a stack of
+    grids is summed in one call per r.  Callers check the grid extents
+    (``_check_compatible``)."""
+    n = len(base_dims)
 
     def term(r: int, shifts: tuple[int, ...]) -> complex:
         views = kernels.pattern_views(arrays, base_dims, shifts)
@@ -110,7 +118,7 @@ def _lambda_sum(fs: Sequence[GridFunction], base_dims: tuple[int, ...],
         for v in views[2:]:
             prod *= v
         if phase is not None:
-            prod *= phase(r)[tuple(slice(0, d) for d in prod.shape)]
+            prod *= phase(r)[tuple(slice(0, d) for d in prod.shape[-n:])]
         return prod.sum()
 
     per_r = _over_differences(term, arrays, m, q, M)
@@ -140,7 +148,9 @@ def lambda_general(fs: Sequence[GridFunction], spec: ConfigSpec) -> complex:
     n = spec.n
     if len(fs) != n + 1:
         raise ValueError(f"spec has n={n}, got {len(fs)} functions")
-    total = _lambda_sum(fs, spec.box.dims, spec.m, spec.q, spec.M)
+    _check_compatible(fs, spec.box.dims)
+    total = _lambda_sum([f.values for f in fs], spec.box.dims, spec.m,
+                        spec.q, spec.M)
     return total / (spec.box.cells * spec.M)
 
 
@@ -168,7 +178,9 @@ def lambda_phased(fs: Sequence[GridFunction], alphas: Sequence[PhaseTable],
             acc += alpha_wins[j] * float(r ** m[n + j])
         return np.exp(2j * np.pi * acc)
 
-    total = _lambda_sum(fs, base_dims, m[:n], 1, N, phase if k else None)
+    _check_compatible(fs, base_dims)
+    total = _lambda_sum([f.values for f in fs], base_dims, m[:n], 1, N,
+                        phase if k else None)
     norm = N
     for d in base_dims:
         norm *= d
@@ -361,25 +373,30 @@ def averaging_identity_check(fs: Sequence[GridFunction],
     where f_i^(x,q)(x') = f_i(x + sum_j q^(m_j) x'_j e_j) and the constant C
     is the ratio of the two base-range cardinalities.  Requires supports in
     prod [2^(j==i) N_j] and the range condition; small inputs only.
+
+    The right-hand side is one ``_lambda_sum`` over the windows f_i^(x,q)
+    of every x at once, stacked by ``core.read_translates``: with total
+    their sum over x, x' and r, it is C total / (M^(m_1 + ... + m_n) M #x).
     """
+    lhs = lambda_general(fs, spec)  # also checks fs against the spec
     n, m, q, M = spec.n, spec.m, spec.q, spec.M
     dims = spec.box.dims
-    inner_dims = tuple(M ** mi for mi in m)
+    inner_dims = tuple(_check_shift(M ** mi) for mi in m)
     c_n = 1.0
     for d in dims:
         c_n *= (4 * d + 1) / d
     strides = tuple(q ** mi for mi in m)
-    vals = []
-    for idx in np.ndindex(*tuple(4 * d + 1 for d in dims)):
-        x = tuple(c - 2 * d for c, d in zip(idx, dims))  # x_j in [-2N_j, 2N_j]
-        slices = []
-        for i, f in enumerate(fs):
-            out = tuple(2 * inner_dims[a] if (i >= 1 and a == i - 1)
-                        else inner_dims[a] for a in range(n))
-            starts = tuple(x[a] - 1 + strides[a] for a in range(n))
-            win = read_window(f.values, starts, out, strides)
-            slices.append(GridFunction(BoxSpec(out), win))
-        vals.append(lambda_simple(slices, m, M))
-    rhs = c_n * complex(np.mean(np.asarray(vals)))
-    lhs = lambda_general(fs, spec)
+    # x_j in [-2N_j, 2N_j]; the window of x starts at x - 1 + strides
+    counts = tuple(4 * d + 1 for d in dims)
+    first = tuple(s - 1 - 2 * d for s, d in zip(strides, dims))
+    wins = []
+    for i, f in enumerate(fs):
+        out = tuple(2 * inner_dims[a] if (i >= 1 and a == i - 1)
+                    else inner_dims[a] for a in range(n))
+        wins.append(read_translates(f.values, first, counts, out, strides))
+    total = _lambda_sum(wins, inner_dims, m, 1, M)
+    norm = M
+    for d in inner_dims + counts:
+        norm *= d
+    rhs = c_n * (total / norm)
     return lhs, rhs, c_n

@@ -5,7 +5,9 @@ A_j for every axis j) is the performance core of the package.
 ``pattern_views`` owns the cropped pattern read, the aligned views a_0[x],
 a_j[x + d_j e_j] over the base points whose reads all stay in range (the
 zero-padded windows are ``core.read_window``'s); the complex operators of
-``counting`` multiply them.
+``counting`` multiply them.  It crops only the trailing n axes, so a stack
+of same-shape arrays with leading batch axes (``core.read_translates``) is
+read in one call.
 
 ``PackedMask`` is a boolean mask packed along its last axis into ``uint64``
 words.  It is the primary storage of ``core.SetIndicator``: ``setfile``
@@ -109,14 +111,15 @@ def pack_masks(masks: Sequence[Union[np.ndarray, PackedMask]]) -> list[PackedMas
 
 def _axis_limits(masks: Sequence[np.ndarray], base_dims: Sequence[int],
                  shifts: Sequence[int]) -> list[int]:
-    # Largest 0-based exclusive bound per axis so every read stays in range.
+    # Largest 0-based exclusive bound per axis so every read stays in range;
+    # extents come from the trailing n axes (leading axes are batch axes).
     n = len(base_dims)
     lims = []
     for axis in range(n):
-        m = min(base_dims[axis], masks[0].shape[axis])
+        m = min(base_dims[axis], masks[0].shape[axis - n])
         for j in range(n):
             d = shifts[j] if j == axis else 0
-            m = min(m, masks[j + 1].shape[axis] - d)
+            m = min(m, masks[j + 1].shape[axis - n] - d)
         lims.append(m)
     return lims
 
@@ -124,14 +127,17 @@ def _axis_limits(masks: Sequence[np.ndarray], base_dims: Sequence[int],
 def pattern_views(arrays: Sequence[np.ndarray], base_dims: Sequence[int],
                   shifts: Sequence[int]) -> list[np.ndarray] | None:
     """Aligned views a_0[x], a_j[x + d_j e_j] (0-based x) over the base points
-    whose n + 1 reads all fall inside the arrays; None when there are none."""
+    whose n + 1 reads all fall inside the arrays; None when there are none.
+
+    Only the trailing n = len(base_dims) axes of each array are cropped; any
+    leading axes are batch axes, kept whole (they broadcast in products)."""
     lims = _axis_limits(arrays, base_dims, shifts)
     if any(v <= 0 for v in lims):
         return None
     n = len(base_dims)
-    views = [arrays[0][tuple(slice(0, v) for v in lims)]]
+    views = [arrays[0][(...,) + tuple(slice(0, v) for v in lims)]]
     for j in range(n):
-        views.append(arrays[j + 1][tuple(
+        views.append(arrays[j + 1][(...,) + tuple(
             slice(shifts[j], shifts[j] + lims[a]) if a == j
             else slice(0, lims[a]) for a in range(n))])
     return views

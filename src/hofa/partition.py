@@ -127,11 +127,13 @@ class Atoms:
         self.sizes = np.diff(self.first, append=n)
 
     def sum(self, values: np.ndarray) -> np.ndarray:
-        """Sums of a 1-D or 2-D array along axis 0 over each atom.
+        """Sums along axis 0 over each atom, for an array of any trailing
+        shape (a line, or a stack of lines along the trailing axes).
 
         Row i of ``values`` sits at start + i; row a of the result is the sum
-        over the points of atom a in the window.  The dtype is kept, so
-        integer input sums exactly.  O(n) time and memory per column.
+        over the points of atom a in the window, taken in coordinate order
+        for every trailing entry.  The dtype is kept, so integer input sums
+        exactly.  O(n) time and memory per trailing entry.
         """
         return np.add.reduceat(values[self.order], self.first, axis=0)
 

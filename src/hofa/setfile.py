@@ -6,6 +6,11 @@ member ``x1 x2 ... xn`` (1-based coordinates), UTF-8 with LF line endings.
 Binary format: the magic ``HOFA1`` and a newline, the same ASCII header line,
 then the membership mask as a raw little-endian bitset of the box flattened
 in row-major order (axis 1 slowest).  ``read_set`` sniffs the magic.
+
+Every malformed file raises ``SetFileError``: bytes that are not UTF-8 where
+text is expected, a magic or header line longer than ``MAX_HEADER_BYTES``
+(refused after reading that many bytes), a bad or oversized box, bad member
+lines and payloads of the wrong length.
 """
 
 from __future__ import annotations
@@ -22,6 +27,10 @@ MAGIC = b"HOFA1"
 # cells per block of a binary read (a multiple of 8): bounds the read buffer
 # and, for widths that are not a multiple of 8, the bits unpacked at once
 READ_BLOCK_CELLS = 1 << 20
+# longest magic or header line, newline included; no valid header comes near
+MAX_HEADER_BYTES = 4096
+# most axes a set file may declare (numpy arrays hold at most 64)
+MAX_SET_AXES = 32
 
 
 class SetFileError(ValueError):
@@ -38,7 +47,13 @@ def _parse_header(line: str) -> BoxSpec:
         raise SetFileError(f"bad header line: {line!r}") from exc
     if not dims:
         raise SetFileError("header lists no dimensions")
-    box = BoxSpec(dims)
+    if len(dims) > MAX_SET_AXES:
+        raise SetFileError(f"header lists {len(dims)} dimensions, more than "
+                           f"{MAX_SET_AXES}")
+    try:
+        box = BoxSpec(dims)
+    except ValueError as exc:
+        raise SetFileError(f"bad header line: {exc}") from exc
     if box.cells > MAX_GRID_CELLS:
         raise SetFileError(f"box {box} has {box.cells} cells, more than the "
                            f"dense-storage cap of 2^27")
@@ -54,14 +69,33 @@ def read_set(path: Union[str, os.PathLike]) -> SetIndicator:
         return _read_text(fh)
 
 
+def _decode(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SetFileError(f"not UTF-8 text: {exc}") from exc
+
+
+def _header_line(fh) -> str | None:
+    """The next line, decoded and without its newline (None at the end of
+    the file), reading at most MAX_HEADER_BYTES bytes."""
+    raw = fh.readline(MAX_HEADER_BYTES + 1)
+    if len(raw) > MAX_HEADER_BYTES:
+        raise SetFileError(f"header line longer than {MAX_HEADER_BYTES} bytes")
+    return _decode(raw).removesuffix("\n") if raw else None
+
+
 def _read_text(fh) -> SetIndicator:
-    text = fh.read().decode("utf-8")
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines:
+    header = _header_line(fh)
+    while header is not None and not header.strip():
+        header = _header_line(fh)
+    if header is None:
         raise SetFileError("empty set file")
-    box = _parse_header(lines[0])
+    box = _parse_header(header)
     mask = np.zeros(box.dims, dtype=bool)
-    for ln in lines[1:]:
+    for ln in _decode(fh.read()).split("\n"):
+        if not ln.strip():
+            continue
         parts = ln.split()
         if len(parts) != box.n:
             raise SetFileError(f"member line has {len(parts)} coords, box has {box.n}")
@@ -76,10 +110,9 @@ def _read_text(fh) -> SetIndicator:
 
 
 def _read_binary(fh) -> SetIndicator:
-    magic_line = fh.readline()
-    if magic_line.rstrip(b"\n") != MAGIC:
+    if _header_line(fh) != MAGIC.decode():
         raise SetFileError("bad magic")
-    box = _parse_header(fh.readline().decode("utf-8").rstrip("\n"))
+    box = _parse_header(_header_line(fh) or "")
     start = fh.tell()
     size = fh.seek(0, os.SEEK_END) - start
     need = (box.cells + 7) // 8

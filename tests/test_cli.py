@@ -294,6 +294,41 @@ def test_oversized_header_exit2(tmp_path):
         _parse_header("box 2048 65537")
 
 
+def test_non_utf8_set_exit2(tmp_path):
+    # undecodable header or member bytes are malformed input, in both formats
+    for name, data in (("binary.box", b"HOFA1\n\xff\xfe box\n\x00"),
+                       ("text.box", b"\xff\xfebox 3 9\n1 1\n"),
+                       ("body.box", b"box 3 9\n1 1\n\xff\n")):
+        path = tmp_path / name
+        path.write_bytes(data)
+        proc = run_cli("count", "--set", str(path), "--m", "1,2", "--N", "1")
+        assert proc.returncode == 2, name
+        assert "bad set file" in proc.stderr and "UTF-8" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("magic", [b"HOFA1\n", b""])
+def test_long_header_read_is_bounded(tmp_path, capsys, magic):
+    # a header line with no end is refused after a few KiB, not read whole
+    import tracemalloc
+    path = tmp_path / "long.box"
+    with open(path, "wb") as fh:
+        fh.write(magic + b"box ")
+        block = b"7" * (1 << 20)
+        for _ in range(32):
+            fh.write(block)
+    del block
+    tracemalloc.start()
+    try:
+        code = cli.main(["popdiff", "--set", str(path), "--m", "1,2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
+    assert "header line longer" in capsys.readouterr().err
+
+
 def test_usage_error_exit2():
     proc = run_cli("count", "--set", "nowhere.box")
     assert proc.returncode == 2

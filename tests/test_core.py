@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from hofa import counting, kernels, setfile
 from hofa.core import (BoxSpec, ConfigSpec, GridFunction, Line, PhaseTable,
-                       SetIndicator, TorusPhase, read_window, validate_config)
+                       SetIndicator, TorusPhase, read_translates, read_window,
+                       validate_config)
 from hofa.setfile import SetFileError, read_set, write_set
 
 
@@ -83,6 +84,34 @@ def test_read_window_strided_matches_pointwise(rng):
     assert not read_window(grid, (-9, 0), (2, 3), (4, 1)).any()
     with pytest.raises(ValueError):
         read_window(grid, (0, 0), (2, 3), (0, 1))
+
+
+def test_read_translates_matches_read_window(rng):
+    # entry [t] of the stack is the window at first + t
+    for trial in range(200):
+        ndim = int(rng.integers(1, 4))
+        shape = tuple(int(v) for v in rng.integers(1, 6, ndim))
+        values = rng.integers(1, 100, shape).astype(
+            (np.int64, np.complex128)[trial % 2])
+        first = tuple(int(v) for v in rng.integers(-8, 6, ndim))
+        counts = tuple(int(v) for v in rng.integers(1, 5, ndim))
+        out_dims = tuple(int(v) for v in rng.integers(1, 5, ndim))
+        strides = tuple(int(v) for v in rng.integers(1, 4, ndim))
+        got = read_translates(values, first, counts, out_dims, strides)
+        assert got.shape == counts + out_dims and got.dtype == values.dtype
+        assert not got.flags.writeable
+        for t in np.ndindex(*counts):
+            offs = tuple(f + c for f, c in zip(first, t))
+            assert np.array_equal(got[t], read_window(values, offs, out_dims,
+                                                      strides))
+    grid = np.arange(24).reshape(4, 6)
+    inside = read_translates(grid, (0, 1), (2, 2), (2, 2))
+    assert np.shares_memory(inside, grid)  # a view when every read is inside
+    assert inside[1, 1].tolist() == [[8, 9], [14, 15]]  # from (1, 2)
+    with pytest.raises(ValueError):
+        read_translates(grid, (0, 0), (0, 1), (2, 2))
+    with pytest.raises(ValueError):
+        read_translates(grid, (0, 0), (1, 1), (2, 2), (1, 0))
 
 
 def test_grid_function_caps():
@@ -190,6 +219,31 @@ def test_setfile_rejects_garbage(tmp_path):
     p2.write_text("box 2 2\n3 1\n")
     with pytest.raises(SetFileError):
         read_set(p2)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(prefix=st.sampled_from([b"", b"HOFA1\n", b"box ", b"HOFA1\nbox "]),
+       body=st.binary(max_size=40))
+def test_read_set_fuzz_returns_set_or_set_file_error(tmp_path, prefix, body):
+    # any bytes either read as a set or are refused as a bad set file
+    path = tmp_path / "fuzz.box"
+    path.write_bytes(prefix + body)
+    try:
+        A = read_set(path)
+    except SetFileError:
+        return
+    assert isinstance(A, SetIndicator)
+    assert A.mask.shape == A.box.dims
+
+
+def test_read_set_refuses_bad_boxes(tmp_path):
+    path = tmp_path / "a.box"
+    for header in ("box 0 3", "box 3 -1", "box " + "1 " * 40):
+        for data in (header + "\n", "HOFA1\n" + header + "\n"):
+            path.write_text(data)
+            with pytest.raises(SetFileError):
+                read_set(path)
 
 
 # widths on and off multiples of 8 and 64, and any width up to 200

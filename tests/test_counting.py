@@ -3,7 +3,8 @@ import pytest
 from conftest import random_grid, random_set
 
 from hofa import counting, kernels
-from hofa.core import BoxSpec, ConfigSpec, GridFunction, PhaseTable, SetIndicator, TorusPhase
+from hofa.core import (BoxSpec, ConfigSpec, GridFunction, PhaseTable, SetIndicator,
+                       TorusPhase, read_window)
 
 
 def test_lambda_simple_all_ones_with_slack():
@@ -330,6 +331,76 @@ def test_averaging_identity_with_modulus(rng):
         fs.append(random_grid(rng, dims))
     lhs, rhs, _ = counting.averaging_identity_check(fs, spec)
     assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def averaging_rhs_oracle(fs, spec):
+    """The right-hand side of the averaging identity, one x at a time: build
+    the reparameterized windows f_i^(x,q) as grids and call lambda_simple
+    on them for every x in prod [-2N_j, 2N_j]."""
+    n, m, q, M = spec.n, spec.m, spec.q, spec.M
+    dims = spec.box.dims
+    inner_dims = tuple(M ** mi for mi in m)
+    c_n = 1.0
+    for d in dims:
+        c_n *= (4 * d + 1) / d
+    strides = tuple(q ** mi for mi in m)
+    vals = []
+    for idx in np.ndindex(*tuple(4 * d + 1 for d in dims)):
+        x = tuple(c - 2 * d for c, d in zip(idx, dims))
+        slices = []
+        for i, f in enumerate(fs):
+            out = tuple(2 * inner_dims[a] if (i >= 1 and a == i - 1)
+                        else inner_dims[a] for a in range(n))
+            starts = tuple(x[a] - 1 + strides[a] for a in range(n))
+            win = read_window(f.values, starts, out, strides)
+            slices.append(GridFunction(BoxSpec(out), win))
+        vals.append(counting.lambda_simple(slices, m, M))
+    return c_n * complex(np.mean(np.asarray(vals)))
+
+
+@pytest.mark.parametrize("m, dims, q, M", [
+    ((1,), (5,), 1, 5), ((2,), (9,), 1, 3), ((1,), (8,), 2, 4),
+    ((2,), (16,), 2, 2), ((1, 2), (3, 9), 1, 3), ((1, 2), (4, 16), 2, 2),
+    ((1, 3), (3, 27), 1, 2), ((1, 2), (5, 16), 2, 2)])
+def test_averaging_identity_matches_per_x_oracle(rng, m, dims, q, M):
+    # the batched right-hand side (every x in one operator call over stacked
+    # strided windows) against the per-x loop
+    spec = ConfigSpec(m, BoxSpec(dims), q=q, M=M)
+    assert spec.validate().ok
+    for kind in ("complex", "indicator"):
+        fs = [random_grid(rng, tuple(2 * d if (i >= 1 and a == i - 1) else d
+                                     for a, d in enumerate(dims)), kind)
+              for i in range(len(m) + 1)]
+        lhs, rhs, c_n = counting.averaging_identity_check(fs, spec)
+        assert abs(rhs - averaging_rhs_oracle(fs, spec)) <= 1e-12
+        assert lhs == pytest.approx(rhs, abs=1e-9)
+        assert lhs == counting.lambda_general(fs, spec)
+
+
+def test_averaging_identity_memory(rng):
+    # the stacked windows are views; only the per-r products are allocated
+    import tracemalloc
+    spec = ConfigSpec((1, 2), BoxSpec((3, 9)), q=1, M=3)
+    fs = [random_grid(rng, dims) for dims in ((3, 9), (6, 9), (3, 18))]
+    tracemalloc.start()
+    try:
+        counting.averaging_identity_check(fs, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_lambda_sum_batch_axes_sum_the_stack(rng):
+    # leading axes are batch axes: one call sums the operator over the stack
+    base = (3, 9)
+    grids = [[random_grid(rng, d).values for d in ((3, 9), (6, 9), (3, 18))]
+             for _ in range(4)]
+    stacked = [np.stack([g[i] for g in grids]).reshape((2, 2) + grids[0][i].shape)
+               for i in range(3)]
+    got = counting._lambda_sum(stacked, base, (1, 2), 1, 3)
+    want = sum(counting._lambda_sum(g, base, (1, 2), 1, 3) for g in grids)
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_integer_path_with_slack_boxes(rng):

@@ -6,7 +6,9 @@ import pytest
 from conftest import random_grid
 
 from hofa import gowers
-from hofa.core import BoxSpec, GridFunction, Line, PhaseTable, TorusPhase
+from hofa.core import (BoxSpec, GridFunction, Line, PhaseTable, TorusPhase,
+                       read_window)
+from hofa.partition import APPartition, Atoms
 from hofa.rng import make_rng
 
 
@@ -251,3 +253,129 @@ def test_verifier_report_dict_shape():
     d = rep.to_dict()
     for key in ("name", "premise", "conclusion", "threshold", "status"):
         assert key in d
+
+
+# Oracles for the verifiers: one multiplicative difference per h-tuple,
+# looped over [-N2, N2]^s, as the verifiers were first written.
+
+def h_tuples_oracle(bound, s):
+    return product(range(-bound, bound + 1), repeat=s)
+
+
+def axis2_diff_oracle(values, hs):
+    out = values
+    for hv in hs:
+        offsets = (0,) * (values.ndim - 1) + (hv,)
+        out = out * np.conj(read_window(out, offsets, values.shape))
+    return out
+
+
+def column_energies_oracle(mat, atoms, L):
+    return np.sum(np.abs(atoms.sum(mat)) ** 2, axis=0) / L
+
+
+def interchange_oracle(family, q, L, s, delta):
+    N1, N2 = family[0].box.dims
+    F = np.mean([f.values for f in family], axis=0)
+    atoms = Atoms(APPartition(q, L), 1, N1)
+    prem_vals, conc_vals = [], []
+    for hs in h_tuples_oracle(N2, s):
+        dF = axis2_diff_oracle(F, hs)
+        prem_vals.append(np.mean(column_energies_oracle(dF, atoms, L)))
+        dfs = np.mean([axis2_diff_oracle(f.values, hs) for f in family], axis=0)
+        conc_vals.append(np.mean(np.abs(np.mean(dfs, axis=0))))
+    premise = float(np.mean(prem_vals))
+    conclusion = float(np.mean(conc_vals))
+    if premise < delta * N1:
+        return premise, conclusion, "vacuous"
+    return premise, conclusion, "pass" if conclusion > 0 else "fail"
+
+
+def same_coord_oracle(f, q, L, s, delta, kappa=1.0 / 64):
+    N1, N2 = f.box.dims
+    atoms = Atoms(APPartition(q, L), 1, N2)
+    prem_vals = [np.mean(column_energies_oracle(
+        axis2_diff_oracle(f.values, hs).T, atoms, L))
+        for hs in h_tuples_oracle(N2, s)]
+    premise = float(np.mean(prem_vals))
+    conclusion = float(np.mean([gowers.gowers_inner(f.values[x], s + 1)
+                                for x in range(N1)]))
+    if premise < delta * N2:
+        return premise, conclusion, "vacuous"
+    threshold = kappa * delta**3 * float(N2) ** (s + 2)
+    return premise, conclusion, "pass" if conclusion >= threshold else "fail"
+
+
+def test_axis2_diffs_blocks_match_per_h_loop(rng, monkeypatch):
+    # every block size, batch axes kept, h-tuples in lexicographic order
+    values = random_grid(rng, (2, 3, 4)).values
+    for s in (1, 2, 3):
+        want = np.array([axis2_diff_oracle(values, hs)
+                         for hs in h_tuples_oracle(4, s)])
+        for cells in (1, 50, 300, 1 << 20):
+            monkeypatch.setattr(gowers, "DIFF_BLOCK_CELLS", cells)
+            got = np.concatenate([b.reshape((-1,) + values.shape)
+                                  for b in gowers._axis2_diffs(values, s, 4)])
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_interchange_matches_oracle(rng, s):
+    # premise and conclusion bit for bit, across block sizes and family sizes
+    cases = 0
+    # every (size, kind) pair; 8 or more terms take numpy's pairwise sums
+    for trial in range(12):
+        N1, N2 = (2, 5, 9, 10)[trial % 4], (9, 3, 8, 2)[trial % 4]
+        q = int(rng.integers(1, 3))
+        L = int(rng.integers(1, N1 + 1))
+        delta = L / N1 / 2
+        kind = trial % 3
+        if kind == 0:
+            fam = [GridFunction.ones(BoxSpec((N1, N2)))]
+        else:
+            fam = [random_grid(rng, (N1, N2), "unit" if kind == 1 else "complex")
+                   for _ in range(int(rng.integers(1, 4)))]
+        rep = gowers.interchange_verify_2d(fam, q, L, s, delta)
+        want = interchange_oracle(fam, q, L, s, delta)
+        assert (rep.premise, rep.conclusion, rep.status) == want
+        cases += rep.status != "vacuous"
+    assert cases > 0
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_same_coord_matches_oracle(rng, s):
+    cases = 0
+    for trial in range(12):
+        N1 = (2, 5, 8, 10)[trial % 4]
+        if s == 1:  # sized so that the premise can fire
+            N2, delta, q, L = 27, 1 / 3, 1, int(rng.integers(9, 14))
+        else:
+            N2, delta, q = 16, 0.4, int(rng.integers(1, 3))
+            L = int(rng.integers(7, N2 + 1))
+        kind = trial % 3
+        if kind == 0:
+            f = GridFunction.ones(BoxSpec((N1, N2)))
+        elif kind == 1:
+            f = GridFunction(BoxSpec((N1, N2)),
+                             np.tile(rng.choice([-1.0, 1.0], N2), (N1, 1)))
+        else:
+            f = random_grid(rng, (N1, N2))
+        rep = gowers.same_coord_verify(f, q, L, s, delta)
+        want = same_coord_oracle(f, q, L, s, delta)
+        assert (rep.premise, rep.conclusion, rep.status) == want
+        cases += rep.status != "vacuous"
+    if s == 1:
+        assert cases > 0
+
+
+def test_same_coord_memory(rng):
+    # the s = 2 difference stack (33 x 33 grids) is built in blocks over h_1
+    import tracemalloc
+    f = random_grid(rng, (6, 16))
+    tracemalloc.start()
+    try:
+        gowers.same_coord_verify(f, q=1, L=8, s=2, delta=0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
