@@ -7,10 +7,12 @@ Binary format: the magic ``HOFA1`` and a newline, the same ASCII header line,
 then the membership mask as a raw little-endian bitset of the box flattened
 in row-major order (axis 1 slowest).  ``read_set`` sniffs the magic.
 
-Every malformed file raises ``SetFileError``: bytes that are not UTF-8 where
-text is expected, a magic or header line longer than ``MAX_HEADER_BYTES``
-(refused after reading that many bytes), a bad or oversized box, bad member
-lines and payloads of the wrong length.
+Every number in a header or member line is ASCII decimal, ``[0-9]+``.  Every
+malformed file raises ``SetFileError``: bytes that are not UTF-8 where text
+is expected, a magic or header line longer than ``MAX_HEADER_BYTES``
+(refused after reading that many bytes), a number in any other form (signs,
+underscores, non-ASCII digits), a bad or oversized box, bad member lines and
+payloads of the wrong length.
 """
 
 from __future__ import annotations
@@ -37,14 +39,24 @@ class SetFileError(ValueError):
     pass
 
 
+def _decimals(parts: list[str]) -> list[int] | None:
+    """The ASCII decimal numbers ``parts``, or None if one is anything else
+    (``int`` alone would also take signs, underscores and other digits)."""
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        return None
+    try:
+        return [int(p) for p in parts]
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def _parse_header(line: str) -> BoxSpec:
     parts = line.split()
     if not parts or parts[0] != "box":
         raise SetFileError(f"bad header line: {line!r}")
-    try:
-        dims = [int(p) for p in parts[1:]]
-    except ValueError as exc:
-        raise SetFileError(f"bad header line: {line!r}") from exc
+    dims = _decimals(parts[1:])
+    if dims is None:
+        raise SetFileError(f"bad header line: {line!r}")
     if not dims:
         raise SetFileError("header lists no dimensions")
     if len(dims) > MAX_SET_AXES:
@@ -99,10 +111,10 @@ def _read_text(fh) -> SetIndicator:
         parts = ln.split()
         if len(parts) != box.n:
             raise SetFileError(f"member line has {len(parts)} coords, box has {box.n}")
-        try:
-            idx = tuple(int(p) - 1 for p in parts)
-        except ValueError as exc:
-            raise SetFileError(f"bad member line: {ln!r}") from exc
+        coords = _decimals(parts)
+        if coords is None:
+            raise SetFileError(f"bad member line: {ln!r}")
+        idx = tuple(c - 1 for c in coords)
         if any(c < 0 or c >= d for c, d in zip(idx, box.dims)):
             raise SetFileError(f"member {ln!r} outside box {box}")
         mask[idx] = True

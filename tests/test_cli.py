@@ -278,6 +278,28 @@ def test_malformed_set_exit2(tmp_path):
     assert "bad set file" in proc.stderr
 
 
+def test_set_numbers_ascii_decimal_only_exit2(tmp_path, capsys):
+    # int() alone takes underscores, signs and non-ASCII digits; the format
+    # allows [0-9]+ only, in the header and in member lines
+    bad = ["box 1_0 2\n1_0 2\n\uff11 1\n+3 1\n",
+           "box +10 2\n3 1\n", "box \uff11\uff10 2\n3 1\n",
+           "box 10 2\n1_0 2\n", "box 10 2\n\uff11 1\n",
+           "box 10 2\n+3 1\n", "box 10 2\n3 -1\n", "box 10 2\n3 0x1\n"]
+    for i, text in enumerate(bad):
+        path = tmp_path / f"bad{i}.box"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SetFileError):
+            read_set(path)
+        assert cli.main(["count", "--set", str(path), "--m", "1,2",
+                         "--N", "1"]) == 2, text
+        assert "bad set file" in capsys.readouterr().err
+    good = tmp_path / "good.box"
+    good.write_text("box 10 2\n3 1\n010 2\n", encoding="utf-8")
+    A = read_set(good)
+    assert A.box.dims == (10, 2)
+    assert [tuple(p) for p in A.members()] == [(3, 1), (10, 2)]
+
+
 def test_oversized_header_exit2(tmp_path):
     # refused from the header alone, before the mask is allocated
     header = b"box 100000 100000 100000\n"

@@ -161,6 +161,83 @@ def test_packed_count_word_edges(rng):
         assert kernels.pattern_count_fast(packed, (5, width), (5, 0)) == 0
 
 
+def _assert_packed_count(masks, base, shifts):
+    ref = kernels.pattern_count_pointwise(masks, base, shifts)
+    assert kernels.pattern_count_fast(masks, base, shifts) == ref, (base, shifts)
+    assert kernels.pattern_count_fast(kernels.pack_masks(masks), base,
+                                      shifts) == ref, (base, shifts)
+
+
+@pytest.mark.parametrize("block_words", [kernels.BLOCK_WORDS, 3])
+def test_packed_count_run_edges(rng, monkeypatch, block_words):
+    # the kernel's word runs (windows of at least 3/4 of the words) and its
+    # cropped views at the ends of the arrays and of the window
+    monkeypatch.setattr(kernels, "BLOCK_WORDS", block_words)
+    # the last slot's words q .. q + k, the last of them the spare word,
+    # read in the final row: slot 1 doubled along axis 0 keeps every row of
+    # slot 0 in the window; with q = words per row - 2 (k = 1, views) and
+    # with q + k = words per row - 1 for a window of most of each row (runs)
+    N0 = 7
+    for width, lasts in ((130, (128, 129)), (1920, (64, 65))):
+        wpr = kernels.pack_mask(np.zeros((1, width), bool)).words.shape[-1]
+        full = np.ones((N0, width), dtype=bool)
+        for masks in ([full, np.ones((2 * N0, width), bool), full],
+                      [rng.random((N0, width)) < 0.8,
+                       rng.random((2 * N0, width)) < 0.8,
+                       rng.random((N0, width)) < 0.8]):
+            for d0 in (0, 1, N0):
+                for last in lasts:
+                    shifts = (d0, last)
+                    assert kernels._axis_limits(masks, (N0, width),
+                                                shifts)[0] == N0
+                    q, k = last // 64, -(-(width - last) // 64)
+                    assert q == wpr - 2 if width == 130 else q + k == wpr - 1
+                    _assert_packed_count(masks, (N0, width), shifts)
+    # n = 1, shifts around the width, slot 1 as wide or doubled
+    for width in (1, 63, 64, 65, 128, 130):
+        a0 = rng.random(width) < 0.7
+        for a1 in (a0, rng.random(2 * width) < 0.7):
+            for d in sorted({0, 1, 63, 64, 65, width - 1, width, width + 1}):
+                _assert_packed_count([a0, a1], (width,), (d,))
+    # n = 3, the window cropped on the middle axis by the base box or by the
+    # slot 2 shift; slot 2 as is or doubled along its axis (another row
+    # layout, so views)
+    for dims in ((4, 6, 70), (4, 8, 960)):
+        for doubled in (False, True):
+            masks = [rng.random(dims) < 0.7 for _ in range(4)]
+            if doubled:
+                masks[2] = rng.random((4, 2 * dims[1], dims[2])) < 0.7
+            for base in (dims, (4, dims[1] - 1, dims[2]), (3, 5, 40)):
+                for shifts in ((1, 1, 3), (1, 2, 3), (0, 4, 64), (2, 5, 1),
+                               (1, 0, dims[2] - 1)):
+                    _assert_packed_count(masks, base, shifts)
+    # s = 0: the last slot is a pure word offset
+    A = rng.random((9, 300)) < 0.6
+    for last in (0, 64, 128, 192, 256):
+        for d0 in (0, 1, 8):
+            _assert_packed_count([A] * 3, (9, 300), (d0, last))
+            _assert_packed_count([A, A, rng.random((9, 600)) < 0.6],
+                                 (9, 300), (d0, last))
+
+
+def test_popular_difference_memory_is_bounded_by_words(rng):
+    # the kernel's buffers are about 0.5 MiB whatever the grid; a temporary
+    # of the grid's size (a byte per cell is 8 MiB here) would break this
+    import tracemalloc
+    A = SetIndicator(BoxSpec((512, 16384)),
+                     kernels.pack_mask(rng.random((512, 16384)) < 0.5))
+    words = A.packed.words.nbytes
+    tracemalloc.start()
+    try:
+        res = counting.best_popular_difference(A, (1, 2), 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= words + (2 << 20)
+    for r in (1, res.r_star, 60):
+        assert res.histogram[r - 1] == counting.popular_count_naive(A, (1, 2), r)
+
+
 def test_pack_mask_layout(rng):
     mask = rng.random((3, 130)) < 0.5
     p = kernels.pack_mask(mask)
