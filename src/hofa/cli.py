@@ -11,7 +11,19 @@ to stderr.  JSON outputs conform to the schema shipped at
 ``hofa/schemas/cli.schema.json``.  Exit codes: 0 ok, 1 property failure,
 2 usage or malformed input, 3 precondition or invariant violation.
 All randomness is Philox-keyed by ``--seed``; ``--threads`` (or the
-HOFA_THREADS variable) sets the worker count without affecting any result.
+HOFA_THREADS variable) sets the worker count, an integer in [1, 64]
+(``counting.MAX_THREADS``), without affecting any result; any other value
+exits 2.
+
+``import hofa.cli`` loads numpy and the layers that the data commands
+(``count``, direct ``popdiff``, ``gen``, ``bench``) share: ``core``,
+``kernels``, ``counting``, ``setfile`` and ``rng``.  A layer that one command
+alone needs is imported inside that command: ``verify`` loads the property
+suites (``verify``, ``energy``, ``partition``, ``gowers``, ``expsum``) and
+``popdiff --pipeline`` loads ``energy`` (with ``partition``).  The thread
+pool is imported only when more than one worker runs.  Python compiles every
+module it loads when no bytecode cache is present, so start-up pays only
+for what the command can run.
 """
 
 from __future__ import annotations
@@ -24,8 +36,9 @@ import time
 
 import numpy as np
 
-from . import counting, energy, kernels, verify
-from .core import BoxSpec, ConfigSpec, PhaseTable, SetIndicator, TorusPhase
+from . import counting, kernels
+from .core import (BoxSpec, ConfigSpec, DecompositionError, PhaseTable,
+                   SetIndicator, TorusPhase, _integer_root)
 from .rng import make_rng
 from .setfile import SetFileError, read_set, write_set
 
@@ -33,6 +46,10 @@ EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
+
+
+THREADS_HELP = (f"worker count in [1, {counting.MAX_THREADS}] "
+                "(default: HOFA_THREADS, else 1)")
 
 
 class UsageError(ValueError):
@@ -67,10 +84,13 @@ def _complex_doc(z: complex) -> dict:
 
 def _apply_threads(args) -> None:
     threads = getattr(args, "threads", None)
-    if threads is None:
-        env = os.environ.get("HOFA_THREADS", "").strip()
-        threads = int(env) if env else 1
-    counting.set_threads(threads)
+    try:
+        if threads is None:
+            env = os.environ.get("HOFA_THREADS", "").strip()
+            threads = int(env) if env else 1
+        counting.set_threads(threads)
+    except ValueError as exc:
+        raise UsageError(f"bad --threads or HOFA_THREADS: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +182,8 @@ def cmd_popdiff(args) -> int:
     if args.pipeline:
         if args.delta is None:
             raise UsageError("--pipeline needs --delta")
+        from . import energy
+
         res = energy.popular_difference_pipeline(
             A, m, args.delta, allow_fallback=args.fallback)
         doc = {"command": "popdiff", "mode": "pipeline", "r_star": res.r,
@@ -170,7 +192,7 @@ def cmd_popdiff(args) -> int:
     else:
         M = args.M
         if M is None:
-            M = max(1, energy._integer_root(A.box.dims[-1], m[-1]))
+            M = max(1, _integer_root(A.box.dims[-1], m[-1]))
         direct = counting.best_popular_difference(A, m, M)
         doc = {"command": "popdiff", "mode": "direct", "r_star": direct.r_star,
                "count": direct.count, "certificate": None}
@@ -189,6 +211,8 @@ def cmd_popdiff(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     try:
         rep = verify.run_suite(args.suite, args.seed, args.trials)
     except KeyError as exc:
@@ -306,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--oracle", action="store_true",
                    help="cross-check against the brute-force path (cells "
                         "times range at most 2^20)")
-    c.add_argument("--threads", type=int)
+    c.add_argument("--threads", type=int, help=THREADS_HELP)
     c.set_defaults(fn=cmd_count)
 
     d = sub.add_parser("popdiff", help="popular-difference search")
@@ -317,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--pipeline", action="store_true")
     d.add_argument("--fallback", action="store_true")
     d.add_argument("--out", help="write the count histogram to this JSON file")
-    d.add_argument("--threads", type=int)
+    d.add_argument("--threads", type=int, help=THREADS_HELP)
     d.set_defaults(fn=cmd_popdiff)
 
     v = sub.add_parser("verify", help="run a seeded property suite")
@@ -352,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_threads(args)
     try:
+        _apply_threads(args)
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -364,7 +388,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OverflowError, energy.DecompositionError) as exc:
+    except (ValueError, OverflowError, DecompositionError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -35,6 +35,25 @@ MAX_GRID_CELLS = 1 << 27
 MAX_GRID_DIM = 3
 
 
+class DecompositionError(RuntimeError):
+    """Raised when the pipeline cannot proceed and fallback is disabled.
+
+    Defined here and re-exported by ``energy``, so that the command line maps
+    it to exit 3 without importing the decomposition layer."""
+
+
+def _integer_root(N: int, m: int) -> int:
+    """The largest r >= 0 with r^m <= N (exact integer comparison)."""
+    if m < 1:
+        raise ValueError(f"exponents must be >= 1, got {m}")
+    r = int(round(N ** (1.0 / m)))
+    while r**m > N:
+        r -= 1
+    while (r + 1) ** m <= N:
+        r += 1
+    return r
+
+
 def _as_dims(dims: Sequence[int]) -> tuple[int, ...]:
     out = tuple(int(d) for d in dims)
     if not out:

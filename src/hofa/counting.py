@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,14 +37,20 @@ from .core import (MAX_GRID_CELLS, BoxSpec, ConfigSpec, GridFunction,
                    PhaseTable, SetIndicator, read_translates)
 
 MAX_SHIFT = 1 << 62
+# most workers ``set_threads`` takes; the pool starts at most one thread per r
+MAX_THREADS = 64
 
 _threads = 1
 
 
 def set_threads(k: int) -> None:
-    """Worker count for the per-difference loops (results are unaffected)."""
+    """Worker count for the per-difference loops (results are unaffected);
+    an integer in [1, MAX_THREADS]."""
     global _threads
-    _threads = max(1, int(k))
+    k = operator.index(k)
+    if not 1 <= k <= MAX_THREADS:
+        raise ValueError(f"thread count must lie in [1, {MAX_THREADS}], got {k}")
+    _threads = k
 
 
 def _check_shift(d: int) -> int:
@@ -95,6 +100,8 @@ def _over_differences(term: Callable[[int, tuple[int, ...]], object],
             break
         rows.append(shifts)
     if _threads > 1 and len(rows) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=_threads) as pool:
             return list(pool.map(term, range(1, len(rows) + 1), rows))
     return [term(r, row) for r, row in enumerate(rows, 1)]

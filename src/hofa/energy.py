@@ -17,6 +17,9 @@ shrink rate, the final constant) are replaced by explicit knobs in
 tau, and a configurable shrink factor gamma.  The iteration cap
 n * ceil(2 / tau) and the reporting divisor 2^(n+1) are fixed; the divisor
 is a stand-in, never a proved constant.
+
+``DecompositionError`` is defined in ``core`` (so that the command line can
+catch it without importing this module) and re-exported here.
 """
 
 from __future__ import annotations
@@ -28,14 +31,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BoxSpec, ConfigSpec, GridFunction, SetIndicator, read_window
+from .core import (BoxSpec, ConfigSpec, DecompositionError, GridFunction,
+                   SetIndicator, _integer_root, read_window)
 from .counting import (Histogram, best_popular_difference, lambda_general,
                        lambda_indicator_counts)
 from .partition import APPartition, Atoms
-
-
-class DecompositionError(RuntimeError):
-    """Raised when the pipeline cannot proceed and fallback is disabled."""
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +286,16 @@ class DecompositionResult:
         return buf.getvalue()
 
 
-def _integer_root(N: int, m: int) -> int:
-    if m < 1:
-        raise ValueError(f"exponents must be >= 1, got {m}")
-    r = int(round(N ** (1.0 / m)))
-    while r**m > N:
-        r -= 1
-    while (r + 1) ** m <= N:
-        r += 1
-    return r
+def _check_chain(box: BoxSpec, m: Sequence[int]) -> None:
+    issues = box.chain_issues(m)
+    if issues:
+        raise ValueError("; ".join(issues))
+
+
+def _scale_range(delta: float, L: int, n: int) -> int:
+    """The difference range floor(delta L / 8n) tested at scale L; the
+    scale is dead once it is 0."""
+    return int(delta * L / (8 * n))
 
 
 def energy_increment(fs: Sequence[GridFunction], m: Sequence[int], delta: float,
@@ -317,9 +318,7 @@ def energy_increment(fs: Sequence[GridFunction], m: Sequence[int], delta: float,
     if any(f.box.dims != dims for f in fs):
         raise ValueError("weights must share the base box")
     box = BoxSpec(dims)
-    issues = box.chain_issues(m)
-    if issues:
-        raise ValueError("; ".join(issues))
+    _check_chain(box, m)
     params = params or IncrementParams()
     gamma, cap = params.resolved(n, delta)
     L0 = _integer_root(dims[-1], m[-1])
@@ -335,7 +334,7 @@ def energy_increment(fs: Sequence[GridFunction], m: Sequence[int], delta: float,
     range_ok = True
 
     while True:
-        M_t = int(delta * L / (8 * n))
+        M_t = _scale_range(delta, L, n)
         if M_t < 1:
             return DecompositionResult(q_acc, L, "scale_exhausted", trace,
                                        steps, final_gap, range_ok)
@@ -409,6 +408,10 @@ def popular_difference_pipeline(A: SetIndicator, m: Sequence[int], delta: float,
     the density power mu^(n+1) and a reporting threshold
     (mu^(n+1) - delta) / 2^(n+1); the divisor is a stand-in, never a proved
     constant.
+
+    When the first scale L0 = N_n^(1/m_n) is already dead, the decomposition
+    would stop there at 0 iterations without reading a weight, so its result
+    is taken without building the indicator's complex grid.
     """
     m = tuple(int(v) for v in m)
     n = len(m)
@@ -432,12 +435,16 @@ def popular_difference_pipeline(A: SetIndicator, m: Sequence[int], delta: float,
         return PipelineResult(res.r_star, res.count, cert, res.histogram)
     cert["vacuous"] = False
 
-    chi = A.to_grid()
-    dec = energy_increment([chi] * (n + 1), m, delta, params)
+    _check_chain(A.box, m)
+    if _scale_range(delta, L0, n) < 1:
+        # what energy_increment returns at a dead first scale
+        dec = DecompositionResult(1, L0, "scale_exhausted", [], 0, None, True)
+    else:
+        dec = energy_increment([A.to_grid()] * (n + 1), m, delta, params)
     cert["status"] = dec.status
     cert["iterations"] = dec.iterations
     if dec.status == "converged":
-        Mp = int(delta * dec.L / (8 * n))
+        Mp = _scale_range(delta, dec.L, n)
         spec = ConfigSpec(m, A.box, q=dec.q, M=Mp)
         counts = lambda_indicator_counts([A] * (n + 1), spec)
         lam = float(counts.sum()) / (cells * Mp)

@@ -9,14 +9,18 @@ in row-major order (axis 1 slowest).  ``read_set`` sniffs the magic.
 
 Every number in a header or member line is ASCII decimal, ``[0-9]+``.  Every
 malformed file raises ``SetFileError``: bytes that are not UTF-8 where text
-is expected, a magic or header line longer than ``MAX_HEADER_BYTES``
+is expected, a magic, header or member line longer than ``MAX_LINE_BYTES``
 (refused after reading that many bytes), a number in any other form (signs,
 underscores, non-ASCII digits), a bad or oversized box, bad member lines and
-payloads of the wrong length.
+payloads of the wrong length.  Member lines are read one capped line at a
+time and parsed ``TEXT_BLOCK_LINES`` at a time, so reading a text set holds
+its mask and one block of lines besides.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 from typing import Union
 
@@ -29,8 +33,11 @@ MAGIC = b"HOFA1"
 # cells per block of a binary read (a multiple of 8): bounds the read buffer
 # and, for widths that are not a multiple of 8, the bits unpacked at once
 READ_BLOCK_CELLS = 1 << 20
-# longest magic or header line, newline included; no valid header comes near
-MAX_HEADER_BYTES = 4096
+# longest magic, header or member line, newline included; no valid line
+# comes near (32 axes of 9 digits)
+MAX_LINE_BYTES = 4096
+# member lines parsed at once: bounds what a text read holds besides the mask
+TEXT_BLOCK_LINES = 1 << 10
 # most axes a set file may declare (numpy arrays hold at most 64)
 MAX_SET_AXES = 32
 
@@ -90,11 +97,52 @@ def _decode(raw: bytes) -> str:
 
 def _header_line(fh) -> str | None:
     """The next line, decoded and without its newline (None at the end of
-    the file), reading at most MAX_HEADER_BYTES bytes."""
-    raw = fh.readline(MAX_HEADER_BYTES + 1)
-    if len(raw) > MAX_HEADER_BYTES:
-        raise SetFileError(f"header line longer than {MAX_HEADER_BYTES} bytes")
+    the file), reading at most MAX_LINE_BYTES bytes."""
+    raw = fh.readline(MAX_LINE_BYTES + 1)
+    if len(raw) > MAX_LINE_BYTES:
+        raise SetFileError(f"header line longer than {MAX_LINE_BYTES} bytes")
     return _decode(raw).removesuffix("\n") if raw else None
+
+
+def _member_blocks(fh):
+    """The member lines in blocks of at most TEXT_BLOCK_LINES, each block
+    decoded as one string; every line is read by a readline capped at
+    MAX_LINE_BYTES (a newline never falls inside a UTF-8 character)."""
+    lines = iter(functools.partial(fh.readline, MAX_LINE_BYTES + 1), b"")
+    while raws := list(itertools.islice(lines, TEXT_BLOCK_LINES)):
+        if max(map(len, raws)) > MAX_LINE_BYTES:
+            raise SetFileError(f"member line longer than {MAX_LINE_BYTES} bytes")
+        yield _decode(b"".join(raws))
+
+
+def _set_members(mask: np.ndarray, block: str, box: BoxSpec) -> None:
+    """Set the members that the lines of ``block`` list; blank lines are
+    skipped.  A block whose numbers are all short ASCII decimals inside the
+    box is parsed by numpy at once; any other block goes line by line, which
+    raises at the first bad line."""
+    lines = block.split("\n")
+    rows = [ln.split() for ln in lines]
+    flat = [p for row in rows for p in row]
+    digits = "".join(flat)
+    if (digits.isascii() and digits.isdigit()
+            and set(map(len, rows)) <= {0, box.n}
+            and max(map(len, flat)) <= 18):  # fits int64
+        idx = np.array(flat, dtype=np.int64).reshape(-1, box.n) - 1
+        if ((idx >= 0) & (idx < box.dims)).all():
+            mask[tuple(idx.T)] = True
+            return
+    for ln, parts in zip(lines, rows):
+        if not parts:
+            continue
+        if len(parts) != box.n:
+            raise SetFileError(f"member line has {len(parts)} coords, box has {box.n}")
+        coords = _decimals(parts)
+        if coords is None:
+            raise SetFileError(f"bad member line: {ln!r}")
+        idx = tuple(c - 1 for c in coords)
+        if any(c < 0 or c >= d for c, d in zip(idx, box.dims)):
+            raise SetFileError(f"member {ln!r} outside box {box}")
+        mask[idx] = True
 
 
 def _read_text(fh) -> SetIndicator:
@@ -105,19 +153,8 @@ def _read_text(fh) -> SetIndicator:
         raise SetFileError("empty set file")
     box = _parse_header(header)
     mask = np.zeros(box.dims, dtype=bool)
-    for ln in _decode(fh.read()).split("\n"):
-        if not ln.strip():
-            continue
-        parts = ln.split()
-        if len(parts) != box.n:
-            raise SetFileError(f"member line has {len(parts)} coords, box has {box.n}")
-        coords = _decimals(parts)
-        if coords is None:
-            raise SetFileError(f"bad member line: {ln!r}")
-        idx = tuple(c - 1 for c in coords)
-        if any(c < 0 or c >= d for c, d in zip(idx, box.dims)):
-            raise SetFileError(f"member {ln!r} outside box {box}")
-        mask[idx] = True
+    for block in _member_blocks(fh):
+        _set_members(mask, block, box)
     return SetIndicator(box, mask)
 
 

@@ -433,3 +433,74 @@ def test_popdiff_out_streams_zero_tail(tmp_path):
         buf = io.StringIO()
         cli._write_histogram(buf, h)
         assert buf.getvalue() == json.dumps({"histogram": [0] * M})
+
+
+# modules that only `verify` or `popdiff --pipeline` runs, and the pool that
+# only a multi-threaded run starts
+LAZY_MODULES = ("hofa.verify", "hofa.energy", "hofa.gowers", "hofa.expsum",
+                "hofa.partition", "concurrent.futures")
+
+IMPORT_PROBE = """
+import json, sys
+import hofa.cli
+before = sorted(sys.modules)
+rc = hofa.cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "before": before, "after": sorted(sys.modules)}))
+"""
+
+
+def test_cli_imports_only_the_layers_a_command_runs(tmp_path):
+    out = tmp_path / "r.box"
+    run_cli("gen", "random", "--box", "4,16", "--p", "0.7", "--seed", "1",
+            "--out", str(out))
+    hist = tmp_path / "h.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, "popdiff", "--set", str(out),
+         "--m", "1,2", "--M", "3", "--out", str(hist)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["rc"] == 0
+    for key in ("before", "after"):
+        loaded = [m for m in LAZY_MODULES if m in doc[key]]
+        assert loaded == [], (key, loaded)
+    assert sorted(m for m in doc["after"] if m.startswith("hofa")) == [
+        "hofa", "hofa.cli", "hofa.core", "hofa.counting", "hofa.kernels",
+        "hofa.rng", "hofa.setfile"]
+
+
+def test_popdiff_default_M_is_integer_root(tmp_path):
+    # without --M the range is floor(N_n^(1/m_n)): 10 for N_2 = 100 and 120
+    for width in (100, 120):
+        out = tmp_path / f"w{width}.box"
+        run_cli("gen", "full", "--box", f"12,{width}", "--out", str(out))
+        hist = tmp_path / f"h{width}.json"
+        proc = run_cli("popdiff", "--set", str(out), "--m", "1,2", "--out",
+                       str(hist))
+        assert proc.returncode == 0
+        assert len(json.loads(hist.read_text())["histogram"]) == 10
+
+
+def test_thread_count_validated_exit2(tmp_path, capsys, monkeypatch):
+    # every value here is refused before a pool exists; none starts a run
+    out = tmp_path / "r.box"
+    run_cli("gen", "random", "--box", "4,16", "--p", "0.7", "--seed", "1",
+            "--out", str(out))
+    popdiff = ["popdiff", "--set", str(out), "--m", "1,2", "--M", "3"]
+    for value in ("0", "-3", str(counting.MAX_THREADS + 1), "1000000000"):
+        assert cli.main(popdiff + ["--threads", value]) == 2, value
+        err = capsys.readouterr().err
+        assert "usage error" in err and "thread count" in err
+    for value in ("abc", "0", "-1", "2.5", str(counting.MAX_THREADS + 1)):
+        monkeypatch.setenv("HOFA_THREADS", value)
+        for argv in (popdiff, ["verify", "partition", "--trials", "1"]):
+            assert cli.main(argv) == 2, (value, argv)
+            err = capsys.readouterr().err
+            assert "usage error" in err and "HOFA_THREADS" in err
+    monkeypatch.setenv("HOFA_THREADS", "abc")
+    proc = run_cli(*popdiff)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    with pytest.raises(ValueError):
+        counting.set_threads(0)
+    assert counting._threads == 1

@@ -210,6 +210,47 @@ def test_setfile_binary_read_memory(tmp_path, rng):
     assert B.count == int(A.mask.sum())
 
 
+def test_setfile_text_read_memory(tmp_path, rng):
+    # member lines are parsed a block at a time; decoding and splitting the
+    # whole file held about 84 bytes per member
+    import tracemalloc
+    from conftest import random_set
+    A = random_set(rng, (256, 1024), p=0.5)
+    path = tmp_path / "dense.box"
+    write_set(A, path)
+    tracemalloc.start()
+    try:
+        B = read_set(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= A.box.cells + A.packed.words.nbytes + 2 * 2**20
+    assert np.array_equal(A.mask, B.mask)
+
+
+@pytest.mark.parametrize("block", [1, 3, setfile.TEXT_BLOCK_LINES])
+def test_setfile_text_member_blocks(tmp_path, monkeypatch, block):
+    # numbers too long for int64, blank lines and repeats take the
+    # line-by-line path of their block and read as before
+    monkeypatch.setattr(setfile, "TEXT_BLOCK_LINES", block)
+    path = tmp_path / "a.box"
+    path.write_bytes(b"\n box 4 5\n1 1\n\n 2\t3 \r\n" + b"0" * 30
+                     + b"4 5\n1 1\n  \n3 2")
+    A = read_set(path)
+    assert [tuple(p) for p in A.members()] == [(1, 1), (2, 3), (3, 2), (4, 5)]
+    # the first bad line raises, with the message of its fault
+    good = "box 4 5\n1 1\n2 2\n"
+    for tail, match in (("1 2 3\n", "member line has 3 coords"),
+                        ("1_0 2\n5 1\n", "bad member line: '1_0 2'"),
+                        ("5 1\n1_0 2\n", "member '5 1' outside box 4x5"),
+                        ("0 1\n", "member '0 1' outside box"),
+                        ("1 " * 2100 + "\n", "member line longer than 4096"),
+                        ("1 \xff\n", "not UTF-8")):
+        path.write_bytes(good.encode() + tail.encode("latin-1"))
+        with pytest.raises(SetFileError, match=match):
+            read_set(path)
+
+
 def test_setfile_rejects_garbage(tmp_path):
     p = tmp_path / "bad.box"
     p.write_text("nonsense 1 2\n")

@@ -277,3 +277,67 @@ def test_lift_membership_and_inequality(rng):
             assert lifted.mask[x1 - 1, x2 - 1] == ((x1 + x2) in member)
     # exact integer lower bound
     assert rep["lower_bound"] == (A.count - 8) * 8
+
+
+def test_pipeline_dead_first_scale_builds_no_grid(rng, monkeypatch):
+    # L0 = 256^(1/2) = 16 and floor(0.1 * 16 / 16) = 0: the decomposition
+    # stops at once, so the certificate is the one it gave on the grid
+    cases = [(random_set(rng, (16, 256), p=0.6), (1, 2), 0.1),
+             (random_set(rng, (16, 256), p=0.9), (1, 2), 0.5),
+             (random_set(rng, (8, 64, 512), p=0.8), (1, 2, 3), 0.2)]
+    want = []
+    for A, m, delta in cases:
+        n = len(m)
+        L0 = energy._integer_root(A.box.dims[-1], m[-1])
+        assert int(delta * L0 / (8 * n)) == 0
+        dec = energy.energy_increment([A.to_grid()] * (n + 1), m, delta)
+        direct = counting.best_popular_difference(A, m, L0)
+        mu_pow = A.density ** (n + 1)
+        assert mu_pow > delta  # not vacuous
+        want.append(({"mu": A.density, "mu_pow": mu_pow, "delta": delta,
+                      "threshold": (mu_pow - delta) / 2 ** (n + 1),
+                      "threshold_divisor": 2 ** (n + 1), "vacuous": False,
+                      "status": dec.status, "iterations": dec.iterations,
+                      "fallback": True, "q": 1, "L": dec.L, "lambda": None,
+                      "normalized_count": direct.count / A.box.cells,
+                      "range_ok": dec.range_ok}, direct))
+        assert (dec.status, dec.iterations, dec.L) == ("scale_exhausted", 0, L0)
+
+    def no_grid(self):
+        raise AssertionError("to_grid called")
+
+    monkeypatch.setattr(SetIndicator, "to_grid", no_grid)
+    for (A, m, delta), (cert, direct) in zip(cases, want):
+        res = energy.popular_difference_pipeline(A, m, delta)
+        assert res.certificate == cert
+        assert (res.r, res.count) == (direct.r_star, direct.count)
+        assert list(res.histogram) == list(direct.histogram)
+        with pytest.raises(energy.DecompositionError):
+            energy.popular_difference_pipeline(A, m, delta,
+                                               allow_fallback=False)
+    # a box that breaks the exponent chain is refused as before
+    A = SetIndicator.full(BoxSpec((2, 1024)))
+    with pytest.raises(ValueError, match="N_2"):
+        energy.popular_difference_pipeline(A, (1, 2), 0.1)
+
+
+def test_pipeline_dead_first_scale_memory_bounded_by_words(tmp_path):
+    # 512x16384 at delta 0.1 has a dead first scale (L0 = 128); the complex
+    # grid the decomposition never reads was 16 bytes per cell
+    from hofa.setfile import read_set, write_set
+    dims = (512, 16384)
+    path = tmp_path / "big.boxb"
+    write_set(SetIndicator(BoxSpec(dims), make_rng(3).random(dims) < 0.6),
+              path, binary=True)
+    tracemalloc.start()
+    try:
+        A = read_set(path)
+        res = energy.popular_difference_pipeline(A, (1, 2), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cert = res.certificate
+    assert (cert["status"], cert["iterations"], cert["L"]) == (
+        "scale_exhausted", 0, 128)
+    assert cert["fallback"] and cert["range_ok"]
+    assert peak <= A.packed.words.nbytes + 4 * 2**20
