@@ -29,7 +29,9 @@ for what the command can run.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 import time
@@ -63,15 +65,22 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _parse_phases(text: str) -> list[TorusPhase]:
-    out = []
-    for part in text.split(","):
-        if "/" in part:
-            num, den = part.split("/")
-            out.append(TorusPhase.exact(int(num), int(den)))
+def _parse_phase(part: str) -> TorusPhase:
+    """A phase t/T with integers t and T >= 1, or a finite float."""
+    num, slash, den = part.partition("/")
+    try:
+        if slash:
+            t, T = int(num), int(den)
+            if T >= 1:
+                return TorusPhase.exact(t, T)
         else:
-            out.append(TorusPhase.from_float(float(part)))
-    return out
+            x = float(part)
+            if math.isfinite(x):
+                return TorusPhase.from_float(x)
+    except ValueError:
+        pass
+    raise UsageError(f"bad phase {part!r}: expected t/T with integers t and "
+                     "T >= 1, or a finite float")
 
 
 def _emit(doc: dict) -> None:
@@ -100,7 +109,8 @@ def _apply_threads(args) -> None:
 def cmd_count(args) -> int:
     A = read_set(args.set)
     m = _parse_ints(args.m)
-    phases = _parse_phases(args.phase_const) if args.phase_const else []
+    phases = ([_parse_phase(part) for part in args.phase_const.split(",")]
+              if args.phase_const else [])
     k = len(phases)
     n = len(m) - k
     if n < 1:
@@ -236,35 +246,32 @@ def cmd_gen(args) -> int:
     elif kind == "random":
         if args.p is None:
             raise UsageError("random needs --p")
+        if not 0 <= args.p <= 1:
+            raise UsageError(f"--p must lie in [0, 1], got {args.p}")
         rng = make_rng(args.seed)
         A = SetIndicator(box, rng.random(box.dims) < args.p)
-    elif kind == "residue":
-        if args.q is None or args.allowed is None:
-            raise UsageError("residue needs --q and --allowed")
-        allowed = set(_parse_ints(args.allowed))
-        mask = np.ones(box.dims, dtype=bool)
-        for a, d in enumerate(box.dims):
-            axis_ok = np.isin(np.arange(1, d + 1) % args.q,
-                              [v % args.q for v in allowed])
-            shape = [1] * box.n
-            shape[a] = d
-            mask &= axis_ok.reshape(shape)
-        A = SetIndicator(box, mask)
-    elif kind == "product-ap":
-        if args.start is None or args.step is None:
-            raise UsageError("product-ap needs --start and --step")
-        start = _parse_ints(args.start)
-        step = _parse_ints(args.step)
-        if len(start) != box.n or len(step) != box.n:
-            raise UsageError("--start/--step must match the box dimension")
-        mask = np.ones(box.dims, dtype=bool)
-        for a, d in enumerate(box.dims):
-            xs = np.arange(1, d + 1)
-            axis_ok = (xs >= start[a]) & ((xs - start[a]) % max(1, step[a]) == 0)
-            shape = [1] * box.n
-            shape[a] = d
-            mask &= axis_ok.reshape(shape)
-        A = SetIndicator(box, mask)
+    elif kind in ("residue", "product-ap"):
+        # a product set: the cells whose every coordinate is kept on its axis
+        coords = [np.arange(1, d + 1) for d in box.dims]
+        if kind == "residue":
+            if args.q is None or args.allowed is None:
+                raise UsageError("residue needs --q and --allowed")
+            if args.q < 1:
+                raise UsageError(f"--q must be >= 1, got {args.q}")
+            allowed = [v % args.q for v in _parse_ints(args.allowed)]
+            keep = [np.isin(xs % args.q, allowed) for xs in coords]
+        else:
+            if args.start is None or args.step is None:
+                raise UsageError("product-ap needs --start and --step")
+            start = _parse_ints(args.start)
+            step = _parse_ints(args.step)
+            if len(start) != box.n or len(step) != box.n:
+                raise UsageError("--start/--step must match the box dimension")
+            if min(step) < 1:
+                raise UsageError(f"every --step must be >= 1, got {args.step}")
+            keep = [(xs >= s0) & ((xs - s0) % st == 0)
+                    for xs, s0, st in zip(coords, start, step)]
+        A = SetIndicator(box, functools.reduce(np.logical_and.outer, keep))
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown kind {kind}")
     write_set(A, args.out, binary=args.binary)

@@ -144,12 +144,6 @@ class GridFunction:
             return 0.0
         return float(np.abs(self.values).max())
 
-    def read_window(self, offsets: Sequence[int], out_dims: Sequence[int]) -> np.ndarray:
-        """Values f(x + offsets) for x in [1, out_dims], zero-padded: a window
-        of the grid translated by an integer vector, with out-of-box reads
-        returning zero."""
-        return read_window(self.values, offsets, out_dims)
-
     def slice_line(self, axis: int, hat_index: tuple[int, ...]) -> "Line":
         """The 1-D slice along ``axis`` (0-based) at the other coordinates.
 
@@ -325,8 +319,8 @@ class ConfigSpec:
     def n(self) -> int:
         return len(self.m)
 
-    def validate(self, require_range: bool = True) -> "ValidationReport":
-        return validate_config(self, require_range=require_range)
+    def validate(self) -> "ValidationReport":
+        return validate_config(self)
 
 
 @dataclass
@@ -354,7 +348,7 @@ class ValidationReport:
         }
 
 
-def validate_config(spec: ConfigSpec, require_range: bool = True) -> ValidationReport:
+def validate_config(spec: ConfigSpec) -> ValidationReport:
     """Check a ConfigSpec against its invariants, reporting each one."""
     rep = ValidationReport()
     m, dims = spec.m, spec.box.dims
@@ -368,12 +362,11 @@ def validate_config(spec: ConfigSpec, require_range: bool = True) -> ValidationR
     if len(m) == len(dims):
         issues = spec.box.chain_issues(m)
         rep.add("box chain", not issues, "; ".join(issues))
-        if require_range:
-            # qM <= N_n^(1/m_n), checked as (qM)^(m_n) <= N_n in exact integers
-            qm = spec.q * spec.M
-            ok = qm ** m[-1] <= dims[-1]
-            rep.add("range condition", ok,
-                    f"(qM)^m_n = {qm}^{m[-1]} vs N_n = {dims[-1]}")
+        # qM <= N_n^(1/m_n), checked as (qM)^(m_n) <= N_n in exact integers
+        qm = spec.q * spec.M
+        ok = qm ** m[-1] <= dims[-1]
+        rep.add("range condition", ok,
+                f"(qM)^m_n = {qm}^{m[-1]} vs N_n = {dims[-1]}")
     return rep
 
 
@@ -561,9 +554,6 @@ class PhaseTable:
         if self.is_exact:
             return TorusPhase.exact(int(self.numerators[idx]), self.denominator)
         return TorusPhase.from_float(float(self.frac[idx]))
-
-    def window_frac(self, offsets: Sequence[int], out_dims: Sequence[int]) -> np.ndarray:
-        return read_window(self.frac, offsets, out_dims)
 
     def snapped(self, T: int) -> "PhaseTable":
         """Round every value to the grid {t/T : 0 <= t < T}."""

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import kernels
 from .core import (MAX_GRID_CELLS, BoxSpec, ConfigSpec, GridFunction,
-                   PhaseTable, SetIndicator, read_translates)
+                   PhaseTable, SetIndicator, read_translates, read_window)
 
 MAX_SHIFT = 1 << 62
 # most workers ``set_threads`` takes; the pool starts at most one thread per r
@@ -177,7 +177,7 @@ def lambda_phased(fs: Sequence[GridFunction], alphas: Sequence[PhaseTable],
         raise ValueError(f"m must be strictly increasing, got {m}")
     base_dims = tuple(_check_shift(N ** mi) for mi in m[:n])
     zero = (0,) * n
-    alpha_wins = [a.window_frac(zero, base_dims) for a in alphas]
+    alpha_wins = [read_window(a.frac, zero, base_dims) for a in alphas]
 
     def phase(r: int) -> np.ndarray:
         acc = np.zeros(base_dims, dtype=np.float64)

@@ -24,8 +24,6 @@ catch it without importing this module) and re-exported here.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -118,18 +116,25 @@ def axis_approximant(f: GridFunction, axis: int, Q: int, Lp: int) -> GridFunctio
     return GridFunction(BoxSpec(out_dims), vals)
 
 
+def _frozen_value(g: np.ndarray, approx: Sequence[GridFunction]) -> float:
+    """E_x g(x) prod_i F_i(x) over the box of g, F_i the axis approximants
+    (read on the box, not on their doubled axes)."""
+    sl = tuple(slice(0, d) for d in g.shape)
+    acc = g.copy()
+    for proj in approx:
+        acc = acc * proj.values[sl].real
+    return float(acc.mean())
+
+
 def cond_box_count(f: GridFunction, qs: Sequence[int],
                    Ls: Sequence[int]) -> tuple[float, float]:
     """E_x f(x) prod_i E(slice_i | partition (q_i, L_i))(x_i), with the
     comparison value (E f)^(n+1) reported alongside."""
     g = _real_unit_values(f)
-    dims = f.box.dims
-    acc = g.copy()
-    for ax in range(len(dims)):
-        proj = axis_approximant(f, ax + 1, int(qs[ax]), int(Ls[ax]))
-        sl = tuple(slice(0, d) for d in dims)
-        acc = acc * proj.values[sl].real
-    return float(acc.mean()), float(g.mean()) ** (len(dims) + 1)
+    n = f.box.n
+    approx = [axis_approximant(f, ax + 1, int(qs[ax]), int(Ls[ax]))
+              for ax in range(n)]
+    return _frozen_value(g, approx), float(g.mean()) ** (n + 1)
 
 
 def cond_box_expansion(f: GridFunction, qs: Sequence[int],
@@ -220,7 +225,7 @@ def linearization_gap(f: GridFunction, spec: ConfigSpec, L: int,
     Ls = [L ** mi for mi in spec.m]
     approx = [axis_approximant(f, i + 1, qs[i], Ls[i]) for i in range(n)]
     lam = lambda_general([f] + approx, spec)
-    frozen, _ = cond_box_count(f, qs, Ls)
+    frozen = _frozen_value(g, approx)
     bound = sum(4.0 * (spec.M / L) ** mi for mi in spec.m)
     reference = float(g.mean()) ** (n + 1) - delta / 2
     return LinGapReport(abs(lam.real - frozen), bound, float(lam.real),
@@ -236,6 +241,15 @@ class IncrementParams:
     Qmax: int = 8
     tau: float = 0.05
     gamma: float | None = None  # default delta / (16 n)
+
+    def __post_init__(self):
+        if self.Qmax < 1:
+            raise ValueError(f"IncrementParams.Qmax must be >= 1, got {self.Qmax}")
+        if not self.tau > 0:
+            raise ValueError(f"IncrementParams.tau must be > 0, got {self.tau}")
+        if self.gamma is not None and not 0 < self.gamma < 1:
+            raise ValueError(
+                f"IncrementParams.gamma must lie in (0, 1), got {self.gamma}")
 
     def resolved(self, n: int, delta: float) -> tuple[float, int]:
         """The shrink factor and the iteration cap n * ceil(2 / tau)."""
@@ -274,16 +288,6 @@ class DecompositionResult:
                 "iterations": self.iterations, "final_gap": self.final_gap,
                 "range_ok": self.range_ok,
                 "trace": [t.to_dict() for t in self.trace]}
-
-    def trace_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["iteration", "axis", "energy_before", "energy_after",
-                    "q_step", "L_new"])
-        for t in self.trace:
-            w.writerow([t.iteration, t.axis, t.energy_before, t.energy_after,
-                        t.q_step, t.L_new])
-        return buf.getvalue()
 
 
 def _check_chain(box: BoxSpec, m: Sequence[int]) -> None:
@@ -396,15 +400,15 @@ class PipelineResult:
 
 
 def popular_difference_pipeline(A: SetIndicator, m: Sequence[int], delta: float,
-                                params: IncrementParams | None = None,
                                 allow_fallback: bool = True) -> PipelineResult:
     """Locate a difference r whose configuration count in A is large.
 
-    Runs the energy-increment decomposition on the indicator, evaluates the
-    counting operator at the final (q, L), and takes the best multiplier in
-    [1, floor(delta L / 8n)] (the counted difference is q times it).  When
-    the decomposition does not converge the direct search over the full
-    admissible range is used instead and flagged.  The certificate reports
+    Runs the energy-increment decomposition on the indicator with the
+    default ``IncrementParams``, evaluates the counting operator at the final
+    (q, L), and takes the best multiplier in [1, floor(delta L / 8n)] (the
+    counted difference is q times it).  When the decomposition does not
+    converge the direct search over the full admissible range is used
+    instead and flagged.  The certificate reports
     the density power mu^(n+1) and a reporting threshold
     (mu^(n+1) - delta) / 2^(n+1); the divisor is a stand-in, never a proved
     constant.
@@ -440,7 +444,7 @@ def popular_difference_pipeline(A: SetIndicator, m: Sequence[int], delta: float,
         # what energy_increment returns at a dead first scale
         dec = DecompositionResult(1, L0, "scale_exhausted", [], 0, None, True)
     else:
-        dec = energy_increment([A.to_grid()] * (n + 1), m, delta, params)
+        dec = energy_increment([A.to_grid()] * (n + 1), m, delta)
     cert["status"] = dec.status
     cert["iterations"] = dec.iterations
     if dec.status == "converged":

@@ -5,6 +5,11 @@ powers) so that Weyl sums over rational tuples carry no floating-point drift
 in the phase; float phases fall back to ordinary double arithmetic.  The
 dual-function and stashing operations realize the counting operators as a
 single inner product against a derived one-bounded function.
+
+The constancy search snaps each phase table to the grid {t/T_j} with
+T_j = ceil(2 k N^(m_j) / delta) and tries the ``CONSTANCY_TOP_K`` most
+frequent snapped tuples; it reports the best one it finds and leaves the
+judging of its average to the caller.
 """
 
 from __future__ import annotations
@@ -16,11 +21,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import BoxSpec, GridFunction, Line, PhaseTable, TorusPhase
+from .core import (BoxSpec, GridFunction, Line, PhaseTable, TorusPhase,
+                   read_window)
 from .counting import lambda_phased
 from .partition import APPartition, cond_expect
 
 MAX_POLY_DEGREE = 6
+# snapped phase tuples tried as constants by ``phase_constancy_search``
+CONSTANCY_TOP_K = 16
 
 
 def weyl_sum(alphas: Sequence[TorusPhase], N: int) -> complex:
@@ -111,17 +119,18 @@ def dual_function(fs: Sequence[GridFunction], alphas: Sequence[PhaseTable],
     for r in range(1, N + 1):
         back = r ** m[ax]
         off0 = tuple(-back if a == ax else 0 for a in range(n))
-        term = fs[0].read_window(off0, out_dims)
+        term = read_window(fs[0].values, off0, out_dims)
         for j in range(n):
             if j == ax:
                 continue
             off = tuple(r ** m[j] if a == j else (-back if a == ax else 0)
                         for a in range(n))
-            term = term * fs[j + 1].read_window(off, out_dims)
+            term = term * read_window(fs[j + 1].values, off, out_dims)
         if k:
             phase = np.zeros(out_dims)
             for j in range(k):
-                phase += alphas[j].window_frac(off0, out_dims) * float(r ** m[n + j])
+                phase += (read_window(alphas[j].frac, off0, out_dims)
+                          * float(r ** m[n + j]))
             term = term * np.exp(2j * np.pi * phase)
         acc += term
     return GridFunction(BoxSpec(out_dims), acc / N)
@@ -140,7 +149,7 @@ def stashing_identity_check(fs: Sequence[GridFunction],
     n = len(fs) - 1
     lhs = lambda_phased(fs, alphas, m, N)
     F = dual_function(fs, alphas, m, N, n)
-    fn_win = fs[n].read_window((0,) * n, F.box.dims)
+    fn_win = read_window(fs[n].values, (0,) * n, F.box.dims)
     total = complex(np.sum(fn_win * F.values))
     norm = 1
     for mi in m[:n]:
@@ -217,7 +226,7 @@ class PhaseConstancyResult:
     betas: tuple[TorusPhase, ...] | None
     achieved: float
     premise: float
-    status: str  # "found" | "below_threshold" | "no_premise"
+    status: str  # "found" | "no_premise"
     candidates: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -231,18 +240,16 @@ class PhaseConstancyResult:
 
 
 def phase_constancy_search(f: Line, alphas: Sequence[PhaseTable],
-                           m: Sequence[int], N: int, delta: float,
-                           grids: Sequence[int] | None = None,
-                           top_k: int = 16,
-                           threshold: float | None = None) -> PhaseConstancyResult:
+                           m: Sequence[int], N: int,
+                           delta: float) -> PhaseConstancyResult:
     """Search for constant phases matching a table-driven phase average.
 
     The premise average uses the x-dependent tables alpha_j; each table is
     then snapped to the grid {t/T_j} with T_j = ceil(2 k N^(m_j) / delta),
-    the snapped tuples are histogrammed over x, and the most frequent few are
-    tried as constants.  Returns the best constant tuple with its achieved
-    average (the theory promises a dense constant tuple, so a small top-k
-    suffices at these scales).
+    the snapped tuples are histogrammed over x, and the CONSTANCY_TOP_K most
+    frequent are tried as constants.  Returns the best constant tuple with its
+    achieved average (the theory promises a dense constant tuple, so a small
+    top-k suffices at these scales).
     """
     m = tuple(int(v) for v in m)
     k = len(alphas)
@@ -250,11 +257,9 @@ def phase_constancy_search(f: Line, alphas: Sequence[PhaseTable],
         raise ValueError("m must list the base power followed by one power per table")
     base = N ** m[0]
     powers = m[1:]
-    if grids is None:
-        grids = [int(np.ceil(2 * k * N**p / delta)) for p in powers]
-    xs = np.arange(1, base + 1)
+    grids = [int(np.ceil(2 * k * N**p / delta)) for p in powers]
     rs = np.arange(1, N + 1, dtype=np.int64)
-    table_frac = [a.window_frac((0,), (base,)) for a in alphas]
+    table_frac = [read_window(a.frac, (0,), (base,)) for a in alphas]
     phase = np.zeros((base, N))
     for j in range(k):
         phase += np.outer(table_frac[j], rs ** powers[j]).astype(np.float64)
@@ -268,7 +273,7 @@ def phase_constancy_search(f: Line, alphas: Sequence[PhaseTable],
     order = np.lexsort((*[tuples[:, j] for j in range(k - 1, -1, -1)], -counts))
     best = None
     candidates = []
-    for idx in order[:top_k]:
+    for idx in order[:CONSTANCY_TOP_K]:
         nums = tuples[idx]
         betas = tuple(TorusPhase.exact(int(nums[j]), grids[j]) for j in range(k))
         const = np.zeros((base, N))
@@ -279,10 +284,7 @@ def phase_constancy_search(f: Line, alphas: Sequence[PhaseTable],
                            "count": int(counts[idx]), "achieved": achieved})
         if best is None or achieved > best[0] + 1e-15:
             best = (achieved, betas)
-    status = "found"
-    if threshold is not None and best[0] < threshold:
-        status = "below_threshold"
-    return PhaseConstancyResult(best[1], best[0], premise, status, candidates)
+    return PhaseConstancyResult(best[1], best[0], premise, "found", candidates)
 
 
 # ---------------------------------------------------------------------------

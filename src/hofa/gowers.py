@@ -20,6 +20,10 @@ views, in blocks over h_1 of at most ``DIFF_BLOCK_CELLS`` cells, and each
 block is projected and averaged in one batched pass.  Every reduction runs
 in the order of the one-h-at-a-time computation, so the reports are the
 same to the bit.
+
+``u2_inverse`` refines the ``U2_CANDIDATES`` largest lobes of its DFT grid by
+``GOLDEN_ITERS`` golden-section steps each; ``same_coord_verify`` states its
+threshold kappa delta^3 N2^(s+2) with kappa = ``SAME_COORD_KAPPA``.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ MAX_GOWERS_ORDER = 4
 # complex128): bounds their working memory to a few blocks; larger blocks
 # gain little (s = 2 on 6x16: 9.9 ms at 2^13 cells, 9.5 ms at 2^15)
 DIFF_BLOCK_CELLS = 1 << 13
+U2_CANDIDATES = 8
+GOLDEN_ITERS = 60
+SAME_COORD_KAPPA = 1.0 / 64
 
 
 @dataclass(frozen=True)
@@ -93,20 +100,15 @@ def add_diff(alpha: PhaseTable, h) -> PhaseTable:
         raise ValueError("add_diff works on 1-D phase maps")
     hs = _shift_tuple(h)
     dims = alpha.box.dims
-    if alpha.is_exact:
-        T = alpha.denominator
-        acc = np.zeros(dims, dtype=np.int64)
-        for bits in np.ndindex(*(2,) * len(hs)):
-            off = sum(hv for hv, b in zip(hs, bits) if b)
-            term = read_window(alpha.numerators, (off,), dims)
-            acc = acc + (term if sum(bits) % 2 == 0 else -term)
-        return PhaseTable.from_rationals(alpha.box, np.mod(acc, T), T)
-    acc_f = np.zeros(dims)
+    table = alpha.numerators if alpha.is_exact else alpha.frac
+    acc = np.zeros(dims, dtype=table.dtype)
     for bits in np.ndindex(*(2,) * len(hs)):
         off = sum(hv for hv, b in zip(hs, bits) if b)
-        term = read_window(alpha.frac, (off,), dims)
-        acc_f = acc_f + (term if sum(bits) % 2 == 0 else -term)
-    return PhaseTable.from_floats(alpha.box, acc_f)
+        term = read_window(table, (off,), dims)
+        acc = acc + (term if sum(bits) % 2 == 0 else -term)
+    if alpha.is_exact:
+        return PhaseTable.from_rationals(alpha.box, acc, alpha.denominator)
+    return PhaseTable.from_floats(alpha.box, acc)
 
 
 def diff_phase_identity_gap(alpha: PhaseTable, h) -> float:
@@ -216,14 +218,14 @@ def _linear_sum(values: np.ndarray, xs: np.ndarray, alpha: float) -> complex:
     return complex(np.sum(values * np.exp(2j * np.pi * alpha * xs)))
 
 
-def _golden_max(fun: Callable[[float], float], lo: float, hi: float,
-                iters: int = 60) -> tuple[float, float]:
+def _golden_max(fun: Callable[[float], float], lo: float,
+                hi: float) -> tuple[float, float]:
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -236,11 +238,11 @@ def _golden_max(fun: Callable[[float], float], lo: float, hi: float,
     return x, fun(x)
 
 
-def u2_inverse(f: Line, candidates: int = 8) -> tuple[TorusPhase, float]:
+def u2_inverse(f: Line) -> tuple[TorusPhase, float]:
     """Frequency alpha maximizing |sum f(x) e(-alpha x)| and the maximum.
 
     Scans 8N equispaced torus points (N the support length), then refines the
-    best few lobes by golden section.  The returned magnitude satisfies the
+    U2_CANDIDATES best lobes by golden section.  The returned magnitude satisfies the
     degree-2 lower bound  mag^2 * sum |f|^2 >= U2 inner sum - 1e-6 N^3, which
     is asserted.
     """
@@ -255,7 +257,7 @@ def u2_inverse(f: Line, candidates: int = 8) -> tuple[TorusPhase, float]:
     # |sum f(x) e(-ax)| on the grid is a zero-padded DFT magnitude; the
     # support offset only rotates the phase, not the magnitude
     mags = np.abs(np.fft.fft(values, n=grid))
-    order = np.argsort(mags)[::-1][:candidates]
+    order = np.argsort(mags)[::-1][:U2_CANDIDATES]
     best_alpha, best_mag = 0.0, -1.0
     fun = lambda a: abs(_linear_sum(values, xs, -a))
     for k in sorted(order):
@@ -397,8 +399,7 @@ def _mean_energies(grids: np.ndarray, axis: int, atoms: Atoms,
 
 
 def interchange_verify_2d(family: Sequence[GridFunction], q: int, L: int,
-                          s: int, delta: float,
-                          min_side: int = 2) -> VerifierReport:
+                          s: int, delta: float) -> VerifierReport:
     """Projection along axis 1 versus differences along axis 2.
 
     Premise: avg over y and h in [+-N2]^s of the energy of the x-slice of the
@@ -411,8 +412,8 @@ def interchange_verify_2d(family: Sequence[GridFunction], q: int, L: int,
     if any(f.box.dims != dims for f in family):
         raise ValueError("family members must share one box")
     N1, N2 = dims
-    if min(N1, N2) < min_side:
-        raise ValueError(f"box sides must be >= {min_side}")
+    if min(N1, N2) < 2:
+        raise ValueError("box sides must be >= 2")
     if L < delta * N1:
         raise ValueError("need L >= delta N1")
     F = np.mean([f.values for f in family], axis=0)
@@ -440,14 +441,15 @@ def interchange_verify_2d(family: Sequence[GridFunction], q: int, L: int,
                           {"q": q, "L": L, "s": s})
 
 
-def same_coord_verify(f: GridFunction, q: int, L: int, s: int, delta: float,
-                      kappa: float = 1.0 / 64) -> VerifierReport:
+def same_coord_verify(f: GridFunction, q: int, L: int, s: int,
+                      delta: float) -> VerifierReport:
     """Projection and differences acting on the same coordinate (axis 2).
 
     Premise: avg over x and h in [+-N2]^s of the projected energy of the
     y-slice differences is at least delta N2.  Conclusion: the averaged
     degree-(s+1) uniformity inner sum of the y-slices is at least
-    kappa delta^3 N2^(s+2); the measured ratio is logged.
+    kappa delta^3 N2^(s+2) with kappa = SAME_COORD_KAPPA; the measured ratio
+    is logged.
     """
     N1, N2 = f.box.dims
     if N2 < delta**-3 - 1e-9:
@@ -462,7 +464,7 @@ def same_coord_verify(f: GridFunction, q: int, L: int, s: int, delta: float,
     premise = float(np.mean(np.concatenate(prem_vals)))
     conclusion = float(np.mean([gowers_inner(f.values[x], s + 1)
                                 for x in range(N1)]))
-    threshold = kappa * delta**3 * float(N2) ** (s + 2)
+    threshold = SAME_COORD_KAPPA * delta**3 * float(N2) ** (s + 2)
     if premise < delta * N2:
         status = "vacuous"
         ratio = None

@@ -17,21 +17,22 @@ reads a binary set file straight into it (``word_bytes`` and
 
 Two counting implementations are kept side by side:
 
-* ``pattern_count_fast`` - the packed-word kernel.  A shift along any axis
-  but the last is a row offset of the words, a shift along the last axis is
-  a word offset plus a bit shift, and the count is ``np.bitwise_count`` of
-  the AND of the shifted words.  The ufunc calls run on contiguous 1-D
-  runs of words that cover whole rows of a block along axis 0, read at each
-  slot's flat offset in slot 0's word layout; the words the runs take past
-  the window (from word k on in every row, rows cropped on the middle axes,
-  bits past the width) are zeroed before the popcount.  numpy runs the
-  strided views of cropped rows 2-3.5x slower per word than contiguous runs
-  (a 63x500-word AND of two cropped views: 30-33 us; the same words as
-  contiguous runs: 9-11 us), so the runs win while the window holds most
-  of each row: on 2048x32768 they took 0.74-0.9x the time of the views for
-  windows of 75-97% of the words, and 1.1x at 63-69%, 1.5-1.8x at 31-48%,
-  3.5x at 17%.  When the window holds less than 3/4 of the words, or a
-  slot's rows have another layout (a doubled middle or last axis), the
+* ``pattern_count_fast`` - the packed-word kernel.  It takes ``PackedMask``s
+  only, so a set is packed once for all its differences.  A shift along any
+  axis but the last is a row offset of the words, a shift along the last
+  axis is a word offset plus a bit shift, and the count is
+  ``np.bitwise_count`` of the AND of the shifted words.  The ufunc calls run
+  on contiguous 1-D runs of words that cover whole rows of a block along
+  axis 0, read at each slot's flat offset in slot 0's word layout; the words
+  the runs take past the window (from word k on in every row, rows cropped
+  on the middle axes, bits past the width) are zeroed before the popcount.
+  numpy runs the strided views of cropped rows 2-3.5x slower per word than
+  contiguous runs (a 63x500-word AND of two cropped views: 30-33 us; the
+  same words as contiguous runs: 9-11 us), so the runs win while the window
+  holds most of each row: on 2048x32768 they took 0.74-0.9x the time of the
+  views for windows of 75-97% of the words, and 1.1x at 63-69%, 1.5-1.8x at
+  31-48%, 3.5x at 17%.  When the window holds less than 3/4 of the words, or
+  a slot's rows have another layout (a doubled middle or last axis), the
   calls run on the cropped views instead;
 * ``pattern_count_pointwise`` - a member-driven bounds-checked membership
   loop on boolean masks, kept as the independent oracle.
@@ -45,7 +46,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -107,20 +108,6 @@ def unpack_mask(packed: PackedMask) -> np.ndarray:
     raw = packed.words.astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(raw, axis=-1, count=packed.shape[-1],
                          bitorder="little").view(bool)
-
-
-def pack_masks(masks: Sequence[Union[np.ndarray, PackedMask]]) -> list[PackedMask]:
-    """``pack_mask`` of each boolean mask, packing every distinct array
-    object once; ``PackedMask``s pass through."""
-    by_id: dict[int, PackedMask] = {}
-    out = []
-    for m in masks:
-        if not isinstance(m, PackedMask):
-            if id(m) not in by_id:
-                by_id[id(m)] = pack_mask(m)
-            m = by_id[id(m)]
-        out.append(m)
-    return out
 
 
 def _axis_limits(masks: Sequence[np.ndarray], base_dims: Sequence[int],
@@ -269,12 +256,10 @@ def _count_packed(packed: Sequence[PackedMask], base_dims: tuple[int, ...],
     return total
 
 
-def pattern_count_fast(masks: Sequence[Union[np.ndarray, PackedMask]],
-                       base_dims: Sequence[int],
+def pattern_count_fast(masks: Sequence[PackedMask], base_dims: Sequence[int],
                        shifts: Sequence[int]) -> int:
-    """Exact pattern count on boolean masks or ``PackedMask``s (a mix is
-    fine).  Boolean inputs are packed here by ``pack_masks``; callers
-    counting many shifts of the same masks pack them first."""
+    """Exact pattern count on ``PackedMask``s (``pack_mask`` packs a boolean
+    mask; a ``core.SetIndicator`` holds its words as ``packed``)."""
     base_dims = tuple(int(b) for b in base_dims)
     shifts = tuple(int(d) for d in shifts)
     if any(d < 0 for d in shifts):
@@ -283,7 +268,6 @@ def pattern_count_fast(masks: Sequence[Union[np.ndarray, PackedMask]],
         raise ValueError("need one mask per slot and one shift per axis")
     if not base_dims:
         raise ValueError("need at least one axis")
-    packed = pack_masks(masks)
-    if any(len(p.shape) != len(base_dims) for p in packed):
+    if any(len(p.shape) != len(base_dims) for p in masks):
         raise ValueError(f"every mask needs {len(base_dims)} axes")
-    return _count_packed(packed, base_dims, shifts)
+    return _count_packed(masks, base_dims, shifts)

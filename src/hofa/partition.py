@@ -193,8 +193,7 @@ class ShiftDeltaReport:
                 "clause": self.clause, "ok": self.ok}
 
 
-def shift_norm_delta(f: Line, P: APPartition, h: int,
-                     N: int | None = None) -> ShiftDeltaReport:
+def shift_norm_delta(f: Line, P: APPartition, h: int) -> ShiftDeltaReport:
     """Compare ||E(f(.+h)|P)||_2^2 with ||E(f|P)||_2^2.
 
     The applicable bound on the difference is 0 for h a multiple of qL
@@ -202,8 +201,7 @@ def shift_norm_delta(f: Line, P: APPartition, h: int,
     8 (|s|/L) N for h = s q with |s| < L, where N is the support interval
     length.  ``clause=None`` flags shifts outside all three cases.
     """
-    if N is None:
-        N = len(f)
+    N = len(f)
     lhs = cond_expect(f.shifted(h), P).l2sq()
     rhs = cond_expect(f, P).l2sq()
     if h % P.block == 0:
@@ -270,18 +268,18 @@ class AlmostRefinementReport:
 
 
 def almost_refinement_delta(f: Line, q: int, L1: int, qt: int,
-                            L2: int, N: int | None = None) -> AlmostRefinementReport:
+                            L2: int) -> AlmostRefinementReport:
     """Compare the energy under B_1 v B_2 with the energy under B_2 alone.
 
     B_1 has parameters (q, L1) and B_2 has (q qt, L2).  When qt L2 <= L1 the
     two projections differ only near block boundaries of B_1, so the energies
-    agree up to 8 (qt L2 / L1) N.  The number of points where the projections
-    actually differ is measured and reported rather than assumed.
+    agree up to 8 (qt L2 / L1) N, N the support interval length.  The
+    number of points where the projections actually differ is measured and
+    reported rather than assumed.
     """
     if qt * L2 > L1:
         raise ValueError("almost refinement needs qt * L2 <= L1")
-    if N is None:
-        N = len(f)
+    N = len(f)
     B1 = APPartition(q, L1)
     B2 = APPartition(q * qt, L2)
     both = RefinedPartition((B1, B2))

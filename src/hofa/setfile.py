@@ -14,7 +14,8 @@ is expected, a magic, header or member line longer than ``MAX_LINE_BYTES``
 underscores, non-ASCII digits), a bad or oversized box, bad member lines and
 payloads of the wrong length.  Member lines are read one capped line at a
 time and parsed ``TEXT_BLOCK_LINES`` at a time, so reading a text set holds
-its mask and one block of lines besides.
+its mask and one block of lines besides; writing one builds the lines of
+``WRITE_BLOCK_CELLS`` cells at a time.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ MAX_LINE_BYTES = 4096
 TEXT_BLOCK_LINES = 1 << 10
 # most axes a set file may declare (numpy arrays hold at most 64)
 MAX_SET_AXES = 32
+# cells per block of a text write, in row-major order: bounds the member
+# lines built at once (about 200 bytes a member, under 1 MB a block)
+WRITE_BLOCK_CELLS = 1 << 12
 
 
 class SetFileError(ValueError):
@@ -227,11 +231,14 @@ def write_set(A: SetIndicator, path: Union[str, os.PathLike],
 
 
 def _write_text(A: SetIndicator, path) -> None:
-    lines = ["box " + " ".join(str(d) for d in A.box.dims)]
-    for pt in A.members():
-        lines.append(" ".join(str(int(c)) for c in pt))
+    flat = A.mask.reshape(-1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("box " + " ".join(str(d) for d in A.box.dims) + "\n")
+        for c0 in range(0, flat.size, WRITE_BLOCK_CELLS):
+            idx = np.flatnonzero(flat[c0:c0 + WRITE_BLOCK_CELLS]) + c0
+            pts = np.stack(np.unravel_index(idx, A.box.dims), axis=1) + 1
+            fh.write("".join(" ".join(map(str, pt)) + "\n"
+                             for pt in pts.tolist()))
 
 
 def _write_binary(A: SetIndicator, path) -> None:

@@ -53,8 +53,8 @@ def _rand_line(rng, max_len=400, kind=None) -> Line:
     return Line(int(rng.integers(-50, 50)), vals)
 
 
-def _rand_partition(rng, qmax=6, lmax=12) -> APPartition:
-    return APPartition(int(rng.integers(1, qmax + 1)), int(rng.integers(1, lmax + 1)))
+def _rand_partition(rng) -> APPartition:
+    return APPartition(int(rng.integers(1, 7)), int(rng.integers(1, 13)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +187,8 @@ def prop_almost_refinement(rng, trials):
 # counting suite
 
 
-def _rand_indicator(rng, max_cells=1 << 14, n=None) -> SetIndicator:
-    n = n or int(rng.choice([2, 3]))
-    if n == 2:
+def _rand_indicator(rng) -> SetIndicator:
+    if int(rng.choice([2, 3])) == 2:
         dims = (int(rng.integers(2, 33)), int(rng.integers(2, 513)))
     else:
         dims = (int(rng.integers(2, 9)), int(rng.integers(2, 17)),
@@ -222,11 +221,8 @@ def prop_count_set_oracle(rng, trials):
     return out
 
 
-def _rand_grid(rng, dims, kind="complex") -> GridFunction:
-    if kind == "complex":
-        vals = rng.random(dims) * np.exp(2j * np.pi * rng.random(dims))
-    else:
-        vals = (rng.random(dims) < rng.random()).astype(complex)
+def _rand_grid(rng, dims) -> GridFunction:
+    vals = rng.random(dims) * np.exp(2j * np.pi * rng.random(dims))
     return GridFunction(BoxSpec(dims), vals, bounded=True)
 
 

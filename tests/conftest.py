@@ -1,8 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hofa.core import BoxSpec, GridFunction, SetIndicator
 from hofa.rng import make_rng
+
+# The CLI tests start ``python -m hofa`` in child processes; they import the
+# sources under test, as pytest's ``pythonpath`` setting does for this one.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

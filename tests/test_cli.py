@@ -109,6 +109,32 @@ def test_gen_product_ap(tmp_path, schema):
     assert doc["members"] == A.count == 3 * 3  # {2,5,8} x {1,5,9}
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--m", "1,2,3", "--N", "2", "--phase-const", "1/0"],
+    ["count", "--m", "1,2,3", "--N", "2", "--phase-const", "1/-3"],
+    ["count", "--m", "1,2,3", "--N", "2", "--phase-const", "nan"],
+    ["count", "--m", "1,2,3", "--N", "2", "--phase-const", "inf"],
+    ["count", "--m", "1,2,3", "--N", "2", "--phase-const", "abc"],
+    ["count", "--m", "1,2,3", "--N", "2", "--phase-const", "1/2/3"],
+    ["gen", "residue", "--box", "3,9", "--q", "0", "--allowed", "0"],
+    ["gen", "product-ap", "--box", "3,9", "--start", "1,1", "--step", "0,-2"],
+    ["gen", "random", "--box", "3,9", "--p", "nan"],
+    ["gen", "random", "--box", "3,9", "--p", "2"],
+    ["gen", "random", "--box", "3,9", "--p", "-0.5"],
+])
+def test_argument_edges_exit2(tmp_path, capsys, argv):
+    # each was a traceback, a NaN in the JSON document, exit 3 for malformed
+    # input, or a silently clamped step
+    A = tmp_path / "a.box"
+    A.write_text("box 2 4\n1 1\n2 4\n", encoding="utf-8")
+    target = tmp_path / "o.box"
+    where = ["--set", str(A)] if argv[0] == "count" else ["--out", str(target)]
+    assert cli.main(argv + where) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage error" in err and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_gen_binary_format(tmp_path, schema):
     out = tmp_path / "b.box"
     proc = run_cli("gen", "random", "--box", "5,25", "--p", "0.4", "--seed",

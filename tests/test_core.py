@@ -43,10 +43,10 @@ def test_validate_config_examples():
 
 def test_grid_function_out_of_box_reads_zero():
     g = GridFunction(BoxSpec((3, 4)), np.arange(12).reshape(3, 4).astype(complex))
-    win = g.read_window((2, 0), (3, 4))
+    win = read_window(g.values, (2, 0), (3, 4))
     assert win[0, 0] == 8  # value at (3, 1)
     assert np.all(win[1:] == 0)
-    win2 = g.read_window((-1, -1), (3, 4))
+    win2 = read_window(g.values, (-1, -1), (3, 4))
     assert win2[0, 0] == 0 and win2[1, 1] == 0j + 0
 
 
@@ -226,6 +226,39 @@ def test_setfile_text_read_memory(tmp_path, rng):
         tracemalloc.stop()
     assert peak <= A.box.cells + A.packed.words.nbytes + 2 * 2**20
     assert np.array_equal(A.mask, B.mask)
+
+
+def test_setfile_text_write_memory(tmp_path, rng):
+    # member lines are built a block of cells at a time; building them all
+    # in one list took about 95 bytes per member
+    import tracemalloc
+    from conftest import random_set
+    A = random_set(rng, (256, 1024), p=0.5)
+    path = tmp_path / "dense.box"
+    tracemalloc.start()
+    try:
+        write_set(A, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= A.box.cells + 2 * 2**20
+    assert np.array_equal(read_set(path).mask, A.mask)
+
+
+@pytest.mark.parametrize("block", [1, 7, setfile.WRITE_BLOCK_CELLS])
+def test_setfile_text_write_blocks(tmp_path, rng, monkeypatch, block):
+    # the file is the header and one line per member in row-major order,
+    # whatever the block boundaries
+    from conftest import random_set
+    monkeypatch.setattr(setfile, "WRITE_BLOCK_CELLS", block)
+    for dims, p in (((4, 9), 0.0), ((300,), 0.3), ((5, 7, 70), 0.6),
+                    ((3, 5), 1.0)):
+        A = random_set(rng, dims, p=p)
+        path = tmp_path / "a.box"
+        write_set(A, path)
+        want = "box " + " ".join(map(str, dims)) + "\n" + "".join(
+            " ".join(str(int(c)) for c in pt) + "\n" for pt in A.members())
+        assert path.read_bytes() == want.encode()
 
 
 @pytest.mark.parametrize("block", [1, 3, setfile.TEXT_BLOCK_LINES])

@@ -106,7 +106,7 @@ def test_pattern_count_3d_and_numpy_agree(rng):
         r = int(rng.integers(1, 4))
         shifts = (r, r**2, r**3)
         masks = [A.mask] * 4
-        fast = kernels.pattern_count_fast(masks, A.box.dims, shifts)
+        fast = kernels.pattern_count_fast([A.packed] * 4, A.box.dims, shifts)
         assert fast == kernels.pattern_count_pointwise(masks, A.box.dims, shifts)
 
 
@@ -138,11 +138,8 @@ def test_packed_count_matches_pointwise(rng, monkeypatch, block_words):
     for _ in range(300):
         masks, base, shifts = _random_pattern_case(rng)
         ref = kernels.pattern_count_pointwise(masks, base, shifts)
-        assert kernels.pattern_count_fast(masks, base, shifts) == ref
-        packed = kernels.pack_masks(masks)
+        packed = [kernels.pack_mask(m) for m in masks]
         assert kernels.pattern_count_fast(packed, base, shifts) == ref
-        mixed = [packed[0]] + list(masks[1:])
-        assert kernels.pattern_count_fast(mixed, base, shifts) == ref
 
 
 def test_packed_count_word_edges(rng):
@@ -163,9 +160,8 @@ def test_packed_count_word_edges(rng):
 
 def _assert_packed_count(masks, base, shifts):
     ref = kernels.pattern_count_pointwise(masks, base, shifts)
-    assert kernels.pattern_count_fast(masks, base, shifts) == ref, (base, shifts)
-    assert kernels.pattern_count_fast(kernels.pack_masks(masks), base,
-                                      shifts) == ref, (base, shifts)
+    packed = [kernels.pack_mask(m) for m in masks]
+    assert kernels.pattern_count_fast(packed, base, shifts) == ref, (base, shifts)
 
 
 @pytest.mark.parametrize("block_words", [kernels.BLOCK_WORDS, 3])

@@ -198,7 +198,21 @@ def test_energy_increment_full_cycle_converges_after_step():
     assert res.final_gap <= 0.5
 
 
-def test_energy_increment_trace_csv():
+@pytest.mark.parametrize("field, kwargs", [
+    ("Qmax", {"Qmax": 0}), ("tau", {"tau": 0.0}), ("tau", {"tau": -1.0}),
+    ("tau", {"tau": float("nan")}), ("gamma", {"gamma": 0.0}),
+    ("gamma", {"gamma": 1.0}), ("gamma", {"gamma": 1.5}),
+    ("gamma", {"gamma": -0.25}),
+])
+def test_increment_params_refuses_out_of_range(field, kwargs):
+    # tau = 0 divided by zero, tau < 0 made the iteration cap negative,
+    # gamma >= 1 grew the scale, Qmax = 0 searched no modulus
+    with pytest.raises(ValueError, match=f"IncrementParams.{field}"):
+        energy.IncrementParams(**kwargs)
+    energy.IncrementParams(Qmax=1, tau=1e-3, gamma=0.5)
+
+
+def test_energy_increment_trace_in_to_dict():
     dims = (32, 1024)
     box = BoxSpec(dims)
     x1 = np.arange(1, 33)[:, None]
@@ -207,10 +221,6 @@ def test_energy_increment_trace_csv():
           GridFunction(box, ph, bounded=True), GridFunction.ones(box)]
     res = energy.energy_increment(fs, (1, 2), 0.7,
                                   energy.IncrementParams(Qmax=4, gamma=0.75))
-    csv_text = res.trace_csv()
-    assert csv_text.splitlines()[0] == \
-        "iteration,axis,energy_before,energy_after,q_step,L_new"
-    assert len(csv_text.splitlines()) == len(res.trace) + 1
     d = res.to_dict()
     assert d["status"] == res.status and len(d["trace"]) == len(res.trace)
 
