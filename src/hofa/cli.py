@@ -83,6 +83,12 @@ def _parse_phase(part: str) -> TorusPhase:
                      "T >= 1, or a finite float")
 
 
+def _check_p(p: float) -> None:
+    """A membership probability lies in [0, 1] (NaN does not)."""
+    if not 0 <= p <= 1:
+        raise UsageError(f"--p must lie in [0, 1], got {p}")
+
+
 def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -136,8 +142,7 @@ def cmd_count(args) -> int:
     norm = rng_size * spec.box.cells
     if args.oracle and norm > counting.ORACLE_MAX_TERMS:
         raise ValueError(f"--oracle needs cells x range <= 2^20, got {norm}")
-    # the complex grid serves only the phased operator and the oracles
-    fs = [A.to_grid()] * (n + 1) if phases or args.oracle else None
+    fs = [A] * (n + 1)
     integer_count = oracle = None
     if operator == "phased":
         alphas = [PhaseTable.constant(spec.box, p) for p in phases]
@@ -146,8 +151,7 @@ def cmd_count(args) -> int:
             oracle = counting.lambda_phased_bruteforce(fs, alphas, m, args.N)
     else:
         # on indicators the operator is exactly the integer count over norm
-        integer_count = counting.lambda_indicator_counts(
-            [A] * (n + 1), spec).sum()
+        integer_count = counting.lambda_indicator_counts(fs, spec).sum()
         lam = complex(integer_count / norm)
         if args.oracle:
             oracle = (counting.lambda_simple_bruteforce(fs, m, args.N)
@@ -183,6 +187,17 @@ def _write_histogram(fh, hist: counting.Histogram) -> None:
 
 
 def cmd_popdiff(args) -> int:
+    if args.pipeline:
+        if args.delta is None:
+            raise UsageError("--pipeline needs --delta")
+        if not 0 < args.delta <= 1:
+            raise UsageError(f"--delta must lie in (0, 1], got {args.delta}")
+        if args.M is not None:
+            raise UsageError("--M sets the range of the direct search; "
+                             "--pipeline takes its range from the "
+                             "decomposition")
+    elif args.delta is not None or args.fallback:
+        raise UsageError("--delta and --fallback belong to --pipeline")
     A = read_set(args.set)
     m = _parse_ints(args.m)
     if A.box.n != len(m):
@@ -190,8 +205,6 @@ def cmd_popdiff(args) -> int:
     if A.count == 0:
         raise ValueError("popular-difference search needs a nonempty set")
     if args.pipeline:
-        if args.delta is None:
-            raise UsageError("--pipeline needs --delta")
         from . import energy
 
         res = energy.popular_difference_pipeline(
@@ -246,8 +259,7 @@ def cmd_gen(args) -> int:
     elif kind == "random":
         if args.p is None:
             raise UsageError("random needs --p")
-        if not 0 <= args.p <= 1:
-            raise UsageError(f"--p must lie in [0, 1], got {args.p}")
+        _check_p(args.p)
         rng = make_rng(args.seed)
         A = SetIndicator(box, rng.random(box.dims) < args.p)
     elif kind in ("residue", "product-ap"):
@@ -288,6 +300,7 @@ def cmd_gen(args) -> int:
 def cmd_bench(args) -> int:
     box = BoxSpec(_parse_ints(args.box))
     m = _parse_ints(args.m)
+    _check_p(args.p)
     rng = make_rng(args.seed)
     mask = rng.random(box.dims) < args.p
     M = args.M if args.M is not None else max(1, box.dims[0] - 1)

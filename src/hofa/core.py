@@ -17,7 +17,7 @@ Conventions used throughout the package:
   ``kernels.pattern_views`` instead.
 * A ``SetIndicator`` is stored as packed ``uint64`` words
   (``kernels.PackedMask``); its boolean mask is unpacked only when a caller
-  needs cells, and then cached.
+  needs cells, and then cached; as ``values`` it is the set's 0/1 weight.
 """
 
 from __future__ import annotations
@@ -238,7 +238,9 @@ class SetIndicator:
     kept as given (no copy; do not modify it afterwards).  Either form is
     built from the other on first use and cached: ``packed`` packs the mask,
     and ``mask`` unpacks the words (read-only) for the callers that need
-    cells (``to_grid``, ``members``, the pointwise oracles, ``write_set``).
+    cells (``to_grid``, ``members``, the pointwise oracles, ``write_set``)
+    and, as ``values``, for the complex operators and the decomposition,
+    which take a set as its own 0/1 weight.
     """
 
     def __init__(self, box: BoxSpec, mask: np.ndarray | kernels.PackedMask):
@@ -269,6 +271,8 @@ class SetIndicator:
             mask.flags.writeable = False
             self._mask = mask
         return self._mask
+
+    values = mask
 
     @property
     def packed(self) -> kernels.PackedMask:

@@ -5,9 +5,10 @@ The basic object is the normalized count of patterns
     x, x + d_1 e_1, ..., x + d_n e_n      with d_j = (q r)^(m_j)
 
 averaged over base points x in a box and differences r in a range.  Complex
-weights give the averaged operators ``lambda_*``; 0/1 indicators admit an
-exact integer path (``lambda_indicator_counts``, ``best_popular_difference``
-and ``popular_count``) built on the kernels module.  ``_over_differences`` is
+weights, or sets as their own 0/1 weights, give the averaged operators
+``lambda_*``; 0/1 indicators admit an exact integer path
+(``lambda_indicator_counts``, ``best_popular_difference`` and
+``popular_count``) built on the kernels module.  ``_over_differences`` is
 the one loop over r: it checks the range, stops after the last r with a base
 point and spreads the r over the ``set_threads`` workers.  Per r, the
 complex operators multiply the cropped views of ``kernels.pattern_views``;
@@ -36,6 +37,9 @@ from . import kernels
 from .core import (MAX_GRID_CELLS, BoxSpec, ConfigSpec, GridFunction,
                    PhaseTable, SetIndicator, read_translates, read_window)
 
+# a weight of the averaged operators: a complex grid, or a set as its 0/1 mask
+Weight = GridFunction | SetIndicator
+
 MAX_SHIFT = 1 << 62
 # most workers ``set_threads`` takes; the pool starts at most one thread per r
 MAX_THREADS = 64
@@ -63,7 +67,7 @@ def _shifts(m: Sequence[int], step: int) -> tuple[int, ...]:
     return tuple(_check_shift(step ** mi) for mi in m)
 
 
-def _check_compatible(fs: Sequence[GridFunction | SetIndicator],
+def _check_compatible(fs: Sequence[Weight],
                       base_dims: Sequence[int]) -> None:
     for i, f in enumerate(fs):
         if f.box.n != len(base_dims):
@@ -115,24 +119,28 @@ def _lambda_sum(arrays: Sequence[np.ndarray], base_dims: tuple[int, ...],
 
     The trailing n = len(base_dims) axes of each array are the grid; leading
     axes are batch axes, and the sum runs over them too, so a stack of
-    grids is summed in one call per r.  Callers check the grid extents
+    grids is summed in one call per r.  A product of boolean arrays (sets)
+    stays boolean; the first product takes the dtype of all the arrays, so
+    the later factors multiply in place.  Callers check the grid extents
     (``_check_compatible``)."""
     n = len(base_dims)
+    dtype = np.result_type(*arrays)
 
     def term(r: int, shifts: tuple[int, ...]) -> complex:
         views = kernels.pattern_views(arrays, base_dims, shifts)
-        prod = views[0] * views[1]
+        prod = np.multiply(views[0], views[1], dtype=dtype)
         for v in views[2:]:
             prod *= v
         if phase is not None:
-            prod *= phase(r)[tuple(slice(0, d) for d in prod.shape[-n:])]
+            # out of place: a product of sets is boolean
+            prod = prod * phase(r)[tuple(slice(0, d) for d in prod.shape[-n:])]
         return prod.sum()
 
     per_r = _over_differences(term, arrays, m, q, M)
     return complex(np.sum(np.asarray(per_r))) if per_r else 0j
 
 
-def lambda_simple(fs: Sequence[GridFunction], m: Sequence[int], N: int) -> complex:
+def lambda_simple(fs: Sequence[Weight], m: Sequence[int], N: int) -> complex:
     """Average of f_0(x) prod_j f_j(x + r^(m_j) e_j) over x in prod [N^(m_j)],
     r in [N].
 
@@ -149,7 +157,7 @@ def lambda_simple(fs: Sequence[GridFunction], m: Sequence[int], N: int) -> compl
     return lambda_general(fs, ConfigSpec(m, box, q=1, M=N))
 
 
-def lambda_general(fs: Sequence[GridFunction], spec: ConfigSpec) -> complex:
+def lambda_general(fs: Sequence[Weight], spec: ConfigSpec) -> complex:
     """Average of f_0(x) prod_j f_j(x + (q r)^(m_j) e_j) over the box of
     ``spec`` and r in [M]."""
     n = spec.n
@@ -161,7 +169,7 @@ def lambda_general(fs: Sequence[GridFunction], spec: ConfigSpec) -> complex:
     return total / (spec.box.cells * spec.M)
 
 
-def lambda_phased(fs: Sequence[GridFunction], alphas: Sequence[PhaseTable],
+def lambda_phased(fs: Sequence[Weight], alphas: Sequence[PhaseTable],
                   m: Sequence[int], N: int) -> complex:
     """lambda_simple with the extra factor e(sum_j alpha_j(x) r^(m_(n+j))).
 
@@ -203,14 +211,14 @@ def lambda_phased(fs: Sequence[GridFunction], alphas: Sequence[PhaseTable],
 ORACLE_MAX_TERMS = 1 << 20
 
 
-def _read_point(f: GridFunction, pt: Sequence[int]) -> complex:
+def _read_point(f: Weight, pt: Sequence[int]) -> complex:
     idx = tuple(c - 1 for c in pt)
     if any(c < 0 or c >= d for c, d in zip(idx, f.box.dims)):
         return 0j
     return complex(f.values[idx])
 
 
-def _last_useful_r(fs: Sequence[GridFunction], m: Sequence[int], q: int,
+def _last_useful_r(fs: Sequence[Weight], m: Sequence[int], q: int,
                    M: int) -> int:
     # The last r <= M before some shift (q r)^(m_j) reaches the extent of
     # f_{j+1} along axis j.  From that r on the read of f_{j+1} is outside
@@ -222,7 +230,7 @@ def _last_useful_r(fs: Sequence[GridFunction], m: Sequence[int], q: int,
     return M
 
 
-def lambda_phased_bruteforce(fs: Sequence[GridFunction],
+def lambda_phased_bruteforce(fs: Sequence[Weight],
                              alphas: Sequence[PhaseTable],
                              m: Sequence[int], N: int) -> complex:
     m = tuple(int(v) for v in m)
@@ -257,7 +265,7 @@ def lambda_simple_bruteforce(fs, m, N) -> complex:
     return lambda_phased_bruteforce(fs, [], m, N)
 
 
-def lambda_general_bruteforce(fs: Sequence[GridFunction], spec: ConfigSpec) -> complex:
+def lambda_general_bruteforce(fs: Sequence[Weight], spec: ConfigSpec) -> complex:
     r_stop = _last_useful_r(fs, spec.m, spec.q, spec.M)
     total = 0j
     for idx in np.ndindex(*spec.box.dims):

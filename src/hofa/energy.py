@@ -9,7 +9,7 @@ operator stays above delta.  Each accepted step must raise the energy
 coordinates) of some axis by at least tau * N_i, so the loop terminates
 within n * ceil(2 / tau) steps; the scale dies once (delta / 8n) L < 1.
 Axis projections and their energies take their atom sums from
-``partition.Atoms``.
+``partition.Atoms``.  A set is its own 0/1 weight (``SetIndicator.values``).
 
 Existential parameters in the underlying theory (the modulus bound, the
 shrink rate, the final constant) are replaced by explicit knobs in
@@ -31,8 +31,8 @@ import numpy as np
 
 from .core import (BoxSpec, ConfigSpec, DecompositionError, GridFunction,
                    SetIndicator, _integer_root, read_window)
-from .counting import (Histogram, best_popular_difference, lambda_general,
-                       lambda_indicator_counts)
+from .counting import (Histogram, Weight, best_popular_difference,
+                       lambda_general, lambda_indicator_counts)
 from .partition import APPartition, Atoms
 
 
@@ -87,7 +87,7 @@ def box_count_naive(f: GridFunction) -> float:
 # Axis projections
 
 
-def axis_projection_energy(f: GridFunction, axis: int, Q: int, Lp: int) -> float:
+def axis_projection_energy(f: Weight, axis: int, Q: int, Lp: int) -> float:
     """Average over the other coordinates of the energy of the axis slices
     projected on the (Q, Lp) partition: E ||proj of slice||_2^2."""
     arr = np.moveaxis(f.values, axis - 1, 0)
@@ -97,23 +97,20 @@ def axis_projection_energy(f: GridFunction, axis: int, Q: int, Lp: int) -> float
     return float(energies.mean())
 
 
-def axis_approximant(f: GridFunction, axis: int, Q: int, Lp: int) -> GridFunction:
+def axis_approximant(f: Weight, axis: int, Q: int, Lp: int) -> GridFunction:
     """Grid function x -> E(slice of f at the other coordinates | partition)(x_i),
     materialized with the axis doubled (projections spill onto whole atoms)."""
     ax = axis - 1
-    dims = f.box.dims
-    n_i = dims[ax]
-    arr = np.moveaxis(f.values, ax, 0).reshape(n_i, -1)
+    n_i = f.box.dims[ax]
     P = APPartition(Q, Lp)
     doubled = Atoms(P, 1, 2 * n_i)
-    sums = np.zeros((len(doubled.first), arr.shape[1]), dtype=np.complex128)
+    sums = Atoms(P, 1, n_i).sum(np.moveaxis(f.values, ax, 0))
+    table = np.zeros((len(doubled.first),) + sums.shape[1:], np.complex128)
     # both windows number the atoms meeting [1, N_i] in label order
-    sums[doubled.order[doubled.first] < n_i] = Atoms(P, 1, n_i).sum(arr)
-    vals = sums[doubled.atom] / Lp
-    out_dims = tuple(2 * d if a == ax else d for a, d in enumerate(dims))
-    moved = tuple(out_dims[ax:ax + 1] + out_dims[:ax] + out_dims[ax + 1:])
-    vals = np.moveaxis(vals.reshape(moved), 0, ax)
-    return GridFunction(BoxSpec(out_dims), vals)
+    table[doubled.order[doubled.first] < n_i] = sums
+    table /= Lp
+    vals = np.take(np.moveaxis(table, 0, ax), doubled.atom, axis=ax)
+    return GridFunction(BoxSpec(vals.shape), vals)
 
 
 def _frozen_value(g: np.ndarray, approx: Sequence[GridFunction]) -> float:
@@ -302,7 +299,7 @@ def _scale_range(delta: float, L: int, n: int) -> int:
     return int(delta * L / (8 * n))
 
 
-def energy_increment(fs: Sequence[GridFunction], m: Sequence[int], delta: float,
+def energy_increment(fs: Sequence[Weight], m: Sequence[int], delta: float,
                      params: IncrementParams | None = None) -> DecompositionResult:
     """Iteratively refine per-axis progression partitions until the counting
     operator is approximated by the projected weights within delta.
@@ -408,14 +405,11 @@ def popular_difference_pipeline(A: SetIndicator, m: Sequence[int], delta: float,
     (q, L), and takes the best multiplier in [1, floor(delta L / 8n)] (the
     counted difference is q times it).  When the decomposition does not
     converge the direct search over the full admissible range is used
-    instead and flagged.  The certificate reports
+    instead and flagged.  The set is passed as its own 0/1 weight, so no
+    complex copy of it is built.  The certificate reports
     the density power mu^(n+1) and a reporting threshold
     (mu^(n+1) - delta) / 2^(n+1); the divisor is a stand-in, never a proved
     constant.
-
-    When the first scale L0 = N_n^(1/m_n) is already dead, the decomposition
-    would stop there at 0 iterations without reading a weight, so its result
-    is taken without building the indicator's complex grid.
     """
     m = tuple(int(v) for v in m)
     n = len(m)
@@ -439,12 +433,7 @@ def popular_difference_pipeline(A: SetIndicator, m: Sequence[int], delta: float,
         return PipelineResult(res.r_star, res.count, cert, res.histogram)
     cert["vacuous"] = False
 
-    _check_chain(A.box, m)
-    if _scale_range(delta, L0, n) < 1:
-        # what energy_increment returns at a dead first scale
-        dec = DecompositionResult(1, L0, "scale_exhausted", [], 0, None, True)
-    else:
-        dec = energy_increment([A.to_grid()] * (n + 1), m, delta)
+    dec = energy_increment([A] * (n + 1), m, delta)
     cert["status"] = dec.status
     cert["iterations"] = dec.iterations
     if dec.status == "converged":

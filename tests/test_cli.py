@@ -121,14 +121,22 @@ def test_gen_product_ap(tmp_path, schema):
     ["gen", "random", "--box", "3,9", "--p", "nan"],
     ["gen", "random", "--box", "3,9", "--p", "2"],
     ["gen", "random", "--box", "3,9", "--p", "-0.5"],
+    *(["popdiff", "--m", "1,2", "--pipeline", "--fallback", f"--delta={d}"]
+      for d in ("nan", "inf", "-inf", "-1", "0", "2")),
+    ["popdiff", "--m", "1,2", "--delta", "0.5"],
+    ["popdiff", "--m", "1,2", "--fallback"],
+    ["popdiff", "--m", "1,2", "--pipeline", "--delta", "0.5", "--M", "3"],
+    *(["bench", "--box", "4,16", "--p", p] for p in ("nan", "-0.5", "2")),
 ])
 def test_argument_edges_exit2(tmp_path, capsys, argv):
-    # each was a traceback, a NaN in the JSON document, exit 3 for malformed
-    # input, or a silently clamped step
+    # each was a traceback, a NaN or Infinity in the JSON document, exit 3
+    # for malformed input, a silently clamped step, a result built on an
+    # out-of-range value, or a flag of the other mode silently ignored
     A = tmp_path / "a.box"
     A.write_text("box 2 4\n1 1\n2 4\n", encoding="utf-8")
     target = tmp_path / "o.box"
-    where = ["--set", str(A)] if argv[0] == "count" else ["--out", str(target)]
+    where = {"count": ["--set", str(A)], "popdiff": ["--set", str(A)],
+             "gen": ["--out", str(target)]}.get(argv[0], [])
     assert cli.main(argv + where) == 2
     out, err = capsys.readouterr()
     assert out == "" and "usage error" in err and "Traceback" not in err

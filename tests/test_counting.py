@@ -544,3 +544,45 @@ def test_histogram_keeps_counted_prefix(rng):
     assert hist.argmax() == int(np.argmax(naive))
     empty = counting.Histogram(np.zeros(0, dtype=np.int64), 4)
     assert empty.argmax() == 0 and list(empty) == [0] * 4 and not empty.any()
+
+
+def test_sets_are_their_own_weights(rng):
+    # a set passed as is gives bit for bit what its complex grid gives, in
+    # every operator and oracle, with and without phases and with complex
+    # weights mixed in after two sets (a product of sets stays boolean)
+    def grids(ws):
+        return [w.to_grid() if isinstance(w, SetIndicator) else w for w in ws]
+
+    def check(fn, ws, *args):
+        # repr tells every float apart, the sign of zero included
+        a, b = repr(fn(ws, *args)), repr(fn(grids(ws), *args))
+        assert a == b, (fn.__name__, a, b)
+
+    for N, m in ((2, (1, 2)), (3, (1, 2)), (2, (1, 2, 3))):
+        n = len(m)
+        base = tuple(N ** mi for mi in m)
+        for _ in range(4):
+            # each f_j lives on the base box or on it doubled along axis j
+            ws = [random_set(rng, base)] + [
+                random_set(rng, tuple(2 * d if a == j and rng.random() < 0.5
+                                      else d for a, d in enumerate(base)))
+                for j in range(n)]
+            check(counting.lambda_simple, ws, m, N)
+            check(counting.lambda_simple_bruteforce, ws, m, N)
+            check(counting.lambda_phased, ws, [], m, N)
+            for k in (1, 2):
+                mk = m + tuple(range(m[-1] + 1, m[-1] + 1 + k))
+                alphas = [PhaseTable.constant(BoxSpec(base),
+                                              TorusPhase.exact(1, 3 + j))
+                          for j in range(k - 1)]
+                alphas.append(PhaseTable.from_floats(BoxSpec(base),
+                                                     rng.random(base)))
+                check(counting.lambda_phased, ws, alphas, mk, N)
+                check(counting.lambda_phased_bruteforce, ws, alphas, mk, N)
+            for q, M in ((1, 1), (1, 3), (2, 2)):
+                spec = ConfigSpec(m, BoxSpec(base), q=q, M=M)
+                check(counting.lambda_general, ws, spec)
+                check(counting.lambda_general_bruteforce, ws, spec)
+                mixed = ws[:2] + [random_grid(rng, w.box.dims) for w in ws[2:]]
+                check(counting.lambda_general, mixed, spec)
+                check(counting.lambda_general_bruteforce, mixed, spec)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import random_grid, random_set
 
-from hofa import counting, energy
+from hofa import counting, energy, kernels
 from hofa.core import BoxSpec, ConfigSpec, GridFunction, SetIndicator
 from hofa.rng import make_rng
 
@@ -351,3 +351,65 @@ def test_pipeline_dead_first_scale_memory_bounded_by_words(tmp_path):
         "scale_exhausted", 0, 128)
     assert cert["fallback"] and cert["range_ok"]
     assert peak <= A.packed.words.nbytes + 4 * 2**20
+
+
+def _increment_cases(N):
+    """Sets on [N] and on [sqrt N] x [N] whose decompositions converge,
+    stall or exhaust the scale after various numbers of steps."""
+    t = int(round(N ** 0.5))
+    rng = make_rng(11)
+    x = np.arange(N)
+    top = N.bit_length() - 2  # the highest bit of x < N
+    sets = [
+        (rng.random(N) < 0.5, (1,)),
+        (rng.random((t, N)) < 0.9, (1, 2)),
+        (x < N // 2, (1,)),
+        (np.broadcast_to(x < N // 2, (t, N)), (1, 2)),
+        (np.broadcast_to(np.arange(t)[:, None] < t // 2, (t, N)), (1, 2)),
+    ]
+    # x whose chosen bits hold at least th ones: structure at several scales
+    for bits, th in (((top - 2, top - 1, top), 2), ((top - 3, top - 1), 1),
+                     ((top - 5, top - 3, top - 1), 2)):
+        sets.append((sum((x >> b) & 1 for b in bits) >= th, (1,)))
+    return [(SetIndicator(BoxSpec(mask.shape), mask), m) for mask, m in sets]
+
+
+def test_energy_increment_on_sets_matches_their_grids():
+    # the decomposition of a set, passed as its own 0/1 weight, is bit for
+    # bit the decomposition of its complex grid, whatever the outcome
+    seen = set()
+    for N in (256, 1024, 4096):
+        for A, m in _increment_cases(N):
+            n = len(m)
+            for delta in (0.05, 0.1, 0.2, 0.4):
+                for params in (energy.IncrementParams(Qmax=4, gamma=0.25),
+                               energy.IncrementParams(Qmax=4, gamma=0.5),
+                               None):
+                    res = energy.energy_increment([A] * (n + 1), m, delta,
+                                                  params).to_dict()
+                    want = energy.energy_increment([A.to_grid()] * (n + 1), m,
+                                                   delta, params).to_dict()
+                    assert repr(res) == repr(want), (N, m, delta, params)
+                    seen.add((res["status"], res["iterations"]))
+    assert {("converged", k) for k in range(4)} <= seen
+    assert {("scale_exhausted", k) for k in range(3)} <= seen
+    assert ("oracle_stalled", 0) in seen
+
+
+def test_pipeline_converging_memory_per_cell():
+    # 64x4096 at p = 0.85 and delta 0.5 converges after 0 steps; the set is
+    # its own weight, so what is left is the two doubled complex
+    # approximants (64 bytes per cell) and one complex product per r
+    dims = (64, 4096)
+    # packed only, as read from a binary file: the mask is unpacked inside
+    A = SetIndicator(BoxSpec(dims),
+                     kernels.pack_mask(make_rng(5).random(dims) < 0.85))
+    tracemalloc.start()
+    try:
+        res = energy.popular_difference_pipeline(A, (1, 2), 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.certificate["status"] == "converged"
+    assert res.certificate["iterations"] == 0
+    assert peak <= 96 * A.box.cells
