@@ -10,7 +10,8 @@ stdout carries exactly one JSON document (CSV for ``bench``); diagnostics go
 to stderr.  JSON outputs conform to the schema shipped at
 ``hofa/schemas/cli.schema.json``.  Exit codes: 0 ok, 1 property failure,
 2 usage or malformed input, 3 precondition or invariant violation.
-All randomness is Philox-keyed by ``--seed``; ``--threads`` (or the
+All randomness is Philox-keyed by ``--seed``, an integer in [0, 2^64)
+(one key word; any other value exits 2); ``--threads`` (or the
 HOFA_THREADS variable) sets the worker count, an integer in [1, 64]
 (``counting.MAX_THREADS``), without affecting any result; any other value
 exits 2.
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import counting, kernels
 from .core import (BoxSpec, ConfigSpec, DecompositionError, PhaseTable,
-                   SetIndicator, TorusPhase, _integer_root)
+                   SetIndicator, TorusPhase)
 from .rng import make_rng
 from .setfile import SetFileError, read_set, write_set
 
@@ -87,6 +88,13 @@ def _check_p(p: float) -> None:
     """A membership probability lies in [0, 1] (NaN does not)."""
     if not 0 <= p <= 1:
         raise UsageError(f"--p must lie in [0, 1], got {p}")
+
+
+def _check_seed(args) -> None:
+    """A ``--seed`` is one 64-bit word of the Philox key: [0, 2^64)."""
+    seed = getattr(args, "seed", None)
+    if seed is not None and not 0 <= seed < 1 << 64:
+        raise UsageError(f"--seed must lie in [0, 2^64), got {seed}")
 
 
 def _emit(doc: dict) -> None:
@@ -209,23 +217,16 @@ def cmd_popdiff(args) -> int:
 
         res = energy.popular_difference_pipeline(
             A, m, args.delta, allow_fallback=args.fallback)
-        doc = {"command": "popdiff", "mode": "pipeline", "r_star": res.r,
-               "count": res.count, "certificate": res.certificate}
-        hist = res.histogram
     else:
-        M = args.M
-        if M is None:
-            M = max(1, _integer_root(A.box.dims[-1], m[-1]))
-        direct = counting.best_popular_difference(A, m, M)
-        doc = {"command": "popdiff", "mode": "direct", "r_star": direct.r_star,
-               "count": direct.count, "certificate": None}
-        hist = direct.histogram
-    doc["histogram_path"] = None
+        res = counting.best_popular_difference(A, m, args.M)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            _write_histogram(fh, hist)
-        doc["histogram_path"] = args.out
-    _emit(doc)
+            _write_histogram(fh, res.histogram)
+    _emit({"command": "popdiff",
+           "mode": "pipeline" if args.pipeline else "direct",
+           "r_star": res.r_star, "count": res.count,
+           "certificate": res.certificate,
+           "histogram_path": args.out or None})
     return EXIT_OK
 
 
@@ -234,6 +235,8 @@ def cmd_popdiff(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     from . import verify
 
     try:
@@ -300,6 +303,9 @@ def cmd_gen(args) -> int:
 def cmd_bench(args) -> int:
     box = BoxSpec(_parse_ints(args.box))
     m = _parse_ints(args.m)
+    if len(m) != box.n:
+        raise UsageError(f"--m has {len(m)} entries but --box has {box.n} "
+                         "axes")
     _check_p(args.p)
     rng = make_rng(args.seed)
     mask = rng.random(box.dims) < args.p
@@ -398,6 +404,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _apply_threads(args)
+        _check_seed(args)
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -8,9 +8,12 @@ averaged over base points x in a box and differences r in a range.  Complex
 weights, or sets as their own 0/1 weights, give the averaged operators
 ``lambda_*``; 0/1 indicators admit an exact integer path
 (``lambda_indicator_counts``, ``best_popular_difference`` and
-``popular_count``) built on the kernels module.  ``_over_differences`` is
-the one loop over r: it checks the range, stops after the last r with a base
-point and spreads the r over the ``set_threads`` workers.  Per r, the
+``popular_count``) built on the kernels module.  ``best_popular_difference``
+is the one direct popular-difference search (``popdiff``, and the
+pipeline's vacuous and fallback paths), and ``PopDiffResult`` the one result
+of both ``popdiff`` modes.  ``_over_differences`` is the one loop over r: it
+checks the range, stops after the last r with a base point and spreads the
+r over the ``set_threads`` workers.  Per r, the
 complex operators multiply the cropped views of ``kernels.pattern_views``;
 the integer path counts on the indicators' packed words
 (``SetIndicator.packed``, so a set read from a binary file is never
@@ -35,7 +38,8 @@ import numpy as np
 
 from . import kernels
 from .core import (MAX_GRID_CELLS, BoxSpec, ConfigSpec, GridFunction,
-                   PhaseTable, SetIndicator, read_translates, read_window)
+                   PhaseTable, SetIndicator, _integer_root, read_translates,
+                   read_window)
 
 # a weight of the averaged operators: a complex grid, or a set as its 0/1 mask
 Weight = GridFunction | SetIndicator
@@ -347,9 +351,13 @@ class Histogram:
 
 @dataclass
 class PopDiffResult:
+    """What ``popdiff`` prints; ``certificate`` is the pipeline's, None for
+    a direct search."""
+
     r_star: int
     count: int
     histogram: Histogram  # histogram[r-1] = count at difference r
+    certificate: dict | None = None
 
 
 def lambda_indicator_counts(inds: Sequence[SetIndicator],
@@ -367,8 +375,12 @@ def lambda_indicator_counts(inds: Sequence[SetIndicator],
     return Histogram(np.array(counts, dtype=np.int64), spec.M)
 
 
-def best_popular_difference(A: SetIndicator, m: Sequence[int], M: int) -> PopDiffResult:
-    """Arg-max of popular_count over r in [1, M]; ties go to the smallest r."""
+def best_popular_difference(A: SetIndicator, m: Sequence[int],
+                            M: int | None = None) -> PopDiffResult:
+    """Arg-max of popular_count over r in [1, M]; ties go to the smallest r.
+    M defaults to max(1, floor(N_n^(1/m_n)))."""
+    if M is None:
+        M = max(1, _integer_root(A.box.dims[-1], m[-1]))
     hist = lambda_indicator_counts([A] * (len(m) + 1), ConfigSpec(m, A.box, 1, M))
     r_star = hist.argmax() + 1
     return PopDiffResult(r_star, hist[r_star - 1], hist)

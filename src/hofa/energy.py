@@ -8,8 +8,14 @@ operator stays above delta.  Each accepted step must raise the energy
 (the squared 2-norm of the projected slices, averaged over the other
 coordinates) of some axis by at least tau * N_i, so the loop terminates
 within n * ceil(2 / tau) steps; the scale dies once (delta / 8n) L < 1.
-Axis projections and their energies take their atom sums from
-``partition.Atoms``.  A set is its own 0/1 weight (``SetIndicator.values``).
+Axis projections take their atom sums, and their energies the projected
+energy ``Atoms.energy``, from ``partition.Atoms``.  A set is its own 0/1
+weight (``SetIndicator.values``).
+
+``popular_difference_pipeline`` returns a ``counting.PopDiffResult`` and
+builds its certificate in that one function.  A converged decomposition
+counts at its own (q, M'); a vacuous density, or a fallback, runs the one
+direct search ``counting.best_popular_difference`` at its default range.
 
 Existential parameters in the underlying theory (the modulus bound, the
 shrink rate, the final constant) are replaced by explicit knobs in
@@ -24,14 +30,14 @@ catch it without importing this module) and re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .core import (BoxSpec, ConfigSpec, DecompositionError, GridFunction,
                    SetIndicator, _integer_root, read_window)
-from .counting import (Histogram, Weight, best_popular_difference,
+from .counting import (PopDiffResult, Weight, best_popular_difference,
                        lambda_general, lambda_indicator_counts)
 from .partition import APPartition, Atoms
 
@@ -92,9 +98,8 @@ def axis_projection_energy(f: Weight, axis: int, Q: int, Lp: int) -> float:
     projected on the (Q, Lp) partition: E ||proj of slice||_2^2."""
     arr = np.moveaxis(f.values, axis - 1, 0)
     length = arr.shape[0]
-    sums = Atoms(APPartition(Q, Lp), 1, length).sum(arr.reshape(length, -1))
-    energies = np.sum(np.abs(sums) ** 2, axis=0) / Lp
-    return float(energies.mean())
+    atoms = Atoms(APPartition(Q, Lp), 1, length)
+    return float(atoms.energy(arr.reshape(length, -1), Lp).mean())
 
 
 def axis_approximant(f: Weight, axis: int, Q: int, Lp: int) -> GridFunction:
@@ -383,81 +388,59 @@ def energy_increment(fs: Sequence[Weight], m: Sequence[int], delta: float,
 # Popular-difference pipeline
 
 
-@dataclass
-class PipelineResult:
-    r: int                  # effective difference achieving the count
-    count: int
-    certificate: dict
-    histogram: Histogram    # per-multiplier counts over the searched range
-
-    def to_dict(self) -> dict:
-        return {"r": self.r, "count": self.count,
-                "certificate": self.certificate,
-                "histogram": [int(c) for c in self.histogram]}
-
-
 def popular_difference_pipeline(A: SetIndicator, m: Sequence[int], delta: float,
-                                allow_fallback: bool = True) -> PipelineResult:
+                                allow_fallback: bool = True) -> PopDiffResult:
     """Locate a difference r whose configuration count in A is large.
 
     Runs the energy-increment decomposition on the indicator with the
     default ``IncrementParams``, evaluates the counting operator at the final
     (q, L), and takes the best multiplier in [1, floor(delta L / 8n)] (the
-    counted difference is q times it).  When the decomposition does not
-    converge the direct search over the full admissible range is used
-    instead and flagged.  The set is passed as its own 0/1 weight, so no
-    complex copy of it is built.  The certificate reports
-    the density power mu^(n+1) and a reporting threshold
-    (mu^(n+1) - delta) / 2^(n+1); the divisor is a stand-in, never a proved
-    constant.
+    counted difference is q times it).  When mu^(n+1) <= delta (vacuous)
+    or the decomposition does not converge (fallback), the direct search
+    over its default range is used instead and flagged.  The set is passed
+    as its own 0/1 weight, so no complex copy of it is built.  The
+    certificate reports the density power mu^(n+1) and a reporting
+    threshold (mu^(n+1) - delta) / 2^(n+1); the divisor is a stand-in,
+    never a proved constant.
     """
     m = tuple(int(v) for v in m)
     n = len(m)
     if A.count == 0:
         raise ValueError("popular-difference search needs a nonempty set")
-    dims = A.box.dims
     cells = A.box.cells
     mu = A.density
     mu_pow = mu ** (n + 1)
-    L0 = _integer_root(dims[-1], m[-1])
     div = 2 ** (n + 1)
     cert: dict = {"mu": mu, "mu_pow": mu_pow, "delta": delta,
                   "threshold": (mu_pow - delta) / div,
                   "threshold_divisor": div}
 
     if mu_pow <= delta:
-        res = best_popular_difference(A, m, max(L0, 1))
         cert.update({"vacuous": True, "fallback": False, "status": "vacuous",
-                     "q": 1, "L": None, "lambda": None,
-                     "normalized_count": res.count / cells})
-        return PipelineResult(res.r_star, res.count, cert, res.histogram)
-    cert["vacuous"] = False
-
-    dec = energy_increment([A] * (n + 1), m, delta)
-    cert["status"] = dec.status
-    cert["iterations"] = dec.iterations
-    if dec.status == "converged":
-        Mp = _scale_range(delta, dec.L, n)
-        spec = ConfigSpec(m, A.box, q=dec.q, M=Mp)
-        counts = lambda_indicator_counts([A] * (n + 1), spec)
-        lam = float(counts.sum()) / (cells * Mp)
-        best = counts.argmax()
-        r_eff = dec.q * (best + 1)
-        count = counts[best]
-        cert.update({"fallback": False, "q": dec.q, "L": dec.L, "M": Mp,
-                     "lambda": lam, "r_multiplier": best + 1,
-                     "normalized_count": count / cells,
+                     "q": 1, "L": None, "lambda": None})
+    else:
+        dec = energy_increment([A] * (n + 1), m, delta)
+        cert.update({"vacuous": False, "status": dec.status,
+                     "iterations": dec.iterations, "L": dec.L,
                      "range_ok": dec.range_ok})
-        return PipelineResult(r_eff, count, cert, counts)
-
-    if not allow_fallback:
-        raise DecompositionError(
-            f"decomposition ended with status {dec.status} and fallback is off")
-    res = best_popular_difference(A, m, max(L0, 1))
-    cert.update({"fallback": True, "q": 1, "L": dec.L, "lambda": None,
-                 "normalized_count": res.count / cells,
-                 "range_ok": dec.range_ok})
-    return PipelineResult(res.r_star, res.count, cert, res.histogram)
+        if dec.status == "converged":
+            Mp = _scale_range(delta, dec.L, n)
+            spec = ConfigSpec(m, A.box, q=dec.q, M=Mp)
+            counts = lambda_indicator_counts([A] * (n + 1), spec)
+            best = counts.argmax() + 1
+            count = counts[best - 1]
+            cert.update({"fallback": False, "q": dec.q, "M": Mp,
+                         "lambda": float(counts.sum()) / (cells * Mp),
+                         "r_multiplier": best,
+                         "normalized_count": count / cells})
+            return PopDiffResult(dec.q * best, count, counts, cert)
+        if not allow_fallback:
+            raise DecompositionError(f"decomposition ended with status "
+                                     f"{dec.status} and fallback is off")
+        cert.update({"fallback": True, "q": 1, "lambda": None})
+    res = best_popular_difference(A, m)
+    cert["normalized_count"] = res.count / cells
+    return replace(res, certificate=cert)
 
 
 # ---------------------------------------------------------------------------

@@ -384,20 +384,6 @@ def _axis2_diff_step(g: np.ndarray, k: int, h0: int, count: int) -> np.ndarray:
     return np.expand_dims(g, k) * np.conj(np.moveaxis(trans, 0, k))
 
 
-def _mean_energies(grids: np.ndarray, axis: int, atoms: Atoms,
-                   L: int) -> np.ndarray:
-    """For each grid of a stack of shape (B, N1, N2): the energies of its
-    1-D slices along ``axis`` (1 or 2) projected onto ``atoms``, averaged
-    over the other axis.
-
-    The slices are made C-contiguous with the atoms axis first, so every
-    reduction runs in the order of the single-grid computation.
-    """
-    mat = np.ascontiguousarray(np.moveaxis(grids, axis, 0))
-    energies = np.sum(np.abs(atoms.sum(mat)) ** 2, axis=0) / L
-    return np.mean(energies, axis=-1)
-
-
 def interchange_verify_2d(family: Sequence[GridFunction], q: int, L: int,
                           s: int, delta: float) -> VerifierReport:
     """Projection along axis 1 versus differences along axis 2.
@@ -424,7 +410,10 @@ def interchange_verify_2d(family: Sequence[GridFunction], q: int, L: int,
     conc_vals = []
     for block in _axis2_diffs(stack, s, N2):
         dF = block.reshape((-1,) + stack.shape)
-        prem_vals.append(_mean_energies(dF[:, 0], 1, atoms, L))
+        # x-slices C-contiguous with the atoms axis first, so every
+        # reduction runs in the order of the single-grid computation
+        slices = np.ascontiguousarray(np.moveaxis(dF[:, 0], 1, 0))
+        prem_vals.append(np.mean(atoms.energy(slices, L), axis=-1))
         dfs = np.mean(dF[:, 1:], axis=1)
         conc_vals.append(np.mean(np.abs(np.mean(dfs, axis=1)), axis=-1))
     premise = float(np.mean(np.concatenate(prem_vals)))
@@ -459,8 +448,10 @@ def same_coord_verify(f: GridFunction, q: int, L: int, s: int,
     atoms = Atoms(APPartition(q, L), 1, N2)
     prem_vals = []
     for block in _axis2_diffs(f.values, s, N2):
-        # slices at fixed x are rows; project along y
-        prem_vals.append(_mean_energies(block.reshape(-1, N1, N2), 2, atoms, L))
+        # slices at fixed x are rows; project along y, atoms axis first
+        slices = np.ascontiguousarray(
+            np.moveaxis(block.reshape(-1, N1, N2), 2, 0))
+        prem_vals.append(np.mean(atoms.energy(slices, L), axis=-1))
     premise = float(np.mean(np.concatenate(prem_vals)))
     conclusion = float(np.mean([gowers_inner(f.values[x], s + 1)
                                 for x in range(N1)]))

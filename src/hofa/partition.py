@@ -18,8 +18,8 @@ zero.
 ``Atoms`` is the only route to atom sums in the package: conditional
 expectation here, and the axis projections and projected energies of
 ``energy`` and ``gowers``, all group points by its closed-form atom labels
-and sum with one grouped reduction.  Sums keep the input dtype, so
-integer-valued input sums exactly.
+and sum with one grouped reduction; ``Atoms.energy`` is the one projected
+energy.  Sums keep the input dtype, so integer-valued input sums exactly.
 """
 
 from __future__ import annotations
@@ -136,6 +136,12 @@ class Atoms:
         exactly.  O(n) time and memory per trailing entry.
         """
         return np.add.reduceat(values[self.order], self.first, axis=0)
+
+    def energy(self, values: np.ndarray, L: int) -> np.ndarray:
+        """The energies ||E(line | P)||_2^2 = sum_a |S_a|^2 / L of the lines
+        along axis 0, one per trailing entry, with S_a the atom sums of
+        ``sum`` and L the atom length of P (projections fill whole atoms)."""
+        return np.sum(np.abs(self.sum(values)) ** 2, axis=0) / L
 
 
 def cond_expect(f: Line, P: Partition) -> Line:

@@ -16,8 +16,8 @@ import numpy as np
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Return a Generator over Philox-4x64 keyed by (seed, stream)."""
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF],
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    key = np.array([seed, stream & 0xFFFFFFFFFFFFFFFF],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -127,6 +127,13 @@ def test_gen_product_ap(tmp_path, schema):
     ["popdiff", "--m", "1,2", "--fallback"],
     ["popdiff", "--m", "1,2", "--pipeline", "--delta", "0.5", "--M", "3"],
     *(["bench", "--box", "4,16", "--p", p] for p in ("nan", "-0.5", "2")),
+    # a seed is one 64-bit key word: -1 was exit 3, 2^64 drew seed 0
+    *(argv + ["--seed", seed] for seed in ("-1", str(1 << 64))
+      for argv in (["verify", "partition", "--trials", "1"],
+                   ["gen", "random", "--box", "3,9", "--p", "0.5"],
+                   ["bench", "--box", "4,16"])),
+    *(["verify", "partition", "--trials", t] for t in ("-3", "0")),
+    ["bench", "--box", "4,16", "--m", "1,2,3"],
 ])
 def test_argument_edges_exit2(tmp_path, capsys, argv):
     # each was a traceback, a NaN or Infinity in the JSON document, exit 3
@@ -179,6 +186,33 @@ def test_popdiff_pipeline_fallback(tmp_path, schema):
     proc2 = run_cli("popdiff", "--set", str(out), "--m", "1,2", "--delta",
                     "0.1", "--pipeline")
     assert proc2.returncode == 3  # fallback disabled, decomposition dies
+
+
+def test_popdiff_one_document_for_both_modes(tmp_path, capsys, schema):
+    # direct and pipeline print the same keys; a fallback searches the
+    # direct default range, so its histogram file is the direct one
+    out = tmp_path / "rand.box"
+    cli.main(["gen", "random", "--box", "16,256", "--p", "0.6", "--seed", "2",
+              "--out", str(out)])
+    capsys.readouterr()
+    docs, hists = [], []
+    for mode in ([], ["--pipeline", "--delta", "0.1", "--fallback"]):
+        hist = tmp_path / f"h{len(mode)}.json"
+        assert cli.main(["popdiff", "--set", str(out), "--m", "1,2",
+                         "--out", str(hist)] + mode) == 0
+        doc = json.loads(capsys.readouterr().out)
+        jsonschema.validate(doc, schema)
+        docs.append(doc)
+        hists.append(hist.read_bytes())
+    direct, pipeline = docs
+    assert set(direct) == set(pipeline) == {
+        "command", "mode", "r_star", "count", "certificate", "histogram_path"}
+    assert (direct["mode"], pipeline["mode"]) == ("direct", "pipeline")
+    assert direct["certificate"] is None
+    assert pipeline["certificate"]["fallback"] is True
+    assert (direct["r_star"], direct["count"]) == (pipeline["r_star"],
+                                                   pipeline["count"])
+    assert hists[0] == hists[1]
 
 
 def test_popdiff_huge_M_bounded(tmp_path):

@@ -9,6 +9,7 @@ from hofa import counting, kernels, setfile
 from hofa.core import (BoxSpec, ConfigSpec, GridFunction, Line, PhaseTable,
                        SetIndicator, TorusPhase, read_translates, read_window,
                        validate_config)
+from hofa.rng import make_rng
 from hofa.setfile import SetFileError, read_set, write_set
 
 
@@ -39,6 +40,14 @@ def test_validate_config_examples():
 
     bad_range = validate_config(ConfigSpec((1, 2), BoxSpec((10, 100)), q=2, M=10))
     assert any("range condition" in f for f in bad_range.failures())
+
+
+def test_make_rng_seed_is_one_key_word():
+    # 2^64 used to wrap to seed 0's streams
+    for seed in (-1, 1 << 64, (1 << 64) + 5):
+        with pytest.raises(ValueError, match="2\\^64"):
+            make_rng(seed)
+    make_rng((1 << 64) - 1)
 
 
 def test_grid_function_out_of_box_reads_zero():

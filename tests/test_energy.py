@@ -232,7 +232,7 @@ def test_pipeline_full_box_converges():
     assert cert["status"] == "converged"
     assert not cert["fallback"] and not cert["vacuous"]
     assert cert["q"] == 1
-    assert res.r == 1
+    assert res.r_star == 1
     assert res.count == (32 - 1) * (1024 - 1)
 
 
@@ -247,7 +247,7 @@ def test_pipeline_fallback_equals_direct(rng):
     res = energy.popular_difference_pipeline(A, (1, 2), 0.1)
     assert res.certificate["fallback"]
     direct = counting.best_popular_difference(A, (1, 2), 16)
-    assert res.r == direct.r_star
+    assert res.r_star == direct.r_star
     assert res.count == direct.count
     assert list(res.histogram) == list(direct.histogram)
 
@@ -320,7 +320,7 @@ def test_pipeline_dead_first_scale_builds_no_grid(rng, monkeypatch):
     for (A, m, delta), (cert, direct) in zip(cases, want):
         res = energy.popular_difference_pipeline(A, m, delta)
         assert res.certificate == cert
-        assert (res.r, res.count) == (direct.r_star, direct.count)
+        assert (res.r_star, res.count) == (direct.r_star, direct.count)
         assert list(res.histogram) == list(direct.histogram)
         with pytest.raises(energy.DecompositionError):
             energy.popular_difference_pipeline(A, m, delta,
@@ -329,6 +329,73 @@ def test_pipeline_dead_first_scale_builds_no_grid(rng, monkeypatch):
     A = SetIndicator.full(BoxSpec((2, 1024)))
     with pytest.raises(ValueError, match="N_2"):
         energy.popular_difference_pipeline(A, (1, 2), 0.1)
+
+
+def _certificate_head(A, m, delta):
+    n = len(m)
+    mu_pow = A.density ** (n + 1)
+    return {"mu": A.density, "mu_pow": mu_pow, "delta": delta,
+            "threshold": (mu_pow - delta) / 2 ** (n + 1),
+            "threshold_divisor": 2 ** (n + 1)}
+
+
+def test_pipeline_converged_certificate_pinned():
+    # the whole certificate, rebuilt from the decomposition and the integer
+    # histogram at its final (q, L); the 1-D half-interval takes one step
+    half = _increment_cases(4096)[2]
+    assert half[1] == (1,)
+    cases = [(SetIndicator(BoxSpec((64, 4096)),
+                           make_rng(5).random((64, 4096)) < 0.85), (1, 2), 0.5),
+             (SetIndicator.full(BoxSpec((4096,))), (1,), 0.5),
+             (*half, 0.2)]
+    steps = set()
+    for A, m, delta in cases:
+        n = len(m)
+        dec = energy.energy_increment([A] * (n + 1), m, delta)
+        assert dec.status == "converged"
+        steps.add(dec.iterations)
+        Mp = int(delta * dec.L / (8 * n))
+        hist = counting.lambda_indicator_counts(
+            [A] * (n + 1), ConfigSpec(m, A.box, dec.q, Mp))
+        best = hist.argmax() + 1
+        cert = _certificate_head(A, m, delta) | {
+            "vacuous": False, "status": "converged",
+            "iterations": dec.iterations, "fallback": False, "q": dec.q,
+            "L": dec.L, "M": Mp, "lambda": hist.sum() / (A.box.cells * Mp),
+            "r_multiplier": best,
+            "normalized_count": hist[best - 1] / A.box.cells,
+            "range_ok": dec.range_ok}
+        res = energy.popular_difference_pipeline(A, m, delta)
+        assert res.certificate == cert
+        assert (res.r_star, res.count) == (dec.q * best, hist[best - 1])
+        assert list(res.histogram) == list(hist)
+    assert steps == {0, 1}
+
+
+def test_pipeline_vacuous_certificate_pinned():
+    # mu^(n+1) <= delta: no decomposition, and the histogram is the direct
+    # one over [1, floor(N_n^(1/m_n))]; a full set at delta = 1 is the edge
+    cases = [(SetIndicator(BoxSpec((16, 256)),
+                           make_rng(41).random((16, 256)) < 0.05), (1, 2), 0.1),
+             (SetIndicator(BoxSpec((8, 64, 512)),
+                           make_rng(6).random((8, 64, 512)) < 0.3),
+              (1, 2, 3), 0.2),
+             (SetIndicator.full(BoxSpec((8, 64))), (1, 2), 1.0)]
+    for A, m, delta in cases:
+        n = len(m)
+        L0 = energy._integer_root(A.box.dims[-1], m[-1])
+        hist = counting.lambda_indicator_counts(
+            [A] * (n + 1), ConfigSpec(m, A.box, 1, L0))
+        best = hist.argmax() + 1
+        cert = _certificate_head(A, m, delta) | {
+            "vacuous": True, "fallback": False, "status": "vacuous", "q": 1,
+            "L": None, "lambda": None,
+            "normalized_count": hist[best - 1] / A.box.cells}
+        res = energy.popular_difference_pipeline(A, m, delta,
+                                                 allow_fallback=False)
+        assert res.certificate == cert
+        assert (res.r_star, res.count) == (best, hist[best - 1])
+        assert list(res.histogram) == list(hist)
 
 
 def test_pipeline_dead_first_scale_memory_bounded_by_words(tmp_path):
