@@ -235,10 +235,11 @@ def cmd_popdiff(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     from . import verify
 
+    if not 1 <= args.trials <= verify.MAX_TRIALS:
+        raise UsageError(f"--trials must be in [1, {verify.MAX_TRIALS}], "
+                         f"got {args.trials}")
     try:
         rep = verify.run_suite(args.suite, args.seed, args.trials)
     except KeyError as exc:

@@ -1,20 +1,22 @@
 """Weyl sums, rational frequency search, dual functions, and phase snapping.
 
-Rational phases are reduced exactly (numerators mod denominator via modular
-powers) so that Weyl sums over rational tuples carry no floating-point drift
-in the phase; float phases fall back to ordinary double arithmetic.  The
-dual-function and stashing operations realize the counting operators as a
-single inner product against a derived one-bounded function.
+Rational phases are reduced exactly so that Weyl sums over rational tuples
+carry no floating-point drift in the phase: the phase of n is an integer
+numerator over L = lcm(T_i), built from modular powers n^i mod T_i, and is
+rounded to a float once.  Float phases fall back to ordinary double
+arithmetic.  The dual-function and stashing operations realize the counting
+operators as a single inner product against a derived one-bounded function.
 
 The constancy search snaps each phase table to the grid {t/T_j} with
 T_j = ceil(2 k N^(m_j) / delta) and tries the ``CONSTANCY_TOP_K`` most
-frequent snapped tuples; it reports the best one it finds and leaves the
-judging of its average to the caller.
+frequent snapped tuples on one shift matrix f(x + r^(m_0)); it reports the
+best one it finds and leaves the judging of its average to the caller.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -42,13 +44,16 @@ def weyl_sum(alphas: Sequence[TorusPhase], N: int) -> complex:
     if not alphas:
         return 1.0 + 0j
     if all(a.is_exact for a in alphas):
+        # the phase of n is num_n / L with L = lcm(T_i) and the integer
+        # num_n = sum t_i (L / T_i) (n^i mod T_i) mod L; int / int rounds
+        # correctly, as float(Fraction) does
+        L = math.lcm(*(a.frac.denominator for a in alphas))
+        terms = [(i, a.frac.numerator * (L // a.frac.denominator),
+                  a.frac.denominator) for i, a in enumerate(alphas, start=1)]
         total = 0j
         for n in range(1, N + 1):
-            phase = Fraction(0)
-            for i, a in enumerate(alphas, start=1):
-                t, T = a.frac.numerator, a.frac.denominator
-                phase += Fraction(t * pow(n, i, T), T)
-            total += cmath.exp(2j * cmath.pi * float(phase % 1))
+            num = sum(c * pow(n, i, T) for i, c, T in terms) % L
+            total += cmath.exp(2j * cmath.pi * (num / L))
         return total / N
     ns = np.arange(1, N + 1, dtype=np.float64)
     phase = np.zeros(N)
@@ -215,8 +220,13 @@ def phased_average(f: Line, phase_of_r: np.ndarray, base: int, power: int) -> fl
 
     ``phase_of_r`` has shape (base, N) and holds the phase for each (x, r).
     """
-    N = phase_of_r.shape[1]
-    W = _shift_matrix(f, base, power, N)
+    W = _shift_matrix(f, base, power, phase_of_r.shape[1])
+    return _phased_mean(W, phase_of_r)
+
+
+def _phased_mean(W: np.ndarray, phase_of_r: np.ndarray) -> float:
+    """``phased_average`` on a built shift matrix; ``phase_of_r`` broadcasts
+    against W's shape (base, N), so a phase constant in x may be one row."""
     inner = np.mean(W * np.exp(2j * np.pi * phase_of_r), axis=1)
     return float(np.mean(np.abs(inner)))
 
@@ -263,7 +273,8 @@ def phase_constancy_search(f: Line, alphas: Sequence[PhaseTable],
     phase = np.zeros((base, N))
     for j in range(k):
         phase += np.outer(table_frac[j], rs ** powers[j]).astype(np.float64)
-    premise = phased_average(f, phase, base, m[0])
+    W = _shift_matrix(f, base, m[0], N)
+    premise = _phased_mean(W, phase)
     if premise == 0.0:
         return PhaseConstancyResult(None, 0.0, 0.0, "no_premise")
     snapped = np.stack(
@@ -276,10 +287,11 @@ def phase_constancy_search(f: Line, alphas: Sequence[PhaseTable],
     for idx in order[:CONSTANCY_TOP_K]:
         nums = tuples[idx]
         betas = tuple(TorusPhase.exact(int(nums[j]), grids[j]) for j in range(k))
-        const = np.zeros((base, N))
+        # the constant phase depends on r only: one row for every x
+        const = np.zeros(N)
         for j in range(k):
-            const += float(betas[j].approx) * (rs ** powers[j])[None, :]
-        achieved = phased_average(f, const, base, m[0])
+            const += float(betas[j].approx) * (rs ** powers[j])
+        achieved = _phased_mean(W, const)
         candidates.append({"tuple": [int(v) for v in nums],
                            "count": int(counts[idx]), "achieved": achieved})
         if best is None or achieved > best[0] + 1e-15:

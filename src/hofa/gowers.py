@@ -22,8 +22,11 @@ in the order of the one-h-at-a-time computation, so the reports are the
 same to the bit.
 
 ``u2_inverse`` refines the ``U2_CANDIDATES`` largest lobes of its DFT grid by
-``GOLDEN_ITERS`` golden-section steps each; ``same_coord_verify`` states its
-threshold kappa delta^3 N2^(s+2) with kappa = ``SAME_COORD_KAPPA``.
+``GOLDEN_ITERS`` golden-section steps each.  The lobes step in lockstep: each
+step evaluates the sums at one probe per lobe as a single (lobes, N) array,
+and every lobe's bracket follows the one-lobe search exactly, so the result
+is the same to the bit.  ``same_coord_verify`` states its threshold
+kappa delta^3 N2^(s+2) with kappa = ``SAME_COORD_KAPPA``.
 """
 
 from __future__ import annotations
@@ -214,27 +217,47 @@ def u2_via_spectrum(f: Line | np.ndarray) -> float:
     return float(np.mean(np.abs(spec) ** 4))
 
 
-def _linear_sum(values: np.ndarray, xs: np.ndarray, alpha: float) -> complex:
-    return complex(np.sum(values * np.exp(2j * np.pi * alpha * xs)))
+def _linear_sum(values: np.ndarray, xs: np.ndarray,
+                alphas: Sequence[float]) -> list[complex]:
+    """sum_x values(x) e(alpha xs(x)) for each alpha, as Python complexes.
+
+    One (len(alphas), N) evaluation; each row is summed in the order of a
+    one-alpha sum, so every entry equals that sum to the bit.
+    """
+    phases = np.asarray(alphas, dtype=np.float64)[:, None]
+    return np.sum(values * np.exp(2j * np.pi * phases * xs), axis=1).tolist()
 
 
-def _golden_max(fun: Callable[[float], float], lo: float,
-                hi: float) -> tuple[float, float]:
+def _golden_max(fun: Callable[[list], list[float]], lo: Sequence[float],
+                hi: Sequence[float]) -> tuple[list, list[float]]:
+    """Golden-section maxima of ``fun`` on the brackets [lo_i, hi_i].
+
+    The brackets step in lockstep: ``fun`` maps one point per bracket to
+    their values, and is called GOLDEN_ITERS + 3 times in all.  Each bracket
+    takes the steps that a search on it alone would take.
+    """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    a, b = list(lo), list(hi)
+    c = [bi - invphi * (bi - ai) for ai, bi in zip(a, b)]
+    d = [ai + invphi * (bi - ai) for ai, bi in zip(a, b)]
     fc, fd = fun(c), fun(d)
     for _ in range(GOLDEN_ITERS):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    x = (a + b) / 2
+        # keep [a, d] where f(c) > f(d), else [c, b]; then probe the new point
+        left = [fci > fdi for fci, fdi in zip(fc, fd)]
+        for i, keep_left in enumerate(left):
+            if keep_left:
+                b[i], d[i], fd[i] = d[i], c[i], fc[i]
+                c[i] = b[i] - invphi * (b[i] - a[i])
+            else:
+                a[i], c[i], fc[i] = c[i], d[i], fd[i]
+                d[i] = a[i] + invphi * (b[i] - a[i])
+        probes = fun([ci if kl else di for ci, di, kl in zip(c, d, left)])
+        for i, (keep_left, v) in enumerate(zip(left, probes)):
+            if keep_left:
+                fc[i] = v
+            else:
+                fd[i] = v
+    x = [(ai + bi) / 2 for ai, bi in zip(a, b)]
     return x, fun(x)
 
 
@@ -242,9 +265,9 @@ def u2_inverse(f: Line) -> tuple[TorusPhase, float]:
     """Frequency alpha maximizing |sum f(x) e(-alpha x)| and the maximum.
 
     Scans 8N equispaced torus points (N the support length), then refines the
-    U2_CANDIDATES best lobes by golden section.  The returned magnitude satisfies the
-    degree-2 lower bound  mag^2 * sum |f|^2 >= U2 inner sum - 1e-6 N^3, which
-    is asserted.
+    U2_CANDIDATES best lobes by golden section, all lobes in lockstep.  The
+    returned magnitude satisfies the degree-2 lower bound
+    mag^2 * sum |f|^2 >= U2 inner sum - 1e-6 N^3, which is asserted.
     """
     nz = np.nonzero(f.values)[0]
     if len(nz) == 0:
@@ -257,13 +280,16 @@ def u2_inverse(f: Line) -> tuple[TorusPhase, float]:
     # |sum f(x) e(-ax)| on the grid is a zero-padded DFT magnitude; the
     # support offset only rotates the phase, not the magnitude
     mags = np.abs(np.fft.fft(values, n=grid))
-    order = np.argsort(mags)[::-1][:U2_CANDIDATES]
+    centres = ks[np.sort(np.argsort(mags)[::-1][:U2_CANDIDATES])]
+    # the DFT grid ignores the support offset; the refinement evaluates the
+    # sums directly.  The (lobes, N) array is the size of the DFT grid.
+    # Python abs of each sum: np.abs of the array can differ in the last
+    # bit and so change the bracket steps
+    fun = lambda pts: [abs(z) for z in _linear_sum(values, xs, [-p for p in pts])]
+    alphas, refined = _golden_max(fun, [a0 - 1.0 / grid for a0 in centres],
+                                  [a0 + 1.0 / grid for a0 in centres])
     best_alpha, best_mag = 0.0, -1.0
-    fun = lambda a: abs(_linear_sum(values, xs, -a))
-    for k in sorted(order):
-        a0 = ks[k]
-        alpha, mag = _golden_max(fun, a0 - 1.0 / grid, a0 + 1.0 / grid)
-        # the DFT grid ignores the support offset; re-evaluate directly
+    for alpha, mag in zip(alphas, refined):
         if mag > best_mag:
             best_alpha, best_mag = alpha % 1.0, mag
     u4 = u2_via_spectrum(f)

@@ -3,6 +3,8 @@
 Each property runs ``trials`` independent instances off a Philox substream
 and reports pass/fail/vacuous counts.  Failures are genuine violations of an
 identity or bound; vacuous counts instances whose premise did not fire.
+``trials`` is capped at ``MAX_TRIALS``, which bounds the run time of a
+legal request.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ from .partition import (APPartition, almost_refinement_delta, cond_expect,
                         projection_lk_norm, refinement_pythagoras,
                         self_adjointness_check, shift_norm_delta)
 from .rng import make_rng
+
+# trials per property; ``verify all`` at the cap takes about 15 s on a
+# 2-core x86-64 host
+MAX_TRIALS = 1000
 
 
 @dataclass

@@ -301,6 +301,28 @@ def test_verify_deterministic_given_seed():
     assert a.stdout == b.stdout
 
 
+def test_verify_trials_capped_exit2(monkeypatch, capsys):
+    # trials in [1, MAX_TRIALS] reach the suites; more exit 2 before any run
+    from hofa import verify
+    ran = []
+
+    def fake_suite(suite, seed, trials):
+        ran.append(trials)
+        return {"suite": suite, "seed": seed, "trials": trials,
+                "failures": 0, "properties": []}
+
+    monkeypatch.setattr(verify, "run_suite", fake_suite)
+    for trials in (1, 20, verify.MAX_TRIALS):
+        assert cli.main(["verify", "all", "--trials", str(trials)]) == 0
+    assert ran == [1, 20, verify.MAX_TRIALS]
+    capsys.readouterr()
+    for trials in (0, verify.MAX_TRIALS + 1, 1000000):
+        assert cli.main(["verify", "all", "--trials", str(trials)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "usage error" in err and "--trials" in err
+    assert ran == [1, 20, verify.MAX_TRIALS]
+
+
 def test_bench_csv_and_agreement():
     proc = run_cli("bench", "--box", "16,64", "--M", "5", "--p", "0.5")
     assert proc.returncode == 0

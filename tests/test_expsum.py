@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import random_grid
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hofa import expsum
 from hofa.core import BoxSpec, GridFunction, Line, PhaseTable, TorusPhase
@@ -29,6 +31,28 @@ def test_weyl_sum_exact_reduction_matches_direct():
             for n in range(1, N + 1)) / N
         assert main == pytest.approx(direct, abs=1e-9)
         assert abs(main) <= 1 + 1e-12
+
+
+def weyl_sum_reference(alphas, N):
+    """Exact path by definition: the phase of n is sum_i alpha_i n^i mod 1 as
+    a Fraction, rounded to a float once per term."""
+    total = 0j
+    for n in range(1, N + 1):
+        phase = sum(a.frac * n**i for i, a in enumerate(alphas, start=1)) % 1
+        total += cmath.exp(2j * cmath.pi * float(phase))
+    return total / N
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+                min_size=1, max_size=3),
+       st.integers(1, 300))
+# three primes near 10^6: L = lcm(T_i) is about 10^18, past 2^53, where
+# rounding the numerator or L to a float first would change the phase
+@example([(123_457, 999_983), (-654_321, 999_979), (777_777, 999_961)], 300)
+def test_weyl_sum_exact_equals_fraction_reference(phases, N):
+    alphas = [TorusPhase.exact(t, T) for t, T in phases]
+    assert expsum.weyl_sum(alphas, N) == weyl_sum_reference(alphas, N)
 
 
 def test_rational_approx_exact_recovery():
@@ -184,6 +208,50 @@ def test_phase_constancy_recovers_majority():
     res = expsum.phase_constancy_search(f, [al], m, N, 0.3)
     assert res.status == "found"
     assert res.betas[0].approx < 0.05 or res.betas[0].approx > 0.95
+
+
+@pytest.mark.parametrize("N,m,delta", [(8, (2, 3), 0.3), (5, (1, 2, 3), 0.5),
+                                        (4, (2, 1, 2), 0.7)])
+def test_phase_constancy_values_equal_phased_average(N, m, delta):
+    # the search reuses one shift matrix; every average it reports is the
+    # one phased_average computes on its own, to the bit
+    rng = make_rng(35)
+    k = len(m) - 1
+    base = N ** m[0]
+    tables = [PhaseTable.from_floats(BoxSpec((base,)), rng.random(base))
+              for _ in range(k)]
+    f = Line(1, np.exp(2j * np.pi * rng.random(2 * base)))
+    res = expsum.phase_constancy_search(f, tables, m, N, delta)
+    assert res.status == "found" and len(res.candidates) > 1
+    rs = np.arange(1, N + 1)
+    phase = np.zeros((base, N))
+    for tab, p in zip(tables, m[1:]):
+        phase += np.outer(tab.frac, rs ** p)
+    assert res.premise == expsum.phased_average(f, phase, base, m[0])
+    grids = [int(np.ceil(2 * k * N**p / delta)) for p in m[1:]]
+    for cand in res.candidates:
+        const = np.zeros((base, N))
+        for t, T, p in zip(cand["tuple"], grids, m[1:]):
+            const += TorusPhase.exact(t, T).approx * (rs ** p)[None, :]
+        assert cand["achieved"] == expsum.phased_average(f, const, base, m[0])
+    assert res.achieved == max(c["achieved"] for c in res.candidates)
+
+
+def test_phase_constancy_builds_one_shift_matrix(monkeypatch):
+    built = []
+    shift_matrix = expsum._shift_matrix
+
+    def counted(*args):
+        built.append(args)
+        return shift_matrix(*args)
+
+    monkeypatch.setattr(expsum, "_shift_matrix", counted)
+    rng = make_rng(36)
+    al = PhaseTable.from_floats(BoxSpec((64,)), rng.random(64))
+    res = expsum.phase_constancy_search(Line(1, np.ones(128, dtype=complex)),
+                                        [al], (2, 3), 8, 0.3)
+    assert len(res.candidates) == expsum.CONSTANCY_TOP_K
+    assert len(built) == 1
 
 
 def test_fourier_certificate_constant():

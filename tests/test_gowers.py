@@ -106,6 +106,69 @@ def test_u2_inverse_beats_dense_grid():
         assert mag >= dense - 1e-6
 
 
+def u2_inverse_reference(f):
+    """The scalar search: each lobe refined on its own by golden section, one
+    single-frequency sum per probe."""
+    nz = np.nonzero(f.values)[0]
+    values = f.values[nz[0]:nz[-1] + 1]
+    xs = (np.arange(len(values)) + f.start + int(nz[0])).astype(np.float64)
+    grid = max(8 * len(values), 8)
+    ks = np.arange(grid) / grid
+    order = np.argsort(np.abs(np.fft.fft(values, n=grid)))[::-1]
+
+    def fun(a):
+        return abs(complex(np.sum(values * np.exp(2j * np.pi * -a * xs))))
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    best_alpha, best_mag = 0.0, -1.0
+    for k in sorted(order[:gowers.U2_CANDIDATES]):
+        a, b = ks[k] - 1.0 / grid, ks[k] + 1.0 / grid
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        fc, fd = fun(c), fun(d)
+        for _ in range(gowers.GOLDEN_ITERS):
+            if fc > fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = fun(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = fun(d)
+        x = (a + b) / 2
+        mag = fun(x)
+        if mag > best_mag:
+            best_alpha, best_mag = x % 1.0, mag
+    return TorusPhase.from_float(best_alpha).approx, best_mag
+
+
+def test_u2_inverse_equals_scalar_golden_search():
+    rng = make_rng(25)
+    for n in range(8, 65):
+        start = int(rng.choice([-1, 1])) * int(rng.integers(1, 40))
+        kind = ("complex", "signs", "indicator")[n % 3]
+        vals = random_grid(rng, (n,), kind).values
+        if not vals.any():
+            vals[0] = 1.0
+        f = Line(start, vals)
+        alpha, mag = gowers.u2_inverse(f)
+        assert (alpha.approx, mag) == u2_inverse_reference(f), n
+
+
+def test_u2_inverse_one_sum_per_golden_step(monkeypatch):
+    # the lobes step in lockstep: one batched sum per step, not one per lobe
+    calls = []
+    linear_sum = gowers._linear_sum
+
+    def counted(values, xs, alphas):
+        calls.append(len(alphas))
+        return linear_sum(values, xs, alphas)
+
+    monkeypatch.setattr(gowers, "_linear_sum", counted)
+    rng = make_rng(26)
+    gowers.u2_inverse(Line(-7, random_grid(rng, (50,)).values))
+    assert calls == [gowers.U2_CANDIDATES] * (gowers.GOLDEN_ITERS + 3)
+
+
 def test_mult_diff_phase_telescopes():
     N = 20
     alpha = 0.23
