@@ -41,7 +41,7 @@ import numpy as np
 
 from . import counting, kernels
 from .core import (BoxSpec, ConfigSpec, DecompositionError, PhaseTable,
-                   SetIndicator, TorusPhase)
+                   SetIndicator, TorusPhase, _check_exponents)
 from .rng import make_rng
 from .setfile import SetFileError, read_set, write_set
 
@@ -122,7 +122,7 @@ def _apply_threads(args) -> None:
 
 def cmd_count(args) -> int:
     A = read_set(args.set)
-    m = _parse_ints(args.m)
+    m = _check_exponents(_parse_ints(args.m))
     phases = ([_parse_phase(part) for part in args.phase_const.split(",")]
               if args.phase_const else [])
     k = len(phases)
@@ -136,18 +136,15 @@ def cmd_count(args) -> int:
             raise UsageError("--N sets the range of the power-box operator; "
                              "--q and --M belong to the general operator")
         operator = "phased" if phases else "simple"
-        rng_size = args.N
-        spec = ConfigSpec(m[:n], BoxSpec([args.N ** mi for mi in m[:n]]), 1,
-                          args.N)
+        spec = ConfigSpec.power(m[:n], args.N)
     else:
         if phases:
             raise UsageError("--phase-const needs --N (the phased operator "
                              "averages over the power box)")
         operator = "general"
-        rng_size = args.M if args.M is not None else 1
         spec = ConfigSpec(m, A.box, q=1 if args.q is None else args.q,
-                          M=rng_size)
-    norm = rng_size * spec.box.cells
+                          M=1 if args.M is None else args.M)
+    norm = spec.box.cells * spec.M
     if args.oracle and norm > counting.ORACLE_MAX_TERMS:
         raise ValueError(f"--oracle needs cells x range <= 2^20, got {norm}")
     fs = [A] * (n + 1)
@@ -207,7 +204,7 @@ def cmd_popdiff(args) -> int:
     elif args.delta is not None or args.fallback:
         raise UsageError("--delta and --fallback belong to --pipeline")
     A = read_set(args.set)
-    m = _parse_ints(args.m)
+    m = _check_exponents(_parse_ints(args.m))
     if A.box.n != len(m):
         raise ValueError(f"set is {A.box.n}-D but m has {len(m)} entries")
     if A.count == 0:
@@ -303,16 +300,16 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     box = BoxSpec(_parse_ints(args.box))
-    m = _parse_ints(args.m)
+    m = _check_exponents(_parse_ints(args.m))
     if len(m) != box.n:
         raise UsageError(f"--m has {len(m)} entries but --box has {box.n} "
                          "axes")
     _check_p(args.p)
-    rng = make_rng(args.seed)
-    mask = rng.random(box.dims) < args.p
     M = args.M if args.M is not None else max(1, box.dims[0] - 1)
     spec = ConfigSpec(m, box, 1, M)
-    # warm-up; checks the range
+    rng = make_rng(args.seed)
+    mask = rng.random(box.dims) < args.p
+    # warm-up
     counting.lambda_indicator_counts([SetIndicator(box, mask)] * (box.n + 1), spec)
     t0 = time.perf_counter()
     # a fresh indicator, so that the one packing is timed too
@@ -322,7 +319,7 @@ def cmd_bench(args) -> int:
     masks = [mask] * (box.n + 1)
     naive = counting._over_differences(
         lambda r, shifts: kernels.pattern_count_pointwise(masks, box.dims, shifts),
-        masks, m, 1, M)
+        masks, spec)
     t2 = time.perf_counter()
     sys.stdout.write("impl,box,M,total_count,seconds\n")
     for name, total, dt in (("fast", fast.sum(), t1 - t0),

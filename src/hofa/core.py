@@ -18,11 +18,16 @@ Conventions used throughout the package:
 * A ``SetIndicator`` is stored as packed ``uint64`` words
   (``kernels.PackedMask``); its boolean mask is unpacked only when a caller
   needs cells, and then cached; as ``values`` it is the set's 0/1 weight.
+* Each type refuses at construction what breaks its invariants: ``BoxSpec``
+  the cell cap ``MAX_GRID_CELLS``; ``ConfigSpec`` one exponent per axis in
+  [1, ``MAX_EXPONENT``], q >= 1 and M in [1, 2^27].  ``ConfigSpec.power`` is
+  the one power box, and ``validate`` reports only the theory's conditions.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -33,6 +38,9 @@ from . import kernels
 
 MAX_GRID_CELLS = 1 << 27
 MAX_GRID_DIM = 3
+# with q r >= 2 a shift (q r)^(m_j), m_j >= 28, passes every extent (at most
+# 2^28, a doubled axis of a capped box), so a larger exponent changes no count
+MAX_EXPONENT = 64
 
 
 class DecompositionError(RuntimeError):
@@ -44,8 +52,7 @@ class DecompositionError(RuntimeError):
 
 def _integer_root(N: int, m: int) -> int:
     """The largest r >= 0 with r^m <= N (exact integer comparison)."""
-    if m < 1:
-        raise ValueError(f"exponents must be >= 1, got {m}")
+    _check_exponents((m,))
     r = int(round(N ** (1.0 / m)))
     while r**m > N:
         r -= 1
@@ -60,12 +67,34 @@ def _as_dims(dims: Sequence[int]) -> tuple[int, ...]:
         raise ValueError("box needs at least one axis")
     if any(d < 1 for d in out):
         raise ValueError(f"box dims must be positive, got {out}")
+    cells = math.prod(out)
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(f"box {'x'.join(map(str, out))} has {cells} cells, "
+                         "more than the dense-storage cap of 2^27")
     return out
+
+
+def _check_exponents(m: Sequence[int]) -> tuple[int, ...]:
+    """``m`` as a tuple of ints, each in [1, MAX_EXPONENT]; checked before
+    anything is raised to an exponent."""
+    m = tuple(int(v) for v in m)
+    if not all(1 <= v <= MAX_EXPONENT for v in m):
+        raise ValueError(f"exponents must be >= 1 and at most {MAX_EXPONENT}, "
+                         f"got {m}")
+    return m
+
+
+def _check_range(M: int) -> int:
+    M = int(M)
+    if not 1 <= M <= MAX_GRID_CELLS:
+        raise ValueError(f"difference range M = {M} must lie in [1, 2^27]")
+    return M
 
 
 @dataclass(frozen=True)
 class BoxSpec:
-    """The product box [1, N_1] x ... x [1, N_n]."""
+    """The product box [1, N_1] x ... x [1, N_n], with every N_j >= 1 and at
+    most ``MAX_GRID_CELLS`` cells."""
 
     dims: tuple[int, ...]
 
@@ -78,10 +107,7 @@ class BoxSpec:
 
     @property
     def cells(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
+        return math.prod(self.dims)
 
     def chain_issues(self, m: Sequence[int]) -> list[str]:
         """Check N_n^(1/m_n) <= ... <= N_1^(1/m_1) exactly in integers.
@@ -121,9 +147,6 @@ class GridFunction:
     def __post_init__(self):
         if self.box.n > MAX_GRID_DIM:
             raise ValueError(f"dense grids support n <= {MAX_GRID_DIM}")
-        if self.box.cells > MAX_GRID_CELLS:
-            raise ValueError(
-                f"box {self.box} exceeds the dense-storage cap of 2^27 cells")
         self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
         if self.values.shape != self.box.dims:
             raise ValueError(
@@ -305,7 +328,8 @@ class ConfigSpec:
     """Parameters of a counting configuration: exponents, box, modulus, range.
 
     The counted pattern is x, x + (q r)^(m_1) e_1, ..., x + (q r)^(m_n) e_n
-    with x in the box and r in [1, M].
+    with x in the box and r in [1, M].  A spec that no operator can run is
+    refused (see the module notes).
     """
 
     m: tuple[int, ...]
@@ -314,10 +338,22 @@ class ConfigSpec:
     M: int = 1
 
     def __init__(self, m: Sequence[int], box: BoxSpec, q: int = 1, M: int = 1):
-        object.__setattr__(self, "m", tuple(int(v) for v in m))
+        m, q = _check_exponents(m), int(q)
+        if len(m) != box.n:
+            raise ValueError(f"m has {len(m)} entries, box has {box.n} axes")
+        if q < 1:
+            raise ValueError(f"modulus q must be >= 1, got {q}")
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "box", box)
-        object.__setattr__(self, "q", int(q))
-        object.__setattr__(self, "M", int(M))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "M", _check_range(M))
+
+    @classmethod
+    def power(cls, m: Sequence[int], N: int) -> "ConfigSpec":
+        """The power-box spec: box [N^(m_1)] x ... x [N^(m_n)], q = 1, M = N,
+        so box.cells * M is N^(m_1 + ... + m_n + 1); checked before powering."""
+        m, N = _check_exponents(m), _check_range(N)
+        return cls(m, BoxSpec([N ** mi for mi in m]), 1, N)
 
     @property
     def n(self) -> int:
@@ -353,24 +389,18 @@ class ValidationReport:
 
 
 def validate_config(spec: ConfigSpec) -> ValidationReport:
-    """Check a ConfigSpec against its invariants, reporting each one."""
+    """Report what a runnable ConfigSpec may still miss of the theory: strictly
+    increasing exponents, the box chain and the range condition."""
     rep = ValidationReport()
     m, dims = spec.m, spec.box.dims
-    rep.add("dimension match", len(m) == len(dims),
-            f"m has {len(m)} entries, box has {len(dims)} axes")
-    rep.add("m positive", all(v >= 1 for v in m), f"m={m}")
     rep.add("m strictly increasing",
             all(a < b for a, b in zip(m, m[1:])), f"m={m}")
-    rep.add("q positive", spec.q >= 1, f"q={spec.q}")
-    rep.add("M positive", spec.M >= 1, f"M={spec.M}")
-    if len(m) == len(dims):
-        issues = spec.box.chain_issues(m)
-        rep.add("box chain", not issues, "; ".join(issues))
-        # qM <= N_n^(1/m_n), checked as (qM)^(m_n) <= N_n in exact integers
-        qm = spec.q * spec.M
-        ok = qm ** m[-1] <= dims[-1]
-        rep.add("range condition", ok,
-                f"(qM)^m_n = {qm}^{m[-1]} vs N_n = {dims[-1]}")
+    issues = spec.box.chain_issues(m)
+    rep.add("box chain", not issues, "; ".join(issues))
+    # qM <= N_n^(1/m_n), checked as (qM)^(m_n) <= N_n in exact integers
+    qm = spec.q * spec.M
+    rep.add("range condition", qm ** m[-1] <= dims[-1],
+            f"(qM)^m_n = {qm}^{m[-1]} vs N_n = {dims[-1]}")
     return rep
 
 

@@ -11,14 +11,20 @@ weights, or sets as their own 0/1 weights, give the averaged operators
 ``popular_count``) built on the kernels module.  ``best_popular_difference``
 is the one direct popular-difference search (``popdiff``, and the
 pipeline's vacuous and fallback paths), and ``PopDiffResult`` the one result
-of both ``popdiff`` modes.  ``_over_differences`` is the one loop over r: it
-checks the range, stops after the last r with a base point and spreads the
-r over the ``set_threads`` workers.  Per r, the
-complex operators multiply the cropped views of ``kernels.pattern_views``;
-the integer path counts on the indicators' packed words
-(``SetIndicator.packed``, so a set read from a binary file is never
-unpacked) with the packed-word kernel ``kernels.pattern_count_fast`` and
-returns a ``Histogram`` that keeps only the counted prefix of the range.
+of both ``popdiff`` modes.  Every operator takes its exponents, modulus and
+range as a ``core.ConfigSpec``, which refuses at construction what no
+operator can run; the power-box operators (``lambda_simple``,
+``lambda_phased`` and their oracles) take ``ConfigSpec.power(m, N)``, and
+every normalization is ``spec.box.cells * spec.M``.  ``_over_differences``
+is the one loop over r: it stops after the last r with a base point
+(``_useful_shifts``, which the oracles share) and spreads the r over the
+``set_threads`` workers.  ``_shifts`` keeps a 2^62 guard, since the
+pointwise oracle indexes in int64.  Per r, the complex operators multiply
+the cropped views of ``kernels.pattern_views``; the integer path counts on
+the indicators' packed words (``SetIndicator.packed``, so a set read from a
+binary file is never unpacked) with the packed-word kernel
+``kernels.pattern_count_fast`` and returns a ``Histogram`` that keeps only
+the counted prefix of the range.
 ``_lambda_sum`` and ``pattern_views`` treat leading array axes as batch
 axes, so the averaging identity sums the simple operator over every
 translate x at once: its strided zero-padded windows for all x are one
@@ -30,6 +36,7 @@ bounds what ``count --oracle`` asks of them.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -37,8 +44,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import kernels
-from .core import (MAX_GRID_CELLS, BoxSpec, ConfigSpec, GridFunction,
-                   PhaseTable, SetIndicator, _integer_root, read_translates,
+from .core import (ConfigSpec, GridFunction, PhaseTable, SetIndicator,
+                   _check_exponents, _integer_root, read_translates,
                    read_window)
 
 # a weight of the averaged operators: a complex grid, or a set as its 0/1 mask
@@ -61,14 +68,11 @@ def set_threads(k: int) -> None:
     _threads = k
 
 
-def _check_shift(d: int) -> int:
-    if d > MAX_SHIFT:
-        raise OverflowError(f"shift {d} exceeds 2^62 index guard")
-    return d
-
-
 def _shifts(m: Sequence[int], step: int) -> tuple[int, ...]:
-    return tuple(_check_shift(step ** mi) for mi in m)
+    shifts = tuple(step ** mi for mi in _check_exponents(m))
+    if max(shifts) > MAX_SHIFT:
+        raise OverflowError(f"shift {max(shifts)} exceeds 2^62 index guard")
+    return shifts
 
 
 def _check_compatible(fs: Sequence[Weight],
@@ -82,31 +86,28 @@ def _check_compatible(fs: Sequence[Weight],
                     f"f_{i} axis {a + 1} has extent {d}; expected {b} or {2 * b}")
 
 
-def _over_differences(term: Callable[[int, tuple[int, ...]], object],
-                      arrays: Sequence, m: Sequence[int], q: int,
-                      M: int) -> list:
-    """``term(r, shifts)`` with shifts[j] = (q r)^(m_j), for r = 1, 2, ...
-    while every shifts[j] is below the extent of ``arrays[j + 1]`` along
-    axis j of its trailing n = len(m) axes, in r order, on ``set_threads``
-    workers.
-
-    Each shift grows with r, so no r past the first failing one has a base
-    point and the terms of r beyond the returned ones are all zero.
-    """
-    if not 1 <= M <= MAX_GRID_CELLS:
-        raise ValueError(f"difference range M = {M} must lie in [1, 2^27]")
-    if q < 1:
-        raise ValueError(f"modulus q must be >= 1, got {q}")
-    if min(m) < 1:
-        raise ValueError(f"exponents must be >= 1, got {m}")
-    n = len(m)
-    extents = [a.shape[j - n] for j, a in enumerate(arrays[1:])]
+def _useful_shifts(spec: ConfigSpec,
+                   extents: Sequence[int]) -> list[tuple[int, ...]]:
+    """The shifts (q r)^(m_j) of r = 1, 2, ..., M while every one is below
+    ``extents[j]``.  Each shift grows with r, so no later r has a base
+    point."""
     rows = []
-    for r in range(1, M + 1):
-        shifts = tuple([(q * r) ** mi for mi in m])
+    for r in range(1, spec.M + 1):
+        shifts = tuple([(spec.q * r) ** mi for mi in spec.m])
         if not all(map(operator.lt, shifts, extents)):
             break
         rows.append(shifts)
+    return rows
+
+
+def _over_differences(term: Callable[[int, tuple[int, ...]], object],
+                      arrays: Sequence, spec: ConfigSpec) -> list:
+    """``term(r, shifts)`` over the ``_useful_shifts`` of ``spec`` below the
+    extent of ``arrays[j + 1]`` along axis j of its trailing n axes, in r
+    order, on ``set_threads`` workers; the terms of later r are all zero.
+    """
+    rows = _useful_shifts(
+        spec, [a.shape[j - spec.n] for j, a in enumerate(arrays[1:])])
     if _threads > 1 and len(rows) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -115,19 +116,19 @@ def _over_differences(term: Callable[[int, tuple[int, ...]], object],
     return [term(r, row) for r, row in enumerate(rows, 1)]
 
 
-def _lambda_sum(arrays: Sequence[np.ndarray], base_dims: tuple[int, ...],
-                m: Sequence[int], q: int, M: int,
+def _lambda_sum(arrays: Sequence[np.ndarray], spec: ConfigSpec,
                 phase: Callable[[int], np.ndarray] | None = None) -> complex:
     """Sum over r in [M] of sum_x f_0(x) prod_j f_j(x + (q r)^(m_j) e_j)
-    [* phase(r)(x)], where f_i is the grid ``arrays[i]`` (zero outside it).
+    [* phase(r)(x)] for the (m, q, M) of ``spec``, with x in its box, where
+    f_i is the grid ``arrays[i]`` (zero outside it).
 
-    The trailing n = len(base_dims) axes of each array are the grid; leading
+    The trailing n axes of each array are the grid; leading
     axes are batch axes, and the sum runs over them too, so a stack of
     grids is summed in one call per r.  A product of boolean arrays (sets)
     stays boolean; the first product takes the dtype of all the arrays, so
     the later factors multiply in place.  Callers check the grid extents
     (``_check_compatible``)."""
-    n = len(base_dims)
+    n, base_dims = spec.n, spec.box.dims
     dtype = np.result_type(*arrays)
 
     def term(r: int, shifts: tuple[int, ...]) -> complex:
@@ -140,7 +141,7 @@ def _lambda_sum(arrays: Sequence[np.ndarray], base_dims: tuple[int, ...],
             prod = prod * phase(r)[tuple(slice(0, d) for d in prod.shape[-n:])]
         return prod.sum()
 
-    per_r = _over_differences(term, arrays, m, q, M)
+    per_r = _over_differences(term, arrays, spec)
     return complex(np.sum(np.asarray(per_r))) if per_r else 0j
 
 
@@ -150,15 +151,10 @@ def lambda_simple(fs: Sequence[Weight], m: Sequence[int], N: int) -> complex:
 
     Each f_j lives on the base box, possibly doubled along any axis; reads
     outside its own box are zero.  The normalization is exactly
-    N^(m_1 + ... + m_n) * N.  This is lambda_general with q = 1, M = N on the
-    box prod [N^(m_j)].
+    N^(m_1 + ... + m_n) * N.  This is lambda_general on the power-box spec
+    ``ConfigSpec.power(m, N)``.
     """
-    m = tuple(int(v) for v in m)
-    n = len(fs) - 1
-    if len(m) != n:
-        raise ValueError(f"{n + 1} functions need an exponent tuple of length {n}")
-    box = BoxSpec([_check_shift(N ** mi) for mi in m])
-    return lambda_general(fs, ConfigSpec(m, box, q=1, M=N))
+    return lambda_general(fs, ConfigSpec.power(m, N))
 
 
 def lambda_general(fs: Sequence[Weight], spec: ConfigSpec) -> complex:
@@ -168,8 +164,7 @@ def lambda_general(fs: Sequence[Weight], spec: ConfigSpec) -> complex:
     if len(fs) != n + 1:
         raise ValueError(f"spec has n={n}, got {len(fs)} functions")
     _check_compatible(fs, spec.box.dims)
-    total = _lambda_sum([f.values for f in fs], spec.box.dims, spec.m,
-                        spec.q, spec.M)
+    total = _lambda_sum([f.values for f in fs], spec)
     return total / (spec.box.cells * spec.M)
 
 
@@ -180,14 +175,15 @@ def lambda_phased(fs: Sequence[Weight], alphas: Sequence[PhaseTable],
     ``m`` has length n + k where k = len(alphas); the first n exponents drive
     the shifts and the last k drive the phase powers.
     """
-    m = tuple(int(v) for v in m)
+    m = _check_exponents(m)
     n = len(fs) - 1
     k = len(alphas)
     if len(m) != n + k:
         raise ValueError(f"need {n + k} exponents, got {len(m)}")
     if any(a >= b for a, b in zip(m, m[1:])):
         raise ValueError(f"m must be strictly increasing, got {m}")
-    base_dims = tuple(_check_shift(N ** mi) for mi in m[:n])
+    spec = ConfigSpec.power(m[:n], N)
+    base_dims = spec.box.dims
     zero = (0,) * n
     alpha_wins = [read_window(a.frac, zero, base_dims) for a in alphas]
 
@@ -198,12 +194,8 @@ def lambda_phased(fs: Sequence[Weight], alphas: Sequence[PhaseTable],
         return np.exp(2j * np.pi * acc)
 
     _check_compatible(fs, base_dims)
-    total = _lambda_sum([f.values for f in fs], base_dims, m[:n], 1, N,
-                        phase if k else None)
-    norm = N
-    for d in base_dims:
-        norm *= d
-    return total / norm
+    total = _lambda_sum([f.values for f in fs], spec, phase if k else None)
+    return total / (spec.box.cells * spec.M)
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +214,10 @@ def _read_point(f: Weight, pt: Sequence[int]) -> complex:
     return complex(f.values[idx])
 
 
-def _last_useful_r(fs: Sequence[Weight], m: Sequence[int], q: int,
-                   M: int) -> int:
-    # The last r <= M before some shift (q r)^(m_j) reaches the extent of
-    # f_{j+1} along axis j.  From that r on the read of f_{j+1} is outside
-    # its box for every x, since the shift only grows with r (q >= 1).
-    for r in range(1, M + 1):
-        if any((q * r) ** mj >= f.box.dims[j]
-               for j, (mj, f) in enumerate(zip(m, fs[1:]))):
-            return r - 1
-    return M
+def _last_useful_r(fs: Sequence[Weight], spec: ConfigSpec) -> int:
+    # past it the read of some f_{j+1} is outside its box for every x
+    return len(_useful_shifts(spec, [f.box.dims[j]
+                                     for j, f in enumerate(fs[1:])]))
 
 
 def lambda_phased_bruteforce(fs: Sequence[Weight],
@@ -240,10 +226,10 @@ def lambda_phased_bruteforce(fs: Sequence[Weight],
     m = tuple(int(v) for v in m)
     n = len(fs) - 1
     k = len(alphas)
-    base_dims = tuple(N ** mi for mi in m[:n])
-    r_stop = _last_useful_r(fs, m[:n], 1, N)
+    spec = ConfigSpec.power(m[:n], N)
+    r_stop = _last_useful_r(fs, spec)
     total = 0j
-    for idx in np.ndindex(*base_dims):
+    for idx in np.ndindex(*spec.box.dims):
         x = tuple(c + 1 for c in idx)
         for r in range(1, r_stop + 1):
             term = _read_point(fs[0], x)
@@ -259,10 +245,7 @@ def lambda_phased_bruteforce(fs: Sequence[Weight],
             for j in range(k):
                 phase += float(alphas[j].at(x).approx) * (r ** m[n + j])
             total += term * np.exp(2j * np.pi * phase)
-    norm = N
-    for d in base_dims:
-        norm *= d
-    return total / norm
+    return total / (spec.box.cells * spec.M)
 
 
 def lambda_simple_bruteforce(fs, m, N) -> complex:
@@ -270,7 +253,7 @@ def lambda_simple_bruteforce(fs, m, N) -> complex:
 
 
 def lambda_general_bruteforce(fs: Sequence[Weight], spec: ConfigSpec) -> complex:
-    r_stop = _last_useful_r(fs, spec.m, spec.q, spec.M)
+    r_stop = _last_useful_r(fs, spec)
     total = 0j
     for idx in np.ndindex(*spec.box.dims):
         x = tuple(c + 1 for c in idx)
@@ -294,7 +277,6 @@ def popular_count(A: SetIndicator, m: Sequence[int], r: int) -> int:
     """Exact size of {x in A : x + r^(m_j) e_j in A for every axis j}."""
     if r < 1:
         raise ValueError("difference r must be >= 1")
-    m = tuple(int(v) for v in m)
     if len(m) != A.box.n:
         raise ValueError("exponent tuple does not match the box dimension")
     shifts = _shifts(m, r)
@@ -304,7 +286,7 @@ def popular_count(A: SetIndicator, m: Sequence[int], r: int) -> int:
 
 def popular_count_naive(A: SetIndicator, m: Sequence[int], r: int) -> int:
     """Oracle: member-driven membership loop."""
-    shifts = _shifts(tuple(int(v) for v in m), r)
+    shifts = _shifts(m, r)
     masks = [A.mask] * (A.box.n + 1)
     return kernels.pattern_count_pointwise(masks, A.box.dims, shifts)
 
@@ -371,7 +353,7 @@ def lambda_indicator_counts(inds: Sequence[SetIndicator],
     masks = [A.packed for A in inds]
     counts = _over_differences(
         lambda r, shifts: kernels.pattern_count_fast(masks, spec.box.dims, shifts),
-        masks, spec.m, spec.q, spec.M)
+        masks, spec)
     return Histogram(np.array(counts, dtype=np.int64), spec.M)
 
 
@@ -406,24 +388,20 @@ def averaging_identity_check(fs: Sequence[GridFunction],
     their sum over x, x' and r, it is C total / (M^(m_1 + ... + m_n) M #x).
     """
     lhs = lambda_general(fs, spec)  # also checks fs against the spec
-    n, m, q, M = spec.n, spec.m, spec.q, spec.M
+    n, m, q = spec.n, spec.m, spec.q
     dims = spec.box.dims
-    inner_dims = tuple(_check_shift(M ** mi) for mi in m)
-    c_n = 1.0
-    for d in dims:
-        c_n *= (4 * d + 1) / d
+    inner = ConfigSpec.power(m, spec.M)  # the simple operator at range M
+    inner_dims = inner.box.dims
     strides = tuple(q ** mi for mi in m)
     # x_j in [-2N_j, 2N_j]; the window of x starts at x - 1 + strides
     counts = tuple(4 * d + 1 for d in dims)
+    c_n = math.prod(c / d for c, d in zip(counts, dims))
     first = tuple(s - 1 - 2 * d for s, d in zip(strides, dims))
     wins = []
     for i, f in enumerate(fs):
         out = tuple(2 * inner_dims[a] if (i >= 1 and a == i - 1)
                     else inner_dims[a] for a in range(n))
         wins.append(read_translates(f.values, first, counts, out, strides))
-    total = _lambda_sum(wins, inner_dims, m, 1, M)
-    norm = M
-    for d in inner_dims + counts:
-        norm *= d
-    rhs = c_n * (total / norm)
+    total = _lambda_sum(wins, inner)
+    rhs = c_n * (total / (inner.box.cells * inner.M * math.prod(counts)))
     return lhs, rhs, c_n

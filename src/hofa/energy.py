@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (BoxSpec, ConfigSpec, DecompositionError, GridFunction,
-                   SetIndicator, _integer_root, read_window)
+                   SetIndicator, _check_exponents, _integer_root, read_window)
 from .counting import (PopDiffResult, Weight, best_popular_difference,
                        lambda_general, lambda_indicator_counts)
 from .partition import APPartition, Atoms
@@ -316,14 +316,14 @@ def energy_increment(fs: Sequence[Weight], m: Sequence[int], delta: float,
     every axis at the shrunk scale floor(gamma L), accepting the smallest
     (multiplier, axis) whose axis energy grows by at least tau * N_i.
     """
-    m = tuple(int(v) for v in m)
+    m = _check_exponents(m)
     n = len(m)
     if len(fs) != n + 1:
         raise ValueError(f"need n+1 = {n + 1} weight functions")
-    dims = fs[0].box.dims
-    if any(f.box.dims != dims for f in fs):
+    box = fs[0].box
+    if any(f.box != box for f in fs):
         raise ValueError("weights must share the base box")
-    box = BoxSpec(dims)
+    dims = box.dims
     _check_chain(box, m)
     params = params or IncrementParams()
     gamma, cap = params.resolved(n, delta)
@@ -464,21 +464,16 @@ def lift_1d(A: SetIndicator, m: Sequence[int], N: int) -> tuple[SetIndicator, di
     t = _integer_root(N, m[-1])
     if t ** m[-1] != N:
         raise ValueError(f"N^(1/m_n) = {N}^(1/{m[-1]}) is not an integer")
-    dims = tuple(t ** mi for mi in m)
+    box = ConfigSpec.power(m, t).box  # refuses a box past the cap
+    dims = box.dims
     member = np.zeros(sum(dims) + 1, dtype=bool)
     idx = np.nonzero(A.mask)[0] + 1
     member[idx[idx <= sum(dims)]] = True
-    coord_sum = np.zeros((1,) * n, dtype=np.int64)
-    for a, d in enumerate(dims):
-        shape = [1] * n
-        shape[a] = d
-        coord_sum = coord_sum + np.arange(1, d + 1, dtype=np.int64).reshape(shape)
+    coord_sum = sum(np.ix_(*[np.arange(1, d + 1, dtype=np.int64) for d in dims]))
     mask = member[coord_sum]
-    lifted = SetIndicator(BoxSpec(dims), mask)
-    side = 1
-    for mi in m[:-1]:
-        side *= t**mi
-    lower = (A.count - (n - 1) * t ** m[-2]) * side
+    lifted = SetIndicator(box, mask)
+    side = box.cells // dims[-1]
+    lower = (A.count - (n - 1) * dims[-2]) * side
     report = {"count": lifted.count, "lower_bound": lower,
               "ok": lifted.count >= lower, "t": t, "dims": list(dims)}
     return lifted, report

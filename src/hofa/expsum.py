@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (BoxSpec, GridFunction, Line, PhaseTable, TorusPhase,
-                   read_window)
+from .core import (BoxSpec, ConfigSpec, GridFunction, Line, PhaseTable,
+                   TorusPhase, read_window)
 from .counting import lambda_phased
 from .partition import APPartition, cond_expect
 
@@ -119,7 +119,8 @@ def dual_function(fs: Sequence[GridFunction], alphas: Sequence[PhaseTable],
     if len(m) != n + k:
         raise ValueError(f"need {n + k} exponents, got {len(m)}")
     ax = i - 1
-    out_dims = tuple(2 * N ** m[a] if a == ax else N ** m[a] for a in range(n))
+    out_dims = tuple(2 * d if a == ax else d for a, d in
+                     enumerate(ConfigSpec.power(m[:n], N).box.dims))
     acc = np.zeros(out_dims, dtype=np.complex128)
     for r in range(1, N + 1):
         back = r ** m[ax]
@@ -156,10 +157,7 @@ def stashing_identity_check(fs: Sequence[GridFunction],
     F = dual_function(fs, alphas, m, N, n)
     fn_win = read_window(fs[n].values, (0,) * n, F.box.dims)
     total = complex(np.sum(fn_win * F.values))
-    norm = 1
-    for mi in m[:n]:
-        norm *= N**mi
-    return lhs, total / norm
+    return lhs, total / ConfigSpec.power(m[:n], N).box.cells
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Union
 import numpy as np
 
 from . import kernels
-from .core import MAX_GRID_CELLS, BoxSpec, SetIndicator
+from .core import BoxSpec, SetIndicator
 
 MAGIC = b"HOFA1"
 # cells per block of a binary read (a multiple of 8): bounds the read buffer
@@ -74,13 +74,9 @@ def _parse_header(line: str) -> BoxSpec:
         raise SetFileError(f"header lists {len(dims)} dimensions, more than "
                            f"{MAX_SET_AXES}")
     try:
-        box = BoxSpec(dims)
+        return BoxSpec(dims)  # positive extents, at most 2^27 cells
     except ValueError as exc:
         raise SetFileError(f"bad header line: {exc}") from exc
-    if box.cells > MAX_GRID_CELLS:
-        raise SetFileError(f"box {box} has {box.cells} cells, more than the "
-                           f"dense-storage cap of 2^27")
-    return box
 
 
 def read_set(path: Union[str, os.PathLike]) -> SetIndicator:

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from hofa import cli, counting
-from hofa.setfile import SetFileError, _parse_header, read_set
+from hofa.core import MAX_EXPONENT, BoxSpec, SetIndicator
+from hofa.rng import make_rng
+from hofa.setfile import SetFileError, _parse_header, read_set, write_set
 
 
 def run_cli(*args, cwd=None, timeout=None):
@@ -594,3 +596,62 @@ def test_thread_count_validated_exit2(tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError):
         counting.set_threads(0)
     assert counting._threads == 1
+
+
+@pytest.fixture(scope="module")
+def sets_4x16(tmp_path_factory):
+    """Seeded 4x16 sets at density 0.7 (vacuous at delta 0.5) and 0.9."""
+    paths = {}
+    for p in (0.7, 0.9):
+        paths[p] = tmp_path_factory.mktemp("sets") / f"s{p}.box"
+        mask = make_rng(1).random((4, 16)) < p
+        write_set(SetIndicator(BoxSpec((4, 16)), mask), paths[p])
+    return paths
+
+
+HUGE_M = "1,1000000000"
+
+
+@pytest.mark.parametrize("p, argv", [
+    (0.7, ["popdiff", "--m", HUGE_M]),
+    (0.7, ["popdiff", "--pipeline", "--delta", "0.5", "--fallback",
+           "--m", HUGE_M]),
+    (0.9, ["popdiff", "--pipeline", "--delta", "0.05", "--fallback",
+           "--m", HUGE_M]),
+    (0.9, ["popdiff", "--pipeline", "--delta", "0.05", "--fallback",
+           "--m", "1000000000,1000000001"]),
+    (0.7, ["count", "--m", HUGE_M, "--M", "2"]),
+    (0.7, ["count", "--N", "3", "--m", HUGE_M]),
+    (0.7, ["count", "--N", "2", "--m", "1,100000000"]),
+    (None, ["bench", "--box", "4,16", "--m", HUGE_M]),
+])
+def test_exponents_past_max_exit3(sets_4x16, p, argv):
+    # each raised 2 or 3 to a power of up to a billion (9 s to over 40 s)
+    # or failed to print such a power; an exponent above core.MAX_EXPONENT
+    # is refused before anything is raised to it
+    where = [] if p is None else ["--set", str(sets_4x16[p])]
+    proc = run_cli(*argv, *where, timeout=60)
+    assert proc.returncode == 3
+    assert "precondition violated" in proc.stderr
+    assert f"at most {MAX_EXPONENT}" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "empty", "--box", "1000000,1000000"],
+    ["gen", "full", "--box", "1000000,1000000"],
+    ["gen", "random", "--box", "1000000,1000000", "--p", "0.5"],
+    ["gen", "empty", "--box", "2049,65536"],
+    ["bench", "--box", "1000000,1000000"],
+])
+def test_boxes_past_cell_cap_exit3(tmp_path, argv):
+    # 10^6 x 10^6 was a numpy memory error (exit 1), and 2049 x 65536 a set
+    # file that read_set refuses; BoxSpec refuses both before allocating
+    out = tmp_path / "o.box"
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(out)]
+    proc = run_cli(*argv, timeout=60)
+    assert proc.returncode == 3
+    assert "dense-storage cap of 2^27" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import math
+from datetime import timedelta
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hofa import counting, kernels, setfile
-from hofa.core import (BoxSpec, ConfigSpec, GridFunction, Line, PhaseTable,
-                       SetIndicator, TorusPhase, read_translates, read_window,
+from hofa.core import (MAX_EXPONENT, MAX_GRID_CELLS, BoxSpec, ConfigSpec,
+                       GridFunction, Line, PhaseTable, SetIndicator,
+                       TorusPhase, read_translates, read_window,
                        validate_config)
 from hofa.rng import make_rng
 from hofa.setfile import SetFileError, read_set, write_set
@@ -40,6 +43,75 @@ def test_validate_config_examples():
 
     bad_range = validate_config(ConfigSpec((1, 2), BoxSpec((10, 100)), q=2, M=10))
     assert any("range condition" in f for f in bad_range.failures())
+
+
+CAP = MAX_GRID_CELLS
+# extents whose products land on both sides of the cell cap
+EDGE_DIMS = st.one_of(st.integers(-1, 8),
+                      st.sampled_from([1 << 13, 1 << 14, CAP - 1, CAP, CAP + 1]))
+EDGE_RANGES = st.one_of(st.integers(-1, 3), st.integers(CAP - 2, CAP + 2))
+# exponents in [-2, 70], drawn often next to both ends of [1, MAX_EXPONENT]
+EXPONENT = st.one_of(st.integers(-2, 2), st.integers(MAX_EXPONENT - 2, 70),
+                     st.integers(1, 70))
+THEORY_CHECKS = {"m strictly increasing", "box chain", "range condition"}
+SPEC_REFUSALS = ("exponents must be", "m has", "modulus q must",
+                 "difference range M", "dense-storage cap",
+                 "box dims must be positive")
+# a big-integer power taken before the checks would overrun this
+SPEC_DEADLINE = timedelta(milliseconds=500)
+
+
+@st.composite
+def spec_args(draw):
+    """(m, dims, q, M), with one exponent per axis plus at times one more."""
+    n = draw(st.integers(1, 3))
+    m = (draw(st.lists(EXPONENT, min_size=n, max_size=n))
+         + draw(st.lists(EXPONENT, max_size=1)))
+    dims = draw(st.lists(EDGE_DIMS, min_size=n, max_size=n))
+    return m, dims, draw(st.integers(-2, 5)), draw(EDGE_RANGES)
+
+
+def _runnable(m, dims, q, M) -> bool:
+    return (len(m) == len(dims) and all(1 <= v <= MAX_EXPONENT for v in m)
+            and min(dims) >= 1 and math.prod(dims) <= CAP
+            and q >= 1 and 1 <= M <= CAP)
+
+
+@settings(max_examples=400, deadline=SPEC_DEADLINE)
+@given(args=spec_args())
+def test_config_spec_refuses_exactly_what_no_operator_runs(args):
+    try:
+        spec = ConfigSpec(args[0], BoxSpec(args[1]), *args[2:])
+    except ValueError as exc:
+        assert not _runnable(*args)
+        assert any(msg in str(exc) for msg in SPEC_REFUSALS), exc
+        return
+    assert _runnable(*args)
+    # a runnable spec can only miss the conditions of the theory
+    failed = {name for name, ok, _ in spec.validate().checks if not ok}
+    assert failed <= THEORY_CHECKS
+
+
+@settings(max_examples=300, deadline=SPEC_DEADLINE)
+@given(m=st.lists(EXPONENT, min_size=1, max_size=3),
+       N=st.one_of(st.integers(-1, 20), EDGE_RANGES,
+                   st.sampled_from([10 ** 30, 10 ** 100])))
+def test_power_spec_is_the_hand_built_power_box(m, N):
+    try:
+        spec = ConfigSpec.power(m, N)
+    except ValueError as exc:
+        # N is checked before the powers, whose digits would not print
+        assert any(msg in str(exc) for msg in SPEC_REFUSALS), exc
+        spec = None
+    hand = None
+    if N >= 1:
+        try:
+            hand = ConfigSpec(m, BoxSpec([N ** v for v in m]), 1, N)
+        except ValueError:
+            pass
+    assert spec == hand
+    if spec is not None:
+        assert spec.box.cells * spec.M == N * math.prod(N ** v for v in m)
 
 
 def test_make_rng_seed_is_one_key_word():

@@ -308,11 +308,8 @@ def test_difference_range_preconditions():
     A = SetIndicator.full(BoxSpec((4, 16)))
     for m, q, M in (((1, 2), 1, 0), ((1, 2), 1, (1 << 27) + 1),
                     ((1, 2), 0, 3), ((1, 2), -1, 3), ((1, 0), 1, 3)):
-        spec = ConfigSpec(m, A.box, q, M)
         with pytest.raises(ValueError):
-            counting.lambda_indicator_counts([A] * 3, spec)
-        with pytest.raises(ValueError):
-            counting.lambda_general([A.to_grid()] * 3, spec)
+            ConfigSpec(m, A.box, q, M)
     with pytest.raises(ValueError):
         counting.best_popular_difference(A, (1, 2), 1 << 40)
     # no r past 3 has a base point
@@ -471,8 +468,9 @@ def test_lambda_sum_batch_axes_sum_the_stack(rng):
              for _ in range(4)]
     stacked = [np.stack([g[i] for g in grids]).reshape((2, 2) + grids[0][i].shape)
                for i in range(3)]
-    got = counting._lambda_sum(stacked, base, (1, 2), 1, 3)
-    want = sum(counting._lambda_sum(g, base, (1, 2), 1, 3) for g in grids)
+    spec = ConfigSpec((1, 2), BoxSpec(base), 1, 3)
+    got = counting._lambda_sum(stacked, spec)
+    want = sum(counting._lambda_sum(g, spec) for g in grids)
     assert got == pytest.approx(want, abs=1e-12)
 
 

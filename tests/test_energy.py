@@ -277,6 +277,14 @@ def test_lift_examples():
         energy.lift_1d(full, (1, 2), 60)  # 60 is not a perfect square
 
 
+def test_lift_refuses_box_past_cap():
+    # [2^12] x [2^24] has 2^36 cells: refused before the 512 GiB grid of
+    # coordinate sums is built
+    A = SetIndicator.empty(BoxSpec((1 << 24,)))
+    with pytest.raises(ValueError, match="dense-storage cap of 2\\^27"):
+        energy.lift_1d(A, (1, 2), 1 << 24)
+
+
 def test_lift_membership_and_inequality(rng):
     A = SetIndicator(BoxSpec((64,)), rng.random(64) < 0.5)
     lifted, rep = energy.lift_1d(A, (1, 2), 64)
