@@ -51,8 +51,11 @@ class DecompositionError(RuntimeError):
 
 
 def _integer_root(N: int, m: int) -> int:
-    """The largest r >= 0 with r^m <= N (exact integer comparison)."""
+    """The largest r >= 0 with r^m <= N, for N >= 0 (exact integer
+    comparison)."""
     _check_exponents((m,))
+    if N < 0:
+        raise ValueError(f"no integer root of N = {N} < 0")
     r = int(round(N ** (1.0 / m)))
     while r**m > N:
         r -= 1
@@ -379,13 +382,6 @@ class ValidationReport:
     def failures(self) -> list[str]:
         return [f"{name}: {detail}" if detail else name
                 for name, ok, detail in self.checks if not ok]
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [{"name": n, "ok": ok, "detail": d}
-                       for n, ok, d in self.checks],
-        }
 
 
 def validate_config(spec: ConfigSpec) -> ValidationReport:

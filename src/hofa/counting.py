@@ -7,8 +7,9 @@ The basic object is the normalized count of patterns
 averaged over base points x in a box and differences r in a range.  Complex
 weights, or sets as their own 0/1 weights, give the averaged operators
 ``lambda_*``; 0/1 indicators admit an exact integer path
-(``lambda_indicator_counts``, ``best_popular_difference`` and
-``popular_count``) built on the kernels module.  ``best_popular_difference``
+(``lambda_indicator_counts`` and ``best_popular_difference``) built on the
+kernels module, and ``popular_count`` is the r = 1 entry of that histogram
+at modulus r, so a shift past the grid counts 0.  ``best_popular_difference``
 is the one direct popular-difference search (``popdiff``, and the
 pipeline's vacuous and fallback paths), and ``PopDiffResult`` the one result
 of both ``popdiff`` modes.  Every operator takes its exponents, modulus and
@@ -18,19 +19,23 @@ operator can run; the power-box operators (``lambda_simple``,
 every normalization is ``spec.box.cells * spec.M``.  ``_over_differences``
 is the one loop over r: it stops after the last r with a base point
 (``_useful_shifts``, which the oracles share) and spreads the r over the
-``set_threads`` workers.  ``_shifts`` keeps a 2^62 guard, since the
-pointwise oracle indexes in int64.  Per r, the complex operators multiply
-the cropped views of ``kernels.pattern_views``; the integer path counts on
-the indicators' packed words (``SetIndicator.packed``, so a set read from a
+``set_threads`` workers.  Per r, the complex operators multiply the cropped
+views of ``kernels.pattern_views``; the integer path counts on the
+indicators' packed words (``SetIndicator.packed``, so a set read from a
 binary file is never unpacked) with the packed-word kernel
 ``kernels.pattern_count_fast`` and returns a ``Histogram`` that keeps only
-the counted prefix of the range.
+the counted prefix of the range.  Its oracle
+``lambda_indicator_counts_pointwise`` runs the same loop with
+``kernels.pattern_count_pointwise`` on the boolean masks, and
+``popular_count_naive`` reads that histogram.
 ``_lambda_sum`` and ``pattern_views`` treat leading array axes as batch
 axes, so the averaging identity sums the simple operator over every
 translate x at once: its strided zero-padded windows for all x are one
-stacked view from ``core.read_translates``.  Brute-force oracles are kept
-too; they stop after the last useful r as well, and ``ORACLE_MAX_TERMS``
-bounds what ``count --oracle`` asks of them.
+stacked view from ``core.read_translates``.  The brute-force oracles of
+the complex operators share one (x, r) loop, ``_bruteforce_sum``, with an
+optional phase (``lambda_simple``'s oracle is ``lambda_general_bruteforce``
+at the power box); it stops after the last useful r as well, and
+``ORACLE_MAX_TERMS`` bounds what ``count --oracle`` asks of it.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from .core import (ConfigSpec, GridFunction, PhaseTable, SetIndicator,
 # a weight of the averaged operators: a complex grid, or a set as its 0/1 mask
 Weight = GridFunction | SetIndicator
 
-MAX_SHIFT = 1 << 62
 # most workers ``set_threads`` takes; the pool starts at most one thread per r
 MAX_THREADS = 64
 
@@ -66,13 +70,6 @@ def set_threads(k: int) -> None:
     if not 1 <= k <= MAX_THREADS:
         raise ValueError(f"thread count must lie in [1, {MAX_THREADS}], got {k}")
     _threads = k
-
-
-def _shifts(m: Sequence[int], step: int) -> tuple[int, ...]:
-    shifts = tuple(step ** mi for mi in _check_exponents(m))
-    if max(shifts) > MAX_SHIFT:
-        raise OverflowError(f"shift {max(shifts)} exceeds 2^62 index guard")
-    return shifts
 
 
 def _check_compatible(fs: Sequence[Weight],
@@ -214,81 +211,57 @@ def _read_point(f: Weight, pt: Sequence[int]) -> complex:
     return complex(f.values[idx])
 
 
-def _last_useful_r(fs: Sequence[Weight], spec: ConfigSpec) -> int:
-    # past it the read of some f_{j+1} is outside its box for every x
-    return len(_useful_shifts(spec, [f.box.dims[j]
-                                     for j, f in enumerate(fs[1:])]))
-
-
-def lambda_phased_bruteforce(fs: Sequence[Weight],
-                             alphas: Sequence[PhaseTable],
-                             m: Sequence[int], N: int) -> complex:
-    m = tuple(int(v) for v in m)
-    n = len(fs) - 1
-    k = len(alphas)
-    spec = ConfigSpec.power(m[:n], N)
-    r_stop = _last_useful_r(fs, spec)
+def _bruteforce_sum(fs: Sequence[Weight], spec: ConfigSpec,
+                    phase: Callable[[tuple[int, ...], int], float] | None = None
+                    ) -> complex:
+    """The brute-force average of f_0(x) prod_j f_j(x + (q r)^(m_j) e_j)
+    [* e(phase(x, r))] over x in the box of ``spec`` and r in [M]."""
+    # past the last useful r the read of some f_{j+1} is outside its box
+    rows = _useful_shifts(spec, [f.box.dims[j] for j, f in enumerate(fs[1:])])
     total = 0j
     for idx in np.ndindex(*spec.box.dims):
         x = tuple(c + 1 for c in idx)
-        for r in range(1, r_stop + 1):
-            term = _read_point(fs[0], x)
-            if term == 0:
-                continue
-            for j in range(n):
-                pt = list(x)
-                pt[j] += r ** m[j]
-                term *= _read_point(fs[j + 1], pt)
-            if term == 0:
-                continue
-            phase = 0.0
-            for j in range(k):
-                phase += float(alphas[j].at(x).approx) * (r ** m[n + j])
-            total += term * np.exp(2j * np.pi * phase)
-    return total / (spec.box.cells * spec.M)
-
-
-def lambda_simple_bruteforce(fs, m, N) -> complex:
-    return lambda_phased_bruteforce(fs, [], m, N)
-
-
-def lambda_general_bruteforce(fs: Sequence[Weight], spec: ConfigSpec) -> complex:
-    r_stop = _last_useful_r(fs, spec)
-    total = 0j
-    for idx in np.ndindex(*spec.box.dims):
-        x = tuple(c + 1 for c in idx)
-        for r in range(1, r_stop + 1):
+        for r, shifts in enumerate(rows, 1):
             term = _read_point(fs[0], x)
             if term == 0:
                 continue
             for j in range(spec.n):
                 pt = list(x)
-                pt[j] += (spec.q * r) ** spec.m[j]
+                pt[j] += shifts[j]
                 term *= _read_point(fs[j + 1], pt)
+            if term == 0:
+                continue
+            if phase is not None:
+                term = term * np.exp(2j * np.pi * phase(x, r))
             total += term
     return total / (spec.box.cells * spec.M)
 
 
+def lambda_general_bruteforce(fs: Sequence[Weight], spec: ConfigSpec) -> complex:
+    """Oracle of ``lambda_general`` (and, at ``ConfigSpec.power(m, N)``, of
+    ``lambda_simple``)."""
+    return _bruteforce_sum(fs, spec)
+
+
+def lambda_phased_bruteforce(fs: Sequence[Weight],
+                             alphas: Sequence[PhaseTable],
+                             m: Sequence[int], N: int) -> complex:
+    """Oracle of ``lambda_phased``."""
+    m = _check_exponents(m)
+    n = len(fs) - 1
+    k = len(alphas)
+
+    def phase(x: tuple[int, ...], r: int) -> float:
+        acc = 0.0
+        for j in range(k):
+            acc += float(alphas[j].at(x).approx) * (r ** m[n + j])
+        return acc
+
+    return _bruteforce_sum(fs, ConfigSpec.power(m[:n], N), phase if k else None)
+
+
 # ---------------------------------------------------------------------------
 # Exact integer counting for indicators
-
-
-def popular_count(A: SetIndicator, m: Sequence[int], r: int) -> int:
-    """Exact size of {x in A : x + r^(m_j) e_j in A for every axis j}."""
-    if r < 1:
-        raise ValueError("difference r must be >= 1")
-    if len(m) != A.box.n:
-        raise ValueError("exponent tuple does not match the box dimension")
-    shifts = _shifts(m, r)
-    return kernels.pattern_count_fast([A.packed] * (A.box.n + 1), A.box.dims,
-                                      shifts)
-
-
-def popular_count_naive(A: SetIndicator, m: Sequence[int], r: int) -> int:
-    """Oracle: member-driven membership loop."""
-    shifts = _shifts(m, r)
-    masks = [A.mask] * (A.box.n + 1)
-    return kernels.pattern_count_pointwise(masks, A.box.dims, shifts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,19 +315,48 @@ class PopDiffResult:
     certificate: dict | None = None
 
 
+def _indicator_counts(inds: Sequence[SetIndicator], spec: ConfigSpec,
+                      pointwise: bool) -> Histogram:
+    if len(inds) != spec.n + 1:
+        raise ValueError(f"spec has n={spec.n}, got {len(inds)} indicators")
+    _check_compatible(inds, spec.box.dims)
+    # the counters are read off ``kernels`` per call, where tracers wrap them
+    if pointwise:
+        masks, count = [A.mask for A in inds], kernels.pattern_count_pointwise
+    else:
+        masks, count = [A.packed for A in inds], kernels.pattern_count_fast
+    counts = _over_differences(
+        lambda r, shifts: count(masks, spec.box.dims, shifts), masks, spec)
+    return Histogram(np.array(counts, dtype=np.int64), spec.M)
+
+
 def lambda_indicator_counts(inds: Sequence[SetIndicator],
                             spec: ConfigSpec) -> Histogram:
     """Per-r integer pattern counts behind lambda_general on indicators
     (entry r - 1 for difference r), counted on the indicators' packed words
     only while some base point remains."""
-    if len(inds) != spec.n + 1:
-        raise ValueError(f"spec has n={spec.n}, got {len(inds)} indicators")
-    _check_compatible(inds, spec.box.dims)
-    masks = [A.packed for A in inds]
-    counts = _over_differences(
-        lambda r, shifts: kernels.pattern_count_fast(masks, spec.box.dims, shifts),
-        masks, spec)
-    return Histogram(np.array(counts, dtype=np.int64), spec.M)
+    return _indicator_counts(inds, spec, pointwise=False)
+
+
+def lambda_indicator_counts_pointwise(inds: Sequence[SetIndicator],
+                                      spec: ConfigSpec) -> Histogram:
+    """Oracle of ``lambda_indicator_counts``: the same histogram, counted by
+    the member-driven membership loop on the boolean masks."""
+    return _indicator_counts(inds, spec, pointwise=True)
+
+
+def popular_count(A: SetIndicator, m: Sequence[int], r: int) -> int:
+    """Exact size of {x in A : x + r^(m_j) e_j in A for every axis j}: the
+    r = 1 entry of the histogram at modulus r, so 0 once a shift passes
+    the grid."""
+    return lambda_indicator_counts([A] * (A.box.n + 1),
+                                   ConfigSpec(m, A.box, q=r, M=1))[0]
+
+
+def popular_count_naive(A: SetIndicator, m: Sequence[int], r: int) -> int:
+    """Oracle of ``popular_count``."""
+    return lambda_indicator_counts_pointwise([A] * (A.box.n + 1),
+                                             ConfigSpec(m, A.box, q=r, M=1))[0]
 
 
 def best_popular_difference(A: SetIndicator, m: Sequence[int],

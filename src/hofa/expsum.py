@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (BoxSpec, ConfigSpec, GridFunction, Line, PhaseTable,
-                   TorusPhase, read_window)
+                   TorusPhase, _check_exponents, read_window)
 from .counting import lambda_phased
 from .partition import APPartition, cond_expect
 
@@ -66,9 +66,6 @@ def weyl_sum(alphas: Sequence[TorusPhase], N: int) -> complex:
 class RationalApprox:
     q: int
     residuals: tuple[float, ...]  # ||q alpha_i|| N^i per degree
-
-    def to_dict(self) -> dict:
-        return {"q": self.q, "residuals": list(self.residuals)}
 
 
 def rational_approx_search(alphas: Sequence[TorusPhase], N: int,
@@ -237,15 +234,6 @@ class PhaseConstancyResult:
     status: str  # "found" | "no_premise"
     candidates: list[dict] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "betas": None if self.betas is None else
-            [{"num": b.frac.numerator, "den": b.frac.denominator}
-             for b in self.betas],
-            "achieved": self.achieved, "premise": self.premise,
-            "status": self.status, "candidates": self.candidates,
-        }
-
 
 def phase_constancy_search(f: Line, alphas: Sequence[PhaseTable],
                            m: Sequence[int], N: int,
@@ -259,11 +247,11 @@ def phase_constancy_search(f: Line, alphas: Sequence[PhaseTable],
     achieved average (the theory promises a dense constant tuple, so a small
     top-k suffices at these scales).
     """
-    m = tuple(int(v) for v in m)
+    m = _check_exponents(m)
     k = len(alphas)
     if len(m) != k + 1:
         raise ValueError("m must list the base power followed by one power per table")
-    base = N ** m[0]
+    base = ConfigSpec.power(m[:1], N).box.dims[0]
     powers = m[1:]
     grids = [int(np.ceil(2 * k * N**p / delta)) for p in powers]
     rs = np.arange(1, N + 1, dtype=np.int64)
@@ -312,13 +300,6 @@ class FourierCertificate:
     max_off_threshold: float
     coefficient: float
     check: Callable[[int], float] = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {"xi0": self.xi0.approx, "q": self.q,
-                "residuals": list(self.residuals), "premise": self.premise,
-                "mode": self.mode, "major_arc_points": self.major_arc_points,
-                "max_off_threshold": self.max_off_threshold,
-                "coefficient": self.coefficient}
 
 
 def poly_phases(P: dict[int, TorusPhase], rs: np.ndarray) -> np.ndarray:

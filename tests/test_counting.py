@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import random_grid, random_set
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from hofa import counting, kernels
 from hofa.core import (BoxSpec, ConfigSpec, GridFunction, PhaseTable, SetIndicator,
                        TorusPhase, read_window)
+from hofa.rng import make_rng
 
 
 def test_lambda_simple_all_ones_with_slack():
@@ -21,7 +26,8 @@ def test_lambda_simple_point_mass_enumerated():
     f2 = GridFunction.ones(BoxSpec((2, 8)))
     val = counting.lambda_simple([f0, f1, f2], (1, 2), 2)
     assert val == pytest.approx(2 / 16)
-    assert val == pytest.approx(counting.lambda_simple_bruteforce([f0, f1, f2], (1, 2), 2))
+    assert val == pytest.approx(counting.lambda_general_bruteforce(
+        [f0, f1, f2], ConfigSpec.power((1, 2), 2)))
 
 
 def test_lambda_simple_matches_bruteforce_random(rng):
@@ -32,7 +38,7 @@ def test_lambda_simple_matches_bruteforce_random(rng):
               random_grid(rng, (2 * N, N * N)),
               random_grid(rng, (N, 2 * N * N))]
         a = counting.lambda_simple(fs, (1, 2), N)
-        b = counting.lambda_simple_bruteforce(fs, (1, 2), N)
+        b = counting.lambda_general_bruteforce(fs, ConfigSpec.power((1, 2), N))
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -332,10 +338,74 @@ def test_threads_histogram_wide_grid(rng):
     assert list(base.histogram[65:]) == [0] * 5  # 65^2 > 4160
 
 
-def test_overflow_guard():
+def test_popular_count_shift_past_grid_counts_zero():
+    # a shift past the grid counts 0, as in every histogram, however large
     A = SetIndicator.full(BoxSpec((4, 16)))
-    with pytest.raises(OverflowError):
-        counting.popular_count(A, (1, 63), 3)
+    for count in (counting.popular_count, counting.popular_count_naive):
+        assert count(A, (1, 63), 3) == 0
+        assert count(A, (1, 2), 1 << 70) == 0
+        assert count(A, (1, 2), 3) == (4 - 3) * (16 - 9)
+        for m, r in (((1, 2), 0), ((1, 2), -1), ((1,), 1), ((1, 2, 3), 1)):
+            with pytest.raises(ValueError):
+                count(A, m, r)
+
+
+def _kernel_path(packed, base, shifts) -> str:
+    """Which ufunc layout ``kernels._count_packed`` runs for one count:
+    "runs" (flat word runs) or "views" (cropped views); reported as a
+    Hypothesis event, so ``--hypothesis-show-statistics`` shows how often
+    the strategy reaches each."""
+    lims = kernels._axis_limits(packed, base, shifts)
+    words = [p.words if len(base) > 1 else p.words[None] for p in packed]
+    layout = words[0].shape[1:]
+    window = (*lims[1:-1], -(-lims[-1] // kernels.WORD_BITS))
+    runs = (4 * math.prod(window) >= 3 * math.prod(layout)
+            and all(w.shape[1:] == layout for w in words))
+    return "runs" if runs else "views"
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3), q=st.integers(1, 3), M=st.integers(1, 16),
+       width=st.sampled_from([63, 64, 65, 127, 128, 129, 1023, 1024, 1025]),
+       lead=st.lists(st.integers(2, 16), min_size=2, max_size=2),
+       m=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+       doubled=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 2)),
+       p=st.sampled_from([0.3, 0.7, 0.95, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2, q=1, M=3, width=1024, lead=[8, 2], m=[1, 2, 1], doubled=None,
+         p=0.95, seed=0)  # every r on the word runs
+@example(n=2, q=1, M=13, width=1025, lead=[16, 2], m=[1, 2, 1],
+         doubled=(0, 0), p=1.0, seed=0)  # runs read words past the window
+@example(n=3, q=2, M=4, width=129, lead=[5, 6], m=[1, 1, 2], doubled=(3, 2),
+         p=0.7, seed=1)  # the last slot doubled along its axis: views
+@example(n=2, q=1, M=5, width=127, lead=[6, 2], m=[1, 1, 1], doubled=(0, 1),
+         p=1.0, seed=2)  # slot 0 doubled along the last axis: a cropped window
+def test_indicator_counts_equal_pointwise_oracle(n, q, M, width, lead, m,
+                                                 doubled, p, seed):
+    # the packed histogram and its pointwise oracle agree exactly: widths
+    # around multiples of 64, windows on the kernel's word runs (most of each
+    # row, every slot in slot 0's layout) and on its cropped views, and at
+    # most one slot doubled along one axis (``doubled`` = (slot, axis), each
+    # taken mod its range)
+    base = tuple(lead[:n - 1]) + (width,)
+    spec = ConfigSpec(m[:n], BoxSpec(base), q=q, M=M)
+    slot, axis = (-1, -1) if doubled is None else (doubled[0] % (n + 1),
+                                                   doubled[1] % n)
+    rng = make_rng(seed)
+    inds = []
+    for j in range(n + 1):
+        dims = tuple(2 * d if (j, a) == (slot, axis) else d
+                     for a, d in enumerate(base))
+        inds.append(SetIndicator(BoxSpec(dims), rng.random(dims) < p))
+    fast = counting.lambda_indicator_counts(inds, spec)
+    naive = counting.lambda_indicator_counts_pointwise(inds, spec)
+    assert fast.M == naive.M == M
+    assert fast.counts.tolist() == naive.counts.tolist()
+    packed = [A.packed for A in inds]
+    rows = counting._useful_shifts(spec, [A.box.dims[j]
+                                          for j, A in enumerate(inds[1:])])
+    for path in sorted({_kernel_path(packed, base, row) for row in rows}):
+        event(path)
 
 
 def test_paths_agree_on_million_cell_box(rng):
@@ -566,7 +636,7 @@ def test_sets_are_their_own_weights(rng):
                                       else d for a, d in enumerate(base)))
                 for j in range(n)]
             check(counting.lambda_simple, ws, m, N)
-            check(counting.lambda_simple_bruteforce, ws, m, N)
+            check(counting.lambda_general_bruteforce, ws, ConfigSpec.power(m, N))
             check(counting.lambda_phased, ws, [], m, N)
             for k in (1, 2):
                 mk = m + tuple(range(m[-1] + 1, m[-1] + 1 + k))

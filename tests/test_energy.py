@@ -277,6 +277,13 @@ def test_lift_examples():
         energy.lift_1d(full, (1, 2), 60)  # 60 is not a perfect square
 
 
+def test_lift_refuses_negative_N():
+    # the integer root of a negative N is refused, not a complex power
+    A = SetIndicator.full(BoxSpec((4,)))
+    with pytest.raises(ValueError, match="N = -4 < 0"):
+        energy.lift_1d(A, (1, 2), -4)
+
+
 def test_lift_refuses_box_past_cap():
     # [2^12] x [2^24] has 2^36 cells: refused before the 512 GiB grid of
     # coordinate sums is built

@@ -1,4 +1,5 @@
 import cmath
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -252,6 +253,18 @@ def test_phase_constancy_builds_one_shift_matrix(monkeypatch):
                                         [al], (2, 3), 8, 0.3)
     assert len(res.candidates) == expsum.CONSTANCY_TOP_K
     assert len(built) == 1
+
+
+def test_phase_constancy_refuses_exponents_before_powering():
+    # N^(10^8) was formed before any check (seconds, then OverflowError);
+    # every exponent is refused at once, the base one included
+    al = PhaseTable.constant(BoxSpec((8,)), TorusPhase.exact(1, 3))
+    f = Line(1, np.ones(16, dtype=complex))
+    for m in ((1, 10 ** 8), (10 ** 8, 2), (0, 2), (1, -1)):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="exponents must be"):
+            expsum.phase_constancy_search(f, [al], m, 8, 0.3)
+        assert time.perf_counter() - t0 < 0.5
 
 
 def test_fourier_certificate_constant():
