@@ -205,15 +205,17 @@ def cmd_popdiff(args) -> int:
     m = _check_exponents(_parse_ints(args.m))
     if A.box.n != len(m):
         raise ValueError(f"set is {A.box.n}-D but m has {len(m)} entries")
-    if A.count == 0:
-        raise ValueError("popular-difference search needs a nonempty set")
     if args.pipeline:
         from . import energy
 
         res = energy.popular_difference_pipeline(
             A, m, args.delta, allow_fallback=args.fallback)
     else:
+        # one pass over the set: the members are counted only when no
+        # pattern is
         res = counting.best_popular_difference(A, m, args.M)
+        if not res.histogram.any() and A.count == 0:
+            raise ValueError("popular-difference search needs a nonempty set")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             _write_histogram(fh, res.histogram)

@@ -16,8 +16,11 @@ Conventions used throughout the package:
   base points whose reads all stay in range use the cropped views of
   ``kernels.pattern_views`` instead.
 * A ``SetIndicator`` is stored as packed ``uint64`` words
-  (``kernels.PackedMask``); its boolean mask is unpacked only when a caller
-  needs cells, and then cached; as ``values`` it is the set's 0/1 weight.
+  (``kernels.PackedMask``), as a boolean mask, or as a reader of a binary
+  set file's payload; ``packed_rows`` and ``mask_rows`` give a band of rows
+  along axis 1 (a view, or a read of that band alone), and the whole words
+  or mask are built on first use and cached; its boolean mask is unpacked
+  only when a caller needs cells; as ``values`` it is the set's 0/1 weight.
 * Each type refuses at construction what breaks its invariants: ``BoxSpec``
   the cell cap ``MAX_GRID_CELLS``; ``ConfigSpec`` one exponent per axis in
   [1, ``MAX_EXPONENT``], q >= 1 and M in [1, 2^27].  ``ConfigSpec.power`` is
@@ -30,7 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -255,24 +258,37 @@ def read_translates(values: np.ndarray, first: Sequence[int],
 
 
 class SetIndicator:
-    """Subset of a box (axis 1 slowest).
+    """Subset of a box (axis 1 slowest), in one of three storage forms.
 
-    The primary storage is a ``kernels.PackedMask``, the cells packed 64 to a
-    ``uint64`` word along the last axis; ``setfile.read_set`` fills it
-    straight from a binary set file and the integer counting path reads
-    only the words.  ``SetIndicator(box, mask)`` also takes a boolean mask,
-    kept as given (no copy; do not modify it afterwards).  Either form is
-    built from the other on first use and cached: ``packed`` packs the mask,
-    and ``mask`` unpacks the words (read-only) for the callers that need
-    cells (``to_grid``, ``members``, the pointwise oracles, ``write_set``)
-    and, as ``values``, for the complex operators and the decomposition,
-    which take a set as its own 0/1 weight.
+    * packed: a ``kernels.PackedMask``, the cells packed 64 to a ``uint64``
+      word along the last axis; the integer counting path reads only the
+      words;
+    * mask: a boolean mask, kept as given (no copy; do not modify it
+      afterwards);
+    * rows: a reader ``read(start, stop) -> PackedMask`` of the rows
+      [start, stop) along axis 1, the whole set for a 1-D one;
+      ``setfile.read_set`` backs a binary set file's payload by one, so
+      the set is read a band of rows at a time where the caller asks for
+      bands (``packed_rows``, ``mask_rows``, ``count``).
+
+    Either of the first two is built from the other on first use and
+    cached, and a reader is read whole on first use of either: ``packed``
+    packs the mask (or reads the words), and ``mask`` unpacks the words
+    (read-only) for the callers that need cells (``to_grid``, ``members``,
+    ``write_set``) and, as ``values``, for the complex operators and the
+    decomposition, which take a set as its own 0/1 weight.
     """
 
-    def __init__(self, box: BoxSpec, mask: np.ndarray | kernels.PackedMask):
+    def __init__(self, box: BoxSpec,
+                 mask: np.ndarray | kernels.PackedMask
+                 | Callable[[int, int], kernels.PackedMask]):
         self.box = box
         self._mask: np.ndarray | None = None
         self._packed: kernels.PackedMask | None = None
+        self._read = None
+        if callable(mask):
+            self._read = mask
+            return
         if isinstance(mask, kernels.PackedMask):
             shape, self._packed = mask.shape, mask
         else:
@@ -293,7 +309,7 @@ class SetIndicator:
     def mask(self) -> np.ndarray:
         """The boolean mask, unpacked from the words on first use."""
         if self._mask is None:
-            mask = kernels.unpack_mask(self._packed)
+            mask = kernels.unpack_mask(self.packed)
             mask.flags.writeable = False
             self._mask = mask
         return self._mask
@@ -302,17 +318,47 @@ class SetIndicator:
 
     @property
     def packed(self) -> kernels.PackedMask:
-        """The packed words, packed from the mask on first use."""
+        """The packed words, packed from the mask or read whole on first
+        use."""
         if self._packed is None:
-            self._packed = kernels.pack_mask(self._mask)
+            self._packed = (self._read(0, self.box.dims[0])
+                            if self._mask is None
+                            else kernels.pack_mask(self._mask))
         return self._packed
+
+    def packed_rows(self, start: int, stop: int) -> kernels.PackedMask:
+        """The words of the rows [start, stop) along axis 1: a view of the
+        cached words, else read from the reader (not cached).  A 1-D set is
+        read whole only."""
+        whole = (start, stop) == (0, self.box.dims[0])
+        if self.box.n == 1 and not whole:
+            raise ValueError("a 1-D set is read whole")
+        if self._packed is None and self._mask is None:
+            return self._read(start, stop)
+        if whole:
+            return self.packed
+        return kernels.PackedMask((stop - start,) + self.box.dims[1:],
+                                  self.packed.words[start:stop])
+
+    def mask_rows(self, start: int, stop: int) -> np.ndarray:
+        """The boolean mask of the rows [start, stop) along axis 1: a view
+        of the cached mask, else the unpacked ``packed_rows``."""
+        if self._mask is not None:
+            return self._mask[start:stop]
+        return kernels.unpack_mask(self.packed_rows(start, stop))
 
     @property
     def count(self) -> int:
-        if self._packed is None:
+        if self._mask is not None and self._packed is None:
             return int(np.count_nonzero(self._mask))
-        # the spare word of every row is zero
-        return int(np.bitwise_count(self._packed.words).sum(dtype=np.int64))
+        # the spare word of every row is zero; a reader is read a band at a
+        # time
+        rows = self.box.dims[0]
+        step = rows if self._packed is not None else kernels.band_rows(
+            self.box.dims)
+        return sum(int(np.bitwise_count(self.packed_rows(
+                       r0, min(r0 + step, rows)).words).sum(dtype=np.int64))
+                   for r0 in range(0, rows, step))
 
     @property
     def density(self) -> float:

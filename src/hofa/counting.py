@@ -21,13 +21,22 @@ is the one loop over r: it stops after the last r with a base point
 (``_useful_shifts``, which the oracles share) and spreads the r over the
 ``set_threads`` workers.  Per r, the complex operators multiply the cropped
 views of ``kernels.pattern_views``; the integer path counts on the
-indicators' packed words (``SetIndicator.packed``, so a set read from a
-binary file is never unpacked) with the packed-word kernel
+indicators' packed words (``SetIndicator.packed_rows``, so a set read from
+a binary file is never unpacked) with the packed-word kernel
 ``kernels.pattern_count_fast`` and returns a ``Histogram`` that keeps only
 the counted prefix of the range.  Its oracle
 ``lambda_indicator_counts_pointwise`` runs the same loop with
-``kernels.pattern_count_pointwise`` on the boolean masks, and
-``popular_count_naive`` reads that histogram.
+``kernels.pattern_count_pointwise`` on the boolean masks
+(``SetIndicator.mask_rows``), and ``popular_count_naive`` reads that
+histogram.  That loop, ``_indicator_counts``, is band-major: the base
+rows along axis 1 go in bands of ``kernels.band_rows`` rows (about 1 MiB of
+words, a whole number of the kernel's blocks), each set is read once per
+band (a view of a set in memory, a read of a file's payload), the set of
+slot 1 with a halo as tall as the largest useful axis-1 shift, every useful
+r is counted on the band by the ``set_threads`` workers, and the per-band
+histograms are summed.  A band's reads are dropped before the next is
+read, so a set read from a binary file is held a band at a time; a 1-D set
+is one band.
 ``_lambda_sum`` and ``pattern_views`` treat leading array axes as batch
 axes, so the averaging identity sums the simple operator over every
 translate x at once: its strided zero-padded windows for all x are one
@@ -40,6 +49,7 @@ at the power box); it stops after the last useful r as well, and
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import operator
@@ -97,6 +107,19 @@ def _useful_shifts(spec: ConfigSpec,
     return rows
 
 
+@contextlib.contextmanager
+def _pool_map(tasks: int):
+    """``map`` on the ``set_threads`` workers, or the built-in ``map`` when
+    one worker or one task runs; results come in argument order."""
+    if _threads > 1 and tasks > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=_threads) as pool:
+            yield pool.map
+    else:
+        yield map
+
+
 def _over_differences(term: Callable[[int, tuple[int, ...]], object],
                       arrays: Sequence, spec: ConfigSpec) -> list:
     """``term(r, shifts)`` over the ``_useful_shifts`` of ``spec`` below the
@@ -105,12 +128,8 @@ def _over_differences(term: Callable[[int, tuple[int, ...]], object],
     """
     rows = _useful_shifts(
         spec, [a.shape[j - spec.n] for j, a in enumerate(arrays[1:])])
-    if _threads > 1 and len(rows) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=_threads) as pool:
-            return list(pool.map(term, range(1, len(rows) + 1), rows))
-    return [term(r, row) for r, row in enumerate(rows, 1)]
+    with _pool_map(len(rows)) as pmap:
+        return list(pmap(term, range(1, len(rows) + 1), rows))
 
 
 def _lambda_sum(arrays: Sequence[np.ndarray], spec: ConfigSpec,
@@ -316,18 +335,45 @@ class PopDiffResult:
 
 
 def _indicator_counts(inds: Sequence[SetIndicator], spec: ConfigSpec,
-                      pointwise: bool) -> Histogram:
+                      pointwise: bool, band: int | None = None) -> Histogram:
+    """The histogram, band by band: the base rows along axis 1 in bands of
+    ``band`` rows (``kernels.band_rows`` of the widest set by default), each
+    set read once per band, the set of slot 1 with a halo of the largest
+    useful axis-1 shift below the band, and every useful r counted on the
+    band."""
     if len(inds) != spec.n + 1:
         raise ValueError(f"spec has n={spec.n}, got {len(inds)} indicators")
     _check_compatible(inds, spec.box.dims)
+    rows = _useful_shifts(spec, [A.box.dims[j] for j, A in enumerate(inds[1:])])
+    counts = np.zeros(len(rows), dtype=np.int64)
+    if not rows:
+        return Histogram(counts, spec.M)
     # the counters are read off ``kernels`` per call, where tracers wrap them
     if pointwise:
-        masks, count = [A.mask for A in inds], kernels.pattern_count_pointwise
+        read, count = SetIndicator.mask_rows, kernels.pattern_count_pointwise
     else:
-        masks, count = [A.packed for A in inds], kernels.pattern_count_fast
-    counts = _over_differences(
-        lambda r, shifts: count(masks, spec.box.dims, shifts), masks, spec)
-    return Histogram(np.array(counts, dtype=np.int64), spec.M)
+        read, count = SetIndicator.packed_rows, kernels.pattern_count_fast
+    base = spec.box.dims
+    sets = {id(A): A for A in inds}
+    if band is None or spec.n == 1:  # a 1-D set is one band
+        band = min(kernels.band_rows(A.box.dims) for A in sets.values())
+    halo = rows[-1][0]  # the largest useful shift along axis 1
+
+    def count_band(pmap, b0: int, b1: int) -> list[int]:
+        # the set of slot 1 is read past the band by the halo; when one band
+        # covers the base rows, every set is read whole
+        reads = {key: read(A, b0, A.box.dims[0] if band >= base[0] else
+                           min(b1 + halo * (A is inds[1]), A.box.dims[0]))
+                 for key, A in sets.items()}
+        masks = [reads[id(A)] for A in inds]
+        dims = (b1 - b0,) + base[1:]
+        return list(pmap(lambda shifts: count(masks, dims, shifts), rows))
+
+    with _pool_map(len(rows)) as pmap:
+        # a band's reads are dropped before the next band is read
+        for b0 in range(0, base[0], band):
+            counts += count_band(pmap, b0, min(b0 + band, base[0]))
+    return Histogram(counts, spec.M)
 
 
 def lambda_indicator_counts(inds: Sequence[SetIndicator],

@@ -399,9 +399,11 @@ def popular_difference_pipeline(A: SetIndicator, m: Sequence[int], delta: float,
     or the decomposition does not converge (fallback), the direct search
     over its default range is used instead and flagged.  The set is passed
     as its own 0/1 weight, so no complex copy of it is built.  The
-    certificate reports the density power mu^(n+1) and a reporting
-    threshold (mu^(n+1) - delta) / 2^(n+1); the divisor is a stand-in,
-    never a proved constant.
+    certificate reports the density power mu^(n+1), a reporting threshold
+    (mu^(n+1) - delta) / 2^(n+1) and whether the normalized count of the
+    returned difference reaches it (``threshold_met``); the divisor is a
+    stand-in, never a proved constant, so a false ``threshold_met`` is a
+    finding to report, not a failed property.
     """
     m = tuple(int(v) for v in m)
     n = len(m)
@@ -431,16 +433,23 @@ def popular_difference_pipeline(A: SetIndicator, m: Sequence[int], delta: float,
             count = counts[best - 1]
             cert.update({"fallback": False, "q": dec.q, "M": Mp,
                          "lambda": float(counts.sum()) / (cells * Mp),
-                         "r_multiplier": best,
-                         "normalized_count": count / cells})
-            return PopDiffResult(dec.q * best, count, counts, cert)
+                         "r_multiplier": best})
+            return PopDiffResult(dec.q * best, count, counts,
+                                 _with_count(cert, count / cells))
         if not allow_fallback:
             raise DecompositionError(f"decomposition ended with status "
                                      f"{dec.status} and fallback is off")
         cert.update({"fallback": True, "q": 1, "lambda": None})
     res = best_popular_difference(A, m)
-    cert["normalized_count"] = res.count / cells
-    return replace(res, certificate=cert)
+    return replace(res, certificate=_with_count(cert, res.count / cells))
+
+
+def _with_count(cert: dict, normalized: float) -> dict:
+    """The certificate with the returned difference's normalized count, and
+    whether it reaches the threshold."""
+    cert.update({"normalized_count": normalized,
+                 "threshold_met": normalized >= cert["threshold"]})
+    return cert
 
 
 # ---------------------------------------------------------------------------

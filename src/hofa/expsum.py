@@ -29,6 +29,9 @@ from .counting import lambda_phased
 from .partition import APPartition, cond_expect
 
 MAX_POLY_DEGREE = 6
+# bound on the powers and the phase grids of ``phase_constancy_search``,
+# which it holds as int64
+INT64_BOUND = 1 << 63
 # snapped phase tuples tried as constants by ``phase_constancy_search``
 CONSTANCY_TOP_K = 16
 
@@ -245,7 +248,8 @@ def phase_constancy_search(f: Line, alphas: Sequence[PhaseTable],
     the snapped tuples are histogrammed over x, and the CONSTANCY_TOP_K most
     frequent are tried as constants.  Returns the best constant tuple with its
     achieved average (the theory promises a dense constant tuple, so a small
-    top-k suffices at these scales).
+    top-k suffices at these scales).  The powers and grids are int64, so a
+    power N^(m_j) or a grid T_j of 2^63 or more raises ``ValueError``.
     """
     m = _check_exponents(m)
     k = len(alphas)
@@ -253,7 +257,15 @@ def phase_constancy_search(f: Line, alphas: Sequence[PhaseTable],
         raise ValueError("m must list the base power followed by one power per table")
     base = ConfigSpec.power(m[:1], N).box.dims[0]
     powers = m[1:]
+    # the powers r^(m_j), r <= N, and the snapped numerators t < T_j are
+    # int64
+    if N ** max(powers, default=0) >= INT64_BOUND:
+        raise ValueError(f"N^m_j must be below 2^63 (int64 powers), got "
+                         f"N = {N}, m = {m}")
     grids = [int(np.ceil(2 * k * N**p / delta)) for p in powers]
+    if max(grids, default=0) >= INT64_BOUND:
+        raise ValueError(f"phase grids ceil(2 k N^m_j / delta) must be below "
+                         f"2^63 (int64 numerators), got {max(grids)}")
     rs = np.arange(1, N + 1, dtype=np.int64)
     table_frac = [read_window(a.frac, (0,), (base,)) for a in alphas]
     phase = np.zeros((base, N))

@@ -12,7 +12,9 @@ read in one call.
 ``PackedMask`` is a boolean mask packed along its last axis into ``uint64``
 words.  It is the primary storage of ``core.SetIndicator``: ``setfile``
 reads a binary set file straight into it (``word_bytes`` and
-``from_word_bytes``), ``pack_mask`` packs a boolean mask and
+``from_word_bytes``), a band of rows at a time when the counts ask for
+bands (``band_rows``: about ``BAND_WORDS`` words, a whole number of the
+counting loop's blocks), ``pack_mask`` packs a boolean mask and
 ``unpack_mask`` rebuilds the mask for the callers that need cells.
 
 Two counting implementations are kept side by side:
@@ -53,6 +55,8 @@ import numpy as np
 WORD_BITS = 64
 # words per block of the counting loop (its buffers take about 0.5 MiB)
 BLOCK_WORDS = 1 << 15
+# words per band of a banded count or read (1 MiB), a whole number of blocks
+BAND_WORDS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,17 @@ def pack_mask(mask: np.ndarray) -> PackedMask:
     raw[..., :-(-mask.shape[-1] // 8)] = np.packbits(mask, axis=-1,
                                                      bitorder="little")
     return from_word_bytes(mask.shape, raw)
+
+
+def band_rows(shape: Sequence[int]) -> int:
+    """Rows along axis 0 in one band of a packed mask of logical ``shape``:
+    a whole number of the counting loop's blocks, with about BAND_WORDS
+    words in all (at least one block).  A 1-D mask is one band."""
+    if len(shape) == 1:
+        return int(shape[0])
+    slab = math.prod(shape[1:-1]) * (-(-shape[-1] // WORD_BITS) + 1)
+    block = max(1, BLOCK_WORDS // slab)
+    return max(block, BAND_WORDS // slab // block * block)
 
 
 def unpack_mask(packed: PackedMask) -> np.ndarray:

@@ -16,12 +16,22 @@ payloads of the wrong length.  Member lines are read one capped line at a
 time and parsed ``TEXT_BLOCK_LINES`` at a time, so reading a text set holds
 its mask and one block of lines besides; writing one builds the lines of
 ``WRITE_BLOCK_CELLS`` cells at a time.
+
+``read_set`` on a binary file checks the magic, the header and the payload
+length, and returns a ``SetIndicator`` backed by the payload (the third
+storage form, beside a mask and packed words): ``_read_words`` reads the
+words of a range of rows along axis 1, in blocks of ``READ_BLOCK_CELLS``
+cells, so the banded counts of ``counting`` read one band at a time, and
+``packed`` or ``mask`` read the whole payload once and cache it.  Every
+such read opens the file again and raises ``SetFileError`` when its inode,
+size or modification time differ from what ``read_set`` saw.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from typing import Union
 
@@ -167,8 +177,34 @@ def _read_binary(fh) -> SetIndicator:
     need = (box.cells + 7) // 8
     if size != need:
         raise SetFileError(f"bitset payload is {size} bytes, expected {need}")
-    fh.seek(start)
-    return SetIndicator(box, _read_words(fh, box.dims))
+    return SetIndicator(box, _Payload(fh, box.dims, start))
+
+
+class _Payload:
+    """The reader of a binary set file's rows along axis 1 (see
+    ``SetIndicator``).  Every read opens the file again and refuses it when
+    its inode, size or modification time differ from those ``read_set``
+    saw."""
+
+    def __init__(self, fh, dims: tuple[int, ...], start: int):
+        self.path = os.path.abspath(fh.name)
+        self.stamp = self._stamp(fh)
+        self.dims, self.start = dims, start
+
+    @staticmethod
+    def _stamp(fh) -> tuple[int, int, int]:
+        st = os.fstat(fh.fileno())
+        return st.st_ino, st.st_size, st.st_mtime_ns
+
+    def __call__(self, start: int, stop: int) -> kernels.PackedMask:
+        try:
+            fh = open(self.path, "rb")
+        except OSError as exc:
+            raise SetFileError(f"cannot reopen {self.path}: {exc}") from exc
+        with fh:
+            if self._stamp(fh) != self.stamp:
+                raise SetFileError(f"{self.path} changed after it was read")
+            return _read_words(fh, self.start, self.dims, start, stop)
 
 
 def _blocks(rows: int, width: int):
@@ -185,18 +221,27 @@ def _blocks(rows: int, width: int):
                 yield slice(r, r + 1), c0, min(c0 + READ_BLOCK_CELLS, width)
 
 
-def _read_words(fh, dims: tuple[int, ...]) -> kernels.PackedMask:
+def _read_words(fh, payload: int, dims: tuple[int, ...], start: int,
+                stop: int) -> kernels.PackedMask:
+    """The words of the rows [start, stop) along axis 1 of the set of box
+    ``dims`` whose payload begins at byte ``payload`` of ``fh`` (a 1-D set
+    is read whole); the reads take whole rows along the last axis, in
+    blocks of at most READ_BLOCK_CELLS cells."""
     width = dims[-1]
-    raw = kernels.word_bytes(dims)
+    shape = (stop - start,) + dims[1:] if len(dims) > 1 else dims
+    raw = kernels.word_bytes(shape)
     out = raw.reshape(-1, raw.shape[-1])  # one row of word bytes per row
     # buf[0] carries the byte that holds the first unread bit
     buf = np.empty(READ_BLOCK_CELLS // 8 + 2, dtype=np.uint8)
-    pos = 0  # payload bits consumed
+    pos = start * math.prod(dims[1:])  # payload bits consumed
+    fh.seek(payload + pos // 8)
 
     def read_into(view: np.ndarray) -> None:
         if fh.readinto(view) != len(view):
             raise SetFileError("bitset payload ended early")
 
+    if pos % 8:
+        read_into(buf[:1])
     for rs, c0, c1 in _blocks(len(out), width):
         h, w = rs.stop - rs.start, c1 - c0
         if width % 8 == 0:
@@ -215,7 +260,7 @@ def _read_words(fh, dims: tuple[int, ...]) -> kernels.PackedMask:
                 bits.reshape(h, w), axis=-1, bitorder="little")
             buf[0] = buf[new]
             pos += h * w
-    return kernels.from_word_bytes(dims, raw)
+    return kernels.from_word_bytes(shape, raw)
 
 
 def write_set(A: SetIndicator, path: Union[str, os.PathLike],

@@ -217,6 +217,64 @@ def test_popdiff_one_document_for_both_modes(tmp_path, capsys, schema):
     assert hists[0] == hists[1]
 
 
+def _closes_configuration(mask, cell, m, M) -> bool:
+    """Whether some x, x + r^(m_j) e_j (r <= M) in the box, one of them
+    ``cell``, lies wholly in ``mask``."""
+    n = mask.ndim
+    for r in range(1, M + 1):
+        shifts = [r ** mj for mj in m]
+        for slot in range(n + 1):
+            x = list(cell)
+            if slot:
+                x[slot - 1] -= shifts[slot - 1]
+            pts = [tuple(x)] + [tuple(c + shifts[j] * (a == j)
+                                      for a, c in enumerate(x))
+                                for j in range(n)]
+            if all(all(0 <= c < d for c, d in zip(pt, mask.shape)) and mask[pt]
+                   for pt in pts):
+                return True
+    return False
+
+
+def configuration_free_mask(dims, m, M, seed) -> np.ndarray:
+    """A seeded greedy set with no configuration x, x + r^(m_j) e_j for
+    r <= M: cells are visited in a random order, and each is kept only if
+    it closes none."""
+    mask = np.zeros(dims, dtype=bool)
+    for flat in make_rng(seed).permutation(int(np.prod(dims))):
+        cell = np.unravel_index(flat, dims)
+        mask[cell] = True
+        mask[cell] = not _closes_configuration(mask, cell, m, M)
+    return mask
+
+
+@pytest.mark.parametrize("kind", ["configuration-free", "full"])
+def test_popdiff_certificate_threshold_met(tmp_path, capsys, schema, kind):
+    # threshold_met compares the normalized count with the threshold
+    # (mu^3 - delta) / 8: a full 8x64 set meets it, and a greedy
+    # configuration-free one (density about 0.45, every count 0) does not
+    # at delta = 0.01, though it exits 0 like any nonempty set
+    dims = (8, 64)
+    mask = (configuration_free_mask(dims, (1, 2), 8, 1)
+            if kind == "configuration-free" else np.ones(dims, dtype=bool))
+    A = SetIndicator(BoxSpec(dims), mask)
+    path = tmp_path / "a.box"
+    write_set(A, path)
+    assert cli.main(["popdiff", "--set", str(path), "--m", "1,2",
+                     "--pipeline", "--delta", "0.01", "--fallback"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    jsonschema.validate(doc, schema)
+    cert = doc["certificate"]
+    assert cert["threshold"] == (A.density ** 3 - 0.01) / 8 > 0
+    assert cert["threshold_met"] is (kind == "full")
+    if kind == "configuration-free":
+        assert 0.4 < A.density and cert["normalized_count"] == 0
+        assert cli.main(["popdiff", "--set", str(path), "--m", "1,2"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 0
+    else:
+        assert cert["normalized_count"] > cert["threshold"]
+
+
 def test_popdiff_huge_M_bounded(tmp_path):
     out = tmp_path / "r.box"
     run_cli("gen", "random", "--box", "4,16", "--p", "0.7", "--seed", "1",
@@ -284,6 +342,18 @@ def test_popdiff_empty_set_exit3(tmp_path):
     proc = run_cli("popdiff", "--set", str(out), "--m", "1,2", "--M", "3")
     assert proc.returncode == 3
     assert proc.stdout == ""
+
+
+def test_popdiff_empty_binary_set_exit3(tmp_path, capsys):
+    # direct popdiff counts the members after the search, and only when it
+    # found no pattern; an empty set is still refused with the same message
+    out = tmp_path / "empty.boxb"
+    write_set(SetIndicator.empty(BoxSpec((4, 16))), out, binary=True)
+    assert cli.main(["popdiff", "--set", str(out), "--m", "1,2",
+                     "--M", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "popular-difference search needs a nonempty set" in captured.err
 
 
 def test_verify_suite_json_and_exit(tmp_path, schema):

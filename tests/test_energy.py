@@ -326,6 +326,8 @@ def test_pipeline_dead_first_scale_builds_no_grid(rng, monkeypatch):
                       "fallback": True, "q": 1, "L": dec.L, "lambda": None,
                       "normalized_count": direct.count / A.box.cells,
                       "range_ok": dec.range_ok}, direct))
+        want[-1][0]["threshold_met"] = (want[-1][0]["normalized_count"]
+                                        >= want[-1][0]["threshold"])
         assert (dec.status, dec.iterations, dec.L) == ("scale_exhausted", 0, L0)
 
     def no_grid(self):
@@ -380,6 +382,7 @@ def test_pipeline_converged_certificate_pinned():
             "r_multiplier": best,
             "normalized_count": hist[best - 1] / A.box.cells,
             "range_ok": dec.range_ok}
+        cert["threshold_met"] = cert["normalized_count"] >= cert["threshold"]
         res = energy.popular_difference_pipeline(A, m, delta)
         assert res.certificate == cert
         assert (res.r_star, res.count) == (dec.q * best, hist[best - 1])
@@ -406,6 +409,7 @@ def test_pipeline_vacuous_certificate_pinned():
             "vacuous": True, "fallback": False, "status": "vacuous", "q": 1,
             "L": None, "lambda": None,
             "normalized_count": hist[best - 1] / A.box.cells}
+        cert["threshold_met"] = cert["normalized_count"] >= cert["threshold"]
         res = energy.popular_difference_pipeline(A, m, delta,
                                                  allow_fallback=False)
         assert res.certificate == cert

@@ -267,6 +267,22 @@ def test_phase_constancy_refuses_exponents_before_powering():
         assert time.perf_counter() - t0 < 0.5
 
 
+@pytest.mark.parametrize("m,delta,bound", [((1, 64), 0.3, "N\\^m_j"),
+                                            ((1, 21), 0.3, "N\\^m_j"),
+                                            ((1, 20), 0.1, "phase grids")])
+def test_phase_constancy_refuses_int64_overflow(m, delta, bound):
+    # r^64 wrapped silently in int64 (8^64 read 0) and the snapped table
+    # then raised OverflowError; 8^21 = 2^63 is the first power refused,
+    # and at m = (1, 20) the grid ceil(2 * 8^20 / 0.1) passes 2^63 alone
+    al = PhaseTable.constant(BoxSpec((8,)), TorusPhase.exact(1, 3))
+    f = Line(1, np.ones(16, dtype=complex))
+    with pytest.raises(ValueError, match=bound + ".*2\\^63"):
+        expsum.phase_constancy_search(f, [al], m, 8, delta)
+    # just below the bounds the search runs
+    res = expsum.phase_constancy_search(f, [al], (1, 20), 8, 0.3)
+    assert res.status == "found"
+
+
 def test_fourier_certificate_constant():
     N = 12
     f = Line(1, np.ones(2 * N, dtype=complex))
