@@ -211,8 +211,8 @@ def cmd_popdiff(args) -> int:
         res = energy.popular_difference_pipeline(
             A, m, args.delta, allow_fallback=args.fallback)
     else:
-        # one pass over the set: the members are counted only when no
-        # pattern is
+        # one pass over the set: the members are counted only when the
+        # histogram is all zero, so an empty set still exits 3
         res = counting.best_popular_difference(A, m, args.M)
         if not res.histogram.any() and A.count == 0:
             raise ValueError("popular-difference search needs a nonempty set")

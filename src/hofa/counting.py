@@ -30,7 +30,8 @@ the counted prefix of the range.  Its oracle
 (``SetIndicator.mask_rows``), and ``popular_count_naive`` reads that
 histogram.  That loop, ``_indicator_counts``, is band-major: the base
 rows along axis 1 go in bands of ``kernels.band_rows`` rows (about 1 MiB of
-words, a whole number of the kernel's blocks), each set is read once per
+words, a whole number of the kernel's blocks, and at least BAND_HALOS
+halos, so a tall halo makes fewer bands), each set is read once per
 band (a view of a set in memory, a read of a file's payload), the set of
 slot 1 with a halo as tall as the largest useful axis-1 shift, every useful
 r is counted on the band by the ``set_threads`` workers, and the per-band
@@ -283,6 +284,10 @@ def lambda_phased_bruteforce(fs: Sequence[Weight],
 # Exact integer counting for indicators
 
 
+# a band of the integer histogram is at least this many halos tall
+BAND_HALOS = 4
+
+
 @dataclass(frozen=True, eq=False)
 class Histogram:
     """Counts over the differences r in [1, M], stored as the counted prefix.
@@ -335,12 +340,14 @@ class PopDiffResult:
 
 
 def _indicator_counts(inds: Sequence[SetIndicator], spec: ConfigSpec,
-                      pointwise: bool, band: int | None = None) -> Histogram:
+                      pointwise: bool) -> Histogram:
     """The histogram, band by band: the base rows along axis 1 in bands of
-    ``band`` rows (``kernels.band_rows`` of the widest set by default), each
-    set read once per band, the set of slot 1 with a halo of the largest
-    useful axis-1 shift below the band, and every useful r counted on the
-    band."""
+    ``kernels.band_rows`` rows of the widest set, each set read once per
+    band, the set of slot 1 with a halo of the largest useful axis-1 shift
+    below the band, and every useful r counted on the band.  A band is at
+    least BAND_HALOS halos tall, so the halos re-read at most 1/BAND_HALOS
+    of the rows, and a halo of N_1 / BAND_HALOS rows or more makes the grid
+    one band."""
     if len(inds) != spec.n + 1:
         raise ValueError(f"spec has n={spec.n}, got {len(inds)} indicators")
     _check_compatible(inds, spec.box.dims)
@@ -355,9 +362,9 @@ def _indicator_counts(inds: Sequence[SetIndicator], spec: ConfigSpec,
         read, count = SetIndicator.packed_rows, kernels.pattern_count_fast
     base = spec.box.dims
     sets = {id(A): A for A in inds}
-    if band is None or spec.n == 1:  # a 1-D set is one band
-        band = min(kernels.band_rows(A.box.dims) for A in sets.values())
     halo = rows[-1][0]  # the largest useful shift along axis 1
+    band = min(kernels.band_rows(A.box.dims, BAND_HALOS * halo)
+               for A in sets.values())  # a 1-D set is one band
 
     def count_band(pmap, b0: int, b1: int) -> list[int]:
         # the set of slot 1 is read past the band by the halo; when one band

@@ -107,15 +107,16 @@ def pack_mask(mask: np.ndarray) -> PackedMask:
     return from_word_bytes(mask.shape, raw)
 
 
-def band_rows(shape: Sequence[int]) -> int:
+def band_rows(shape: Sequence[int], min_rows: int = 1) -> int:
     """Rows along axis 0 in one band of a packed mask of logical ``shape``:
     a whole number of the counting loop's blocks, with about BAND_WORDS
-    words in all (at least one block).  A 1-D mask is one band."""
+    words in all (at least one block, and at least ``min_rows`` rows).  A
+    1-D mask is one band."""
     if len(shape) == 1:
         return int(shape[0])
     slab = math.prod(shape[1:-1]) * (-(-shape[-1] // WORD_BITS) + 1)
     block = max(1, BLOCK_WORDS // slab)
-    return max(block, BAND_WORDS // slab // block * block)
+    return block * max(1, BAND_WORDS // slab // block, -(-min_rows // block))
 
 
 def unpack_mask(packed: PackedMask) -> np.ndarray:

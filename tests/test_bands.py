@@ -1,6 +1,7 @@
 """Banded reads and counts: a binary set file is read a band of rows along
 axis 1 at a time, and the integer histogram counts every r on each band."""
 
+import contextlib
 import json
 import math
 import os
@@ -16,6 +17,20 @@ from hofa import cli, counting, kernels, setfile
 from hofa.core import BoxSpec, ConfigSpec, SetIndicator
 from hofa.rng import make_rng
 from hofa.setfile import read_set, write_set
+
+
+@contextlib.contextmanager
+def _bands_of(rows, inds):
+    """Count in bands of ``rows`` base rows, also shorter than the halo:
+    one-word blocks, BAND_WORDS of ``rows`` rows of the widest set and no
+    lower bound by the halo."""
+    slab = max(math.prod(A.box.dims[1:-1]) * (-(-A.box.dims[-1] // 64) + 1)
+               for A in inds)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "BLOCK_WORDS", 1)
+        mp.setattr(kernels, "BAND_WORDS", rows * slab)
+        mp.setattr(counting, "BAND_HALOS", 0)
+        yield
 
 
 def _stored(mask, storage, directory, name):
@@ -59,15 +74,15 @@ def test_banded_histogram_equals_whole_grid_and_oracle(
         inds = [shared if j != slot else
                 _stored(masks[j], storage, directory, f"{j}.boxb")
                 for j in range(n + 1)]
-        whole = counting._indicator_counts(inds, spec, False, band=base[0])
-        banded = counting._indicator_counts(inds, spec, False, band=band)
-        pointwise = counting._indicator_counts(inds, spec, True, band=band)
-        default = counting.lambda_indicator_counts(inds, spec)
+        whole = counting.lambda_indicator_counts(inds, spec)  # one band
+        with _bands_of(band, inds):
+            banded = counting.lambda_indicator_counts(inds, spec)
+            pointwise = counting.lambda_indicator_counts_pointwise(inds, spec)
     oracle = counting.lambda_indicator_counts_pointwise(
         [SetIndicator(BoxSpec(mk.shape), mk) for mk in
          [masks[0] if j != slot else masks[j] for j in range(n + 1)]], spec)
     want = oracle.counts.tolist()
-    for hist in (whole, banded, pointwise, default):
+    for hist in (whole, banded, pointwise):
         assert hist.M == M and hist.counts.tolist() == want
 
 
@@ -78,8 +93,10 @@ def test_banded_histogram_on_threads(rng, threads):
     want = counting.lambda_indicator_counts_pointwise([A] * 3, spec)
     counting.set_threads(threads)
     try:
-        got = [counting._indicator_counts([A] * 3, spec, False, band=b)
-               for b in (1, 6, 37)]
+        got = []
+        for rows in (1, 6, 37):
+            with _bands_of(rows, [A]):
+                got.append(counting.lambda_indicator_counts([A] * 3, spec))
     finally:
         counting.set_threads(1)
     assert all(h.counts.tolist() == want.counts.tolist() for h in got)
@@ -123,9 +140,45 @@ def test_one_dimensional_set_is_one_band(tmp_path, rng):
     with pytest.raises(ValueError, match="1-D"):
         A.packed_rows(0, 10)
     spec = ConfigSpec((1,), A.box, 1, 40)
-    hist = counting._indicator_counts([A] * 2, spec, False, band=1)
+    with _bands_of(1, [A]):
+        assert kernels.band_rows((300,)) == 300
+        hist = counting.lambda_indicator_counts([A] * 2, spec)
     assert hist.counts.tolist() == counting.lambda_indicator_counts_pointwise(
         [SetIndicator(A.box, mask)] * 2, spec).counts.tolist()
+
+
+@pytest.mark.parametrize("m, M, reads, calls", [
+    ((1, 1), 4, [(0, 20), (16, 36), (32, 52), (48, 64)], 16),
+    ((2, 1), 6, [(0, 64)], 6)])
+def test_band_is_four_halos_tall(tmp_path, monkeypatch, m, M, reads, calls):
+    # bands of 2 rows grow to BAND_HALOS = 4 halos: at r^1 <= 4, bands of
+    # 16 rows read 4 more each; at r^2 <= 36 the grid is one band, read
+    # once, with one kernel call per r
+    mask = make_rng(5).random((64, 100)) < 0.7
+    path = tmp_path / "a.boxb"
+    write_set(SetIndicator(BoxSpec(mask.shape), mask), path, binary=True)
+    A = read_set(path)
+    monkeypatch.setattr(kernels, "BLOCK_WORDS", 1)
+    monkeypatch.setattr(kernels, "BAND_WORDS", 2 * 3)  # 3 words a row
+    assert kernels.band_rows(mask.shape) == 2
+    seen, kernel_calls = [], []
+    read_words, count_fast = setfile._read_words, kernels.pattern_count_fast
+
+    def record_read(fh, payload, dims, start, stop):
+        seen.append((start, stop))
+        return read_words(fh, payload, dims, start, stop)
+
+    def record_call(*args):
+        kernel_calls.append(args)
+        return count_fast(*args)
+
+    monkeypatch.setattr(setfile, "_read_words", record_read)
+    monkeypatch.setattr(kernels, "pattern_count_fast", record_call)
+    spec = ConfigSpec(m, A.box, 1, M)
+    hist = counting.lambda_indicator_counts([A] * 3, spec)
+    assert seen == reads and len(kernel_calls) == calls
+    assert hist.counts.tolist() == counting.lambda_indicator_counts_pointwise(
+        [SetIndicator(A.box, mask)] * 3, spec).counts.tolist()
 
 
 @pytest.mark.parametrize("dims", [(16, 64), (8, 128), (16, 128)])
