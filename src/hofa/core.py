@@ -80,13 +80,18 @@ def _as_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
-def _check_exponents(m: Sequence[int]) -> tuple[int, ...]:
+def _check_exponents(m: Sequence[int],
+                     increasing: bool = False) -> tuple[int, ...]:
     """``m`` as a tuple of ints, each in [1, MAX_EXPONENT]; checked before
-    anything is raised to an exponent."""
+    anything is raised to an exponent.  With ``increasing``, exponents that
+    are not strictly increasing are refused too (the theory's condition,
+    which the phased operator and the decomposition need)."""
     m = tuple(int(v) for v in m)
     if not all(1 <= v <= MAX_EXPONENT for v in m):
         raise ValueError(f"exponents must be >= 1 and at most {MAX_EXPONENT}, "
                          f"got {m}")
+    if increasing and any(a >= b for a, b in zip(m, m[1:])):
+        raise ValueError(f"m must be strictly increasing, got {m}")
     return m
 
 

@@ -64,7 +64,10 @@ from .core import (ConfigSpec, GridFunction, PhaseTable, SetIndicator,
                    _check_exponents, _integer_root, read_translates,
                    read_window)
 
-# a weight of the averaged operators: a complex grid, or a set as its 0/1 mask
+# a weight of the averaged operators: a complex grid, a set as its 0/1 mask,
+# or any object whose ``values`` has a ``shape``, a ``dtype`` and crops by
+# slices that numpy converts to arrays (``energy.AxisApproximant``, whose
+# crops are gathered when a product takes them)
 Weight = GridFunction | SetIndicator
 
 # most workers ``set_threads`` takes; the pool starts at most one thread per r
@@ -83,12 +86,13 @@ def set_threads(k: int) -> None:
     _threads = k
 
 
-def _check_compatible(fs: Sequence[Weight],
+def _check_compatible(shapes: Sequence[Sequence[int]],
                       base_dims: Sequence[int]) -> None:
-    for i, f in enumerate(fs):
-        if f.box.n != len(base_dims):
-            raise ValueError(f"f_{i} has dimension {f.box.n}, expected {len(base_dims)}")
-        for a, (d, b) in enumerate(zip(f.box.dims, base_dims)):
+    for i, shape in enumerate(shapes):
+        if len(shape) != len(base_dims):
+            raise ValueError(f"f_{i} has dimension {len(shape)}, "
+                             f"expected {len(base_dims)}")
+        for a, (d, b) in enumerate(zip(shape, base_dims)):
             if d not in (b, 2 * b):
                 raise ValueError(
                     f"f_{i} axis {a + 1} has extent {d}; expected {b} or {2 * b}")
@@ -143,10 +147,12 @@ def _lambda_sum(arrays: Sequence[np.ndarray], spec: ConfigSpec,
     axes are batch axes, and the sum runs over them too, so a stack of
     grids is summed in one call per r.  A product of boolean arrays (sets)
     stays boolean; the first product takes the dtype of all the arrays, so
-    the later factors multiply in place.  Callers check the grid extents
+    the later factors multiply in place, each converted to an array only as
+    it is multiplied in (a deferred crop, such as an axis approximant's
+    gather, is made one factor at a time).  Callers check the grid extents
     (``_check_compatible``)."""
     n, base_dims = spec.n, spec.box.dims
-    dtype = np.result_type(*arrays)
+    dtype = np.result_type(*[a.dtype for a in arrays])
 
     def term(r: int, shifts: tuple[int, ...]) -> complex:
         views = kernels.pattern_views(arrays, base_dims, shifts)
@@ -180,8 +186,9 @@ def lambda_general(fs: Sequence[Weight], spec: ConfigSpec) -> complex:
     n = spec.n
     if len(fs) != n + 1:
         raise ValueError(f"spec has n={n}, got {len(fs)} functions")
-    _check_compatible(fs, spec.box.dims)
-    total = _lambda_sum([f.values for f in fs], spec)
+    arrays = [f.values for f in fs]
+    _check_compatible([a.shape for a in arrays], spec.box.dims)
+    total = _lambda_sum(arrays, spec)
     return total / (spec.box.cells * spec.M)
 
 
@@ -192,13 +199,11 @@ def lambda_phased(fs: Sequence[Weight], alphas: Sequence[PhaseTable],
     ``m`` has length n + k where k = len(alphas); the first n exponents drive
     the shifts and the last k drive the phase powers.
     """
-    m = _check_exponents(m)
+    m = _check_exponents(m, increasing=True)
     n = len(fs) - 1
     k = len(alphas)
     if len(m) != n + k:
         raise ValueError(f"need {n + k} exponents, got {len(m)}")
-    if any(a >= b for a, b in zip(m, m[1:])):
-        raise ValueError(f"m must be strictly increasing, got {m}")
     spec = ConfigSpec.power(m[:n], N)
     base_dims = spec.box.dims
     zero = (0,) * n
@@ -210,8 +215,9 @@ def lambda_phased(fs: Sequence[Weight], alphas: Sequence[PhaseTable],
             acc += alpha_wins[j] * float(r ** m[n + j])
         return np.exp(2j * np.pi * acc)
 
-    _check_compatible(fs, base_dims)
-    total = _lambda_sum([f.values for f in fs], spec, phase if k else None)
+    arrays = [f.values for f in fs]
+    _check_compatible([a.shape for a in arrays], base_dims)
+    total = _lambda_sum(arrays, spec, phase if k else None)
     return total / (spec.box.cells * spec.M)
 
 
@@ -350,7 +356,7 @@ def _indicator_counts(inds: Sequence[SetIndicator], spec: ConfigSpec,
     one band."""
     if len(inds) != spec.n + 1:
         raise ValueError(f"spec has n={spec.n}, got {len(inds)} indicators")
-    _check_compatible(inds, spec.box.dims)
+    _check_compatible([A.box.dims for A in inds], spec.box.dims)
     rows = _useful_shifts(spec, [A.box.dims[j] for j, A in enumerate(inds[1:])])
     counts = np.zeros(len(rows), dtype=np.int64)
     if not rows:

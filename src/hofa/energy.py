@@ -10,7 +10,15 @@ coordinates) of some axis by at least tau * N_i, so the loop terminates
 within n * ceil(2 / tau) steps; the scale dies once (delta / 8n) L < 1.
 Axis projections take their atom sums, and their energies the projected
 energy ``Atoms.energy``, from ``partition.Atoms``.  A set is its own 0/1
-weight (``SetIndicator.values``).
+weight (``SetIndicator.values``).  An axis approximant F_i is stored as its
+atom table (``AxisApproximant``: the atom sums over Lp, float64 for a set
+and complex128 for a grid, and the atom index along its doubled axis), and
+the counting operators and the frozen value gather it inside each crop,
+one factor at a time, so the decomposition holds no cell-sized copy of an
+approximant beyond the one factor being multiplied in.  The exponents of
+the decomposition and of the pipeline must be strictly increasing, as in
+the theory; other exponents raise ``ValueError`` on every path, the
+vacuous one included.
 
 ``popular_difference_pipeline`` returns a ``counting.PopDiffResult`` and
 builds its certificate in that one function.  A converged decomposition
@@ -102,29 +110,80 @@ def axis_projection_energy(f: Weight, axis: int, Q: int, Lp: int) -> float:
     return float(atoms.energy(arr.reshape(length, -1), Lp).mean())
 
 
-def axis_approximant(f: Weight, axis: int, Q: int, Lp: int) -> GridFunction:
-    """Grid function x -> E(slice of f at the other coordinates | partition)(x_i),
-    materialized with the axis doubled (projections spill onto whole atoms)."""
+@dataclass(frozen=True, eq=False)
+class AxisApproximant:
+    """x -> E(slice of f at the other coordinates | partition)(x_i), the axis
+    approximant F_i of ``axis_approximant``, stored as its atom table.
+
+    ``table`` holds the atom sums divided by Lp, indexed by atom along
+    ``axis`` (0-based) and by the grid's coordinates along the other axes;
+    ``atom`` is the atom index of each point of the axis, doubled (the
+    projections spill onto whole atoms).  The approximant is its own
+    ``values``: it has the grid's ``shape`` with that axis doubled and the
+    table's ``dtype``, a crop ``F[slices]`` (one slice per axis, after an
+    optional leading ``...``) is another approximant that shares the table,
+    and numpy converts it to an array by gathering the table by atom.  The
+    counting operators and ``_frozen_value`` therefore gather one crop at a
+    time, as they multiply it in, and no doubled grid is built.
+    """
+
+    table: np.ndarray
+    atom: np.ndarray
+    axis: int
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        ax = self.axis
+        return self.table.shape[:ax] + self.atom.shape + self.table.shape[ax + 1:]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.table.dtype
+
+    @property
+    def values(self) -> "AxisApproximant":
+        return self
+
+    def __getitem__(self, key: tuple) -> "AxisApproximant":
+        if key and key[0] is Ellipsis:
+            key = key[1:]  # no batch axes
+        ax = self.axis
+        rest = tuple(slice(None) if a == ax else k for a, k in enumerate(key))
+        return AxisApproximant(self.table[rest], self.atom[key[ax]], ax)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        vals = np.take(self.table, self.atom, axis=self.axis)
+        return vals if dtype is None else vals.astype(dtype, copy=False)
+
+
+def axis_approximant(f: Weight, axis: int, Q: int, Lp: int) -> AxisApproximant:
+    """The approximant x -> E(slice of f at the other coordinates |
+    partition (Q, Lp))(x_i) along axis i = ``axis`` (1-based), as its atom
+    table and the atom index of the doubled axis (projections spill onto
+    whole atoms).  The table is float64 for a set and complex128 for a
+    ``GridFunction``; ``np.asarray`` of the result is the materialized grid."""
     ax = axis - 1
     n_i = f.box.dims[ax]
     P = APPartition(Q, Lp)
     doubled = Atoms(P, 1, 2 * n_i)
     sums = Atoms(P, 1, n_i).sum(np.moveaxis(f.values, ax, 0))
-    table = np.zeros((len(doubled.first),) + sums.shape[1:], np.complex128)
+    table = np.zeros((len(doubled.first),) + sums.shape[1:],
+                     np.result_type(sums, np.float64))
     # both windows number the atoms meeting [1, N_i] in label order
     table[doubled.order[doubled.first] < n_i] = sums
-    table /= Lp
-    vals = np.take(np.moveaxis(table, 0, ax), doubled.atom, axis=ax)
-    return GridFunction(BoxSpec(vals.shape), vals)
+    # times 1/Lp rather than / Lp: numpy's complex division by a real rounds
+    # as this product, so a set's table is the real part of its grid's
+    table *= 1 / Lp
+    return AxisApproximant(np.moveaxis(table, 0, ax), doubled.atom, ax)
 
 
-def _frozen_value(g: np.ndarray, approx: Sequence[GridFunction]) -> float:
+def _frozen_value(g: np.ndarray, approx: Sequence[AxisApproximant]) -> float:
     """E_x g(x) prod_i F_i(x) over the box of g, F_i the axis approximants
-    (read on the box, not on their doubled axes)."""
+    (read on the box, not on their doubled axes), gathered one at a time."""
     sl = tuple(slice(0, d) for d in g.shape)
     acc = g.copy()
-    for proj in approx:
-        acc = acc * proj.values[sl].real
+    for F in approx:
+        acc *= np.asarray(F[sl]).real
     return float(acc.mean())
 
 
@@ -315,8 +374,9 @@ def energy_increment(fs: Sequence[Weight], m: Sequence[int], delta: float,
     On failure the modulus search tries every step multiplier up to Qmax and
     every axis at the shrunk scale floor(gamma L), accepting the smallest
     (multiplier, axis) whose axis energy grows by at least tau * N_i.
+    Exponents that are not strictly increasing raise ``ValueError``.
     """
-    m = _check_exponents(m)
+    m = _check_exponents(m, increasing=True)
     n = len(m)
     if len(fs) != n + 1:
         raise ValueError(f"need n+1 = {n + 1} weight functions")
@@ -403,9 +463,10 @@ def popular_difference_pipeline(A: SetIndicator, m: Sequence[int], delta: float,
     (mu^(n+1) - delta) / 2^(n+1) and whether the normalized count of the
     returned difference reaches it (``threshold_met``); the divisor is a
     stand-in, never a proved constant, so a false ``threshold_met`` is a
-    finding to report, not a failed property.
+    finding to report, not a failed property.  Exponents that are not
+    strictly increasing raise ``ValueError`` before any path is chosen.
     """
-    m = tuple(int(v) for v in m)
+    m = _check_exponents(m, increasing=True)
     n = len(m)
     if A.count == 0:
         raise ValueError("popular-difference search needs a nonempty set")

@@ -114,6 +114,8 @@ class Atoms:
         labels = [x // p.block * p.q + x % p.q for p in P.parts]
         # stable, so each atom's points stay in coordinate order
         self.order = np.lexsort(labels[::-1])
+        # every (1, L) partition keeps the points in coordinate order
+        self.in_order = bool((self.order[1:] > self.order[:-1]).all())
         new = np.zeros(n, dtype=bool)
         new[:1] = True
         for lab in labels:
@@ -133,9 +135,12 @@ class Atoms:
         Row i of ``values`` sits at start + i; row a of the result is the sum
         over the points of atom a in the window, taken in coordinate order
         for every trailing entry.  The dtype is kept, so integer input sums
-        exactly.  O(n) time and memory per trailing entry.
+        exactly.  O(n) time and memory per trailing entry; when the atoms
+        are already in coordinate order (``in_order``) the rows are summed
+        where they lie, without a sorted copy.
         """
-        return np.add.reduceat(values[self.order], self.first, axis=0)
+        grouped = values if self.in_order else values[self.order]
+        return np.add.reduceat(grouped, self.first, axis=0)
 
     def energy(self, values: np.ndarray, L: int) -> np.ndarray:
         """The energies ||E(line | P)||_2^2 = sum_a |S_a|^2 / L of the lines

@@ -721,7 +721,10 @@ def prop_energy_increment(rng, trials):
               and all(t.energy_after > t.energy_before for t in res.trace))
         if kind == "ones":
             ok = ok and res.status == "converged" and res.iterations == 0
-        out.check(ok, f"{kind}: {res.status} iters={res.iterations}")
+        if kind == "phase":
+            # the planted modulus must divide the one the search returns
+            ok = ok and res.q % den == 0
+        out.check(ok, f"{kind}: {res.status} iters={res.iterations} q={res.q}")
     return out
 
 

@@ -275,6 +275,40 @@ def test_popdiff_certificate_threshold_met(tmp_path, capsys, schema, kind):
         assert cert["normalized_count"] > cert["threshold"]
 
 
+@pytest.mark.parametrize("p", [0.9, 0.05])
+@pytest.mark.parametrize("m", ["1,1", "2,1"])
+def test_pipeline_refuses_non_increasing_exponents(tmp_path, capsys, m, p):
+    # p = 0.05 takes the vacuous path (mu^3 <= delta), p = 0.9 the
+    # decomposition: both refuse, with exit 3 and the rule in the message
+    path = tmp_path / "a.box"
+    write_set(SetIndicator(BoxSpec((64, 64)),
+                           make_rng(7).random((64, 64)) < p), path)
+    for extra in ([], ["--fallback"]):
+        code = cli.main(["popdiff", "--set", str(path), "--m", m,
+                         "--pipeline", "--delta", "0.1"] + extra)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "strictly increasing" in captured.err
+
+
+@pytest.mark.parametrize("m", ["1,1", "2,1"])
+def test_direct_commands_count_any_exponents(tmp_path, capsys, m):
+    # direct popdiff, count and bench count non-increasing exponents too
+    mask = make_rng(7).random((64, 64)) < 0.9
+    path = tmp_path / "a.box"
+    write_set(SetIndicator(BoxSpec((64, 64)), mask), path)
+    assert cli.main(["popdiff", "--set", str(path), "--m", m]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    mm = tuple(int(v) for v in m.split(","))
+    assert doc["count"] == counting.popular_count_naive(
+        SetIndicator(BoxSpec((64, 64)), mask), mm, doc["r_star"])
+    assert cli.main(["count", "--set", str(path), "--m", m, "--M", "2"]) == 0
+    capsys.readouterr()
+    assert cli.main(["bench", "--box", "64,64", "--m", m, "--M", "4"]) == 0
+    assert capsys.readouterr().out.startswith("impl,box,M")
+
+
 def test_popdiff_huge_M_bounded(tmp_path):
     out = tmp_path / "r.box"
     run_cli("gen", "random", "--box", "4,16", "--p", "0.7", "--seed", "1",

@@ -86,17 +86,26 @@ def test_linearization_gap_bound(rng):
 def test_axis_approximant_matches_cond_expect_every_axis(rng):
     from hofa.core import Line
     from hofa.partition import APPartition, cond_expect
+    # the approximant is an atom table; the gathered grid has its axis doubled
     g = GridFunction(BoxSpec((5, 18)), rng.random((5, 18)).astype(complex))
     F2 = energy.axis_approximant(g, 2, 3, 4)
+    assert F2.shape == (5, 36) and F2.dtype == np.complex128
+    grid2 = np.asarray(F2)
+    assert grid2.shape == (5, 36)
     for x1 in range(1, 6):
         sl = cond_expect(Line(1, g.values[x1 - 1].copy()), APPartition(3, 4))
-        assert np.abs(F2.values[x1 - 1, :36] - sl.window(1, 36)).max() <= 1e-14
+        assert np.abs(grid2[x1 - 1, :36] - sl.window(1, 36)).max() <= 1e-14
     g3 = GridFunction(BoxSpec((3, 4, 10)), rng.random((3, 4, 10)).astype(complex))
     F3 = energy.axis_approximant(g3, 3, 2, 3)
+    grid3 = np.asarray(F3)
+    assert grid3.shape == (3, 4, 20)
     for i in range(3):
         for j in range(4):
             sl = cond_expect(Line(1, g3.values[i, j].copy()), APPartition(2, 3))
-            assert np.abs(F3.values[i, j, :20] - sl.window(1, 20)).max() <= 1e-14
+            assert np.abs(grid3[i, j, :20] - sl.window(1, 20)).max() <= 1e-14
+    # a crop gathers the same cells
+    crop = (slice(1, 3), slice(0, 4), slice(5, 17))
+    assert np.array_equal(np.asarray(F3[(...,) + crop]), grid3[crop])
 
 
 def test_axis_projection_energy_monotone_under_scale(rng):
@@ -484,8 +493,9 @@ def test_energy_increment_on_sets_matches_their_grids():
 
 def test_pipeline_converging_memory_per_cell():
     # 64x4096 at p = 0.85 and delta 0.5 converges after 0 steps; the set is
-    # its own weight, so what is left is the two doubled complex
-    # approximants (64 bytes per cell) and one complex product per r
+    # its own weight and the approximants are atom tables, so what is left
+    # is the mask (1 byte per cell), one float64 product per r and the one
+    # gathered factor being multiplied in (8 bytes per cell each)
     dims = (64, 4096)
     # packed only, as read from a binary file: the mask is unpacked inside
     A = SetIndicator(BoxSpec(dims),
@@ -498,4 +508,70 @@ def test_pipeline_converging_memory_per_cell():
         tracemalloc.stop()
     assert res.certificate["status"] == "converged"
     assert res.certificate["iterations"] == 0
-    assert peak <= 96 * A.box.cells
+    assert peak <= 24 * A.box.cells
+
+
+def test_energy_increment_complex_memory_per_cell():
+    # the inputs are three complex grids built before tracing; beyond them
+    # the decomposition holds one complex product, one gathered factor and
+    # the sorted copy of a projection's atom sums, never a doubled grid
+    box = BoxSpec((32, 1024))
+    rng = make_rng(3)
+    fs = [GridFunction(box, rng.random(box.dims)
+                       * np.exp(2j * np.pi * rng.random(box.dims)),
+                       bounded=True) for _ in range(3)]
+    params = energy.IncrementParams(Qmax=4, tau=0.05, gamma=0.25)
+    tracemalloc.start()
+    try:
+        res = energy.energy_increment(fs, (1, 2), 0.7, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == "converged"
+    assert peak <= 48 * box.cells
+
+
+@pytest.mark.parametrize("den", [2, 3, 4])
+def test_energy_increment_finds_planted_modulus(den):
+    # a phase e(x_1 / den) against its conjugate: the trivial projection
+    # loses it, and the step must find a modulus that den divides
+    dims = (32, 1024)
+    box = BoxSpec(dims)
+    x1 = np.arange(1, dims[0] + 1)[:, None]
+    ph = np.exp(2j * np.pi * x1 / den) * np.ones((1, dims[1]))
+    fs = [GridFunction(box, np.conj(ph), bounded=True),
+          GridFunction(box, ph, bounded=True), GridFunction.ones(box)]
+    params = energy.IncrementParams(Qmax=4, tau=0.05, gamma=0.25)
+    res = energy.energy_increment(fs, (1, 2), 0.7, params)
+    assert res.iterations == 1
+    assert res.q == den
+    assert res.q % den == 0
+
+
+@pytest.mark.parametrize("m", [(1, 1), (2, 1), (2, 2, 3)])
+def test_energy_increment_refuses_non_increasing_exponents(m):
+    box = BoxSpec((16, 16, 16)[:len(m)])
+    fs = [GridFunction.ones(box)] * (len(m) + 1)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        energy.energy_increment(fs, m, 0.5)
+
+
+@pytest.mark.parametrize("p", [0.9, 0.05])
+@pytest.mark.parametrize("m", [(1, 1), (2, 1)])
+def test_pipeline_refuses_non_increasing_exponents_on_every_path(p, m):
+    # p = 0.05 is vacuous (mu^3 <= delta), p = 0.9 runs the decomposition
+    A = SetIndicator(BoxSpec((64, 64)), make_rng(7).random((64, 64)) < p)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        energy.popular_difference_pipeline(A, m, 0.1)
+
+
+def test_set_approximant_is_real_and_matches_its_grid(rng):
+    # a set's table is float64, bit for bit the real part of its grid's
+    A = random_set(rng, (12, 40), p=0.4)
+    for axis, Q, Lp in ((1, 1, 12), (2, 3, 5), (2, 1, 1)):
+        F = energy.axis_approximant(A, axis, Q, Lp)
+        G = energy.axis_approximant(A.to_grid(), axis, Q, Lp)
+        assert F.dtype == np.float64 and G.dtype == np.complex128
+        assert F.shape == G.shape
+        assert np.array_equal(np.asarray(F), np.asarray(G).real)
+        assert not np.asarray(G).imag.any()

@@ -78,6 +78,21 @@ def test_atom_sums_match_pointwise_labels():
         assert atoms.sum(vals[:, 0]).tolist() == [expect[lab][0] for lab in labels]
 
 
+def test_atom_sums_in_coordinate_order_skip_the_sorted_copy():
+    # a (1, L) partition numbers its atoms in coordinate order, so the rows
+    # are summed where they lie; the sums are bit for bit the sorted ones
+    vals = make_rng(13).random((40, 300))
+    lines = np.moveaxis(vals, 1, 0)  # a strided view, as the axis sums use
+    for P, in_order in ((APPartition(1, 1), True), (APPartition(1, 7), True),
+                        (APPartition(1, 300), True), (APPartition(3, 4), False),
+                        (RefinedPartition((APPartition(1, 5),
+                                           APPartition(1, 3))), True)):
+        atoms = Atoms(P, 1, 300)
+        assert atoms.in_order is in_order
+        want = np.add.reduceat(lines[atoms.order], atoms.first, axis=0)
+        assert np.array_equal(atoms.sum(lines), want)
+
+
 def test_cond_expect_indicator_of_aligned_interval():
     # qL divides 12, so atoms sit inside or outside and the projection fixes
     # the indicator
