@@ -9,6 +9,10 @@ Conventions used throughout the package:
 * All averaging denominators are exact integers; floating point enters only
   through the stored values themselves.  Reductions over arrays rely on
   numpy's pairwise summation for deterministic low-error results.
+* A ``GridFunction`` keeps real weights real: its values are float64 when
+  they are real (a real dtype, or a complex one whose imaginary parts are
+  all zero) and complex128 otherwise, so a real grid takes 8 bytes per cell
+  and its products stay real.  Readers of grids accept either dtype.
 * ``read_window`` is the one zero-padded window read (translated, optionally
   strided), and ``read_translates`` stacks such windows for every translate
   in a box as one read-only strided view, for operators that sum over many
@@ -145,10 +149,13 @@ class BoxSpec:
 
 @dataclass
 class GridFunction:
-    """Complex-valued function with finite support on a box.
+    """Real- or complex-valued function with finite support on a box.
 
     ``values[i1-1, ..., in-1]`` is the value at (i1, ..., in); everything
-    outside the box is zero.  ``bounded`` asserts sup |f| <= 1.
+    outside the box is zero.  ``bounded`` asserts sup |f| <= 1.  Real
+    values are stored as float64 and complex ones as complex128; values
+    count as real when their dtype is real, or when it is complex and every
+    imaginary part is zero.
     """
 
     box: BoxSpec
@@ -158,7 +165,11 @@ class GridFunction:
     def __post_init__(self):
         if self.box.n > MAX_GRID_DIM:
             raise ValueError(f"dense grids support n <= {MAX_GRID_DIM}")
-        self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
+        vals = np.asarray(self.values)
+        if np.iscomplexobj(vals) and not vals.imag.any():
+            vals = vals.real
+        self.values = np.ascontiguousarray(
+            vals, dtype=np.complex128 if np.iscomplexobj(vals) else np.float64)
         if self.values.shape != self.box.dims:
             raise ValueError(
                 f"values shape {self.values.shape} != box {self.box.dims}")
@@ -167,16 +178,19 @@ class GridFunction:
 
     @classmethod
     def zeros(cls, box: BoxSpec) -> "GridFunction":
-        return cls(box, np.zeros(box.dims, dtype=np.complex128))
+        return cls(box, np.zeros(box.dims))
 
     @classmethod
     def ones(cls, box: BoxSpec) -> "GridFunction":
-        return cls(box, np.ones(box.dims, dtype=np.complex128), bounded=True)
+        return cls(box, np.ones(box.dims), bounded=True)
 
     def max_abs(self) -> float:
-        if self.values.size == 0:
+        v = self.values
+        if v.size == 0:
             return 0.0
-        return float(np.abs(self.values).max())
+        if np.iscomplexobj(v):
+            return float(np.abs(v).max())
+        return float(max(-v.min(), v.max()))  # no cell-sized |v|
 
     def slice_line(self, axis: int, hat_index: tuple[int, ...]) -> "Line":
         """The 1-D slice along ``axis`` (0-based) at the other coordinates.
@@ -280,7 +294,7 @@ class SetIndicator:
     cached, and a reader is read whole on first use of either: ``packed``
     packs the mask (or reads the words), and ``mask`` unpacks the words
     (read-only) for the callers that need cells (``to_grid``, ``members``,
-    ``write_set``) and, as ``values``, for the complex operators and the
+    ``write_set``) and, as ``values``, for the averaged operators and the
     decomposition, which take a set as its own 0/1 weight.
     """
 
@@ -374,7 +388,8 @@ class SetIndicator:
         return np.argwhere(self.mask) + 1
 
     def to_grid(self) -> GridFunction:
-        return GridFunction(self.box, self.mask.astype(np.complex128), bounded=True)
+        """The set's 0/1 weight as a float64 grid."""
+        return GridFunction(self.box, self.mask.astype(np.float64), bounded=True)
 
 
 @dataclass(frozen=True)

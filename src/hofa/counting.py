@@ -4,8 +4,8 @@ The basic object is the normalized count of patterns
 
     x, x + d_1 e_1, ..., x + d_n e_n      with d_j = (q r)^(m_j)
 
-averaged over base points x in a box and differences r in a range.  Complex
-weights, or sets as their own 0/1 weights, give the averaged operators
+averaged over base points x in a box and differences r in a range.  Real or
+complex weights, or sets as their own 0/1 weights, give the averaged operators
 ``lambda_*``; 0/1 indicators admit an exact integer path
 (``lambda_indicator_counts`` and ``best_popular_difference``) built on the
 kernels module, and ``popular_count`` is the r = 1 entry of that histogram
@@ -19,8 +19,9 @@ operator can run; the power-box operators (``lambda_simple``,
 every normalization is ``spec.box.cells * spec.M``.  ``_over_differences``
 is the one loop over r: it stops after the last r with a base point
 (``_useful_shifts``, which the oracles share) and spreads the r over the
-``set_threads`` workers.  Per r, the complex operators multiply the cropped
-views of ``kernels.pattern_views``; the integer path counts on the
+``set_threads`` workers.  Per r, the averaged operators multiply the cropped
+views of ``kernels.pattern_views`` and sum the product in blocks of rows of
+about ``LAMBDA_BLOCK_CELLS`` cells; the integer path counts on the
 indicators' packed words (``SetIndicator.packed_rows``, so a set read from
 a binary file is never unpacked) with the packed-word kernel
 ``kernels.pattern_count_fast`` and returns a ``Histogram`` that keeps only
@@ -42,7 +43,7 @@ is one band.
 axes, so the averaging identity sums the simple operator over every
 translate x at once: its strided zero-padded windows for all x are one
 stacked view from ``core.read_translates``.  The brute-force oracles of
-the complex operators share one (x, r) loop, ``_bruteforce_sum``, with an
+the averaged operators share one (x, r) loop, ``_bruteforce_sum``, with an
 optional phase (``lambda_simple``'s oracle is ``lambda_general_bruteforce``
 at the power box); it stops after the last useful r as well, and
 ``ORACLE_MAX_TERMS`` bounds what ``count --oracle`` asks of it.
@@ -51,6 +52,7 @@ at the power box); it stops after the last useful r as well, and
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import operator
@@ -64,11 +66,16 @@ from .core import (ConfigSpec, GridFunction, PhaseTable, SetIndicator,
                    _check_exponents, _integer_root, read_translates,
                    read_window)
 
-# a weight of the averaged operators: a complex grid, a set as its 0/1 mask,
-# or any object whose ``values`` has a ``shape``, a ``dtype`` and crops by
-# slices that numpy converts to arrays (``energy.AxisApproximant``, whose
-# crops are gathered when a product takes them)
+# a weight of the averaged operators: a real (float64) or complex grid, a set
+# as its 0/1 mask, or any object whose ``values`` has a ``shape``, a
+# ``dtype`` and crops by slices that numpy converts to arrays
+# (``energy.AxisApproximant``, whose crops are gathered when a product takes
+# them)
 Weight = GridFunction | SetIndicator
+
+# cells per block of a product in ``_lambda_sum``: 128 KiB of float64, and
+# 256 KiB of complex128, one block of the packed kernel (BLOCK_WORDS words)
+LAMBDA_BLOCK_CELLS = 1 << 14
 
 # most workers ``set_threads`` takes; the pool starts at most one thread per r
 MAX_THREADS = 64
@@ -138,31 +145,47 @@ def _over_differences(term: Callable[[int, tuple[int, ...]], object],
 
 
 def _lambda_sum(arrays: Sequence[np.ndarray], spec: ConfigSpec,
-                phase: Callable[[int], np.ndarray] | None = None) -> complex:
+                phase: Callable[[int, tuple[slice, ...]], np.ndarray]
+                | None = None) -> complex:
     """Sum over r in [M] of sum_x f_0(x) prod_j f_j(x + (q r)^(m_j) e_j)
-    [* phase(r)(x)] for the (m, q, M) of ``spec``, with x in its box, where
-    f_i is the grid ``arrays[i]`` (zero outside it).
+    [* phase(r, crop)(x)] for the (m, q, M) of ``spec``, with x in its box,
+    where f_i is the grid ``arrays[i]`` (zero outside it) and ``phase(r,
+    crop)`` is the phase of r on the crop ``crop`` of the box.
 
     The trailing n axes of each array are the grid; leading
     axes are batch axes, and the sum runs over them too, so a stack of
-    grids is summed in one call per r.  A product of boolean arrays (sets)
-    stays boolean; the first product takes the dtype of all the arrays, so
-    the later factors multiply in place, each converted to an array only as
-    it is multiplied in (a deferred crop, such as an axis approximant's
-    gather, is made one factor at a time).  Callers check the grid extents
-    (``_check_compatible``)."""
+    grids is summed in one call per r.  Each r's cropped views are
+    multiplied and summed in blocks of rows along the first grid axis, about
+    LAMBDA_BLOCK_CELLS cells each (batch axes whole), and its term is the
+    sum of its block sums, so no product is cell-sized.  A product of
+    boolean arrays (sets) stays boolean; the first product takes the dtype
+    of all the arrays, so the later factors multiply in place, each
+    converted to an array only as it is multiplied in (a deferred crop, such
+    as an axis approximant's gather, is made one factor and one block at a
+    time).  Callers check the grid extents (``_check_compatible``)."""
     n, base_dims = spec.n, spec.box.dims
     dtype = np.result_type(*[a.dtype for a in arrays])
 
     def term(r: int, shifts: tuple[int, ...]) -> complex:
         views = kernels.pattern_views(arrays, base_dims, shifts)
-        prod = np.multiply(views[0], views[1], dtype=dtype)
-        for v in views[2:]:
-            prod *= v
-        if phase is not None:
-            # out of place: a product of sets is boolean
-            prod = prod * phase(r)[tuple(slice(0, d) for d in prod.shape[-n:])]
-        return prod.sum()
+        rows = views[0].shape[-n]
+        per_row = max([math.prod(v.shape) for v in views]) // rows
+        step = max(1, LAMBDA_BLOCK_CELLS // per_row)
+
+        def block(b0: int) -> complex:
+            key = (..., slice(b0, b0 + step)) + (slice(None),) * (n - 1)
+            prod = np.multiply(views[0][key], views[1][key], dtype=dtype)
+            for v in views[2:]:
+                prod *= v[key]
+            if phase is not None:
+                # the block's cells of the box, from row b0; out of place: a
+                # product of sets is boolean
+                crop = [slice(0, d) for d in prod.shape[-n:]]
+                crop[0] = slice(b0, b0 + prod.shape[-n])
+                prod = prod * phase(r, tuple(crop))
+            return prod.sum()
+
+        return functools.reduce(operator.add, map(block, range(0, rows, step)))
 
     per_r = _over_differences(term, arrays, spec)
     return complex(np.sum(np.asarray(per_r))) if per_r else 0j
@@ -209,10 +232,10 @@ def lambda_phased(fs: Sequence[Weight], alphas: Sequence[PhaseTable],
     zero = (0,) * n
     alpha_wins = [read_window(a.frac, zero, base_dims) for a in alphas]
 
-    def phase(r: int) -> np.ndarray:
-        acc = np.zeros(base_dims, dtype=np.float64)
+    def phase(r: int, crop: tuple[slice, ...]) -> np.ndarray:
+        acc = np.zeros(alpha_wins[0][crop].shape, dtype=np.float64)
         for j in range(k):
-            acc += alpha_wins[j] * float(r ** m[n + j])
+            acc += alpha_wins[j][crop] * float(r ** m[n + j])
         return np.exp(2j * np.pi * acc)
 
     arrays = [f.values for f in fs]

@@ -10,15 +10,16 @@ coordinates) of some axis by at least tau * N_i, so the loop terminates
 within n * ceil(2 / tau) steps; the scale dies once (delta / 8n) L < 1.
 Axis projections take their atom sums, and their energies the projected
 energy ``Atoms.energy``, from ``partition.Atoms``.  A set is its own 0/1
-weight (``SetIndicator.values``).  An axis approximant F_i is stored as its
-atom table (``AxisApproximant``: the atom sums over Lp, float64 for a set
-and complex128 for a grid, and the atom index along its doubled axis), and
-the counting operators and the frozen value gather it inside each crop,
-one factor at a time, so the decomposition holds no cell-sized copy of an
-approximant beyond the one factor being multiplied in.  The exponents of
-the decomposition and of the pipeline must be strictly increasing, as in
-the theory; other exponents raise ``ValueError`` on every path, the
-vacuous one included.
+weight (``SetIndicator.values``), and a real grid is stored as float64.
+An axis approximant F_i is stored as its atom table (``AxisApproximant``:
+the atom sums over Lp, float64 for any real weight and complex128 for a
+complex grid, and the atom index along its doubled axis).  The counting
+operators gather it one block of rows of each crop at a time, as they
+multiply it in, and the frozen value one approximant at a time, so the
+decomposition holds no doubled grid and no cell-sized product.  The
+exponents of the decomposition and of the pipeline must be strictly
+increasing, as in the theory; other exponents raise ``ValueError`` on every
+path, the vacuous one included.
 
 ``popular_difference_pipeline`` returns a ``counting.PopDiffResult`` and
 builds its certificate in that one function.  A converged decomposition
@@ -55,10 +56,13 @@ from .partition import APPartition, Atoms
 
 
 def _real_unit_values(f: GridFunction) -> np.ndarray:
-    vals = f.values
-    if np.abs(vals.imag).max(initial=0.0) > 1e-12:
-        raise ValueError("box counts need real-valued input")
-    g = vals.real
+    g = f.values
+    if np.iscomplexobj(g):
+        # only complex storage is checked: ``.imag`` of a real array would
+        # be a new array of zeros
+        if np.abs(g.imag).max(initial=0.0) > 1e-12:
+            raise ValueError("box counts need real-valued input")
+        g = g.real
     if g.min(initial=0.0) < -1e-12 or g.max(initial=0.0) > 1 + 1e-12:
         raise ValueError("box counts need values in [0, 1]")
     return np.clip(g, 0.0, 1.0)
@@ -160,8 +164,9 @@ def axis_approximant(f: Weight, axis: int, Q: int, Lp: int) -> AxisApproximant:
     """The approximant x -> E(slice of f at the other coordinates |
     partition (Q, Lp))(x_i) along axis i = ``axis`` (1-based), as its atom
     table and the atom index of the doubled axis (projections spill onto
-    whole atoms).  The table is float64 for a set and complex128 for a
-    ``GridFunction``; ``np.asarray`` of the result is the materialized grid."""
+    whole atoms).  The table is float64 for any real weight (a set, or a
+    ``GridFunction`` stored as float64) and complex128 for a complex grid;
+    ``np.asarray`` of the result is the materialized grid."""
     ax = axis - 1
     n_i = f.box.dims[ax]
     P = APPartition(Q, Lp)

@@ -4,7 +4,7 @@ The pattern count (how many base points x have x in A_0 and x + d_j e_j in
 A_j for every axis j) is the performance core of the package.
 ``pattern_views`` owns the cropped pattern read, the aligned views a_0[x],
 a_j[x + d_j e_j] over the base points whose reads all stay in range (the
-zero-padded windows are ``core.read_window``'s); the complex operators of
+zero-padded windows are ``core.read_window``'s); the averaged operators of
 ``counting`` multiply them.  It crops only the trailing n axes, so a stack
 of same-shape arrays with leading batch axes (``core.read_translates``) is
 read in one call.

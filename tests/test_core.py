@@ -202,6 +202,34 @@ def test_grid_function_caps():
         GridFunction(BoxSpec((2,)), np.array([1.5, 0]), bounded=True)
 
 
+def test_grid_function_keeps_real_weights_real(rng):
+    box = BoxSpec((3, 9))
+    vals = rng.random(box.dims) - 0.5
+    real = [GridFunction(box, vals), GridFunction(box, vals.astype(complex)),
+            GridFunction(box, (vals > 0).astype(np.int64)),
+            GridFunction.ones(box), GridFunction.zeros(box),
+            SetIndicator(box, vals > 0).to_grid()]
+    for g in real:
+        assert g.values.dtype == np.float64
+    assert np.array_equal(real[1].values, vals)
+    cplx = vals.astype(complex)
+    cplx[2, 5] += 1e-300j
+    g = GridFunction(box, cplx)
+    assert g.values.dtype == np.complex128 and g.values[2, 5].imag == 1e-300
+    # sup |f| on real storage counts negative values
+    assert GridFunction(box, -np.ones(box.dims), bounded=True).max_abs() == 1.0
+    with pytest.raises(ValueError, match="bounded"):
+        GridFunction(BoxSpec((2,)), np.array([-1.5, 0.5]), bounded=True)
+    # the operators take real grids as they are
+    spec = ConfigSpec((1, 2), BoxSpec((3, 9)), q=1, M=3)
+    fs = [GridFunction(BoxSpec(d), rng.random(d) - 0.5, bounded=True)
+          for d in ((3, 9), (6, 9), (3, 18))]
+    lam = counting.lambda_general(fs, spec)
+    assert lam.imag == 0
+    assert lam == pytest.approx(counting.lambda_general_bruteforce(fs, spec),
+                                abs=1e-14)
+
+
 def test_indicator_count_preserved_under_coercion():
     mask = np.zeros((4, 4), dtype=bool)
     mask[0, 0] = mask[2, 3] = True

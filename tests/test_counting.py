@@ -544,6 +544,34 @@ def test_lambda_sum_batch_axes_sum_the_stack(rng):
     assert got == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("block_cells", [1, 5, 40])
+def test_lambda_sum_row_blocks_match_one_block(rng, monkeypatch, block_cells):
+    # blocks of 1 row, of a few rows, and blocks past the batch axes; every
+    # operator equals its one-block value and its oracle
+    spec = ConfigSpec((1, 2), BoxSpec((4, 16)), q=1, M=2)
+    fs = [random_grid(rng, d, kind) for d, kind in (
+        ((4, 16), "complex"), ((8, 16), "signs"), ((4, 32), "unit"))]
+    al = PhaseTable.from_floats(BoxSpec((2, 4)), rng.random((2, 4)))
+    small = [random_grid(rng, d) for d in ((2, 4), (4, 4), (2, 8))]
+    avg = [random_grid(rng, d) for d in ((3, 9), (6, 9), (3, 18))]
+    avg_spec = ConfigSpec((1, 2), BoxSpec((3, 9)), q=1, M=3)
+
+    def run():
+        return (counting.lambda_general(fs, spec),
+                counting.lambda_phased(small, [al], (1, 2, 3), 2),
+                counting.averaging_identity_check(avg, avg_spec)[1])
+
+    whole = run()
+    monkeypatch.setattr(counting, "LAMBDA_BLOCK_CELLS", block_cells)
+    blocked = run()
+    for a, b in zip(whole, blocked):
+        assert a == pytest.approx(b, abs=1e-13)
+    assert blocked[0] == pytest.approx(
+        counting.lambda_general_bruteforce(fs, spec), abs=1e-13)
+    assert blocked[1] == pytest.approx(
+        counting.lambda_phased_bruteforce(small, [al], (1, 2, 3), 2), abs=1e-13)
+
+
 def test_integer_path_with_slack_boxes(rng):
     box = BoxSpec((8, 64))
     inds = [random_set(rng, (8, 64)), random_set(rng, (16, 64)),

@@ -86,10 +86,12 @@ def test_linearization_gap_bound(rng):
 def test_axis_approximant_matches_cond_expect_every_axis(rng):
     from hofa.core import Line
     from hofa.partition import APPartition, cond_expect
-    # the approximant is an atom table; the gathered grid has its axis doubled
+    # the approximant is an atom table; the gathered grid has its axis
+    # doubled; a real grid (here complex input with zero imaginary parts) is
+    # stored as float64, and so is its table
     g = GridFunction(BoxSpec((5, 18)), rng.random((5, 18)).astype(complex))
     F2 = energy.axis_approximant(g, 2, 3, 4)
-    assert F2.shape == (5, 36) and F2.dtype == np.complex128
+    assert F2.shape == (5, 36) and F2.dtype == np.float64
     grid2 = np.asarray(F2)
     assert grid2.shape == (5, 36)
     for x1 in range(1, 6):
@@ -493,9 +495,9 @@ def test_energy_increment_on_sets_matches_their_grids():
 
 def test_pipeline_converging_memory_per_cell():
     # 64x4096 at p = 0.85 and delta 0.5 converges after 0 steps; the set is
-    # its own weight and the approximants are atom tables, so what is left
-    # is the mask (1 byte per cell), one float64 product per r and the one
-    # gathered factor being multiplied in (8 bytes per cell each)
+    # its own weight, the approximants are atom tables and each product is
+    # summed in row blocks, so what is left is the mask (1 byte per cell)
+    # and the int64 cast of the mask in the atom sums (8 bytes per cell)
     dims = (64, 4096)
     # packed only, as read from a binary file: the mask is unpacked inside
     A = SetIndicator(BoxSpec(dims),
@@ -508,7 +510,7 @@ def test_pipeline_converging_memory_per_cell():
         tracemalloc.stop()
     assert res.certificate["status"] == "converged"
     assert res.certificate["iterations"] == 0
-    assert peak <= 24 * A.box.cells
+    assert peak <= 12 * A.box.cells
 
 
 def test_energy_increment_complex_memory_per_cell():
@@ -529,6 +531,26 @@ def test_energy_increment_complex_memory_per_cell():
         tracemalloc.stop()
     assert res.status == "converged"
     assert peak <= 48 * box.cells
+
+
+def test_energy_increment_real_memory_per_cell():
+    # three real +-1 grids, stored as float64 and built before tracing;
+    # beyond them the decomposition holds row blocks of its products, the
+    # float64 atom tables and the copies a projection makes of its weight
+    box = BoxSpec((32, 1024))
+    rng = make_rng(3)
+    fs = [GridFunction(box, rng.choice([-1.0, 1.0], box.dims), bounded=True)
+          for _ in range(3)]
+    params = energy.IncrementParams(Qmax=4, tau=0.05, gamma=0.25)
+    tracemalloc.start()
+    try:
+        res = energy.energy_increment(fs, (1, 2), 0.7, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(f.values.dtype == np.float64 for f in fs)
+    assert res.status == "converged"
+    assert peak <= 16 * box.cells
 
 
 @pytest.mark.parametrize("den", [2, 3, 4])
@@ -566,12 +588,11 @@ def test_pipeline_refuses_non_increasing_exponents_on_every_path(p, m):
 
 
 def test_set_approximant_is_real_and_matches_its_grid(rng):
-    # a set's table is float64, bit for bit the real part of its grid's
+    # a set's table and its float64 grid's are float64 and bit for bit equal
     A = random_set(rng, (12, 40), p=0.4)
     for axis, Q, Lp in ((1, 1, 12), (2, 3, 5), (2, 1, 1)):
         F = energy.axis_approximant(A, axis, Q, Lp)
         G = energy.axis_approximant(A.to_grid(), axis, Q, Lp)
-        assert F.dtype == np.float64 and G.dtype == np.complex128
+        assert F.dtype == np.float64 and G.dtype == np.float64
         assert F.shape == G.shape
-        assert np.array_equal(np.asarray(F), np.asarray(G).real)
-        assert not np.asarray(G).imag.any()
+        assert np.array_equal(np.asarray(F), np.asarray(G))
