@@ -21,9 +21,11 @@ is the one loop over r: it stops after the last r with a base point
 (``_useful_shifts``, which the oracles share) and spreads the r over the
 ``set_threads`` workers.  Per r, the averaged operators multiply the cropped
 views of ``kernels.pattern_views`` and sum the product in blocks of rows of
-about ``LAMBDA_BLOCK_CELLS`` cells; the integer path counts on the
-indicators' packed words (``SetIndicator.packed_rows``, so a set read from
-a binary file is never unpacked) with the packed-word kernel
+about ``LAMBDA_BLOCK_CELLS`` cells (``_product_sum``, the one row-blocked
+product sum, which ``energy``'s box counts and frozen value share); the
+integer path counts on the indicators' packed words
+(``SetIndicator.packed_rows``, so a set read from a binary file is never
+unpacked) with the packed-word kernel
 ``kernels.pattern_count_fast`` and returns a ``Histogram`` that keeps only
 the counted prefix of the range.  Its oracle
 ``lambda_indicator_counts_pointwise`` runs the same loop with
@@ -73,7 +75,7 @@ from .core import (ConfigSpec, GridFunction, PhaseTable, SetIndicator,
 # them)
 Weight = GridFunction | SetIndicator
 
-# cells per block of a product in ``_lambda_sum``: 128 KiB of float64, and
+# cells per block of a product in ``_product_sum``: 128 KiB of float64, and
 # 256 KiB of complex128, one block of the packed kernel (BLOCK_WORDS words)
 LAMBDA_BLOCK_CELLS = 1 << 14
 
@@ -144,6 +146,41 @@ def _over_differences(term: Callable[[int, tuple[int, ...]], object],
         return list(pmap(term, range(1, len(rows) + 1), rows))
 
 
+def _product_sum(views: Sequence, n: int, dtype: np.dtype,
+                 phase: Callable[[tuple[slice, ...]], np.ndarray]
+                 | None = None):
+    """Sum over every cell of views[0] * views[1] * ... [* phase(crop)],
+    the ``views`` aligned arrays whose trailing n axes are the grid (leading
+    axes are batch axes, summed too) and ``phase(crop)`` the phase on the
+    crop ``crop`` of the grid.
+
+    The product is multiplied and summed in blocks of rows along the first
+    grid axis, about LAMBDA_BLOCK_CELLS cells each (batch axes whole), and
+    the sum is the sum of the block sums, so no product is cell-sized.  The
+    first product takes ``dtype`` (a product of boolean arrays, sets, stays
+    boolean), so the later factors multiply in place, each converted to an
+    array only as it is multiplied in: a deferred crop, such as an axis
+    approximant's gather, is made one factor and one block at a time."""
+    rows = views[0].shape[-n]
+    per_row = max([math.prod(v.shape) for v in views]) // rows
+    step = max(1, LAMBDA_BLOCK_CELLS // per_row)
+
+    def block(b0: int):
+        key = (..., slice(b0, b0 + step)) + (slice(None),) * (n - 1)
+        prod = np.multiply(views[0][key], views[1][key], dtype=dtype)
+        for v in views[2:]:
+            prod *= v[key]
+        if phase is not None:
+            # the block's cells of the grid, from row b0; out of place: a
+            # product of sets is boolean
+            crop = [slice(0, d) for d in prod.shape[-n:]]
+            crop[0] = slice(b0, b0 + prod.shape[-n])
+            prod = prod * phase(tuple(crop))
+        return prod.sum()
+
+    return functools.reduce(operator.add, map(block, range(0, rows, step)))
+
+
 def _lambda_sum(arrays: Sequence[np.ndarray], spec: ConfigSpec,
                 phase: Callable[[int, tuple[slice, ...]], np.ndarray]
                 | None = None) -> complex:
@@ -154,38 +191,17 @@ def _lambda_sum(arrays: Sequence[np.ndarray], spec: ConfigSpec,
 
     The trailing n axes of each array are the grid; leading
     axes are batch axes, and the sum runs over them too, so a stack of
-    grids is summed in one call per r.  Each r's cropped views are
-    multiplied and summed in blocks of rows along the first grid axis, about
-    LAMBDA_BLOCK_CELLS cells each (batch axes whole), and its term is the
-    sum of its block sums, so no product is cell-sized.  A product of
-    boolean arrays (sets) stays boolean; the first product takes the dtype
-    of all the arrays, so the later factors multiply in place, each
-    converted to an array only as it is multiplied in (a deferred crop, such
-    as an axis approximant's gather, is made one factor and one block at a
-    time).  Callers check the grid extents (``_check_compatible``)."""
+    grids is summed in one call per r.  Each r's term is the
+    ``_product_sum`` of its cropped views (``kernels.pattern_views``), in
+    the dtype of all the arrays, so no product is cell-sized.  Callers
+    check the grid extents (``_check_compatible``)."""
     n, base_dims = spec.n, spec.box.dims
     dtype = np.result_type(*[a.dtype for a in arrays])
 
     def term(r: int, shifts: tuple[int, ...]) -> complex:
         views = kernels.pattern_views(arrays, base_dims, shifts)
-        rows = views[0].shape[-n]
-        per_row = max([math.prod(v.shape) for v in views]) // rows
-        step = max(1, LAMBDA_BLOCK_CELLS // per_row)
-
-        def block(b0: int) -> complex:
-            key = (..., slice(b0, b0 + step)) + (slice(None),) * (n - 1)
-            prod = np.multiply(views[0][key], views[1][key], dtype=dtype)
-            for v in views[2:]:
-                prod *= v[key]
-            if phase is not None:
-                # the block's cells of the box, from row b0; out of place: a
-                # product of sets is boolean
-                crop = [slice(0, d) for d in prod.shape[-n:]]
-                crop[0] = slice(b0, b0 + prod.shape[-n])
-                prod = prod * phase(r, tuple(crop))
-            return prod.sum()
-
-        return functools.reduce(operator.add, map(block, range(0, rows, step)))
+        return _product_sum(views, n, dtype, None if phase is None
+                            else functools.partial(phase, r))
 
     per_r = _over_differences(term, arrays, spec)
     return complex(np.sum(np.asarray(per_r))) if per_r else 0j

@@ -13,13 +13,21 @@ energy ``Atoms.energy``, from ``partition.Atoms``.  A set is its own 0/1
 weight (``SetIndicator.values``), and a real grid is stored as float64.
 An axis approximant F_i is stored as its atom table (``AxisApproximant``:
 the atom sums over Lp, float64 for any real weight and complex128 for a
-complex grid, and the atom index along its doubled axis).  The counting
-operators gather it one block of rows of each crop at a time, as they
-multiply it in, and the frozen value one approximant at a time, so the
-decomposition holds no doubled grid and no cell-sized product.  The
-exponents of the decomposition and of the pipeline must be strictly
-increasing, as in the theory; other exponents raise ``ValueError`` on every
-path, the vacuous one included.
+complex grid, and the atom index along its doubled axis).  Every product
+of aligned grids here is summed by the one row-blocked product sum
+``counting._product_sum``, in blocks of about ``LAMBDA_BLOCK_CELLS``
+cells, and an approximant crop is gathered one block at a time as it is
+multiplied in: the counting operators, the frozen value of
+``cond_box_count`` and ``linearization_gap``, and ``box_count`` against its
+broadcast axis means.  The box counts read a weight in [0, 1] as its own
+values (no clipped copy unless a value needs clipping), so ``box_count``,
+``cond_box_count`` and ``linearization_gap`` hold one block and the atom
+tables beyond their input, and the decomposition holds no doubled grid and
+no cell-sized product.  Tolerances delta outside (0, 1] and per-axis
+parameters of the wrong length raise ``ValueError``.  The exponents of
+the decomposition and of the pipeline must be strictly increasing, as in
+the theory; other exponents raise ``ValueError`` on every path, the vacuous
+one included.
 
 ``popular_difference_pipeline`` returns a ``counting.PopDiffResult`` and
 builds its certificate in that one function.  A converged decomposition
@@ -46,8 +54,9 @@ import numpy as np
 
 from .core import (BoxSpec, ConfigSpec, DecompositionError, GridFunction,
                    SetIndicator, _check_exponents, _integer_root, read_window)
-from .counting import (PopDiffResult, Weight, best_popular_difference,
-                       lambda_general, lambda_indicator_counts)
+from .counting import (PopDiffResult, Weight, _product_sum,
+                       best_popular_difference, lambda_general,
+                       lambda_indicator_counts)
 from .partition import APPartition, Atoms
 
 
@@ -56,30 +65,49 @@ from .partition import APPartition, Atoms
 
 
 def _real_unit_values(f: GridFunction) -> np.ndarray:
+    """The values of f as a real array in [0, 1]: f's own values (or the
+    real part of complex storage, a view) unless some value lies outside
+    by at most 1e-12 and is clipped; further out raises ``ValueError``."""
     g = f.values
     if np.iscomplexobj(g):
-        # only complex storage is checked: ``.imag`` of a real array would
-        # be a new array of zeros
-        if np.abs(g.imag).max(initial=0.0) > 1e-12:
+        # only complex storage is checked, from the extremes of its
+        # imaginary parts (a view): no cell-sized |imag|
+        im = g.imag
+        if max(-im.min(initial=0.0), im.max(initial=0.0)) > 1e-12:
             raise ValueError("box counts need real-valued input")
         g = g.real
-    if g.min(initial=0.0) < -1e-12 or g.max(initial=0.0) > 1 + 1e-12:
+    lo, hi = g.min(initial=0.0), g.max(initial=0.0)
+    if lo < -1e-12 or hi > 1 + 1e-12:
         raise ValueError("box counts need values in [0, 1]")
-    return np.clip(g, 0.0, 1.0)
+    return np.clip(g, 0.0, 1.0) if lo < 0 or hi > 1 else g
+
+
+def _check_axis_params(f: GridFunction, qs: Sequence[int],
+                       Ls: Sequence[int]) -> None:
+    n = f.box.n
+    if len(qs) != n or len(Ls) != n:
+        raise ValueError(f"need one q_i and one L_i per axis of the {n}-D "
+                         f"grid, got {len(qs)} and {len(Ls)}")
+
+
+def _check_delta(delta: float) -> None:
+    """Refuse a tolerance outside (0, 1], NaN included."""
+    if not 0 < delta <= 1:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
 
 
 def box_count(f: GridFunction) -> float:
     """E over x, x' in the box of f(x) prod_j f(x with axis j from x').
 
     The x' average factorizes into per-axis means, so this equals
-    E_x f(x) prod_j (mean of f along axis j), an O(cells) computation.
-    For n = 1 it is exactly (E f)^2.
+    E_x f(x) prod_j (mean of f along axis j), an O(cells) computation
+    summed in row blocks (``counting._product_sum``) against the broadcast
+    means.  For n = 1 it is exactly (E f)^2.
     """
     g = _real_unit_values(f)
-    acc = g.copy()
-    for ax in range(g.ndim):
-        acc = acc * g.mean(axis=ax, keepdims=True)
-    return float(acc.mean())
+    means = [np.broadcast_to(g.mean(axis=ax, keepdims=True), g.shape)
+             for ax in range(g.ndim)]
+    return float(_product_sum([g] + means, g.ndim, g.dtype) / g.size)
 
 
 def box_count_naive(f: GridFunction) -> float:
@@ -183,19 +211,21 @@ def axis_approximant(f: Weight, axis: int, Q: int, Lp: int) -> AxisApproximant:
 
 
 def _frozen_value(g: np.ndarray, approx: Sequence[AxisApproximant]) -> float:
-    """E_x g(x) prod_i F_i(x) over the box of g, F_i the axis approximants
-    (read on the box, not on their doubled axes), gathered one at a time."""
+    """E_x g(x) prod_i Re F_i(x) over the box of g, F_i the axis
+    approximants (read on the box, not on their doubled axes), summed in
+    row blocks (``counting._product_sum``) with each block of each crop
+    gathered as it is multiplied in."""
     sl = tuple(slice(0, d) for d in g.shape)
-    acc = g.copy()
-    for F in approx:
-        acc *= np.asarray(F[sl]).real
-    return float(acc.mean())
+    crops = [AxisApproximant(F.table.real, F.atom, F.axis)[sl] for F in approx]
+    return float(_product_sum([g] + crops, g.ndim, g.dtype) / g.size)
 
 
 def cond_box_count(f: GridFunction, qs: Sequence[int],
                    Ls: Sequence[int]) -> tuple[float, float]:
     """E_x f(x) prod_i E(slice_i | partition (q_i, L_i))(x_i), with the
-    comparison value (E f)^(n+1) reported alongside."""
+    comparison value (E f)^(n+1) reported alongside.  ``qs`` and ``Ls``
+    have one entry per axis."""
+    _check_axis_params(f, qs, Ls)
     g = _real_unit_values(f)
     n = f.box.n
     approx = [axis_approximant(f, ax + 1, int(qs[ax]), int(Ls[ax]))
@@ -207,11 +237,13 @@ def cond_box_expansion(f: GridFunction, qs: Sequence[int],
                        Ls: Sequence[int]) -> dict:
     """Expand cond_box_count over partition cells and check the convexity step.
 
-    Requires every q_i L_i to divide N_i so cells tile the box exactly.  Each
-    cell contributes the box count of the sub-grid sampled at strides q_i;
-    the cell-level inequality against the (n+1)-st power of the cell mean and
-    the aggregated convexity bound are both reported.
+    Requires one (q_i, L_i) per axis, and every q_i L_i to divide N_i so
+    cells tile the box exactly.  Each cell contributes the box count of the
+    sub-grid sampled at strides q_i; the cell-level inequality against the
+    (n+1)-st power of the cell mean and the aggregated convexity bound are
+    both reported.
     """
+    _check_axis_params(f, qs, Ls)
     g = _real_unit_values(f)
     dims = f.box.dims
     n = len(dims)
@@ -281,8 +313,9 @@ def linearization_gap(f: GridFunction, spec: ConfigSpec, L: int,
     Each projection is constant on progressions of length L^(m_i) and stride
     q^(m_i); a shift by (q r)^(m_i) <= (q M)^(m_i) changes it on at most a
     4 (M/L)^(m_i) fraction, whence the bound sum_i 4 (M/L)^(m_i).  Requires
-    M <= (delta / 8n) L.
+    delta in (0, 1] and M <= (delta / 8n) L.
     """
+    _check_delta(delta)
     n = spec.n
     if spec.M > delta / (8 * n) * L:
         raise ValueError(f"need M <= (delta/8n) L, got M={spec.M}, L={L}")
@@ -379,8 +412,10 @@ def energy_increment(fs: Sequence[Weight], m: Sequence[int], delta: float,
     On failure the modulus search tries every step multiplier up to Qmax and
     every axis at the shrunk scale floor(gamma L), accepting the smallest
     (multiplier, axis) whose axis energy grows by at least tau * N_i.
-    Exponents that are not strictly increasing raise ``ValueError``.
+    Exponents that are not strictly increasing, and delta outside (0, 1],
+    raise ``ValueError``.
     """
+    _check_delta(delta)
     m = _check_exponents(m, increasing=True)
     n = len(m)
     if len(fs) != n + 1:
@@ -469,8 +504,10 @@ def popular_difference_pipeline(A: SetIndicator, m: Sequence[int], delta: float,
     returned difference reaches it (``threshold_met``); the divisor is a
     stand-in, never a proved constant, so a false ``threshold_met`` is a
     finding to report, not a failed property.  Exponents that are not
-    strictly increasing raise ``ValueError`` before any path is chosen.
+    strictly increasing, and delta outside (0, 1], raise ``ValueError``
+    before any path is chosen.
     """
+    _check_delta(delta)
     m = _check_exponents(m, increasing=True)
     n = len(m)
     if A.count == 0:

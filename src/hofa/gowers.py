@@ -73,6 +73,16 @@ def _shift_tuple(h) -> tuple[int, ...]:
     return tuple(int(v) for v in h)
 
 
+def _diff_arr(g: np.ndarray, h: int) -> np.ndarray:
+    """g(.) conj g(. + h) on the overlap of g and its shift by h, which
+    starts at index max(0, -h) of g; the multiplicative difference of
+    ``mult_diff`` and of the norm recursion."""
+    n = len(g)
+    if h >= 0:
+        return g[:n - h] * np.conj(g[h:]) if h < n else g[:0]
+    return g[-h:] * np.conj(g[:n + h]) if -h < n else g[:0]
+
+
 def mult_diff(f: Line, h) -> Line:
     """Iterated multiplicative difference f(.) conj f(. + h_1) ... on Z.
 
@@ -81,12 +91,10 @@ def mult_diff(f: Line, h) -> Line:
     """
     g = f
     for hv in _shift_tuple(h):
-        lo = max(g.start, g.start - hv)
-        hi = min(g.stop, g.stop - hv)
-        if lo >= hi:
-            return Line(g.start, np.zeros(0, dtype=np.complex128))
-        vals = g.window(lo, hi - 1) * np.conj(g.window(lo + hv, hi - 1 + hv))
-        g = Line(lo, vals)
+        vals = _diff_arr(g.values, hv)
+        if len(vals) == 0:
+            return Line(g.start, vals)
+        g = Line(g.start + max(0, -hv), vals)
     return g
 
 
@@ -157,15 +165,6 @@ def _trim(values: np.ndarray) -> np.ndarray:
     if len(nz) == 0:
         return values[:0]
     return values[nz[0]:nz[-1] + 1]
-
-
-def _diff_arr(g: np.ndarray, h: int) -> np.ndarray:
-    # overlap representation of g(.) conj g(. + h); h >= 0 suffices since
-    # |c(-h)| = |c(h)| patterns are handled by explicit negative h below
-    n = len(g)
-    if h >= 0:
-        return g[:n - h] * np.conj(g[h:]) if h < n else g[:0]
-    return g[-h:] * np.conj(g[:n + h]) if -h < n else g[:0]
 
 
 def _inner(g: np.ndarray, s: int) -> float:

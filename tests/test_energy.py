@@ -66,6 +66,91 @@ def test_cond_box_expansion_identity(rng):
         energy.cond_box_expansion(unit_grid(rng, (10, 10)), (2, 1), (3, 4))
 
 
+@pytest.mark.parametrize("call", ["count", "expansion"])
+@pytest.mark.parametrize("qs, Ls", [((1,), (2, 3)), ((1, 1), (2,)),
+                                    ((1, 1, 1), (2, 3, 1))])
+def test_cond_box_refuses_wrong_length_parameters(call, qs, Ls):
+    f = GridFunction.ones(BoxSpec((6, 6)))
+    fn = energy.cond_box_count if call == "count" else energy.cond_box_expansion
+    with pytest.raises(ValueError, match=f"2-D grid, got {len(qs)} and {len(Ls)}"):
+        fn(f, qs, Ls)
+
+
+@pytest.mark.parametrize("delta", [float("inf"), float("nan"), 0.0, -0.1, 1.5])
+def test_delta_outside_unit_interval_refused(delta, monkeypatch):
+    # refused before any work: no approximant is built
+    def fail(*args):
+        raise AssertionError("work done before the delta check")
+
+    monkeypatch.setattr(energy, "axis_approximant", fail)
+    monkeypatch.setattr(energy, "best_popular_difference", fail)
+    box = BoxSpec((32, 1024))
+    f = GridFunction.ones(box)
+    A = SetIndicator(box, np.ones(box.dims, dtype=bool))
+    match = r"delta must lie in \(0, 1\]"
+    with pytest.raises(ValueError, match=match):
+        energy.energy_increment([f] * 3, (1, 2), delta)
+    with pytest.raises(ValueError, match=match):
+        energy.linearization_gap(f, ConfigSpec((1, 2), box, q=1, M=1), 20, delta)
+    with pytest.raises(ValueError, match=match):
+        energy.popular_difference_pipeline(A, (1, 2), delta)
+
+
+@pytest.fixture(scope="module")
+def unit_set_grid():
+    # a seeded 256x4096 0/1 grid, stored as float64: 64 row blocks
+    dims = (256, 4096)
+    vals = (make_rng(11).random(dims) < 0.5).astype(np.float64)
+    return GridFunction(BoxSpec(dims), vals)
+
+
+def _box_calls(f):
+    spec = ConfigSpec((1, 2), f.box, q=1, M=1)
+    return {"box_count": lambda: energy.box_count(f),
+            "cond_box_count": lambda: energy.cond_box_count(f, (1, 1), (16, 256)),
+            "linearization_gap": lambda: energy.linearization_gap(f, spec, 20, 0.9)}
+
+
+@pytest.mark.parametrize("name, bound", [("box_count", 1), ("cond_box_count", 2),
+                                         ("linearization_gap", 2)])
+def test_box_counts_memory_per_cell(unit_set_grid, name, bound):
+    # beyond the grid, one row block of the product sum and the atom tables
+    # (1 byte per cell for the axis-1 table at L = 16); no copy of the grid,
+    # no whole product and no whole gathered approximant
+    f = unit_set_grid
+    call = _box_calls(f)[name]
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * f.box.cells
+
+
+def test_box_counts_match_whole_grid_references(unit_set_grid):
+    f = unit_set_grid
+    g = f.values
+    got = {k: v() for k, v in _box_calls(f).items()}
+    want = g * g.mean(axis=0, keepdims=True) * g.mean(axis=1, keepdims=True)
+    assert got["box_count"] == pytest.approx(want.mean(), rel=1e-12, abs=0)
+
+    def frozen(qs, Ls):
+        acc = g.copy()
+        for ax in range(2):
+            F = np.asarray(energy.axis_approximant(f, ax + 1, qs[ax], Ls[ax]))
+            acc *= F[:g.shape[0], :g.shape[1]]
+        return acc.mean()
+
+    value, power = got["cond_box_count"]
+    assert value == pytest.approx(frozen((1, 1), (16, 256)), rel=1e-12, abs=0)
+    assert power == pytest.approx(g.mean() ** 3, rel=1e-12, abs=0)
+    rep = got["linearization_gap"]
+    assert rep.frozen_value == pytest.approx(frozen((1, 1), (20, 400)),
+                                             rel=1e-12, abs=0)
+    assert rep.gap == abs(rep.lambda_projected - rep.frozen_value)
+
+
 def test_linearization_gap_bound(rng):
     # admissibility needs M <= (delta / 8n) L: with delta = 0.9, n = 2 the
     # largest L = 26 admits M = 1
