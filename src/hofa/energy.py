@@ -9,8 +9,10 @@ operator stays above delta.  Each accepted step must raise the energy
 coordinates) of some axis by at least tau * N_i, so the loop terminates
 within n * ceil(2 / tau) steps; the scale dies once (delta / 8n) L < 1.
 Axis projections take their atom sums, and their energies the projected
-energy ``Atoms.energy``, from ``partition.Atoms``.  A set is its own 0/1
-weight (``SetIndicator.values``), and a real grid is stored as float64.
+energy ``Atoms.energy``, from ``partition.Atoms``, which sums a weight's
+rows where they lie, block by block: a set's mask sums as int64 with no
+cast or sorted copy of the mask.  A set is its own 0/1 weight
+(``SetIndicator.values``), and a real grid is stored as float64.
 An axis approximant F_i is stored as its atom table (``AxisApproximant``:
 the atom sums over Lp, float64 for any real weight and complex128 for a
 complex grid, and the atom index along its doubled axis).  Every product

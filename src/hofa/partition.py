@@ -17,9 +17,12 @@ zero.
 
 ``Atoms`` is the only route to atom sums in the package: conditional
 expectation here, and the axis projections and projected energies of
-``energy`` and ``gowers``, all group points by its closed-form atom labels
-and sum with one grouped reduction; ``Atoms.energy`` is the one projected
-energy.  Sums keep the input dtype, so integer-valued input sums exactly.
+``energy`` and ``gowers``, all number atoms by its closed-form labels;
+``Atoms.energy`` is the one projected energy.  The atoms of one AP
+partition are summed where the rows lie, block by block (O(cells) time, no
+copy of the input beyond the result); only a common refinement sorts a
+copy of its input into atom order.  Sums keep the input dtype and sum
+boolean input as int64, so integer-valued input sums exactly.
 """
 
 from __future__ import annotations
@@ -102,20 +105,30 @@ class Atoms:
     """The points start, ..., start + n - 1 grouped by the atoms of P.
 
     The atom {qLs + qk + r} through a point x gets the closed-form label
-    s q + r - 1 = q floor((x - 1) / qL) + (x - 1) mod q, and one stable sort
-    of the labels (lexicographic over the components of a common
-    refinement) groups the points.  Building costs O(n log n) time and O(n)
-    memory for every (q, L), also when q or qL exceeds n; build once and sum
-    many arrays over the same window.
+    s q + r - 1 = q floor((x - 1) / qL) + (x - 1) mod q, and atoms are
+    numbered in label order (lexicographic over the components of a common
+    refinement): ``first`` and ``sizes`` give each atom's first position
+    in the stably sorted order ``order`` and its number of points in the
+    window, ``atom`` the atom index of each point.  Building costs
+    O(n log n) time and O(n) memory for every (q, L), also when q or qL
+    exceeds n; build once and sum many arrays over the same window.
+
+    The atom sums of one ``APPartition`` are taken where the rows lie:
+    each run of whole qL blocks is viewed as (blocks, L, q, ...) and summed
+    over L, and the partial blocks at either end the same way on their
+    whole q-row groups, plus at most q - 1 loose rows at each end added
+    to their atoms.  They cost O(cells) time and hold only the result; a
+    common refinement (``RefinedPartition``) sorts its rows into atom order
+    first, a copy of the input.
     """
 
     def __init__(self, P: Partition, start: int, n: int):
+        self.parts = P.parts
+        self.start = start
         x = np.arange(start - 1, start - 1 + n, dtype=np.int64)
         labels = [x // p.block * p.q + x % p.q for p in P.parts]
         # stable, so each atom's points stay in coordinate order
         self.order = np.lexsort(labels[::-1])
-        # every (1, L) partition keeps the points in coordinate order
-        self.in_order = bool((self.order[1:] > self.order[:-1]).all())
         new = np.zeros(n, dtype=bool)
         new[:1] = True
         for lab in labels:
@@ -130,17 +143,48 @@ class Atoms:
 
     def sum(self, values: np.ndarray) -> np.ndarray:
         """Sums along axis 0 over each atom, for an array of any trailing
-        shape (a line, or a stack of lines along the trailing axes).
+        shape (a line, or a stack of lines along the trailing axes, any
+        strides).
 
         Row i of ``values`` sits at start + i; row a of the result is the sum
-        over the points of atom a in the window, taken in coordinate order
-        for every trailing entry.  The dtype is kept, so integer input sums
-        exactly.  O(n) time and memory per trailing entry; when the atoms
-        are already in coordinate order (``in_order``) the rows are summed
-        where they lie, without a sorted copy.
+        over the points of atom a in the window.  The dtype is kept, and
+        boolean input sums as int64, so integer input sums exactly; float
+        sums may round differently from a sequential sum.
         """
-        grouped = values if self.in_order else values[self.order]
-        return np.add.reduceat(grouped, self.first, axis=0)
+        if len(self.parts) > 1:
+            return np.add.reduceat(values[self.order], self.first, axis=0)
+        q, B = self.parts[0].q, self.parts[0].block
+        dtype = np.int64 if values.dtype == bool else values.dtype
+        rest = values.shape[1:]
+        # laid out in the input's axis order, so each reduction walks both
+        # arrays the same way (a C-ordered result of a transposed input
+        # more than doubles the time)
+        out = np.zeros_like(values, dtype, shape=(len(self.first),) + rest)
+        # cut the window [y0, y1) at the q-row groups and blocks inside it:
+        # loose rows [y0, ka), the first block's groups [ka, ba), whole
+        # blocks [ba, bb), the last block's groups [bb, kb), loose [kb, y1)
+        y0 = self.start - 1
+        y1 = y0 + len(values)
+        ka = min(-(-y0 // q) * q, y1)
+        kb = max(y1 // q * q, ka)
+        ba = min(-(-y0 // B) * B, kb)
+        bb = max(y1 // B * B, ba)
+        for lo, hi, blocks in ((ka, ba, 1), (ba, bb, (bb - ba) // B),
+                               (bb, kb, 1)):
+            if hi > lo:
+                # whole groups meet every residue of their blocks, so they
+                # sum into q atoms per block, in order, none summed yet
+                a = self.atom[lo - y0]
+                np.sum(values[lo - y0:hi - y0].reshape((blocks, -1, q) + rest),
+                       axis=1, dtype=dtype,
+                       out=out[a:a + blocks * q].reshape((blocks, q) + rest))
+        for lo, hi in ((y0, ka), (kb, y1)):
+            if hi > lo:
+                # fewer than q rows of consecutive residues: one atom each
+                a = self.atom[lo - y0]
+                dst = out[a:a + hi - lo]
+                np.add(dst, values[lo - y0:hi - y0], out=dst)
+        return out
 
     def energy(self, values: np.ndarray, L: int) -> np.ndarray:
         """The energies ||E(line | P)||_2^2 = sum_a |S_a|^2 / L of the lines

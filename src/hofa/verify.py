@@ -680,8 +680,8 @@ def prop_linearization(rng, trials):
     out = PropertyOutcome("linearization_gap")
     for _ in range(trials):
         dims = (30, 900)
-        vals = (rng.random(dims) < rng.random()).astype(complex)
-        f = GridFunction(BoxSpec(dims), vals, bounded=True)
+        f = GridFunction(BoxSpec(dims), rng.random(dims) < rng.random(),
+                         bounded=True)
         delta = 0.9
         L = int(rng.integers(18, 27))  # keeps floor(delta L / 8n) >= 1
         M = int(rng.integers(1, int(delta / 16 * L) + 1))
@@ -691,30 +691,40 @@ def prop_linearization(rng, trials):
     return out
 
 
+def _increment_trial(rng, kind: str, box: BoxSpec,
+                     params: energy.IncrementParams):
+    """One trial of ``prop_energy_increment``: the decomposition of three
+    weights of the given kind, and the planted modulus (None unless
+    ``kind`` is "phase").  Real weights are drawn as float64; the weights
+    are freed when the trial returns, before the next one is drawn."""
+    dims = box.dims
+    den = None
+    if kind == "ones":
+        fs = [GridFunction.ones(box)] * 3
+    elif kind == "signs":
+        fs = [GridFunction(box, rng.choice([-1.0, 1.0], dims), bounded=True)
+              for _ in range(3)]
+    elif kind == "indicator":
+        fs = [GridFunction(box, rng.random(dims) < rng.random(), bounded=True)
+              for _ in range(3)]
+    else:
+        x1 = np.arange(1, dims[0] + 1)[:, None]
+        den = int(rng.integers(2, 5))
+        ph = np.exp(2j * np.pi * x1 / den) * np.ones((1, dims[1]))
+        fs = [GridFunction(box, np.conj(ph), bounded=True),
+              GridFunction(box, ph, bounded=True),
+              GridFunction.ones(box)]
+    return energy.energy_increment(fs, (1, 2), 0.7, params), den
+
+
 def prop_energy_increment(rng, trials):
     out = PropertyOutcome("energy_increment_termination")
     params = energy.IncrementParams(Qmax=4, tau=0.05, gamma=0.25)
-    dims = (32, 1024)
-    box = BoxSpec(dims)
+    box = BoxSpec((32, 1024))
     cap = 2 * int(np.ceil(2 / params.tau))
     for t in range(trials):
         kind = ["ones", "signs", "indicator", "phase"][t % 4]
-        if kind == "ones":
-            fs = [GridFunction.ones(box)] * 3
-        elif kind == "signs":
-            fs = [GridFunction(box, rng.choice([-1.0, 1.0], dims).astype(complex),
-                               bounded=True) for _ in range(3)]
-        elif kind == "indicator":
-            fs = [GridFunction(box, (rng.random(dims) < rng.random()).astype(complex),
-                               bounded=True) for _ in range(3)]
-        else:
-            x1 = np.arange(1, dims[0] + 1)[:, None]
-            den = int(rng.integers(2, 5))
-            ph = np.exp(2j * np.pi * x1 / den) * np.ones((1, dims[1]))
-            fs = [GridFunction(box, np.conj(ph), bounded=True),
-                  GridFunction(box, ph, bounded=True),
-                  GridFunction.ones(box)]
-        res = energy.energy_increment(fs, (1, 2), 0.7, params)
+        res, den = _increment_trial(rng, kind, box, params)
         ok = (res.status in ("converged", "iteration_cap", "scale_exhausted",
                              "oracle_stalled")
               and res.iterations <= cap

@@ -580,9 +580,11 @@ def test_energy_increment_on_sets_matches_their_grids():
 
 def test_pipeline_converging_memory_per_cell():
     # 64x4096 at p = 0.85 and delta 0.5 converges after 0 steps; the set is
-    # its own weight, the approximants are atom tables and each product is
-    # summed in row blocks, so what is left is the mask (1 byte per cell)
-    # and the int64 cast of the mask in the atom sums (8 bytes per cell)
+    # its own weight, the atom sums read the mask block by block with no
+    # int64 cast, the approximants are atom tables and each product is
+    # summed in row blocks, so what is left is the mask (1 byte per cell),
+    # the atom tables and the row blocks (3.1 bytes per cell in all; the
+    # int64 cast of the mask took 8 more)
     dims = (64, 4096)
     # packed only, as read from a binary file: the mask is unpacked inside
     A = SetIndicator(BoxSpec(dims),
@@ -595,13 +597,13 @@ def test_pipeline_converging_memory_per_cell():
         tracemalloc.stop()
     assert res.certificate["status"] == "converged"
     assert res.certificate["iterations"] == 0
-    assert peak <= 12 * A.box.cells
+    assert peak <= 4 * A.box.cells
 
 
 def test_energy_increment_complex_memory_per_cell():
     # the inputs are three complex grids built before tracing; beyond them
-    # the decomposition holds one complex product, one gathered factor and
-    # the sorted copy of a projection's atom sums, never a doubled grid
+    # the decomposition holds row blocks of its complex products and
+    # gathered factors and the atom tables, never a doubled grid
     box = BoxSpec((32, 1024))
     rng = make_rng(3)
     fs = [GridFunction(box, rng.random(box.dims)
@@ -620,8 +622,8 @@ def test_energy_increment_complex_memory_per_cell():
 
 def test_energy_increment_real_memory_per_cell():
     # three real +-1 grids, stored as float64 and built before tracing;
-    # beyond them the decomposition holds row blocks of its products, the
-    # float64 atom tables and the copies a projection makes of its weight
+    # beyond them the decomposition holds row blocks of its products and
+    # the float64 atom tables
     box = BoxSpec((32, 1024))
     rng = make_rng(3)
     fs = [GridFunction(box, rng.choice([-1.0, 1.0], box.dims), bounded=True)
@@ -653,6 +655,23 @@ def test_energy_increment_finds_planted_modulus(den):
     assert res.iterations == 1
     assert res.q == den
     assert res.q % den == 0
+
+
+@pytest.mark.parametrize("q, residues",
+                         [(2, (0,)), (3, (0,)), (4, (0,)), (3, (0, 1)),
+                          (4, (0, 1))])
+def test_popdiff_finds_planted_modulus(q, residues):
+    # the rows x_1 in the given residues mod q: every r a multiple of q keeps
+    # x + r e_1 in the set, so the most popular difference is one, on the
+    # direct search and on the pipeline (vacuous or a scale-exhausted
+    # fallback on these sets)
+    dims = (64, 4096)
+    rows = np.isin(np.arange(1, dims[0] + 1) % q, residues)[:, None]
+    A = SetIndicator(BoxSpec(dims), np.broadcast_to(rows, dims).copy())
+    assert counting.best_popular_difference(A, (1, 2)).r_star % q == 0
+    for delta in (0.05, 0.08):
+        res = energy.popular_difference_pipeline(A, (1, 2), delta)
+        assert res.r_star % q == 0, (delta, res.r_star, res.certificate)
 
 
 @pytest.mark.parametrize("m", [(1, 1), (2, 1), (2, 2, 3)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,19 +80,61 @@ def test_atom_sums_match_pointwise_labels():
         assert atoms.sum(vals[:, 0]).tolist() == [expect[lab][0] for lab in labels]
 
 
-def test_atom_sums_in_coordinate_order_skip_the_sorted_copy():
-    # a (1, L) partition numbers its atoms in coordinate order, so the rows
-    # are summed where they lie; the sums are bit for bit the sorted ones
-    vals = make_rng(13).random((40, 300))
-    lines = np.moveaxis(vals, 1, 0)  # a strided view, as the axis sums use
-    for P, in_order in ((APPartition(1, 1), True), (APPartition(1, 7), True),
-                        (APPartition(1, 300), True), (APPartition(3, 4), False),
-                        (RefinedPartition((APPartition(1, 5),
-                                           APPartition(1, 3))), True)):
-        atoms = Atoms(P, 1, 300)
-        assert atoms.in_order is in_order
-        want = np.add.reduceat(lines[atoms.order], atoms.first, axis=0)
-        assert np.array_equal(atoms.sum(lines), want)
+def _per_atom_sums(atoms, vals, dtype):
+    return np.array([vals[atoms.atom == a].sum(axis=0, dtype=dtype)
+                     for a in range(len(atoms.first))], dtype).reshape(
+                         (len(atoms.first),) + vals.shape[1:])
+
+
+def test_atom_sums_match_per_atom_sums_on_strided_views():
+    # one AP partition sums where the rows lie: whole blocks, partial head
+    # and tail blocks, windows shorter than q and than qL, strided views of
+    # one or two trailing axes; bool and int64 exact, float and complex to
+    # 1e-12 relative (the block sums round differently from reduceat)
+    rng = make_rng(13)
+    cases = [(1, 1, 1, 300), (1, 7, 1, 300), (1, 300, 1, 300),
+             (3, 4, 1, 300), (3, 4, -5, 301), (5, 3, 7, 44), (7, 5, 3, 20),
+             (6, 1, -2, 50), (4, 16, 2, 3), (60, 2, 9, 40), (8, 8, 63, 1),
+             (2, 3, 4, 0)]
+    for q, L, start, n in cases:
+        atoms = Atoms(APPartition(q, L), start, n)
+        for shape, axis in (((8, n), 1), ((2, n, 3), 1), ((n, 5), 0)):
+            raw = {bool: rng.random(shape) < 0.5,
+                   np.int64: rng.integers(-2**56, 2**56, shape),
+                   np.float64: rng.random(shape),
+                   np.complex128: rng.random(shape)
+                   * np.exp(2j * np.pi * rng.random(shape))}
+            for kind, arr in raw.items():
+                vals = np.moveaxis(arr, axis, 0)
+                got = atoms.sum(vals)
+                exact = kind in (bool, np.int64)
+                want = _per_atom_sums(atoms, vals,
+                                      np.int64 if exact else kind)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                if exact:
+                    assert np.array_equal(got, want), (q, L, start, n, kind)
+                else:
+                    scale = _per_atom_sums(atoms, np.abs(vals), np.float64)
+                    assert (np.abs(got - want) <= 1e-12 * scale).all(), \
+                        (q, L, start, n, kind)
+
+
+@pytest.mark.parametrize("q, L", [(1, 256), (4, 16)])
+def test_atom_sums_of_a_mask_hold_no_cast_copy(q, L):
+    # a set's boolean mask sums as int64 block by block: no int64 cast of
+    # the mask and no sorted copy, along either axis (the sorted reduceat
+    # held 8 to 9.5 bytes per cell)
+    mask = make_rng(14).random((256, 4096)) < 0.6
+    for lines in (mask, mask.T):
+        atoms = Atoms(APPartition(q, L), 1, len(lines))
+        tracemalloc.start()
+        try:
+            sums = atoms.sum(lines)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(sums, _per_atom_sums(atoms, lines, np.int64))
+        assert peak <= 1.5 * mask.size
 
 
 def test_cond_expect_indicator_of_aligned_interval():
