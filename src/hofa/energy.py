@@ -9,9 +9,11 @@ operator stays above delta.  Each accepted step must raise the energy
 coordinates) of some axis by at least tau * N_i, so the loop terminates
 within n * ceil(2 / tau) steps; the scale dies once (delta / 8n) L < 1.
 Axis projections take their atom sums, and their energies the projected
-energy ``Atoms.energy``, from ``partition.Atoms``, which sums a weight's
-rows where they lie, block by block: a set's mask sums as int64 with no
-cast or sorted copy of the mask.  A set is its own 0/1 weight
+energy ``Atoms.energy``, from ``partition.Atoms``, which numbers atoms in
+closed form by first point (nothing sorts) and sums a weight's rows where
+they lie, block by block, whatever the trailing axes: a set's mask sums as
+int64 with no cast or sorted copy of the mask, real atom sums are squared
+in place, and no axis of a grid is copied.  A set is its own 0/1 weight
 (``SetIndicator.values``), and a real grid is stored as float64.
 An axis approximant F_i is stored as its atom table (``AxisApproximant``:
 the atom sums over Lp, float64 for any real weight and complex128 for a
@@ -139,9 +141,7 @@ def axis_projection_energy(f: Weight, axis: int, Q: int, Lp: int) -> float:
     """Average over the other coordinates of the energy of the axis slices
     projected on the (Q, Lp) partition: E ||proj of slice||_2^2."""
     arr = np.moveaxis(f.values, axis - 1, 0)
-    length = arr.shape[0]
-    atoms = Atoms(APPartition(Q, Lp), 1, length)
-    return float(atoms.energy(arr.reshape(length, -1), Lp).mean())
+    return float(Atoms(APPartition(Q, Lp), 1, len(arr)).energy(arr).mean())
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,10 +202,10 @@ def axis_approximant(f: Weight, axis: int, Q: int, Lp: int) -> AxisApproximant:
     P = APPartition(Q, Lp)
     doubled = Atoms(P, 1, 2 * n_i)
     sums = Atoms(P, 1, n_i).sum(np.moveaxis(f.values, ax, 0))
-    table = np.zeros((len(doubled.first),) + sums.shape[1:],
+    table = np.zeros((len(doubled.sizes),) + sums.shape[1:],
                      np.result_type(sums, np.float64))
-    # both windows number the atoms meeting [1, N_i] in label order
-    table[doubled.order[doubled.first] < n_i] = sums
+    # atoms are numbered by first point, so those meeting [1, N_i] come first
+    table[:len(sums)] = sums
     # times 1/Lp rather than / Lp: numpy's complex division by a real rounds
     # as this product, so a set's table is the real part of its grid's
     table *= 1 / Lp

@@ -279,7 +279,9 @@ def phase_constancy_search(f: Line, alphas: Sequence[PhaseTable],
         [np.mod(np.rint(table_frac[j] * grids[j]).astype(np.int64), grids[j])
          for j in range(k)], axis=1)
     tuples, counts = np.unique(snapped, axis=0, return_counts=True)
-    order = np.lexsort((*[tuples[:, j] for j in range(k - 1, -1, -1)], -counts))
+    # most frequent first; np.unique sorts the tuples, so ties stay in
+    # tuple order
+    order = np.argsort(-counts, kind="stable")
     best = None
     candidates = []
     for idx in order[:CONSTANCY_TOP_K]:

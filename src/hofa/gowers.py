@@ -32,7 +32,6 @@ kappa delta^3 N2^(s+2) with kappa = ``SAME_COORD_KAPPA``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -304,13 +303,6 @@ def u2_inverse(f: Line) -> tuple[TorusPhase, float]:
 # Fejer kernel and verifier operations
 
 
-def fejer(H: int, x: int) -> Fraction:
-    """Triangular probability weight (H - min(H, |x|)) / H^2 on Z."""
-    if H < 1:
-        raise ValueError("H must be >= 1")
-    return Fraction(H - min(H, abs(x)), H * H)
-
-
 def fejer_weights(H: int) -> tuple[np.ndarray, np.ndarray]:
     """Offsets -(H-1)..(H-1) and their kernel weights as floats."""
     offs = np.arange(-(H - 1), H)
@@ -438,7 +430,7 @@ def interchange_verify_2d(family: Sequence[GridFunction], q: int, L: int,
         # x-slices C-contiguous with the atoms axis first, so every
         # reduction runs in the order of the single-grid computation
         slices = np.ascontiguousarray(np.moveaxis(dF[:, 0], 1, 0))
-        prem_vals.append(np.mean(atoms.energy(slices, L), axis=-1))
+        prem_vals.append(np.mean(atoms.energy(slices), axis=-1))
         dfs = np.mean(dF[:, 1:], axis=1)
         conc_vals.append(np.mean(np.abs(np.mean(dfs, axis=1)), axis=-1))
     premise = float(np.mean(np.concatenate(prem_vals)))
@@ -476,7 +468,7 @@ def same_coord_verify(f: GridFunction, q: int, L: int, s: int,
         # slices at fixed x are rows; project along y, atoms axis first
         slices = np.ascontiguousarray(
             np.moveaxis(block.reshape(-1, N1, N2), 2, 0))
-        prem_vals.append(np.mean(atoms.energy(slices, L), axis=-1))
+        prem_vals.append(np.mean(atoms.energy(slices), axis=-1))
     premise = float(np.mean(np.concatenate(prem_vals)))
     conclusion = float(np.mean([gowers_inner(f.values[x], s + 1)
                                 for x in range(N1)]))

@@ -17,16 +17,17 @@ zero.
 
 ``Atoms`` is the only route to atom sums in the package: conditional
 expectation here, and the axis projections and projected energies of
-``energy`` and ``gowers``, all number atoms by its closed-form labels;
-``Atoms.energy`` is the one projected energy.  The atoms of one AP
+``energy`` and ``gowers``, all number atoms by its closed-form rule, with
+no sort; ``Atoms.energy`` is the one projected energy.  The atoms of one AP
 partition are summed where the rows lie, block by block (O(cells) time, no
-copy of the input beyond the result); only a common refinement sorts a
-copy of its input into atom order.  Sums keep the input dtype and sum
-boolean input as int64, so integer-valued input sums exactly.
+copy of the input beyond the result); a common refinement adds each row to
+its atom with ``np.add.at``.  Sums keep the input dtype and sum boolean
+input as int64, so integer-valued input sums exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -104,42 +105,39 @@ def refines(coarse: APPartition, fine: Partition) -> bool:
 class Atoms:
     """The points start, ..., start + n - 1 grouped by the atoms of P.
 
-    The atom {qLs + qk + r} through a point x gets the closed-form label
-    s q + r - 1 = q floor((x - 1) / qL) + (x - 1) mod q, and atoms are
-    numbered in label order (lexicographic over the components of a common
-    refinement): ``first`` and ``sizes`` give each atom's first position
-    in the stably sorted order ``order`` and its number of points in the
-    window, ``atom`` the atom index of each point.  Building costs
-    O(n log n) time and O(n) memory for every (q, L), also when q or qL
-    exceeds n; build once and sum many arrays over the same window.
+    Let Q be the lcm of the parts' q, and let the cell of x be the window
+    points since the last multiple of any part's block length qL (counting
+    x - 1 from 0), or since the window start.  Two points share an atom of
+    every part exactly when they share a cell and x mod Q, so the atom of x
+    is (cell, x mod Q), whose first point is c + (x - c) mod Q for the cell
+    start c.  Atoms are numbered in the order of their first points:
+    ``atom`` is the atom index of each point and ``sizes`` each atom's
+    number of points in the window.  Nothing sorts: building costs O(n)
+    arithmetic and one cumsum for every (q, L), also when q or qL exceeds
+    n; build once and sum many arrays over the same window.
 
-    The atom sums of one ``APPartition`` are taken where the rows lie:
-    each run of whole qL blocks is viewed as (blocks, L, q, ...) and summed
-    over L, and the partial blocks at either end the same way on their
-    whole q-row groups, plus at most q - 1 loose rows at each end added
-    to their atoms.  They cost O(cells) time and hold only the result; a
-    common refinement (``RefinedPartition``) sorts its rows into atom order
-    first, a copy of the input.
+    The atom sums of one ``APPartition`` are taken where the rows lie, in
+    O(cells) time holding only the result: the whole qL blocks are viewed
+    as (blocks, L, q, ...) and summed over L, and the head and tail cells
+    the same way on their whole q-row groups from the cell start, the last
+    k < q rows then added to the first k atoms of the cell.  A common
+    refinement (``RefinedPartition``) adds each row to its atom with
+    ``np.add.at``.
     """
 
     def __init__(self, P: Partition, start: int, n: int):
         self.parts = P.parts
         self.start = start
-        x = np.arange(start - 1, start - 1 + n, dtype=np.int64)
-        labels = [x // p.block * p.q + x % p.q for p in P.parts]
-        # stable, so each atom's points stay in coordinate order
-        self.order = np.lexsort(labels[::-1])
-        new = np.zeros(n, dtype=bool)
-        new[:1] = True
-        for lab in labels:
-            lab = lab[self.order]
-            new[1:] |= lab[1:] != lab[:-1]
-        self.first = np.flatnonzero(new)
-        # atom index of each point; atoms are numbered in label order
-        self.atom = np.empty(n, dtype=np.intp)
-        self.atom[self.order] = np.cumsum(new) - 1
-        # points of each atom inside the window
-        self.sizes = np.diff(self.first, append=n)
+        y0 = start - 1
+        y = np.arange(y0, y0 + n, dtype=np.int64)
+        c = np.full(n, y0, dtype=np.int64)  # the cell start of each point
+        for p in self.parts:
+            np.maximum(c, y // p.block * p.block, out=c)
+        y -= c  # offsets in the cells, all below n, so an lcm above n
+        Q = min(math.lcm(*(p.q for p in self.parts)), max(n, 1))  # acts as n
+        # the first points of the atoms are the offsets below Q
+        self.atom = (np.cumsum(y < Q) - 1)[c - y0 + y % Q]
+        self.sizes = np.bincount(self.atom)
 
     def sum(self, values: np.ndarray) -> np.ndarray:
         """Sums along axis 0 over each atom, for an array of any trailing
@@ -151,46 +149,47 @@ class Atoms:
         boolean input sums as int64, so integer input sums exactly; float
         sums may round differently from a sequential sum.
         """
-        if len(self.parts) > 1:
-            return np.add.reduceat(values[self.order], self.first, axis=0)
-        q, B = self.parts[0].q, self.parts[0].block
         dtype = np.int64 if values.dtype == bool else values.dtype
         rest = values.shape[1:]
         # laid out in the input's axis order, so each reduction walks both
         # arrays the same way (a C-ordered result of a transposed input
         # more than doubles the time)
-        out = np.zeros_like(values, dtype, shape=(len(self.first),) + rest)
-        # cut the window [y0, y1) at the q-row groups and blocks inside it:
-        # loose rows [y0, ka), the first block's groups [ka, ba), whole
-        # blocks [ba, bb), the last block's groups [bb, kb), loose [kb, y1)
-        y0 = self.start - 1
-        y1 = y0 + len(values)
-        ka = min(-(-y0 // q) * q, y1)
-        kb = max(y1 // q * q, ka)
-        ba = min(-(-y0 // B) * B, kb)
-        bb = max(y1 // B * B, ba)
-        for lo, hi, blocks in ((ka, ba, 1), (ba, bb, (bb - ba) // B),
-                               (bb, kb, 1)):
-            if hi > lo:
-                # whole groups meet every residue of their blocks, so they
-                # sum into q atoms per block, in order, none summed yet
-                a = self.atom[lo - y0]
-                np.sum(values[lo - y0:hi - y0].reshape((blocks, -1, q) + rest),
+        out = np.zeros_like(values, dtype, shape=(len(self.sizes),) + rest)
+        if len(self.parts) > 1:
+            np.add.at(out, self.atom, values)
+            return out
+        q, B = self.parts[0].q, self.parts[0].block
+        # rows [0, ba) are the head cell, [ba, bb) whole blocks, [bb, n) the
+        # tail cell
+        y0, n = self.start - 1, len(values)
+        ba = min(-y0 % B, n)
+        bb = max((y0 + n) // B * B - y0, ba)
+        for lo, hi, blocks in ((0, ba, 1), (ba, bb, (bb - ba) // B),
+                               (bb, n, 1)):
+            if hi == lo:
+                continue
+            a, k = self.atom[lo], (hi - lo) % q
+            if hi - lo > k:
+                # whole q-row groups from the start meet every residue, so
+                # they sum into q atoms per block or cell, in order
+                np.sum(values[lo:hi - k].reshape((blocks, -1, q) + rest),
                        axis=1, dtype=dtype,
                        out=out[a:a + blocks * q].reshape((blocks, q) + rest))
-        for lo, hi in ((y0, ka), (kb, y1)):
-            if hi > lo:
-                # fewer than q rows of consecutive residues: one atom each
-                a = self.atom[lo - y0]
-                dst = out[a:a + hi - lo]
-                np.add(dst, values[lo - y0:hi - y0], out=dst)
+            dst = out[a:a + k]  # the last k < q rows of a cell
+            np.add(dst, values[hi - k:hi], out=dst)
         return out
 
-    def energy(self, values: np.ndarray, L: int) -> np.ndarray:
+    def energy(self, values: np.ndarray) -> np.ndarray:
         """The energies ||E(line | P)||_2^2 = sum_a |S_a|^2 / L of the lines
         along axis 0, one per trailing entry, with S_a the atom sums of
-        ``sum`` and L the atom length of P (projections fill whole atoms)."""
-        return np.sum(np.abs(self.sum(values)) ** 2, axis=0) / L
+        ``sum`` and L the atom length of P (projections fill whole atoms);
+        real sums are squared in place.  A common refinement has no single
+        atom length and raises ``ValueError``."""
+        if len(self.parts) > 1:
+            raise ValueError("a common refinement has no single atom length")
+        S = self.sum(values)
+        S = np.abs(S) ** 2 if np.iscomplexobj(S) else np.multiply(S, S, out=S)
+        return np.sum(S, axis=0) / self.parts[0].L
 
 
 def cond_expect(f: Line, P: Partition) -> Line:

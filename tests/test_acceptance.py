@@ -275,10 +275,14 @@ def test_criterion_08_popular_difference_sweep():
 
 def test_criterion_09_exponential_sums():
     rng = make_rng(109)
-    # exact unit mass, sampled densely plus the top of the stated range
+    # unit mass of the Fejer weights vdc_verify uses, sampled densely plus
+    # the top of the stated range: each weight is the correctly rounded
+    # quotient, so their exact rational sum is within 2^-53 of 1
     for H in list(range(1, 257)) + [511, 512, 1000, 4096, 9999, 10000]:
-        total = sum(gowers.fejer(H, x) for x in range(-H, H + 1))
-        assert total == Fraction(1), f"Fejer mass at H={H}"
+        offs, w = gowers.fejer_weights(H)
+        assert offs.tolist() == list(range(-(H - 1), H))
+        total = sum(map(Fraction, w.tolist()))
+        assert abs(total - 1) <= Fraction(1, 2**53), f"Fejer mass at H={H}"
     for _ in range(100):
         alphas = [TorusPhase.exact(int(rng.integers(0, 97)), 97)
                   for _ in range(int(rng.integers(1, 4)))]

@@ -6,6 +6,7 @@ from conftest import random_grid, random_set
 
 from hofa import counting, energy, kernels
 from hofa.core import BoxSpec, ConfigSpec, GridFunction, SetIndicator
+from hofa.partition import APPartition, Atoms
 from hofa.rng import make_rng
 
 
@@ -216,6 +217,39 @@ def test_axis_projection_energy_memory_linear_in_axis(rng):
             tracemalloc.stop()
         assert peak < 16 * 2**20
         assert e == pytest.approx(np.sum(np.abs(f.values) ** 2) / dims[0])
+
+
+def test_axis_projection_energy_squares_unit_atoms_in_place():
+    # at Lp = 1 every point is its own atom: beyond the mask, only the int64
+    # atom sums, squared in place (their float64 squares took 8 more bytes)
+    dims = (512, 16384)
+    A = SetIndicator(BoxSpec(dims), make_rng(15).random(dims) < 0.6)
+    tracemalloc.start()
+    try:
+        e = energy.axis_projection_energy(A, 1, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e == A.count / dims[1]
+    assert peak <= 9 * A.box.cells
+
+
+def test_axis_projection_energy_reads_every_axis_of_a_3d_grid_in_place():
+    # the moved axis is summed as a view of any trailing shape: no copy of
+    # the weight for the middle axis (a reshape of its view copied it)
+    dims = (32, 64, 256)
+    f = GridFunction(BoxSpec(dims), make_rng(16).random(dims))
+    for axis in (1, 2, 3):
+        tracemalloc.start()
+        try:
+            e = energy.axis_projection_energy(f, axis, 2, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = np.moveaxis(f.values, axis - 1, 0).reshape(dims[axis - 1], -1)
+        atoms = Atoms(APPartition(2, 8), 1, len(lines))
+        assert e == pytest.approx(float(atoms.energy(lines).mean()), rel=1e-12)
+        assert peak <= 2.5 * f.box.cells, axis
 
 
 def test_energy_increment_trivial_converges_at_zero():

@@ -54,8 +54,10 @@ def test_atoms_tile_disjointly():
 
 
 def test_atom_sums_match_pointwise_labels():
-    # windows shorter than q and than qL included; int64 sums beyond 2^53
-    # must be exact, and atoms are numbered in (s, r) label order
+    # windows shorter than q and than qL included; atoms are numbered by
+    # their first point in the window.  int64 sums beyond 2^53, boolean
+    # sums and complex sums of Gaussian integers must all be exact, on one
+    # AP partition and on a common refinement (np.add.at) alike
     rng = make_rng(12)
     for _ in range(300):
         parts = tuple(APPartition(int(rng.integers(1, 60)), int(rng.integers(1, 12)))
@@ -63,27 +65,51 @@ def test_atom_sums_match_pointwise_labels():
         P = parts[0] if len(parts) == 1 else RefinedPartition(parts)
         start = int(rng.integers(-100, 100))
         n = int(rng.integers(0, 40))
-        vals = rng.integers(-2**56, 2**56, size=(n, 3))
         atoms = Atoms(P, start, n)
-        sums = atoms.sum(vals)
-        assert sums.dtype == np.int64
         expect = {}
         for i in range(n):
-            row = expect.setdefault(P.atom_of(start + i), [0, 0, 0, 0])
-            row[:3] = [a + int(v) for a, v in zip(row, vals[i])]
-            row[3] += 1
-        labels = sorted(expect)
+            expect.setdefault(P.atom_of(start + i), []).append(i)
+        labels = list(expect)
         assert [labels[a] for a in atoms.atom] == \
             [P.atom_of(start + i) for i in range(n)]
-        assert sums.tolist() == [expect[lab][:3] for lab in labels]
-        assert atoms.sizes.tolist() == [expect[lab][3] for lab in labels]
-        assert atoms.sum(vals[:, 0]).tolist() == [expect[lab][0] for lab in labels]
+        assert atoms.sizes.tolist() == [len(expect[lab]) for lab in labels]
+        gauss = (rng.integers(-2**20, 2**20, size=(n, 3))
+                 + 1j * rng.integers(-2**20, 2**20, size=(n, 3)))
+        for vals, dtype in ((rng.integers(-2**56, 2**56, size=(n, 3)), np.int64),
+                            (rng.random((n, 3)) < 0.5, np.int64),
+                            (gauss, np.complex128)):
+            want = [[sum(vals[i, j].item() for i in expect[lab])
+                     for j in range(3)] for lab in labels]
+            sums = atoms.sum(vals)
+            assert sums.dtype == dtype
+            assert sums.tolist() == want
+            assert atoms.sum(vals[:, 0]).tolist() == [w[0] for w in want]
+
+
+def test_atoms_of_a_window_far_shorter_than_q():
+    # q = 2^40 and 40 points: one atom per point, and no array of the label
+    # range is allocated, also when the lcm of the moduli exceeds int64
+    for P in (APPartition(2**40, 3),
+              RefinedPartition((APPartition(2**40, 3), APPartition(3, 2))),
+              RefinedPartition((APPartition(2**40, 3), APPartition(3**26, 1)))):
+        atoms = Atoms(P, 5, 40)
+        assert atoms.atom.tolist() == list(range(40))
+        assert atoms.sizes.tolist() == [1] * 40
+        vals = np.arange(80.0).reshape(40, 2)
+        assert np.array_equal(atoms.sum(vals), vals)
+
+
+def test_energy_of_a_refinement_refused():
+    # a common refinement has no single atom length to divide by
+    P = RefinedPartition((APPartition(2, 3), APPartition(3, 2)))
+    with pytest.raises(ValueError, match="atom length"):
+        Atoms(P, 1, 12).energy(np.ones(12))
 
 
 def _per_atom_sums(atoms, vals, dtype):
     return np.array([vals[atoms.atom == a].sum(axis=0, dtype=dtype)
-                     for a in range(len(atoms.first))], dtype).reshape(
-                         (len(atoms.first),) + vals.shape[1:])
+                     for a in range(len(atoms.sizes))], dtype).reshape(
+                         (len(atoms.sizes),) + vals.shape[1:])
 
 
 def test_atom_sums_match_per_atom_sums_on_strided_views():
