@@ -11,20 +11,18 @@ to stderr.  JSON outputs conform to the schema shipped at
 ``hofa/schemas/cli.schema.json``.  Exit codes: 0 ok, 1 property failure,
 2 usage or malformed input, 3 precondition or invariant violation.
 All randomness is Philox-keyed by ``--seed``, an integer in [0, 2^64)
-(one key word; any other value exits 2); ``--threads`` (or the
-HOFA_THREADS variable) sets the worker count, an integer in [1, 64]
-(``counting.MAX_THREADS``), without affecting any result; any other value
-exits 2.
+(one key word; any other value exits 2).  Every command runs on one
+thread.  ``count`` and ``popdiff`` still accept ``--threads``, an integer in
+[1, 64] (any other value exits 2), which changes nothing.
 
 ``import hofa.cli`` loads numpy and the layers that the data commands
 (``count``, direct ``popdiff``, ``gen``, ``bench``) share: ``core``,
 ``kernels``, ``counting``, ``setfile`` and ``rng``.  A layer that one command
 alone needs is imported inside that command: ``verify`` loads the property
 suites (``verify``, ``energy``, ``partition``, ``gowers``, ``expsum``) and
-``popdiff --pipeline`` loads ``energy`` (with ``partition``).  The thread
-pool is imported only when more than one worker runs.  Python compiles every
-module it loads when no bytecode cache is present, so start-up pays only
-for what the command can run.
+``popdiff --pipeline`` loads ``energy`` (with ``partition``).  Python
+compiles every module it loads when no bytecode cache is present, so
+start-up pays only for what the command can run.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 
@@ -51,8 +48,11 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
 
-THREADS_HELP = (f"worker count in [1, {counting.MAX_THREADS}] "
-                "(default: HOFA_THREADS, else 1)")
+# ``--threads`` is parsed and range-checked only: every command runs on one
+# thread
+MAX_THREADS = 64
+THREADS_HELP = (f"accepted in [1, {MAX_THREADS}] and otherwise unused: "
+                "every command runs on one thread")
 
 
 class UsageError(ValueError):
@@ -105,15 +105,12 @@ def _complex_doc(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def _apply_threads(args) -> None:
+def _check_thread_count(args) -> None:
+    """A ``--threads`` lies in [1, MAX_THREADS]."""
     threads = getattr(args, "threads", None)
-    try:
-        if threads is None:
-            env = os.environ.get("HOFA_THREADS", "").strip()
-            threads = int(env) if env else 1
-        counting.set_threads(threads)
-    except ValueError as exc:
-        raise UsageError(f"bad --threads or HOFA_THREADS: {exc}") from exc
+    if threads is not None and not 1 <= threads <= MAX_THREADS:
+        raise UsageError(f"thread count must lie in [1, {MAX_THREADS}], "
+                         f"got {threads}")
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _apply_threads(args)
+        _check_thread_count(args)
         _check_seed(args)
         return args.fn(args)
     except UsageError as exc:

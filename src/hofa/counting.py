@@ -16,11 +16,11 @@ of both ``popdiff`` modes.  Every operator takes its exponents, modulus and
 range as a ``core.ConfigSpec``, which refuses at construction what no
 operator can run; the power-box operators (``lambda_simple``,
 ``lambda_phased`` and their oracles) take ``ConfigSpec.power(m, N)``, and
-every normalization is ``spec.box.cells * spec.M``.  ``_over_differences``
-is the one loop over r: it stops after the last r with a base point
-(``_useful_shifts``, which the oracles share) and spreads the r over the
-``set_threads`` workers.  Per r, the averaged operators multiply the cropped
-views of ``kernels.pattern_views`` and sum the product in blocks of rows of
+every normalization is ``spec.box.cells * spec.M``.  Every operator runs
+one loop over r, in order, on the calling thread, and stops it after the
+last r with a base point (``_useful_shifts``, which the oracles share).
+Per r, the averaged operators multiply the cropped views of
+``kernels.pattern_views`` and sum the product in blocks of rows of
 about ``LAMBDA_BLOCK_CELLS`` cells (``_product_sum``, the one row-blocked
 product sum, which ``energy``'s box counts and frozen value share); the
 integer path counts on the indicators' packed words
@@ -37,10 +37,9 @@ words, a whole number of the kernel's blocks, and at least BAND_HALOS
 halos, so a tall halo makes fewer bands), each set is read once per
 band (a view of a set in memory, a read of a file's payload), the set of
 slot 1 with a halo as tall as the largest useful axis-1 shift, every useful
-r is counted on the band by the ``set_threads`` workers, and the per-band
-histograms are summed.  A band's reads are dropped before the next is
-read, so a set read from a binary file is held a band at a time; a 1-D set
-is one band.
+r is counted on the band in order, and the per-band histograms are
+summed.  A band's reads are dropped before the next is read, so a set read
+from a binary file is held a band at a time; a 1-D set is one band.
 ``_lambda_sum`` and ``pattern_views`` treat leading array axes as batch
 axes, so the averaging identity sums the simple operator over every
 translate x at once: its strided zero-padded windows for all x are one
@@ -53,7 +52,6 @@ at the power box); it stops after the last useful r as well, and
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -65,8 +63,8 @@ import numpy as np
 
 from . import kernels
 from .core import (ConfigSpec, GridFunction, PhaseTable, SetIndicator,
-                   _check_exponents, _integer_root, read_translates,
-                   read_window)
+                   TorusPhase, _check_exponents, _integer_root,
+                   read_translates, read_window)
 
 # a weight of the averaged operators: a real (float64) or complex grid, a set
 # as its 0/1 mask, or any object whose ``values`` has a ``shape``, a
@@ -78,21 +76,6 @@ Weight = GridFunction | SetIndicator
 # cells per block of a product in ``_product_sum``: 128 KiB of float64, and
 # 256 KiB of complex128, one block of the packed kernel (BLOCK_WORDS words)
 LAMBDA_BLOCK_CELLS = 1 << 14
-
-# most workers ``set_threads`` takes; the pool starts at most one thread per r
-MAX_THREADS = 64
-
-_threads = 1
-
-
-def set_threads(k: int) -> None:
-    """Worker count for the per-difference loops (results are unaffected);
-    an integer in [1, MAX_THREADS]."""
-    global _threads
-    k = operator.index(k)
-    if not 1 <= k <= MAX_THREADS:
-        raise ValueError(f"thread count must lie in [1, {MAX_THREADS}], got {k}")
-    _threads = k
 
 
 def _check_compatible(shapes: Sequence[Sequence[int]],
@@ -119,31 +102,6 @@ def _useful_shifts(spec: ConfigSpec,
             break
         rows.append(shifts)
     return rows
-
-
-@contextlib.contextmanager
-def _pool_map(tasks: int):
-    """``map`` on the ``set_threads`` workers, or the built-in ``map`` when
-    one worker or one task runs; results come in argument order."""
-    if _threads > 1 and tasks > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=_threads) as pool:
-            yield pool.map
-    else:
-        yield map
-
-
-def _over_differences(term: Callable[[int, tuple[int, ...]], object],
-                      arrays: Sequence, spec: ConfigSpec) -> list:
-    """``term(r, shifts)`` over the ``_useful_shifts`` of ``spec`` below the
-    extent of ``arrays[j + 1]`` along axis j of its trailing n axes, in r
-    order, on ``set_threads`` workers; the terms of later r are all zero.
-    """
-    rows = _useful_shifts(
-        spec, [a.shape[j - spec.n] for j, a in enumerate(arrays[1:])])
-    with _pool_map(len(rows)) as pmap:
-        return list(pmap(term, range(1, len(rows) + 1), rows))
 
 
 def _product_sum(views: Sequence, n: int, dtype: np.dtype,
@@ -193,17 +151,18 @@ def _lambda_sum(arrays: Sequence[np.ndarray], spec: ConfigSpec,
     axes are batch axes, and the sum runs over them too, so a stack of
     grids is summed in one call per r.  Each r's term is the
     ``_product_sum`` of its cropped views (``kernels.pattern_views``), in
-    the dtype of all the arrays, so no product is cell-sized.  Callers
-    check the grid extents (``_check_compatible``)."""
+    the dtype of all the arrays, so no product is cell-sized; the r run
+    over the ``_useful_shifts`` below the extent of ``arrays[j + 1]`` along
+    axis j of its trailing n axes, since the terms of later r are all zero.
+    Callers check the grid extents (``_check_compatible``)."""
     n, base_dims = spec.n, spec.box.dims
     dtype = np.result_type(*[a.dtype for a in arrays])
-
-    def term(r: int, shifts: tuple[int, ...]) -> complex:
-        views = kernels.pattern_views(arrays, base_dims, shifts)
-        return _product_sum(views, n, dtype, None if phase is None
-                            else functools.partial(phase, r))
-
-    per_r = _over_differences(term, arrays, spec)
+    rows = _useful_shifts(
+        spec, [a.shape[j - n] for j, a in enumerate(arrays[1:])])
+    per_r = [_product_sum(kernels.pattern_views(arrays, base_dims, shifts),
+                          n, dtype, None if phase is None
+                          else functools.partial(phase, r))
+             for r, shifts in enumerate(rows, 1)]
     return complex(np.sum(np.asarray(per_r))) if per_r else 0j
 
 
@@ -311,16 +270,22 @@ def lambda_general_bruteforce(fs: Sequence[Weight], spec: ConfigSpec) -> complex
 def lambda_phased_bruteforce(fs: Sequence[Weight],
                              alphas: Sequence[PhaseTable],
                              m: Sequence[int], N: int) -> complex:
-    """Oracle of ``lambda_phased``."""
+    """Oracle of ``lambda_phased``.  The phase of an exact table is summed
+    as ``TorusPhase``s, exact mod 1 at any exponent; a float table's is
+    summed in floats."""
     m = _check_exponents(m)
     n = len(fs) - 1
     k = len(alphas)
 
     def phase(x: tuple[int, ...], r: int) -> float:
-        acc = 0.0
+        acc, exact = 0.0, TorusPhase.zero()
         for j in range(k):
-            acc += float(alphas[j].at(x).approx) * (r ** m[n + j])
-        return acc
+            a = alphas[j].at(x)
+            if alphas[j].is_exact:
+                exact += a.times_int(r ** m[n + j])
+            else:
+                acc += a.approx * (r ** m[n + j])
+        return acc + exact.approx
 
     return _bruteforce_sum(fs, ConfigSpec.power(m[:n], N), phase if k else None)
 
@@ -411,7 +376,7 @@ def _indicator_counts(inds: Sequence[SetIndicator], spec: ConfigSpec,
     band = min(kernels.band_rows(A.box.dims, BAND_HALOS * halo)
                for A in sets.values())  # a 1-D set is one band
 
-    def count_band(pmap, b0: int, b1: int) -> list[int]:
+    def count_band(b0: int, b1: int) -> list[int]:
         # the set of slot 1 is read past the band by the halo; when one band
         # covers the base rows, every set is read whole
         reads = {key: read(A, b0, A.box.dims[0] if band >= base[0] else
@@ -419,12 +384,11 @@ def _indicator_counts(inds: Sequence[SetIndicator], spec: ConfigSpec,
                  for key, A in sets.items()}
         masks = [reads[id(A)] for A in inds]
         dims = (b1 - b0,) + base[1:]
-        return list(pmap(lambda shifts: count(masks, dims, shifts), rows))
+        return [count(masks, dims, shifts) for shifts in rows]
 
-    with _pool_map(len(rows)) as pmap:
-        # a band's reads are dropped before the next band is read
-        for b0 in range(0, base[0], band):
-            counts += count_band(pmap, b0, min(b0 + band, base[0]))
+    # a band's reads are dropped before the next band is read
+    for b0 in range(0, base[0], band):
+        counts += count_band(b0, min(b0 + band, base[0]))
     return Histogram(counts, spec.M)
 
 

@@ -86,19 +86,14 @@ def test_banded_histogram_equals_whole_grid_and_oracle(
         assert hist.M == M and hist.counts.tolist() == want
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_banded_histogram_on_threads(rng, threads):
+def test_banded_histogram_on_threads(rng):
     A = SetIndicator(BoxSpec((37, 700)), rng.random((37, 700)) < 0.6)
     spec = ConfigSpec((1, 2), A.box, 1, 20)
     want = counting.lambda_indicator_counts_pointwise([A] * 3, spec)
-    counting.set_threads(threads)
-    try:
-        got = []
-        for rows in (1, 6, 37):
-            with _bands_of(rows, [A]):
-                got.append(counting.lambda_indicator_counts([A] * 3, spec))
-    finally:
-        counting.set_threads(1)
+    got = []
+    for rows in (1, 6, 37):
+        with _bands_of(rows, [A]):
+            got.append(counting.lambda_indicator_counts([A] * 3, spec))
     assert all(h.counts.tolist() == want.counts.tolist() for h in got)
 
 

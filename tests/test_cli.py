@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import threading
 from importlib import resources
 
 import jsonschema
@@ -444,19 +445,6 @@ def test_bench_trivial_box():
     assert proc.returncode == 0
 
 
-def test_threads_env_var_does_not_change_output(tmp_path):
-    import os
-    out = tmp_path / "r.box"
-    run_cli("gen", "random", "--box", "16,128", "--p", "0.5", "--seed", "4",
-            "--out", str(out))
-    base = run_cli("popdiff", "--set", str(out), "--m", "1,2", "--M", "8")
-    env = dict(os.environ, HOFA_THREADS="3")
-    threaded = subprocess.run(
-        [sys.executable, "-m", "hofa", "popdiff", "--set", str(out), "--m",
-         "1,2", "--M", "8"], capture_output=True, text=True, env=env)
-    assert threaded.stdout == base.stdout
-
-
 def test_verify_all_single_trial_under_budget():
     import time
     t0 = time.time()
@@ -631,8 +619,8 @@ def test_popdiff_out_streams_zero_tail(tmp_path):
         assert buf.getvalue() == json.dumps({"histogram": [0] * M})
 
 
-# modules that only `verify` or `popdiff --pipeline` runs, and the pool that
-# only a multi-threaded run starts
+# modules that only `verify` or `popdiff --pipeline` runs, and the thread
+# pool, which no command runs
 LAZY_MODULES = ("hofa.verify", "hofa.energy", "hofa.gowers", "hofa.expsum",
                 "hofa.partition", "concurrent.futures")
 
@@ -677,29 +665,42 @@ def test_popdiff_default_M_is_integer_root(tmp_path):
         assert len(json.loads(hist.read_text())["histogram"]) == 10
 
 
-def test_thread_count_validated_exit2(tmp_path, capsys, monkeypatch):
-    # every value here is refused before a pool exists; none starts a run
+def test_thread_count_validated_exit2(tmp_path, capsys):
+    # every value here is refused before a run starts
     out = tmp_path / "r.box"
     run_cli("gen", "random", "--box", "4,16", "--p", "0.7", "--seed", "1",
             "--out", str(out))
     popdiff = ["popdiff", "--set", str(out), "--m", "1,2", "--M", "3"]
-    for value in ("0", "-3", str(counting.MAX_THREADS + 1), "1000000000"):
+    for value in ("0", "-3", str(cli.MAX_THREADS + 1), "1000000000"):
         assert cli.main(popdiff + ["--threads", value]) == 2, value
-        err = capsys.readouterr().err
-        assert "usage error" in err and "thread count" in err
-    for value in ("abc", "0", "-1", "2.5", str(counting.MAX_THREADS + 1)):
-        monkeypatch.setenv("HOFA_THREADS", value)
-        for argv in (popdiff, ["verify", "partition", "--trials", "1"]):
-            assert cli.main(argv) == 2, (value, argv)
-            err = capsys.readouterr().err
-            assert "usage error" in err and "HOFA_THREADS" in err
-    monkeypatch.setenv("HOFA_THREADS", "abc")
-    proc = run_cli(*popdiff)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr and proc.stdout == ""
-    with pytest.raises(ValueError):
-        counting.set_threads(0)
-    assert counting._threads == 1
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and "thread count" in captured.err
+        assert captured.out == ""
+
+
+def test_no_command_starts_a_thread(tmp_path, monkeypatch):
+    # --threads is accepted and range-checked only, and HOFA_THREADS is read
+    # by nothing: every command runs on the calling thread
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setenv("HOFA_THREADS", "8")
+    out = tmp_path / "r.box"
+    write_set(SetIndicator(BoxSpec((16, 256)),
+                           make_rng(5).random((16, 256)) < 0.6), out)
+    s = str(out)
+    runs = [["count", "--set", s, "--m", "1,2", "--M", "6"],
+            ["count", "--set", s, "--m", "1,2,3", "--N", "16",
+             "--phase-const", "1/3"],
+            ["popdiff", "--set", s, "--m", "1,2", "--M", "8"],
+            ["popdiff", "--set", s, "--m", "1,2", "--pipeline", "--delta",
+             "0.2", "--fallback"]]
+    for argv in runs:
+        assert cli.main(argv + ["--threads", "8"]) == 0, argv
+    for argv in (["bench", "--box", "16,256", "--M", "8"],
+                 ["verify", "counting", "--trials", "1"]):
+        assert cli.main(argv) == 0, argv
 
 
 @pytest.fixture(scope="module")

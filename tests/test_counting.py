@@ -85,6 +85,20 @@ def test_lambda_phased_table_matches_oracle(rng):
     assert a == pytest.approx(b, abs=1e-12)
 
 
+def test_phased_oracle_exact_at_large_exponent():
+    # the phase of r is e((r^20 mod 3) / 3) exactly, whatever the float
+    # rounding of 3^-1 r^20
+    A = SetIndicator(BoxSpec((8, 64)), make_rng(2).random((8, 64)) < 0.5)
+    m, N = (1, 2, 20), 8
+    spec = ConfigSpec.power(m[:2], N)
+    h = counting.lambda_indicator_counts([A] * 3, spec)
+    want = sum(np.exp(2j * np.pi * (r ** 20 % 3) / 3) * h[r - 1]
+               for r in range(1, N + 1)) / (spec.box.cells * N)
+    third = PhaseTable.constant(A.box, TorusPhase.exact(1, 3))
+    got = counting.lambda_phased_bruteforce([A] * 3, [third], m, N)
+    assert abs(got - want) <= 1e-12
+
+
 def test_popular_count_full_box_closed_form():
     A = SetIndicator.full(BoxSpec((12, 144)))
     for r in (1, 3, 11, 12, 20):
@@ -267,32 +281,6 @@ def test_best_popular_difference_tie_break():
                                    for r in range(1, 6)]
 
 
-def test_threads_do_not_change_results(rng):
-    A = random_set(rng, (16, 256))
-    fs = [random_grid(rng, (16, 256)), random_grid(rng, (32, 256)),
-          random_grid(rng, (16, 512))]
-    spec = ConfigSpec((1, 2), BoxSpec((16, 256)), q=1, M=12)
-    phased = [random_grid(rng, (3, 9)), random_grid(rng, (6, 9)),
-              random_grid(rng, (3, 18))]
-    al = PhaseTable.from_floats(BoxSpec((3, 9)), rng.random((3, 9)))
-    inds = [A, random_set(rng, (32, 256)), random_set(rng, (16, 512))]
-
-    def run():
-        res = counting.best_popular_difference(A, (1, 2), 12)
-        return (list(res.histogram), res.r_star,
-                counting.lambda_general(fs, spec),
-                counting.lambda_phased(phased, [al], (1, 2, 4), 3),
-                list(counting.lambda_indicator_counts(inds, spec)))
-
-    base = run()
-    counting.set_threads(4)
-    try:
-        threaded = run()
-    finally:
-        counting.set_threads(1)
-    assert base == threaded  # exactly, the complex sums included
-
-
 def test_indicator_lambda_is_exact_count_ratio(rng):
     # on indicators lambda_general is integer_count / normalization exactly,
     # which is how the count command reports it
@@ -323,16 +311,10 @@ def test_difference_range_preconditions():
     assert len(hist) == 1 << 20 and not hist[3:].any()
 
 
-def test_threads_histogram_wide_grid(rng):
+def test_histogram_wide_grid(rng):
     # 66 words per row, two row blocks per count
     A = random_set(rng, (600, 4160), p=0.5)
     base = counting.best_popular_difference(A, (1, 2), 70)
-    counting.set_threads(2)
-    try:
-        threaded = counting.best_popular_difference(A, (1, 2), 70)
-    finally:
-        counting.set_threads(1)
-    assert list(base.histogram) == list(threaded.histogram)
     for r in (1, 9, 64, 65):
         assert base.histogram[r - 1] == counting.popular_count_naive(A, (1, 2), r)
     assert list(base.histogram[65:]) == [0] * 5  # 65^2 > 4160
