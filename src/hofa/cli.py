@@ -6,6 +6,11 @@ pipeline), ``verify`` (seeded property suites), ``gen`` (deterministic set
 generation), and ``bench`` (the popular-difference histogram timed against
 the pointwise oracle).
 
+``count`` reads every operator off the integer histogram h(r) of
+``counting.lambda_indicator_counts``: the general and simple operators are
+its sum, and the phased one, whose phases are constant, weights each r by
+e(P(r)) from ``core.polynomial_phases``, exact at any exponent.
+
 stdout carries exactly one JSON document (CSV for ``bench``); diagnostics go
 to stderr.  JSON outputs conform to the schema shipped at
 ``hofa/schemas/cli.schema.json``.  Exit codes: 0 ok, 1 property failure,
@@ -33,12 +38,14 @@ import json
 import math
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 
 from . import counting
 from .core import (BoxSpec, ConfigSpec, DecompositionError, PhaseTable,
-                   SetIndicator, TorusPhase, _check_exponents)
+                   SetIndicator, TorusPhase, _check_exponents,
+                   polynomial_phases)
 from .rng import make_rng
 from .setfile import SetFileError, read_set, write_set
 
@@ -67,7 +74,8 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_phase(part: str) -> TorusPhase:
-    """A phase t/T with integers t and T >= 1, or a finite float."""
+    """A phase t/T with integers t and T >= 1, or a finite float, read as
+    its exact binary value (a dyadic rational)."""
     num, slash, den = part.partition("/")
     try:
         if slash:
@@ -77,7 +85,7 @@ def _parse_phase(part: str) -> TorusPhase:
         else:
             x = float(part)
             if math.isfinite(x):
-                return TorusPhase.from_float(x)
+                return TorusPhase.from_fraction(Fraction(x))
     except ValueError:
         pass
     raise UsageError(f"bad phase {part!r}: expected t/T with integers t and "
@@ -126,6 +134,9 @@ def cmd_count(args) -> int:
     n = len(m) - k
     if n < 1:
         raise UsageError("need more exponents than phases")
+    if phases:
+        # the theory's condition, which the phased operator needs
+        m = _check_exponents(m, increasing=True)
     if A.box.n != n:
         raise ValueError(f"set is {A.box.n}-D but the configuration needs {n}-D")
     if args.N is not None:
@@ -145,15 +156,20 @@ def cmd_count(args) -> int:
     if args.oracle and norm > counting.ORACLE_MAX_TERMS:
         raise ValueError(f"--oracle needs cells x range <= 2^20, got {norm}")
     fs = [A] * (n + 1)
+    # on indicators every operator is a sum over the integer count h(r)
+    hist = counting.lambda_indicator_counts(fs, spec)
     integer_count = oracle = None
     if operator == "phased":
-        alphas = [PhaseTable.constant(spec.box, p) for p in phases]
-        lam = counting.lambda_phased(fs, alphas, m, args.N)
+        # constant phases depend on r alone: the operator is
+        # sum_r e(P(r)) h(r) / norm with P(r) = sum_j beta_j r^(m_(n+j))
+        P = dict(zip(m[n:], phases))
+        weights = np.exp(2j * np.pi * polynomial_phases(P, len(hist.counts)))
+        lam = complex(weights @ hist.counts) / norm
         if args.oracle:
+            alphas = [PhaseTable.constant(spec.box, p) for p in phases]
             oracle = counting.lambda_phased_bruteforce(fs, alphas, m, args.N)
     else:
-        # on indicators the operator is exactly the integer count over norm
-        integer_count = counting.lambda_indicator_counts(fs, spec).sum()
+        integer_count = hist.sum()
         lam = complex(integer_count / norm)
         if args.oracle:
             oracle = counting.lambda_general_bruteforce(fs, spec)

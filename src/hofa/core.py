@@ -25,6 +25,9 @@ Conventions used throughout the package:
   along axis 1 (a view, or a read of that band alone), and the whole words
   or mask are built on first use and cached; its boolean mask is unpacked
   only when a caller needs cells; as ``values`` it is the set's 0/1 weight.
+* ``polynomial_phases`` is the one phase P(r) mod 1 of a polynomial with
+  ``TorusPhase`` coefficients, and ``PhaseTable.times_int`` the one phase
+  alpha(x) k of a table; both are exact for exact phases.
 * Each type refuses at construction what breaks its invariants: ``BoxSpec``
   the cell cap ``MAX_GRID_CELLS``; ``ConfigSpec`` one exponent per axis in
   [1, ``MAX_EXPONENT``], q >= 1 and M in [1, 2^27].  ``ConfigSpec.power`` is
@@ -592,6 +595,36 @@ class TorusPhase:
         return cmath.exp(2j * cmath.pi * self.approx)
 
 
+def polynomial_phases(P: dict[int, TorusPhase], N: int) -> np.ndarray:
+    """The phases P(r) mod 1 of r = 1, ..., N (entry r - 1) as float64, for
+    the polynomial P(r) = sum over d of P[d] r^d.
+
+    When every coefficient is exact, the phase of r is num_r / L with
+    L = lcm(T_d) of the denominators T_d and the integer
+    num_r = sum_d t_d (L / T_d) (r^d mod T_d) mod L, and int / int rounds
+    correctly, as float(Fraction) does: P(r) mod 1 rounded once, at any
+    degree.  Otherwise every term is a float64 product reduced mod 1 on its
+    own, so an entry lies in [0, len(P)) and equals P(r) mod 1 up to the
+    rounding of the products.
+    """
+    if all(a.is_exact for a in P.values()):
+        L = math.lcm(*(a.frac.denominator for a in P.values()))
+        terms = [(d, a.frac.numerator * (L // a.frac.denominator),
+                  a.frac.denominator) for d, a in P.items()]
+        return np.array([sum(c * pow(r, d, T) for d, c, T in terms) % L / L
+                         for r in range(1, N + 1)], dtype=np.float64)
+    rs = np.arange(1, N + 1, dtype=np.float64)
+    phase = np.zeros(N)
+    for d, a in P.items():
+        phase += np.mod(a.approx * rs**d, 1.0)
+    return phase
+
+
+# the largest denominator T of an exact table whose products
+# numerator (k mod T), both below T, stay inside int64: (T - 1)^2 < 2^63
+MAX_TABLE_DENOMINATOR = 1 + math.isqrt((1 << 63) - 1)
+
+
 @dataclass
 class PhaseTable:
     """A map from a box into R/Z, read as zero outside the box.
@@ -642,6 +675,28 @@ class PhaseTable:
     @property
     def is_exact(self) -> bool:
         return self.numerators is not None
+
+    def times_int(self, k: int, offsets: Sequence[int],
+                  out_dims: Sequence[int]) -> np.ndarray:
+        """The values times the integer k, as float64, on the window of
+        ``out_dims`` cells at the 0-based ``offsets`` (``read_window``; zero
+        outside the table).
+
+        An exact table's value is (numerator (k mod T) mod T) / T, its value
+        times k mod 1 rounded once, at any k; it needs (T - 1)^2 at most the
+        int64 maximum (T at most MAX_TABLE_DENOMINATOR) and raises
+        ``ValueError`` past it.  A float table's value is frac float(k), not
+        reduced mod 1.
+        """
+        if not self.is_exact:
+            return read_window(self.frac, offsets, out_dims) * float(k)
+        T = self.denominator
+        if T > MAX_TABLE_DENOMINATOR:
+            raise ValueError(f"exact phase tables need (T - 1)^2 <= 2^63 - 1 "
+                             f"(int64 products), i.e. T <= "
+                             f"{MAX_TABLE_DENOMINATOR}, got T = {T}")
+        nums = read_window(self.numerators, offsets, out_dims)
+        return (nums * (k % T)) % T / T
 
     def at(self, point: Sequence[int]) -> TorusPhase:
         idx = tuple(int(c) - 1 for c in point)

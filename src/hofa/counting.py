@@ -48,6 +48,8 @@ the averaged operators share one (x, r) loop, ``_bruteforce_sum``, with an
 optional phase (``lambda_simple``'s oracle is ``lambda_general_bruteforce``
 at the power box); it stops after the last useful r as well, and
 ``ORACLE_MAX_TERMS`` bounds what ``count --oracle`` asks of it.
+``lambda_phased`` takes each phase term from ``PhaseTable.times_int``
+(exact for an exact table); ``count --phase-const`` does not run it.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ import numpy as np
 from . import kernels
 from .core import (ConfigSpec, GridFunction, PhaseTable, SetIndicator,
                    TorusPhase, _check_exponents, _integer_root,
-                   read_translates, read_window)
+                   read_translates)
 
 # a weight of the averaged operators: a real (float64) or complex grid, a set
 # as its 0/1 mask, or any object whose ``values`` has a ``shape``, a
@@ -195,7 +197,9 @@ def lambda_phased(fs: Sequence[Weight], alphas: Sequence[PhaseTable],
     """lambda_simple with the extra factor e(sum_j alpha_j(x) r^(m_(n+j))).
 
     ``m`` has length n + k where k = len(alphas); the first n exponents drive
-    the shifts and the last k drive the phase powers.
+    the shifts and the last k drive the phase powers.  Each term
+    alpha_j r^(m_(n+j)) is ``PhaseTable.times_int``: exact mod 1 for an
+    exact table, float64 for a float one.
     """
     m = _check_exponents(m, increasing=True)
     n = len(fs) - 1
@@ -203,18 +207,17 @@ def lambda_phased(fs: Sequence[Weight], alphas: Sequence[PhaseTable],
     if len(m) != n + k:
         raise ValueError(f"need {n + k} exponents, got {len(m)}")
     spec = ConfigSpec.power(m[:n], N)
-    base_dims = spec.box.dims
-    zero = (0,) * n
-    alpha_wins = [read_window(a.frac, zero, base_dims) for a in alphas]
 
     def phase(r: int, crop: tuple[slice, ...]) -> np.ndarray:
-        acc = np.zeros(alpha_wins[0][crop].shape, dtype=np.float64)
+        offsets = [s.start for s in crop]
+        dims = [s.stop - s.start for s in crop]
+        acc = np.zeros(dims)
         for j in range(k):
-            acc += alpha_wins[j][crop] * float(r ** m[n + j])
+            acc += alphas[j].times_int(r ** m[n + j], offsets, dims)
         return np.exp(2j * np.pi * acc)
 
     arrays = [f.values for f in fs]
-    _check_compatible([a.shape for a in arrays], base_dims)
+    _check_compatible([a.shape for a in arrays], spec.box.dims)
     total = _lambda_sum(arrays, spec, phase if k else None)
     return total / (spec.box.cells * spec.M)
 

@@ -1,11 +1,14 @@
 """Weyl sums, rational frequency search, dual functions, and phase snapping.
 
-Rational phases are reduced exactly so that Weyl sums over rational tuples
-carry no floating-point drift in the phase: the phase of n is an integer
-numerator over L = lcm(T_i), built from modular powers n^i mod T_i, and is
-rounded to a float once.  Float phases fall back to ordinary double
-arithmetic.  The dual-function and stashing operations realize the counting
-operators as a single inner product against a derived one-bounded function.
+The phase P(n) mod 1 of a polynomial with constant coefficients, in
+``weyl_sum`` and ``fourier_certificate``, is ``core.polynomial_phases``:
+rational coefficients are reduced exactly, so the phase carries no
+floating-point drift (an integer numerator over L = lcm(T_i), built from
+modular powers n^i mod T_i, rounded to a float once), and float
+coefficients fall back to double arithmetic.  The dual-function and
+stashing operations realize the counting operators as a single inner
+product against a derived one-bounded function; a phase table's phase is
+``PhaseTable.times_int``, as in ``counting.lambda_phased``.
 
 The constancy search snaps each phase table to the grid {t/T_j} with
 T_j = ceil(2 k N^(m_j) / delta) and tries the ``CONSTANCY_TOP_K`` most
@@ -16,7 +19,6 @@ best one it finds and leaves the judging of its average to the caller.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -24,7 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (BoxSpec, ConfigSpec, GridFunction, Line, PhaseTable,
-                   TorusPhase, _check_exponents, read_window)
+                   TorusPhase, _check_exponents, polynomial_phases,
+                   read_window)
 from .counting import lambda_phased
 from .partition import APPartition, cond_expect
 
@@ -39,30 +42,16 @@ CONSTANCY_TOP_K = 16
 def weyl_sum(alphas: Sequence[TorusPhase], N: int) -> complex:
     """Average over n in [N] of e(alpha_1 n + alpha_2 n^2 + ...).
 
-    Exact rational phases are reduced mod 1 with integer arithmetic before
-    exponentiating; the result modulus never exceeds 1.
+    The phase of n is ``core.polynomial_phases``: exact rational phases are
+    reduced mod 1 with integer arithmetic and rounded once; the terms are
+    summed in order of n, and the result modulus never exceeds 1.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if not alphas:
-        return 1.0 + 0j
-    if all(a.is_exact for a in alphas):
-        # the phase of n is num_n / L with L = lcm(T_i) and the integer
-        # num_n = sum t_i (L / T_i) (n^i mod T_i) mod L; int / int rounds
-        # correctly, as float(Fraction) does
-        L = math.lcm(*(a.frac.denominator for a in alphas))
-        terms = [(i, a.frac.numerator * (L // a.frac.denominator),
-                  a.frac.denominator) for i, a in enumerate(alphas, start=1)]
-        total = 0j
-        for n in range(1, N + 1):
-            num = sum(c * pow(n, i, T) for i, c, T in terms) % L
-            total += cmath.exp(2j * cmath.pi * (num / L))
-        return total / N
-    ns = np.arange(1, N + 1, dtype=np.float64)
-    phase = np.zeros(N)
-    for i, a in enumerate(alphas, start=1):
-        phase += np.mod(a.approx * ns**i, 1.0)
-    return complex(np.mean(np.exp(2j * np.pi * phase)))
+    total = 0j
+    for phase in polynomial_phases(dict(enumerate(alphas, start=1)), N).tolist():
+        total += cmath.exp(2j * cmath.pi * phase)
+    return total / N
 
 
 @dataclass
@@ -135,8 +124,7 @@ def dual_function(fs: Sequence[GridFunction], alphas: Sequence[PhaseTable],
         if k:
             phase = np.zeros(out_dims)
             for j in range(k):
-                phase += (read_window(alphas[j].frac, off0, out_dims)
-                          * float(r ** m[n + j]))
+                phase += alphas[j].times_int(r ** m[n + j], off0, out_dims)
             term = term * np.exp(2j * np.pi * phase)
         acc += term
     return GridFunction(BoxSpec(out_dims), acc / N)
@@ -316,13 +304,6 @@ class FourierCertificate:
     check: Callable[[int], float] = field(repr=False)
 
 
-def poly_phases(P: dict[int, TorusPhase], rs: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(rs))
-    for deg, coef in P.items():
-        out += coef.approx * rs.astype(np.float64) ** deg
-    return out
-
-
 def fourier_certificate(f: Line, P: dict[int, TorusPhase], n: int, N: int,
                         delta: float, Qmax: int) -> FourierCertificate:
     """Locate a low-denominator frequency explaining a phased shift average.
@@ -343,7 +324,7 @@ def fourier_certificate(f: Line, P: dict[int, TorusPhase], n: int, N: int,
         raise ValueError(f"polynomial degrees capped at {MAX_POLY_DEGREE}")
     base = N**n
     rs = np.arange(1, N + 1, dtype=np.int64)
-    p_phase = poly_phases(P, rs)
+    p_phase = polynomial_phases(P, N)
     premise = phased_average(f, np.broadcast_to(p_phase, (base, N)), base, n)
     G = 8 * base
     grid = np.arange(G) / G

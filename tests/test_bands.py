@@ -272,3 +272,29 @@ def test_popdiff_peak_is_a_band_not_the_words(tmp_path, capsys):
     assert peak <= band + buffers + (1 << 19)
     assert kernels.band_rows(dims) * row <= 1 << 20
     assert json.loads(capsys.readouterr().out)["count"] > 0
+
+
+def test_phased_count_peak_under_a_byte_per_cell(tmp_path, capsys):
+    # count --phase-const weights the banded integer histogram, so it holds
+    # one band like the unphased count; its two cell-sized constant phase
+    # tables took 16 bytes per cell
+    N = 162
+    dims = (N, N * N)
+    cells = math.prod(dims)
+    assert cells >= 1 << 22
+    path = tmp_path / "phased.boxb"
+    with open(path, "wb") as fh:
+        fh.write(b"HOFA1\nbox 162 26244\n")
+        fh.write(make_rng(12).integers(0, 256, cells // 8,
+                                       dtype=np.uint8).tobytes())
+    argv = ["count", "--set", str(path), "--m", "1,2,3", "--N", str(N),
+            "--phase-const", "1/3"]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cells, f"{peak / cells:.2f} bytes per cell"
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["operator"] == "phased" and doc["integer_count"] is None

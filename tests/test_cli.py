@@ -1,16 +1,21 @@
+import cmath
+import contextlib
 import io
 import json
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hofa import cli, counting
-from hofa.core import MAX_EXPONENT, BoxSpec, SetIndicator
+from hofa.core import MAX_EXPONENT, BoxSpec, ConfigSpec, SetIndicator
 from hofa.rng import make_rng
 from hofa.setfile import SetFileError, _parse_header, read_set, write_set
 
@@ -591,6 +596,101 @@ def test_count_oracle_size_cap(tmp_path, schema):
         assert "precondition violated" in proc.stderr and "--oracle" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def _cli_doc(argv, schema):
+    """Exit code and schema-checked JSON of an in-process ``cli.main``."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    doc = json.loads(buf.getvalue())
+    jsonschema.validate(doc, schema)
+    return code, doc
+
+
+def _phased_reference(A, phases, m, N):
+    """sum_r e(sum_j beta_j r^(m_(n+j)) mod 1) h(r) / (cells N), the phase of
+    r exact as a Fraction and h the pointwise integer histogram."""
+    n = len(m) - len(phases)
+    spec = ConfigSpec.power(m[:n], N)
+    h = counting.lambda_indicator_counts_pointwise([A] * (n + 1), spec)
+    total = 0j
+    for r in range(1, N + 1):
+        phase = sum(beta * r ** p for beta, p in zip(phases, m[n:])) % 1
+        total += cmath.exp(2j * cmath.pi * float(phase)) * h[r - 1]
+    return total / (spec.box.cells * N)
+
+
+@pytest.mark.parametrize("phase, beta, m", [
+    ("1/3", Fraction(1, 3), (1, 2, 20)),
+    # a float is read as its binary value, 3602879701896397 / 2^55
+    ("0.1", Fraction(0.1), (1, 2, 40)),
+])
+def test_count_phase_const_exact_with_oracle(tmp_path, schema, phase, beta, m):
+    # float(r^m) times a float phase lost the phase: at (1, 2, 20) the fast
+    # path was 7.5e-4 off the exact oracle and exited 1
+    out = tmp_path / "s.box"
+    cli.main(["gen", "random", "--box", "8,64", "--p", "0.5", "--seed", "2",
+              "--out", str(out)])
+    code, doc = _cli_doc(["count", "--set", str(out), "--m",
+                          ",".join(map(str, m)), "--N", "8", "--phase-const",
+                          phase, "--oracle"], schema)
+    assert code == 0 and doc["ok"] is True
+    assert doc["oracle"]["max_dev"] <= 1e-12
+    assert doc["operator"] == "phased" and doc["integer_count"] is None
+    want = _phased_reference(read_set(out), [beta], m, 8)
+    assert abs(complex(doc["lambda"]["re"], doc["lambda"]["im"]) - want) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def phased_sets(tmp_path_factory):
+    """Seeded sets on the power boxes [N] and [N] x [N^2]."""
+    root = tmp_path_factory.mktemp("phased")
+    paths = {}
+    for n in (1, 2):
+        for N in (3, 5, 8):
+            dims = (N, N * N)[:n]
+            for seed in range(3):
+                paths[n, N, seed] = root / f"s{n}-{N}-{seed}.box"
+                mask = make_rng(seed).random(dims) < 0.5
+                write_set(SetIndicator(BoxSpec(dims), mask), paths[n, N, seed])
+    return paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2]), N=st.sampled_from([3, 5, 8]),
+       seed=st.integers(0, 2),
+       phases=st.lists(st.tuples(st.integers(-10**6, 10**6),
+                                 st.integers(1, 10**6)),
+                       min_size=1, max_size=2),
+       data=st.data())
+def test_count_phase_const_weights_histogram(phased_sets, schema, n, N, seed,
+                                             phases, data):
+    powers = sorted(data.draw(st.lists(st.integers(n + 1, 64),
+                                       min_size=len(phases),
+                                       max_size=len(phases), unique=True)))
+    m = tuple(range(1, n + 1)) + tuple(powers)
+    path = phased_sets[n, N, seed]
+    code, doc = _cli_doc(["count", "--set", str(path), "--m",
+                          ",".join(map(str, m)), "--N", str(N),
+                          # attached, since argparse reads -1/3 as an option
+                          "--phase-const="
+                          + ",".join(f"{t}/{T}" for t, T in phases)], schema)
+    assert code == 0
+    assert doc["operator"] == "phased" and doc["integer_count"] is None
+    want = _phased_reference(read_set(path),
+                             [Fraction(t, T) for t, T in phases], m, N)
+    assert abs(complex(doc["lambda"]["re"], doc["lambda"]["im"]) - want) <= 1e-12
+
+
+def test_count_phase_const_refuses_non_increasing_exponents(phased_sets,
+                                                           capsys):
+    argv = ["count", "--set", str(phased_sets[2, 8, 0]), "--m", "2,1,3",
+            "--N", "8", "--phase-const", "1/3"]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert "m must be strictly increasing" in captured.err
+    assert captured.out == ""
 
 
 def test_popdiff_out_streams_zero_tail(tmp_path):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hofa import counting, kernels, setfile
 from hofa.core import (MAX_EXPONENT, MAX_GRID_CELLS, BoxSpec, ConfigSpec,
                        GridFunction, Line, PhaseTable, SetIndicator,
-                       TorusPhase, read_translates, read_window,
-                       validate_config)
+                       MAX_TABLE_DENOMINATOR, TorusPhase, polynomial_phases,
+                       read_translates, read_window, validate_config)
 from hofa.rng import make_rng
 from hofa.setfile import SetFileError, read_set, write_set
 
@@ -265,6 +265,42 @@ def test_phase_table_reads_zero_outside():
     assert t.is_exact
     snapped = PhaseTable.from_floats(BoxSpec((2,)), np.array([0.249, 0.755])).snapped(4)
     assert list(snapped.numerators) == [1, 3]
+
+
+def test_polynomial_phases_exact_at_any_degree():
+    # exact coefficients: P(r) mod 1 rounded once, past 2^53 and at degree 64
+    P = {1: TorusPhase.exact(2, 7), 40: TorusPhase.exact(-5, 999_983),
+         64: TorusPhase.exact(1, 3)}
+    want = [float(sum(a.frac * r ** d for d, a in P.items()) % 1)
+            for r in range(1, 51)]
+    assert polynomial_phases(P, 50).tolist() == want
+    assert polynomial_phases({}, 3).tolist() == [0.0] * 3
+    assert polynomial_phases(P, 0).shape == (0,)
+    # one float coefficient: every term in float64, reduced mod 1 on its own
+    F = {1: TorusPhase.from_float(0.25), 2: TorusPhase.exact(1, 3)}
+    rs = np.arange(1.0, 9.0)
+    assert polynomial_phases(F, 8).tolist() == (
+        np.mod(0.25 * rs, 1.0) + np.mod(float(Fraction(1, 3)) * rs**2, 1.0)
+    ).tolist()
+
+
+def test_phase_table_times_int():
+    # an exact table's value times k mod 1, from its numerators, zero
+    # outside the table
+    T, k = 999_983, 7 ** 40
+    t = PhaseTable.from_rationals(BoxSpec((3,)), np.array([1, 2, T - 1]), T)
+    want = [0.0] + [float(Fraction(v * k, T) % 1) for v in (1, 2, T - 1)] + [0.0]
+    assert t.times_int(k, (-1,), (5,)).tolist() == want
+    # (T - 1)^2 is the largest product, at most the int64 maximum
+    T = MAX_TABLE_DENOMINATOR
+    top = PhaseTable.from_rationals(BoxSpec((1,)), np.array([T - 1]), T)
+    assert top.times_int(T - 1, (0,), (1,)).tolist() == [1 / T]
+    past = PhaseTable.from_rationals(BoxSpec((1,)), np.array([1]), T + 1)
+    with pytest.raises(ValueError, match=r"\(T - 1\)\^2 <= 2\^63 - 1"):
+        past.times_int(2, (0,), (1,))
+    # a float table's value is frac float(k), not reduced
+    f = PhaseTable.from_floats(BoxSpec((2,)), np.array([0.3, 0.9]))
+    assert f.times_int(5, (0,), (2,)).tolist() == [0.3 * 5.0, 0.9 * 5.0]
 
 
 def test_line_window_and_shift():

@@ -85,6 +85,19 @@ def test_lambda_phased_table_matches_oracle(rng):
     assert a == pytest.approx(b, abs=1e-12)
 
 
+def test_lambda_phased_exact_table_at_large_exponent(rng):
+    # alpha(x) r^40 is read from the table's numerators, exact mod 1; the
+    # float product frac(x) float(r^40) lost the phase
+    N, T = 4, 999_983
+    fs = [random_grid(rng, (4, 16)), random_grid(rng, (8, 16)),
+          random_grid(rng, (4, 32))]
+    al = PhaseTable.from_rationals(BoxSpec((4, 16)),
+                                   rng.integers(0, T, (4, 16)), T)
+    a = counting.lambda_phased(fs, [al], (1, 2, 40), N)
+    b = counting.lambda_phased_bruteforce(fs, [al], (1, 2, 40), N)
+    assert abs(a - b) <= 1e-12
+
+
 def test_phased_oracle_exact_at_large_exponent():
     # the phase of r is e((r^20 mod 3) / 3) exactly, whatever the float
     # rounding of 3^-1 r^20

@@ -8,7 +8,7 @@ from conftest import random_grid
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hofa import expsum
+from hofa import counting, expsum
 from hofa.core import BoxSpec, GridFunction, Line, PhaseTable, TorusPhase
 from hofa.rng import make_rng
 
@@ -138,6 +138,19 @@ def test_stashing_identity_random_complex(rng):
         al = PhaseTable.from_floats(BoxSpec((N, N * N)), rng.random((N, N * N)))
         lhs, rhs = expsum.stashing_identity_check(fs, [al], (1, 2, 3), N)
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def test_dual_function_reads_exact_tables(rng):
+    # both sides of the stashing identity read an exact table's phase
+    # alpha r^40 from its numerators, so both equal the exact oracle
+    N, T = 3, 999_983
+    fs = [random_grid(rng, (N, N * N)), random_grid(rng, (2 * N, N * N)),
+          random_grid(rng, (N, 2 * N * N))]
+    al = PhaseTable.from_rationals(BoxSpec((N, N * N)),
+                                   rng.integers(0, T, (N, N * N)), T)
+    lhs, rhs = expsum.stashing_identity_check(fs, [al], (1, 2, 40), N)
+    want = counting.lambda_phased_bruteforce(fs, [al], (1, 2, 40), N)
+    assert abs(lhs - want) <= 1e-12 and abs(rhs - want) <= 1e-10
 
 
 def test_stashing_zero_slot():
