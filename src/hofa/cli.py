@@ -408,8 +408,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _attach_phase_const(argv: list[str]) -> list[str]:
+    """``--phase-const -1/3`` written as ``--phase-const=-1/3``: argparse
+    reads a detached value that starts with '-' and is no plain negative
+    number as an option, and refuses the flag for want of a value."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] == "--phase-const" and arg.startswith("-")
+                and not arg.startswith("--")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_phase_const(sys.argv[1:] if argv is None else argv))
     try:
         _check_thread_count(args)
         _check_seed(args)

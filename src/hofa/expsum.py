@@ -1,14 +1,14 @@
 """Weyl sums, rational frequency search, dual functions, and phase snapping.
 
-The phase P(n) mod 1 of a polynomial with constant coefficients, in
-``weyl_sum`` and ``fourier_certificate``, is ``core.polynomial_phases``:
-rational coefficients are reduced exactly, so the phase carries no
-floating-point drift (an integer numerator over L = lcm(T_i), built from
-modular powers n^i mod T_i, rounded to a float once), and float
-coefficients fall back to double arithmetic.  The dual-function and
-stashing operations realize the counting operators as a single inner
-product against a derived one-bounded function; a phase table's phase is
-``PhaseTable.times_int``, as in ``counting.lambda_phased``.
+Every phase here is one of core's phase rules.  The phase P(n) mod 1 of a
+polynomial with constant coefficients, in ``weyl_sum``,
+``fourier_certificate`` and the constancy search's candidates, is
+``core.polynomial_phases``: rational coefficients are reduced exactly (an
+integer numerator over L = lcm(T_i), built from modular powers n^i mod T_i,
+rounded to a float once), and float coefficients fall back to double
+arithmetic.  A phase table's phase, in the dual function and the constancy
+search's premise, is ``PhaseTable.times_int``, as in
+``counting.lambda_phased``, and its snapping is ``PhaseTable.snapped``.
 
 The constancy search snaps each phase table to the grid {t/T_j} with
 T_j = ceil(2 k N^(m_j) / delta) and tries the ``CONSTANCY_TOP_K`` most
@@ -32,8 +32,8 @@ from .counting import lambda_phased
 from .partition import APPartition, cond_expect
 
 MAX_POLY_DEGREE = 6
-# bound on the powers and the phase grids of ``phase_constancy_search``,
-# which it holds as int64
+# bound on N^(m_j) and the phase grids of ``phase_constancy_search``, whose
+# snapped numerators are int64
 INT64_BOUND = 1 << 63
 # snapped phase tuples tried as constants by ``phase_constancy_search``
 CONSTANCY_TOP_K = 16
@@ -70,14 +70,8 @@ def rational_approx_search(alphas: Sequence[TorusPhase], N: int,
         raise ValueError("Qmax must be >= 1")
     best = None
     for q in range(1, Qmax + 1):
-        res = []
-        for i, a in enumerate(alphas, start=1):
-            if a.is_exact:
-                dist = a.times_int(q).norm_dist()
-                res.append(float(dist) * N**i)
-            else:
-                v = (a.approx * q) % 1.0
-                res.append(min(v, 1.0 - v) * N**i)
+        res = [float(a.times_int(q).norm_dist()) * N**i
+               for i, a in enumerate(alphas, start=1)]
         score = max(res) if res else 0.0
         if best is None or score < best[0] - 1e-15:
             best = (score, q, tuple(res))
@@ -152,43 +146,27 @@ def stashing_identity_check(fs: Sequence[GridFunction],
 # Alternating phase sums
 
 
-def phi_tilde(phi: Callable[[tuple[int, ...]], TorusPhase | Fraction | float],
+def phi_tilde(phi: Callable[[tuple[int, ...]], Fraction | float],
               h0: Sequence[int], h1: Sequence[int]) -> TorusPhase:
     """Alternating sum of phi over the 2^d mixtures of two shift tuples:
 
-        sum over omega in {0,1}^d of (-1)^(#ones) phi(h^omega),
+        sum over omega in {0,1}^d of (-1)^(#ones) phi(h^omega) mod 1,
 
-    where h^omega picks h0 or h1 coordinatewise.  Exact when phi returns
-    rationals; vanishes identically when phi splits as a sum of functions
-    each ignoring one coordinate.
+    where h^omega picks h0 or h1 coordinatewise.  The sum is exact: a float
+    value of phi is read as its exact binary value (a dyadic rational), as
+    ``count --phase-const`` reads one.  It vanishes identically when phi
+    splits as a sum of functions each ignoring one coordinate.
     """
     h0 = tuple(int(v) for v in h0)
     h1 = tuple(int(v) for v in h1)
     if len(h0) != len(h1):
         raise ValueError("shift tuples must share a length")
     d = len(h0)
-    exact_total = Fraction(0)
-    float_total = 0.0
-    exact = True
+    total = Fraction(0)
     for bits in np.ndindex(*(2,) * d):
         arg = tuple(h1[a] if bits[a] else h0[a] for a in range(d))
-        val = phi(arg)
-        sign = -1 if sum(bits) % 2 else 1
-        if isinstance(val, TorusPhase):
-            if val.is_exact and exact:
-                exact_total += sign * val.frac
-            else:
-                exact = False
-            float_total += sign * val.approx
-        elif isinstance(val, Fraction):
-            exact_total += sign * val
-            float_total += sign * float(val)
-        else:
-            exact = False
-            float_total += sign * float(val)
-    if exact:
-        return TorusPhase.from_fraction(exact_total)
-    return TorusPhase.from_float(float_total)
+        total += (-1) ** sum(bits) * Fraction(phi(arg))
+    return TorusPhase.from_fraction(total)
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +209,14 @@ def phase_constancy_search(f: Line, alphas: Sequence[PhaseTable],
                            delta: float) -> PhaseConstancyResult:
     """Search for constant phases matching a table-driven phase average.
 
-    The premise average uses the x-dependent tables alpha_j; each table is
-    then snapped to the grid {t/T_j} with T_j = ceil(2 k N^(m_j) / delta),
-    the snapped tuples are histogrammed over x, and the CONSTANCY_TOP_K most
-    frequent are tried as constants.  Returns the best constant tuple with its
-    achieved average (the theory promises a dense constant tuple, so a small
-    top-k suffices at these scales).  The powers and grids are int64, so a
-    power N^(m_j) or a grid T_j of 2^63 or more raises ``ValueError``.
+    The premise average uses the x-dependent tables alpha_j (phases by
+    ``PhaseTable.times_int``); each table is then snapped to the grid {t/T_j}
+    with T_j = ceil(2 k N^(m_j) / delta), the snapped tuples are histogrammed
+    over x, and the CONSTANCY_TOP_K most frequent are tried as constants
+    (phases by ``core.polynomial_phases``).  Returns the best constant tuple
+    with its achieved average (the theory promises a dense constant tuple, so
+    a small top-k suffices at these scales).  A power N^(m_j) or a grid T_j
+    of 2^63 or more raises ``ValueError``.
     """
     m = _check_exponents(m)
     k = len(alphas)
@@ -245,8 +224,8 @@ def phase_constancy_search(f: Line, alphas: Sequence[PhaseTable],
         raise ValueError("m must list the base power followed by one power per table")
     base = ConfigSpec.power(m[:1], N).box.dims[0]
     powers = m[1:]
-    # the powers r^(m_j), r <= N, and the snapped numerators t < T_j are
-    # int64
+    # core's phase rules take r^(m_j) as a Python int, so no power is int64;
+    # N^(m_j) >= 2^63 stays refused, as the grid bound implies for delta <= 2k
     if N ** max(powers, default=0) >= INT64_BOUND:
         raise ValueError(f"N^m_j must be below 2^63 (int64 powers), got "
                          f"N = {N}, m = {m}")
@@ -254,18 +233,16 @@ def phase_constancy_search(f: Line, alphas: Sequence[PhaseTable],
     if max(grids, default=0) >= INT64_BOUND:
         raise ValueError(f"phase grids ceil(2 k N^m_j / delta) must be below "
                          f"2^63 (int64 numerators), got {max(grids)}")
-    rs = np.arange(1, N + 1, dtype=np.int64)
-    table_frac = [read_window(a.frac, (0,), (base,)) for a in alphas]
     phase = np.zeros((base, N))
-    for j in range(k):
-        phase += np.outer(table_frac[j], rs ** powers[j]).astype(np.float64)
+    for a, p in zip(alphas, powers):
+        phase += np.stack([a.times_int(r ** p, (0,), (base,))
+                           for r in range(1, N + 1)], axis=1)
     W = _shift_matrix(f, base, m[0], N)
     premise = _phased_mean(W, phase)
     if premise == 0.0:
         return PhaseConstancyResult(None, 0.0, 0.0, "no_premise")
-    snapped = np.stack(
-        [np.mod(np.rint(table_frac[j] * grids[j]).astype(np.int64), grids[j])
-         for j in range(k)], axis=1)
+    snapped = np.stack([read_window(a.snapped(T).numerators, (0,), (base,))
+                        for a, T in zip(alphas, grids)], axis=1)
     tuples, counts = np.unique(snapped, axis=0, return_counts=True)
     # most frequent first; np.unique sorts the tuples, so ties stay in
     # tuple order
@@ -274,12 +251,13 @@ def phase_constancy_search(f: Line, alphas: Sequence[PhaseTable],
     candidates = []
     for idx in order[:CONSTANCY_TOP_K]:
         nums = tuples[idx]
-        betas = tuple(TorusPhase.exact(int(nums[j]), grids[j]) for j in range(k))
-        # the constant phase depends on r only: one row for every x
-        const = np.zeros(N)
-        for j in range(k):
-            const += float(betas[j].approx) * (rs ** powers[j])
-        achieved = _phased_mean(W, const)
+        betas = tuple(TorusPhase.exact(int(t), T) for t, T in zip(nums, grids))
+        # the constant phase depends on r only: one row for every x; the
+        # betas of equal powers add first, since a dict keeps one per power
+        poly = {}
+        for beta, p in zip(betas, powers):
+            poly[p] = poly[p] + beta if p in poly else beta
+        achieved = _phased_mean(W, polynomial_phases(poly, N))
         candidates.append({"tuple": [int(v) for v in nums],
                            "count": int(counts[idx]), "achieved": achieved})
         if best is None or achieved > best[0] + 1e-15:

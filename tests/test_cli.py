@@ -673,13 +673,25 @@ def test_count_phase_const_weights_histogram(phased_sets, schema, n, N, seed,
     path = phased_sets[n, N, seed]
     code, doc = _cli_doc(["count", "--set", str(path), "--m",
                           ",".join(map(str, m)), "--N", str(N),
-                          # attached, since argparse reads -1/3 as an option
                           "--phase-const="
                           + ",".join(f"{t}/{T}" for t, T in phases)], schema)
     assert code == 0
     assert doc["operator"] == "phased" and doc["integer_count"] is None
     want = _phased_reference(read_set(path),
                              [Fraction(t, T) for t, T in phases], m, N)
+    assert abs(complex(doc["lambda"]["re"], doc["lambda"]["im"]) - want) <= 1e-12
+
+
+def test_count_phase_const_detached_negative(phased_sets, schema):
+    # argparse read a detached -1/3 as an option and exited 2 with
+    # "expected one argument"; it now equals the attached form
+    argv = ["count", "--set", str(phased_sets[2, 8, 0]), "--m", "1,2,3,20",
+            "--N", "8", "--phase-const"]
+    code, doc = _cli_doc(argv + ["-1/3,-2/7"], schema)
+    assert code == 0
+    assert (code, doc) == _cli_doc(argv[:-1] + ["--phase-const=-1/3,-2/7"], schema)
+    want = _phased_reference(read_set(phased_sets[2, 8, 0]),
+                             [Fraction(-1, 3), Fraction(-2, 7)], (1, 2, 3, 20), 8)
     assert abs(complex(doc["lambda"]["re"], doc["lambda"]["im"]) - want) <= 1e-12
 
 

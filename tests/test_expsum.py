@@ -225,10 +225,11 @@ def test_phase_constancy_recovers_majority():
 
 
 @pytest.mark.parametrize("N,m,delta", [(8, (2, 3), 0.3), (5, (1, 2, 3), 0.5),
-                                        (4, (2, 1, 2), 0.7)])
+                                        (4, (2, 1, 2), 0.7), (5, (1, 2, 2), 0.5)])
 def test_phase_constancy_values_equal_phased_average(N, m, delta):
     # the search reuses one shift matrix; every average it reports is the
-    # one phased_average computes on its own, to the bit
+    # one phased_average computes on its own, to the bit, with a candidate's
+    # phase sum_j beta_j r^(m_j) mod 1 exact (equal powers included)
     rng = make_rng(35)
     k = len(m) - 1
     base = N ** m[0]
@@ -244,11 +245,30 @@ def test_phase_constancy_values_equal_phased_average(N, m, delta):
     assert res.premise == expsum.phased_average(f, phase, base, m[0])
     grids = [int(np.ceil(2 * k * N**p / delta)) for p in m[1:]]
     for cand in res.candidates:
-        const = np.zeros((base, N))
-        for t, T, p in zip(cand["tuple"], grids, m[1:]):
-            const += TorusPhase.exact(t, T).approx * (rs ** p)[None, :]
-        assert cand["achieved"] == expsum.phased_average(f, const, base, m[0])
+        const = np.array([float(sum(Fraction(t, T) * r**p for t, T, p in
+                                    zip(cand["tuple"], grids, m[1:])) % 1)
+                          for r in range(1, N + 1)])
+        assert cand["achieved"] == expsum.phased_average(
+            f, np.broadcast_to(const, (base, N)), base, m[0])
     assert res.achieved == max(c["achieved"] for c in res.candidates)
+
+
+@pytest.mark.parametrize("m", [(1, 18), (1, 20)])
+def test_phase_constancy_exact_table_at_large_exponents(m):
+    # the float phase frac * r^(m_1) of an exact 1/3 table read 0.4507 at
+    # (1, 18) and 0.3729 at (1, 20); the table's phase r^(m_1)/3 mod 1 and
+    # the snapped 1/3 candidate are exact, so both averages equal the
+    # Fraction reference |2 + 6 e(1/3)| / 8 = sqrt(28) / 8
+    N = 8
+    al = PhaseTable.constant(BoxSpec((N,)), TorusPhase.exact(1, 3))
+    f = Line(1, np.ones(2 * N, dtype=complex))
+    res = expsum.phase_constancy_search(f, [al], m, N, 0.3)
+    phase = np.array([float(Fraction(r ** m[1], 3) % 1) for r in range(1, N + 1)])
+    want = expsum.phased_average(f, np.broadcast_to(phase, (N, N)), N, m[0])
+    assert want == 0.6614378277661477
+    assert res.premise == want
+    assert res.betas == (TorusPhase.exact(1, 3),)
+    assert res.achieved == res.candidates[0]["achieved"] == want
 
 
 def test_phase_constancy_builds_one_shift_matrix(monkeypatch):
