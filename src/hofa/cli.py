@@ -38,7 +38,6 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -85,7 +84,7 @@ def _parse_phase(part: str) -> TorusPhase:
         else:
             x = float(part)
             if math.isfinite(x):
-                return TorusPhase.from_fraction(Fraction(x))
+                return TorusPhase.from_float(x)
     except ValueError:
         pass
     raise UsageError(f"bad phase {part!r}: expected t/T with integers t and "

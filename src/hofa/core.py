@@ -25,9 +25,11 @@ Conventions used throughout the package:
   along axis 1 (a view, or a read of that band alone), and the whole words
   or mask are built on first use and cached; its boolean mask is unpacked
   only when a caller needs cells; as ``values`` it is the set's 0/1 weight.
-* ``polynomial_phases`` is the one phase P(r) mod 1 of a polynomial with
-  ``TorusPhase`` coefficients, and ``PhaseTable.times_int`` the one phase
-  alpha(x) k of a table; both are exact for exact phases.
+* A ``TorusPhase`` is always exact (a float is read as its exact binary
+  value).  ``polynomial_phases`` is the one phase P(r) mod 1 of a
+  polynomial with ``TorusPhase`` coefficients, exact at any degree, and
+  ``PhaseTable.times_int`` the one phase alpha(x) k of a table: exact for
+  an exact table, while a float table keeps its float rule.
 * Each type refuses at construction what breaks its invariants: ``BoxSpec``
   the cell cap ``MAX_GRID_CELLS``; ``ConfigSpec`` one exponent per axis in
   [1, ``MAX_EXPONENT``], q >= 1 and M in [1, 2^27].  ``ConfigSpec.power`` is
@@ -537,58 +539,44 @@ class Line:
 
 @dataclass(frozen=True)
 class TorusPhase:
-    """A point of R/Z, exact rational when possible.
+    """A point of R/Z, always exact: ``frac`` is a Fraction in [0, 1).
 
-    ``frac`` is a Fraction in [0, 1) for exact phases; float phases (used by
-    the spectral searches) carry ``frac=None`` and a float ``approx``.
+    A float is read as its exact binary value (a dyadic rational), so sums
+    and integer multiples of phases are exact mod 1 whatever their source;
+    ``approx`` is ``frac`` rounded once to a float.
     """
 
-    frac: Fraction | None
-    approx: float
+    frac: Fraction
 
     @classmethod
     def exact(cls, num: int, den: int = 1) -> "TorusPhase":
-        f = Fraction(num, den) % 1
-        return cls(f, float(f))
+        return cls(Fraction(num, den) % 1)
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> "TorusPhase":
-        f = f % 1
-        return cls(f, float(f))
+        return cls(f % 1)
 
     @classmethod
     def from_float(cls, x: float) -> "TorusPhase":
-        return cls(None, float(x) % 1.0)
+        return cls.from_fraction(Fraction(x))
 
     @classmethod
     def zero(cls) -> "TorusPhase":
         return cls.exact(0)
 
     @property
-    def is_exact(self) -> bool:
-        return self.frac is not None
+    def approx(self) -> float:
+        return float(self.frac)
 
-    def norm_dist(self) -> "Fraction | float":
-        """Distance to the nearest integer; exact for rational phases."""
-        if self.frac is not None:
-            return min(self.frac, 1 - self.frac)
-        v = self.approx
-        return min(v, 1.0 - v)
+    def norm_dist(self) -> Fraction:
+        """Distance to the nearest integer, exact."""
+        return min(self.frac, 1 - self.frac)
 
     def times_int(self, k: int) -> "TorusPhase":
-        if self.frac is not None:
-            return TorusPhase.from_fraction(self.frac * k)
-        return TorusPhase.from_float(self.approx * k)
+        return TorusPhase.from_fraction(self.frac * k)
 
     def __add__(self, other: "TorusPhase") -> "TorusPhase":
-        if self.frac is not None and other.frac is not None:
-            return TorusPhase.from_fraction(self.frac + other.frac)
-        return TorusPhase.from_float(self.approx + other.approx)
-
-    def __neg__(self) -> "TorusPhase":
-        if self.frac is not None:
-            return TorusPhase.from_fraction(-self.frac)
-        return TorusPhase.from_float(-self.approx)
+        return TorusPhase.from_fraction(self.frac + other.frac)
 
     def e(self) -> complex:
         """exp(2 pi i a)."""
@@ -599,25 +587,17 @@ def polynomial_phases(P: dict[int, TorusPhase], N: int) -> np.ndarray:
     """The phases P(r) mod 1 of r = 1, ..., N (entry r - 1) as float64, for
     the polynomial P(r) = sum over d of P[d] r^d.
 
-    When every coefficient is exact, the phase of r is num_r / L with
-    L = lcm(T_d) of the denominators T_d and the integer
-    num_r = sum_d t_d (L / T_d) (r^d mod T_d) mod L, and int / int rounds
-    correctly, as float(Fraction) does: P(r) mod 1 rounded once, at any
-    degree.  Otherwise every term is a float64 product reduced mod 1 on its
-    own, so an entry lies in [0, len(P)) and equals P(r) mod 1 up to the
-    rounding of the products.
+    The phase of r is num_r / L with L = lcm(T_d) of the denominators T_d
+    and the integer num_r = sum_d t_d (L / T_d) (r^d mod T_d) mod L, and
+    int / int rounds correctly, as float(Fraction) does: P(r) mod 1 rounded
+    once, at any degree.  A coefficient read from a float is a dyadic
+    rational, so its T_d is a power of two.
     """
-    if all(a.is_exact for a in P.values()):
-        L = math.lcm(*(a.frac.denominator for a in P.values()))
-        terms = [(d, a.frac.numerator * (L // a.frac.denominator),
-                  a.frac.denominator) for d, a in P.items()]
-        return np.array([sum(c * pow(r, d, T) for d, c, T in terms) % L / L
-                         for r in range(1, N + 1)], dtype=np.float64)
-    rs = np.arange(1, N + 1, dtype=np.float64)
-    phase = np.zeros(N)
-    for d, a in P.items():
-        phase += np.mod(a.approx * rs**d, 1.0)
-    return phase
+    L = math.lcm(*(a.frac.denominator for a in P.values()))
+    terms = [(d, a.frac.numerator * (L // a.frac.denominator),
+              a.frac.denominator) for d, a in P.items()]
+    return np.array([sum(c * pow(r, d, T) for d, c, T in terms) % L / L
+                     for r in range(1, N + 1)], dtype=np.float64)
 
 
 # the largest denominator T of an exact table whose products
@@ -656,12 +636,9 @@ class PhaseTable:
 
     @classmethod
     def constant(cls, box: BoxSpec, phase: TorusPhase) -> "PhaseTable":
-        if phase.is_exact:
-            num = int(phase.frac.numerator)
-            den = int(phase.frac.denominator)
-            return cls(box, np.full(box.dims, float(phase.frac)),
-                       np.full(box.dims, num, dtype=np.int64), den)
-        return cls(box, np.full(box.dims, phase.approx))
+        return cls(box, np.full(box.dims, phase.approx),
+                   np.full(box.dims, phase.frac.numerator, dtype=np.int64),
+                   phase.frac.denominator)
 
     @classmethod
     def from_floats(cls, box: BoxSpec, values: np.ndarray) -> "PhaseTable":

@@ -273,22 +273,18 @@ def lambda_general_bruteforce(fs: Sequence[Weight], spec: ConfigSpec) -> complex
 def lambda_phased_bruteforce(fs: Sequence[Weight],
                              alphas: Sequence[PhaseTable],
                              m: Sequence[int], N: int) -> complex:
-    """Oracle of ``lambda_phased``.  The phase of an exact table is summed
-    as ``TorusPhase``s, exact mod 1 at any exponent; a float table's is
-    summed in floats."""
+    """Oracle of ``lambda_phased``.  The phase at (x, r) is summed as
+    ``TorusPhase``s, exact mod 1 at any exponent: a float table's value is
+    read as its exact binary value."""
     m = _check_exponents(m)
     n = len(fs) - 1
     k = len(alphas)
 
     def phase(x: tuple[int, ...], r: int) -> float:
-        acc, exact = 0.0, TorusPhase.zero()
+        total = TorusPhase.zero()
         for j in range(k):
-            a = alphas[j].at(x)
-            if alphas[j].is_exact:
-                exact += a.times_int(r ** m[n + j])
-            else:
-                acc += a.approx * (r ** m[n + j])
-        return acc + exact.approx
+            total += alphas[j].at(x).times_int(r ** m[n + j])
+        return total.approx
 
     return _bruteforce_sum(fs, ConfigSpec.power(m[:n], N), phase if k else None)
 

@@ -3,12 +3,13 @@
 Every phase here is one of core's phase rules.  The phase P(n) mod 1 of a
 polynomial with constant coefficients, in ``weyl_sum``,
 ``fourier_certificate`` and the constancy search's candidates, is
-``core.polynomial_phases``: rational coefficients are reduced exactly (an
-integer numerator over L = lcm(T_i), built from modular powers n^i mod T_i,
-rounded to a float once), and float coefficients fall back to double
-arithmetic.  A phase table's phase, in the dual function and the constancy
-search's premise, is ``PhaseTable.times_int``, as in
-``counting.lambda_phased``, and its snapping is ``PhaseTable.snapped``.
+``core.polynomial_phases``: every coefficient is an exact ``TorusPhase``
+(a float one is its exact binary value), so the phase is reduced exactly
+(an integer numerator over L = lcm(T_i), built from modular powers
+n^i mod T_i, rounded to a float once).  A phase table's phase, in the dual
+function and the constancy search's premise, is ``PhaseTable.times_int``,
+as in ``counting.lambda_phased`` (a float table keeps its float rule), and
+its snapping is ``PhaseTable.snapped``.
 
 The constancy search snaps each phase table to the grid {t/T_j} with
 T_j = ceil(2 k N^(m_j) / delta) and tries the ``CONSTANCY_TOP_K`` most
@@ -42,7 +43,7 @@ CONSTANCY_TOP_K = 16
 def weyl_sum(alphas: Sequence[TorusPhase], N: int) -> complex:
     """Average over n in [N] of e(alpha_1 n + alpha_2 n^2 + ...).
 
-    The phase of n is ``core.polynomial_phases``: exact rational phases are
+    The phase of n is ``core.polynomial_phases``: the phases, all exact, are
     reduced mod 1 with integer arithmetic and rounded once; the terms are
     summed in order of n, and the result modulus never exceeds 1.
     """
@@ -215,8 +216,9 @@ def phase_constancy_search(f: Line, alphas: Sequence[PhaseTable],
     over x, and the CONSTANCY_TOP_K most frequent are tried as constants
     (phases by ``core.polynomial_phases``).  Returns the best constant tuple
     with its achieved average (the theory promises a dense constant tuple, so
-    a small top-k suffices at these scales).  A power N^(m_j) or a grid T_j
-    of 2^63 or more raises ``ValueError``.
+    a small top-k suffices at these scales; with no tables the one tuple is
+    the empty one).  A power N^(m_j) or a grid T_j of 2^63 or more raises
+    ``ValueError``.
     """
     m = _check_exponents(m)
     k = len(alphas)
@@ -241,8 +243,10 @@ def phase_constancy_search(f: Line, alphas: Sequence[PhaseTable],
     premise = _phased_mean(W, phase)
     if premise == 0.0:
         return PhaseConstancyResult(None, 0.0, 0.0, "no_premise")
-    snapped = np.stack([read_window(a.snapped(T).numerators, (0,), (base,))
-                        for a, T in zip(alphas, grids)], axis=1)
+    # one column per table: with no tables, the one empty tuple
+    snapped = np.zeros((base, k), dtype=np.int64)
+    for j, (a, T) in enumerate(zip(alphas, grids)):
+        snapped[:, j] = read_window(a.snapped(T).numerators, (0,), (base,))
     tuples, counts = np.unique(snapped, axis=0, return_counts=True)
     # most frequent first; np.unique sorts the tuples, so ties stay in
     # tuple order

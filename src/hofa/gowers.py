@@ -50,23 +50,7 @@ GOLDEN_ITERS = 60
 SAME_COORD_KAPPA = 1.0 / 64
 
 
-@dataclass(frozen=True)
-class DiffSpec:
-    """A tuple of difference shifts, optionally tied to a grid axis (1-based)."""
-
-    shifts: tuple[int, ...]
-    axis: int | None = None
-
-    def __post_init__(self):
-        if len(self.shifts) < 1:
-            raise ValueError("need at least one shift")
-        if self.axis is not None and self.axis < 1:
-            raise ValueError("axis is 1-based")
-
-
 def _shift_tuple(h) -> tuple[int, ...]:
-    if isinstance(h, DiffSpec):
-        return h.shifts
     if isinstance(h, int):
         return (h,)
     return tuple(int(v) for v in h)

@@ -254,8 +254,17 @@ def test_torus_phase_exact_distance():
     assert q.norm_dist() == Fraction(2, 7)
     assert TorusPhase.exact(10, 7).frac == Fraction(3, 7)  # reduced mod 1
     assert (p + q).frac == Fraction(1, 7)
-    assert (-p).frac == Fraction(4, 7)
+    assert p.times_int(-1).frac == Fraction(4, 7)
     assert abs(TorusPhase.exact(1, 2).e() + 1) < 1e-15
+
+
+def test_torus_phase_reads_a_float_exactly():
+    # a float is its exact binary value, not a float phase of its own
+    assert TorusPhase.from_float(0.1).frac == Fraction(0.1)
+    assert TorusPhase.from_float(-0.25).frac == Fraction(3, 4)
+    assert TorusPhase.from_float(0.1) == TorusPhase.from_fraction(Fraction(0.1))
+    assert TorusPhase.from_float(0.1).times_int(3 ** 40).frac == (
+        Fraction(0.1) * 3 ** 40 % 1)
 
 
 def test_phase_table_reads_zero_outside():
@@ -276,12 +285,13 @@ def test_polynomial_phases_exact_at_any_degree():
     assert polynomial_phases(P, 50).tolist() == want
     assert polynomial_phases({}, 3).tolist() == [0.0] * 3
     assert polynomial_phases(P, 0).shape == (0,)
-    # one float coefficient: every term in float64, reduced mod 1 on its own
-    F = {1: TorusPhase.from_float(0.25), 2: TorusPhase.exact(1, 3)}
-    rs = np.arange(1.0, 9.0)
-    assert polynomial_phases(F, 8).tolist() == (
-        np.mod(0.25 * rs, 1.0) + np.mod(float(Fraction(1, 3)) * rs**2, 1.0)
-    ).tolist()
+    # a float coefficient is its exact binary value: still rounded once,
+    # where float products lose the phase of r^40
+    for x, d in ((0.25, 2), (0.1, 40)):
+        F = {1: TorusPhase.from_float(x), d: TorusPhase.exact(1, 3)}
+        assert polynomial_phases(F, 50).tolist() == [
+            float((Fraction(x) * r + Fraction(1, 3) * r ** d) % 1)
+            for r in range(1, 51)]
 
 
 def test_phase_table_times_int():

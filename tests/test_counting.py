@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -96,6 +97,25 @@ def test_lambda_phased_exact_table_at_large_exponent(rng):
     a = counting.lambda_phased(fs, [al], (1, 2, 40), N)
     b = counting.lambda_phased_bruteforce(fs, [al], (1, 2, 40), N)
     assert abs(a - b) <= 1e-12
+
+
+def test_phased_oracle_float_table_exact_at_large_exponent(rng):
+    # a float table's value is read as its exact binary value, so the
+    # oracle's phase alpha(x) r^40 is exact mod 1
+    N, m = 3, (1, 2, 40)
+    fs = [random_grid(rng, (3, 9)), random_grid(rng, (6, 9)),
+          random_grid(rng, (3, 18))]
+    al = PhaseTable.from_floats(BoxSpec((3, 9)), rng.random((3, 9)))
+    want = 0j
+    for x1, x2 in np.ndindex(3, 9):
+        for r in range(1, N + 1):
+            beta = Fraction(float(al.frac[x1, x2])) * r ** m[2] % 1
+            want += (fs[0].values[x1, x2] * fs[1].values[x1 + r, x2]
+                     * fs[2].values[x1, x2 + r ** 2]
+                     * np.exp(2j * np.pi * float(beta)))
+    want /= 3 * 9 * N
+    got = counting.lambda_phased_bruteforce(fs, [al], m, N)
+    assert abs(got - want) <= 1e-12
 
 
 def test_phased_oracle_exact_at_large_exponent():

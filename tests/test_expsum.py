@@ -288,6 +288,16 @@ def test_phase_constancy_builds_one_shift_matrix(monkeypatch):
     assert len(built) == 1
 
 
+def test_phase_constancy_without_tables():
+    # m of length 1: no table, so the one candidate is the empty tuple and
+    # it achieves the premise (np.stack of no columns raised)
+    res = expsum.phase_constancy_search(Line(1, np.ones(128)), [], (2,), 8, 0.3)
+    assert res.status == "found"
+    assert res.betas == ()
+    assert res.achieved == res.premise == 1.0
+    assert res.candidates == [{"tuple": [], "count": 64, "achieved": 1.0}]
+
+
 def test_phase_constancy_refuses_exponents_before_powering():
     # N^(10^8) was formed before any check (seconds, then OverflowError);
     # every exponent is refused at once, the base one included

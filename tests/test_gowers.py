@@ -230,18 +230,6 @@ def test_separable_directional_diff(rng):
     assert np.allclose(d.values, expect)
 
 
-def test_diffspec_pass_through(rng):
-    f = Line(1, rng.random(20).astype(complex))
-    spec = gowers.DiffSpec((2, -1))
-    a = gowers.mult_diff(f, spec)
-    b = gowers.mult_diff(f, (2, -1))
-    assert a.start == b.start and np.array_equal(a.values, b.values)
-    with pytest.raises(ValueError):
-        gowers.DiffSpec(())
-    with pytest.raises(ValueError):
-        gowers.DiffSpec((1,), axis=0)
-
-
 def test_fejer_values_and_mass():
     # the weights vdc_verify uses: exact at H = 2, unit mass to 1e-15
     offs, w = gowers.fejer_weights(2)
