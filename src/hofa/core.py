@@ -28,8 +28,8 @@ Conventions used throughout the package:
 * A ``TorusPhase`` is always exact (a float is read as its exact binary
   value).  ``polynomial_phases`` is the one phase P(r) mod 1 of a
   polynomial with ``TorusPhase`` coefficients, exact at any degree, and
-  ``PhaseTable.times_int`` the one phase alpha(x) k of a table: exact for
-  an exact table, while a float table keeps its float rule.
+  ``PhaseTable.times_int`` the one phase alpha(x) k of a table, whose
+  values are integer numerators over one denominator T <= 2^63.
 * Each type refuses at construction what breaks its invariants: ``BoxSpec``
   the cell cap ``MAX_GRID_CELLS``; ``ConfigSpec`` one exponent per axis in
   [1, ``MAX_EXPONENT``], q >= 1 and M in [1, 2^27].  ``ConfigSpec.power`` is
@@ -600,76 +600,72 @@ def polynomial_phases(P: dict[int, TorusPhase], N: int) -> np.ndarray:
                      for r in range(1, N + 1)], dtype=np.float64)
 
 
-# the largest denominator T of an exact table whose products
-# numerator (k mod T), both below T, stay inside int64: (T - 1)^2 < 2^63
+# the largest denominator T of a phase table, whose numerators are int64
+MAX_PHASE_DENOMINATOR = 1 << 63
+# the largest T whose products numerator (k mod T), both below T, stay
+# inside int64: (T - 1)^2 < 2^63
 MAX_TABLE_DENOMINATOR = 1 + math.isqrt((1 << 63) - 1)
 
 
 @dataclass
 class PhaseTable:
-    """A map from a box into R/Z, read as zero outside the box.
+    """A map from a box into R/Z, read as zero outside the box: the value at
+    a cell is numerators[cell] / denominator, exact.
 
-    ``frac`` stores the values in [0, 1) as float64.  When the table was
-    built on a rational grid {t/T} the integer numerators are kept alongside
-    so that exact arithmetic stays available.
+    The constructor checks the one denominator T (an integer in [1, 2^63]),
+    then the integer numerators (one per cell), and stores them as int64
+    reduced mod T.  ``frac`` is the values rounded to float64.
     """
 
     box: BoxSpec
-    frac: np.ndarray
-    numerators: np.ndarray | None = None
-    denominator: int | None = None
+    numerators: np.ndarray
+    denominator: int = 1
 
     def __post_init__(self):
-        self.frac = np.ascontiguousarray(self.frac, dtype=np.float64)
-        if self.frac.shape != self.box.dims:
+        T = self.denominator
+        if not isinstance(T, (int, np.integer)) or not 1 <= T <= MAX_PHASE_DENOMINATOR:
+            raise ValueError(f"phase tables need an integer denominator T in "
+                             f"[1, 2^63] (int64 numerators), got T = {T}")
+        T = self.denominator = int(T)
+        nums = np.asarray(self.numerators)
+        if nums.shape != self.box.dims:
             raise ValueError("phase table shape mismatch")
-        if (self.numerators is None) != (self.denominator is None):
-            raise ValueError("numerators and denominator go together")
-        if self.numerators is not None:
-            self.numerators = np.ascontiguousarray(self.numerators, dtype=np.int64)
-            if self.numerators.shape != self.box.dims:
-                raise ValueError("numerator table shape mismatch")
+        if nums.dtype.kind not in "iu":
+            raise ValueError(f"phase table numerators must be integers of at "
+                             f"most 64 bits, got dtype {nums.dtype}")
+        nums = nums.astype(nums.dtype.kind + "8", copy=False)
+        # x mod 2^63 is x & (2^63 - 1) in two's complement; 2^63 is no int64
+        nums = nums & (T - 1) if T == MAX_PHASE_DENOMINATOR else np.mod(nums, T)
+        self.numerators = np.ascontiguousarray(nums, dtype=np.int64)
 
     @classmethod
     def zeros(cls, box: BoxSpec) -> "PhaseTable":
-        return cls(box, np.zeros(box.dims), np.zeros(box.dims, dtype=np.int64), 1)
+        return cls(box, np.zeros(box.dims, dtype=np.int64))
 
     @classmethod
     def constant(cls, box: BoxSpec, phase: TorusPhase) -> "PhaseTable":
-        return cls(box, np.full(box.dims, phase.approx),
-                   np.full(box.dims, phase.frac.numerator, dtype=np.int64),
+        # T is checked first; the numerator, below T, is then an int64
+        return cls(box, np.broadcast_to(phase.frac.numerator, box.dims),
                    phase.frac.denominator)
 
-    @classmethod
-    def from_floats(cls, box: BoxSpec, values: np.ndarray) -> "PhaseTable":
-        return cls(box, np.mod(values, 1.0))
-
-    @classmethod
-    def from_rationals(cls, box: BoxSpec, numerators: np.ndarray, T: int) -> "PhaseTable":
-        nums = np.mod(np.asarray(numerators, dtype=np.int64), T)
-        return cls(box, nums / float(T), nums, int(T))
-
     @property
-    def is_exact(self) -> bool:
-        return self.numerators is not None
+    def frac(self) -> np.ndarray:
+        """The values in [0, 1) as float64."""
+        return self.numerators / float(self.denominator)
 
     def times_int(self, k: int, offsets: Sequence[int],
                   out_dims: Sequence[int]) -> np.ndarray:
-        """The values times the integer k, as float64, on the window of
+        """The values times the integer k mod 1, as float64, on the window of
         ``out_dims`` cells at the 0-based ``offsets`` (``read_window``; zero
         outside the table).
 
-        An exact table's value is (numerator (k mod T) mod T) / T, its value
-        times k mod 1 rounded once, at any k; it needs (T - 1)^2 at most the
-        int64 maximum (T at most MAX_TABLE_DENOMINATOR) and raises
-        ``ValueError`` past it.  A float table's value is frac float(k), not
-        reduced mod 1.
+        The value is (numerator (k mod T) mod T) / T, rounded once, at any k;
+        it needs (T - 1)^2 at most the int64 maximum (T at most
+        MAX_TABLE_DENOMINATOR) and raises ``ValueError`` past it.
         """
-        if not self.is_exact:
-            return read_window(self.frac, offsets, out_dims) * float(k)
         T = self.denominator
         if T > MAX_TABLE_DENOMINATOR:
-            raise ValueError(f"exact phase tables need (T - 1)^2 <= 2^63 - 1 "
+            raise ValueError(f"PhaseTable.times_int needs (T - 1)^2 <= 2^63 - 1 "
                              f"(int64 products), i.e. T <= "
                              f"{MAX_TABLE_DENOMINATOR}, got T = {T}")
         nums = read_window(self.numerators, offsets, out_dims)
@@ -679,11 +675,8 @@ class PhaseTable:
         idx = tuple(int(c) - 1 for c in point)
         if any(c < 0 or c >= d for c, d in zip(idx, self.box.dims)):
             return TorusPhase.zero()
-        if self.is_exact:
-            return TorusPhase.exact(int(self.numerators[idx]), self.denominator)
-        return TorusPhase.from_float(float(self.frac[idx]))
+        return TorusPhase.exact(int(self.numerators[idx]), self.denominator)
 
     def snapped(self, T: int) -> "PhaseTable":
-        """Round every value to the grid {t/T : 0 <= t < T}."""
-        nums = np.mod(np.rint(self.frac * T).astype(np.int64), T)
-        return PhaseTable.from_rationals(self.box, nums, T)
+        """Round every value, as ``frac``, to the grid {t/T : 0 <= t < T}."""
+        return PhaseTable(self.box, np.rint(self.frac * T).astype(np.int64), T)

@@ -49,7 +49,7 @@ optional phase (``lambda_simple``'s oracle is ``lambda_general_bruteforce``
 at the power box); it stops after the last useful r as well, and
 ``ORACLE_MAX_TERMS`` bounds what ``count --oracle`` asks of it.
 ``lambda_phased`` takes each phase term from ``PhaseTable.times_int``
-(exact for an exact table); ``count --phase-const`` does not run it.
+(exact mod 1); ``count --phase-const`` does not run it.
 """
 
 from __future__ import annotations
@@ -198,8 +198,8 @@ def lambda_phased(fs: Sequence[Weight], alphas: Sequence[PhaseTable],
 
     ``m`` has length n + k where k = len(alphas); the first n exponents drive
     the shifts and the last k drive the phase powers.  Each term
-    alpha_j r^(m_(n+j)) is ``PhaseTable.times_int``: exact mod 1 for an
-    exact table, float64 for a float one.
+    alpha_j r^(m_(n+j)) is ``PhaseTable.times_int``: exact mod 1 from the
+    table's integer numerators, rounded once.
     """
     m = _check_exponents(m, increasing=True)
     n = len(fs) - 1
@@ -274,8 +274,8 @@ def lambda_phased_bruteforce(fs: Sequence[Weight],
                              alphas: Sequence[PhaseTable],
                              m: Sequence[int], N: int) -> complex:
     """Oracle of ``lambda_phased``.  The phase at (x, r) is summed as
-    ``TorusPhase``s, exact mod 1 at any exponent: a float table's value is
-    read as its exact binary value."""
+    ``TorusPhase``s (``PhaseTable.at``, numerator over T), exact mod 1 at any
+    exponent and for every T a table holds."""
     m = _check_exponents(m)
     n = len(fs) - 1
     k = len(alphas)

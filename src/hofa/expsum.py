@@ -8,8 +8,8 @@ polynomial with constant coefficients, in ``weyl_sum``,
 (an integer numerator over L = lcm(T_i), built from modular powers
 n^i mod T_i, rounded to a float once).  A phase table's phase, in the dual
 function and the constancy search's premise, is ``PhaseTable.times_int``,
-as in ``counting.lambda_phased`` (a float table keeps its float rule), and
-its snapping is ``PhaseTable.snapped``.
+as in ``counting.lambda_phased``, exact from the table's integer
+numerators, and its snapping is ``PhaseTable.snapped``.
 
 The constancy search snaps each phase table to the grid {t/T_j} with
 T_j = ceil(2 k N^(m_j) / delta) and tries the ``CONSTANCY_TOP_K`` most

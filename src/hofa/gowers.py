@@ -88,28 +88,30 @@ def add_diff(alpha: PhaseTable, h) -> PhaseTable:
     differences of a box-supported map are not box-supported themselves, so
     the result is computed through the 2^s-term alternating expansion with
     every read taken from the original table; it is then materialized on the
-    same box.  Exact numerator tables are propagated.
+    same box, summed on the numerators mod alpha's denominator T, exactly.
     """
     if alpha.box.n != 1:
         raise ValueError("add_diff works on 1-D phase maps")
     hs = _shift_tuple(h)
     dims = alpha.box.dims
-    table = alpha.numerators if alpha.is_exact else alpha.frac
-    acc = np.zeros(dims, dtype=table.dtype)
+    T = alpha.denominator
+    table = alpha.numerators.astype(np.uint64)
+    acc = np.zeros(dims, dtype=np.uint64)
     for bits in np.ndindex(*(2,) * len(hs)):
         off = sum(hv for hv, b in zip(hs, bits) if b)
         term = read_window(table, (off,), dims)
-        acc = acc + (term if sum(bits) % 2 == 0 else -term)
-    if alpha.is_exact:
-        return PhaseTable.from_rationals(alpha.box, acc, alpha.denominator)
-    return PhaseTable.from_floats(alpha.box, acc)
+        # -t mod T is T - t; a partial sum below 2T <= 2^64 stays in uint64
+        acc = (acc + (term if sum(bits) % 2 == 0 else T - term)) % T
+    return PhaseTable(alpha.box, acc, T)
 
 
 def diff_phase_identity_gap(alpha: PhaseTable, h) -> float:
     """Max pointwise gap in  D_h e(alpha) = e(d_h alpha)  over the box.
 
     Both sides extend alpha by zero, so e(alpha) is 1 outside the box and the
-    identity holds globally; the box window suffices.
+    identity holds globally; the box window suffices.  The left side
+    multiplies the floats e(alpha(x)), the right side is e of the exact
+    ``add_diff``, so the gap is float rounding alone.
     """
     dims = alpha.box.dims
     hs = _shift_tuple(h)

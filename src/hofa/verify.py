@@ -24,6 +24,8 @@ from .rng import make_rng
 # trials per property; ``verify all`` at the cap takes about 15 s on a
 # 2-core x86-64 host
 MAX_TRIALS = 1000
+# random phase tables are integer numerators over this one (prime) T
+TABLE_DENOMINATOR = 999_983
 
 
 @dataclass
@@ -368,8 +370,7 @@ def prop_add_diff_identity(rng, trials):
     for _ in range(trials):
         N = int(rng.integers(5, 51))
         T = int(rng.integers(2, 50))
-        alpha = PhaseTable.from_rationals(BoxSpec((N,)),
-                                          rng.integers(0, T, N), T)
+        alpha = PhaseTable(BoxSpec((N,)), rng.integers(0, T, N), T)
         hs = tuple(int(rng.integers(-8, 9)) for _ in range(int(rng.integers(1, 3))))
         out.check(gowers.diff_phase_identity_gap(alpha, hs) <= 1e-12)
     return out
@@ -555,7 +556,8 @@ def prop_dual_bounded(rng, trials):
         f0 = _rand_grid(rng, (2, 4))
         f1 = _rand_grid(rng, (4, 4))
         f2 = _rand_grid(rng, (2, 8))
-        al = PhaseTable.from_floats(BoxSpec((2, 4)), rng.random((2, 4)))
+        T = TABLE_DENOMINATOR
+        al = PhaseTable(BoxSpec((2, 4)), rng.integers(0, T, (2, 4)), T)
         i = int(rng.integers(1, 3))
         F = expsum.dual_function([f0, f1, f2], [al], m, N, i)
         out.check(F.max_abs() <= 1.0 + 1e-12)
@@ -608,11 +610,12 @@ def prop_phase_constancy(rng, trials):
     for _ in range(trials):
         N, m = 8, (2, 3)
         base = N ** m[0]
-        frac = np.zeros(base)
+        T = TABLE_DENOMINATOR
+        nums = np.zeros(base, dtype=np.int64)
         half = base // 2
-        # random half bounded away from resonant frequencies
-        frac[half:] = rng.uniform(0.35, 0.65, base - half)
-        al = PhaseTable.from_floats(BoxSpec((base,)), frac)
+        # random half bounded away from resonant frequencies: [0.35, 0.65)
+        nums[half:] = rng.integers(int(0.35 * T), int(0.65 * T), base - half)
+        al = PhaseTable(BoxSpec((base,)), nums, T)
         f = Line(1, np.ones(2 * base, dtype=complex))
         res = expsum.phase_constancy_search(f, [al], m, N, 0.3)
         out.check(res.status == "found" and res.betas[0].approx < 0.05,

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hofa.core import BoxSpec, GridFunction, SetIndicator
+from hofa.core import BoxSpec, GridFunction, PhaseTable, SetIndicator
 from hofa.rng import make_rng
 
 # The CLI tests start ``python -m hofa`` in child processes; they import the
@@ -29,6 +29,14 @@ def random_grid(rng, dims, kind="complex", bounded=True):
     else:
         vals = (rng.random(dims) < rng.random()).astype(complex)
     return GridFunction(BoxSpec(dims), vals, bounded=bounded)
+
+
+# random phase tables are integer numerators over this one (prime) T
+TABLE_T = 999_983
+
+
+def random_table(rng, dims):
+    return PhaseTable(BoxSpec(dims), rng.integers(0, TABLE_T, dims), TABLE_T)
 
 
 def random_set(rng, dims, p=None):

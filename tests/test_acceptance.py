@@ -11,10 +11,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import random_table
 
 from hofa import counting, energy, expsum, gowers, verify
-from hofa.core import (BoxSpec, ConfigSpec, GridFunction, Line, PhaseTable,
-                       SetIndicator, TorusPhase)
+from hofa.core import (BoxSpec, ConfigSpec, GridFunction, Line, SetIndicator,
+                       TorusPhase)
 from hofa.partition import (APPartition, almost_refinement_delta, cond_expect,
                             projection_lk_norm, refinement_pythagoras,
                             self_adjointness_check, shift_norm_delta)
@@ -127,13 +128,11 @@ def test_criterion_03_stashing_identity():
         if n == 1:
             fs = [rnd((N,)), rnd((2 * N,))]
             m = (1,) if i % 4 else (1, 2)
-            alphas = [] if i % 4 else [PhaseTable.from_floats(
-                BoxSpec((N,)), rng.random(N))]
+            alphas = [] if i % 4 else [random_table(rng, (N,))]
         else:
             fs = [rnd((N, N * N)), rnd((2 * N, N * N)), rnd((N, 2 * N * N))]
             m = (1, 2) if i % 4 else (1, 2, 3)
-            alphas = [] if i % 4 else [PhaseTable.from_floats(
-                BoxSpec((N, N * N)), rng.random((N, N * N)))]
+            alphas = [] if i % 4 else [random_table(rng, (N, N * N))]
         lhs, rhs = expsum.stashing_identity_check(fs, alphas, m, N)
         worst = max(worst, abs(lhs - rhs))
     report(3, worst <= 1e-10, f"stashing identity worst dev {worst:.2e}")

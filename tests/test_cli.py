@@ -2,6 +2,7 @@ import cmath
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import threading
@@ -11,7 +12,7 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hofa import cli, counting
@@ -703,6 +704,95 @@ def test_count_phase_const_refuses_non_increasing_exponents(phased_sets,
     captured = capsys.readouterr()
     assert "m must be strictly increasing" in captured.err
     assert captured.out == ""
+
+
+# the oracle's constant phase tables hold numerators over one T <= 2^63
+TABLE_LIMIT = "phase tables need an integer denominator T in [1, 2^63]"
+
+
+@pytest.mark.parametrize("phase", ["18446744073709551617/36893488147419103232",
+                                   "-1e-300"])
+def test_count_phase_const_oracle_refuses_denominator_past_int64(
+        tmp_path, capsys, phase):
+    # T = 2^65, and 1 - 1e-300 over about 2^1000: the oracle's table exited
+    # 3 with numpy's "Python int too large to convert to C long"
+    out = tmp_path / "s.box"
+    cli.main(["gen", "random", "--box", "8,64", "--p", "0.5", "--seed", "2",
+              "--out", str(out)])
+    capsys.readouterr()
+    argv = ["count", "--set", str(out), "--m", "1,2,40", "--N", "8",
+            f"--phase-const={phase}"]
+    assert cli.main(argv + ["--oracle"]) == 3
+    captured = capsys.readouterr()
+    assert TABLE_LIMIT in captured.err and captured.out == ""
+    assert "Python int too large" not in captured.err
+    # the count itself builds no table
+    assert cli.main(argv) == 0
+
+
+def _cli_run(argv):
+    """Exit code, stdout and stderr of an in-process ``cli.main``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _phase_value(text):
+    """The exact phase of a ``--phase-const`` entry, None if it is refused."""
+    num, slash, den = text.partition("/")
+    if slash:
+        return Fraction(int(num), int(den)) % 1 if int(den) >= 1 else None
+    x = float(text)
+    return Fraction(x) % 1 if math.isfinite(x) else None
+
+
+PHASE_TEXTS = st.one_of(
+    st.floats().map(repr),
+    st.tuples(st.integers(-10**6, 10**6), st.integers(-1, 10**6)),
+    st.tuples(st.integers(-2**200, 2**200), st.integers(1, 2**80)),
+).map(lambda p: p if isinstance(p, str) else f"{p[0]}/{p[1]}")
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([1, 2]), N=st.sampled_from([3, 5, 8]),
+       seed=st.integers(0, 2), oracle=st.booleans(),
+       texts=st.lists(PHASE_TEXTS, min_size=1, max_size=2), data=st.data())
+@example(n=2, N=8, seed=2, oracle=True,
+         texts=["18446744073709551617/36893488147419103232"], data=None)
+@example(n=2, N=8, seed=2, oracle=True, texts=["-1e-300"], data=None)
+@example(n=1, N=8, seed=0, oracle=True, texts=["1e-300", "-2/9"], data=None)
+def test_count_phase_const_any_phase_exits_cleanly(phased_sets, schema, n, N,
+                                                   seed, oracle, texts, data):
+    # every phase text gives one JSON document (exit 0) or a message (exit
+    # 2 or 3), never exit 1 or a traceback; the oracle needs T <= 2^63
+    k = len(texts)
+    powers = (list(range(n + 1, n + 1 + k)) if data is None else
+              sorted(data.draw(st.lists(st.integers(n + 1, 64), min_size=k,
+                                        max_size=k, unique=True))))
+    m = tuple(range(1, n + 1)) + tuple(powers)
+    path = phased_sets[n, N, seed]
+    argv = ["count", "--set", str(path), "--m", ",".join(map(str, m)),
+            "--N", str(N), "--phase-const=" + ",".join(texts)]
+    code, out, err = _cli_run(argv + ["--oracle"] * oracle)
+    assert "Traceback" not in err
+    betas = [_phase_value(t) for t in texts]
+    if None in betas:
+        assert code == 2 and out == "" and "bad phase" in err
+        return
+    if oracle and max(b.denominator for b in betas) > 2**63:
+        assert code == 3 and out == "" and TABLE_LIMIT in err
+        return
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema)
+    if oracle:
+        assert doc["ok"] is True and doc["oracle"]["max_dev"] <= 1e-9
+    want = _phased_reference(read_set(path), betas, m, N)
+    assert abs(complex(doc["lambda"]["re"], doc["lambda"]["im"]) - want) <= 1e-12
 
 
 def test_popdiff_out_streams_zero_tail(tmp_path):

@@ -268,12 +268,42 @@ def test_torus_phase_reads_a_float_exactly():
 
 
 def test_phase_table_reads_zero_outside():
-    t = PhaseTable.from_rationals(BoxSpec((3,)), np.array([1, 2, 3]), 5)
+    t = PhaseTable(BoxSpec((3,)), np.array([1, 2, 3]), 5)
     assert t.at((2,)).frac == Fraction(2, 5)
     assert t.at((9,)).frac == 0
-    assert t.is_exact
-    snapped = PhaseTable.from_floats(BoxSpec((2,)), np.array([0.249, 0.755])).snapped(4)
+    assert t.frac.tolist() == [0.2, 0.4, 0.6]
+    snapped = PhaseTable(BoxSpec((2,)), np.array([249, 755]), 1000).snapped(4)
     assert list(snapped.numerators) == [1, 3]
+    assert snapped.denominator == 4
+
+
+def test_phase_table_checks_denominator_and_numerators():
+    # numerators of any integer dtype are stored as int64, reduced mod T
+    t = PhaseTable(BoxSpec((3,)), np.array([-1, 7, 5], dtype=np.int8), 5)
+    assert t.numerators.dtype == np.int64 and t.numerators.tolist() == [4, 2, 0]
+    # T = 2^63 is the largest: every numerator below it is an int64
+    top = PhaseTable(BoxSpec((2,)), np.array([-1, 2**63 - 1]), 2**63)
+    assert top.numerators.tolist() == [2**63 - 1, 2**63 - 1]
+    assert top.at((1,)).frac == Fraction(2**63 - 1, 2**63)
+    big = PhaseTable(BoxSpec((1,)), np.array([2**64 - 1], dtype=np.uint64),
+                     2**63 - 1)
+    assert big.numerators.tolist() == [(2**64 - 1) % (2**63 - 1)]
+    assert PhaseTable.zeros(BoxSpec((2,))).denominator == 1
+    for T in (0, -3, 2**63 + 1, 2**65, 2.0, None):
+        with pytest.raises(ValueError, match=r"denominator T in \[1, 2\^63\]"):
+            PhaseTable(BoxSpec((1,)), np.array([1]), T)
+    with pytest.raises(ValueError, match="integers"):
+        PhaseTable(BoxSpec((2,)), np.array([0.25, 0.5]), 4)
+    with pytest.raises(ValueError, match="integers"):
+        PhaseTable(BoxSpec((1,)), np.array([2**70]), 3)
+    with pytest.raises(ValueError, match="shape"):
+        PhaseTable(BoxSpec((3,)), np.array([1, 2]), 3)
+    # a constant phase past 2^63 is refused before its numerator is stored
+    # (np.full raised numpy's "Python int too large to convert to C long")
+    with pytest.raises(ValueError, match=r"\[1, 2\^63\]"):
+        PhaseTable.constant(BoxSpec((2,)), TorusPhase.exact(2**64 + 1, 2**65))
+    c = PhaseTable.constant(BoxSpec((2,)), TorusPhase.exact(-1, 2**63))
+    assert c.numerators.tolist() == [2**63 - 1] * 2 and c.denominator == 2**63
 
 
 def test_polynomial_phases_exact_at_any_degree():
@@ -298,19 +328,21 @@ def test_phase_table_times_int():
     # an exact table's value times k mod 1, from its numerators, zero
     # outside the table
     T, k = 999_983, 7 ** 40
-    t = PhaseTable.from_rationals(BoxSpec((3,)), np.array([1, 2, T - 1]), T)
+    t = PhaseTable(BoxSpec((3,)), np.array([1, 2, T - 1]), T)
     want = [0.0] + [float(Fraction(v * k, T) % 1) for v in (1, 2, T - 1)] + [0.0]
     assert t.times_int(k, (-1,), (5,)).tolist() == want
     # (T - 1)^2 is the largest product, at most the int64 maximum
     T = MAX_TABLE_DENOMINATOR
-    top = PhaseTable.from_rationals(BoxSpec((1,)), np.array([T - 1]), T)
+    top = PhaseTable(BoxSpec((1,)), np.array([T - 1]), T)
     assert top.times_int(T - 1, (0,), (1,)).tolist() == [1 / T]
-    past = PhaseTable.from_rationals(BoxSpec((1,)), np.array([1]), T + 1)
+    past = PhaseTable(BoxSpec((1,)), np.array([1]), T + 1)
     with pytest.raises(ValueError, match=r"\(T - 1\)\^2 <= 2\^63 - 1"):
         past.times_int(2, (0,), (1,))
-    # a float table's value is frac float(k), not reduced
-    f = PhaseTable.from_floats(BoxSpec((2,)), np.array([0.3, 0.9]))
-    assert f.times_int(5, (0,), (2,)).tolist() == [0.3 * 5.0, 0.9 * 5.0]
+    # a negative k is reduced mod T as well
+    T = 999_983
+    t = PhaseTable(BoxSpec((3,)), np.array([1, 2, T - 1]), T)
+    assert t.times_int(-1, (0,), (3,)).tolist() == [(T - 1) / T, (T - 2) / T,
+                                                     1 / T]
 
 
 def test_line_window_and_shift():

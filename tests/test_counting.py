@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_grid, random_set
+from conftest import random_grid, random_set, random_table
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -80,7 +80,7 @@ def test_lambda_phased_table_matches_oracle(rng):
     N = 3
     fs = [random_grid(rng, (3, 9)), random_grid(rng, (6, 9)),
           random_grid(rng, (3, 18))]
-    al = PhaseTable.from_floats(BoxSpec((3, 9)), rng.random((3, 9)))
+    al = random_table(rng, (3, 9))
     a = counting.lambda_phased(fs, [al], (1, 2, 4), N)
     b = counting.lambda_phased_bruteforce(fs, [al], (1, 2, 4), N)
     assert a == pytest.approx(b, abs=1e-12)
@@ -89,27 +89,28 @@ def test_lambda_phased_table_matches_oracle(rng):
 def test_lambda_phased_exact_table_at_large_exponent(rng):
     # alpha(x) r^40 is read from the table's numerators, exact mod 1; the
     # float product frac(x) float(r^40) lost the phase
-    N, T = 4, 999_983
+    N = 4
     fs = [random_grid(rng, (4, 16)), random_grid(rng, (8, 16)),
           random_grid(rng, (4, 32))]
-    al = PhaseTable.from_rationals(BoxSpec((4, 16)),
-                                   rng.integers(0, T, (4, 16)), T)
+    al = random_table(rng, (4, 16))
     a = counting.lambda_phased(fs, [al], (1, 2, 40), N)
     b = counting.lambda_phased_bruteforce(fs, [al], (1, 2, 40), N)
     assert abs(a - b) <= 1e-12
 
 
 def test_phased_oracle_float_table_exact_at_large_exponent(rng):
-    # a float table's value is read as its exact binary value, so the
-    # oracle's phase alpha(x) r^40 is exact mod 1
+    # a table of floats is their exact binary values: rng.random draws
+    # multiples of 2^-53, so numerators over 2^53, a T past the products of
+    # times_int; the oracle's phase alpha(x) r^40 is exact mod 1 all the same
     N, m = 3, (1, 2, 40)
     fs = [random_grid(rng, (3, 9)), random_grid(rng, (6, 9)),
           random_grid(rng, (3, 18))]
-    al = PhaseTable.from_floats(BoxSpec((3, 9)), rng.random((3, 9)))
+    floats = rng.random((3, 9))
+    al = PhaseTable(BoxSpec((3, 9)), (floats * 2**53).astype(np.int64), 2**53)
     want = 0j
     for x1, x2 in np.ndindex(3, 9):
         for r in range(1, N + 1):
-            beta = Fraction(float(al.frac[x1, x2])) * r ** m[2] % 1
+            beta = Fraction(float(floats[x1, x2])) * r ** m[2] % 1
             want += (fs[0].values[x1, x2] * fs[1].values[x1 + r, x2]
                      * fs[2].values[x1, x2 + r ** 2]
                      * np.exp(2j * np.pi * float(beta)))
@@ -314,7 +315,7 @@ def test_best_popular_difference_tie_break():
                                    for r in range(1, 6)]
 
 
-def test_indicator_lambda_is_exact_count_ratio(rng):
+def test_indicator_lambda_equals_count_ratio(rng):
     # on indicators lambda_general is integer_count / normalization exactly,
     # which is how the count command reports it
     for _ in range(400):
@@ -566,7 +567,7 @@ def test_lambda_sum_row_blocks_match_one_block(rng, monkeypatch, block_cells):
     spec = ConfigSpec((1, 2), BoxSpec((4, 16)), q=1, M=2)
     fs = [random_grid(rng, d, kind) for d, kind in (
         ((4, 16), "complex"), ((8, 16), "signs"), ((4, 32), "unit"))]
-    al = PhaseTable.from_floats(BoxSpec((2, 4)), rng.random((2, 4)))
+    al = random_table(rng, (2, 4))
     small = [random_grid(rng, d) for d in ((2, 4), (4, 4), (2, 8))]
     avg = [random_grid(rng, d) for d in ((3, 9), (6, 9), (3, 18))]
     avg_spec = ConfigSpec((1, 2), BoxSpec((3, 9)), q=1, M=3)
@@ -628,7 +629,7 @@ def test_bruteforce_oracles_stop_after_useful_range(rng, monkeypatch):
                                  abs=1e-15)
     # the power box of N = 3 is 3x9; on it r = 3 has no base point
     fs = [random_grid(rng, (3, 9)) for _ in range(3)]
-    al = PhaseTable.from_floats(BoxSpec((3, 9)), rng.random((3, 9)))
+    al = random_table(rng, (3, 9))
     reads.clear()
     b = counting.lambda_phased_bruteforce(fs, [al], (1, 2, 4), 3)
     assert len(reads) <= 27 * 2 * 3
@@ -686,8 +687,7 @@ def test_sets_are_their_own_weights(rng):
                 alphas = [PhaseTable.constant(BoxSpec(base),
                                               TorusPhase.exact(1, 3 + j))
                           for j in range(k - 1)]
-                alphas.append(PhaseTable.from_floats(BoxSpec(base),
-                                                     rng.random(base)))
+                alphas.append(random_table(rng, base))
                 check(counting.lambda_phased, ws, alphas, mk, N)
                 check(counting.lambda_phased_bruteforce, ws, alphas, mk, N)
             for q, M in ((1, 1), (1, 3), (2, 2)):

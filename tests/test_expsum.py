@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_grid
+from conftest import TABLE_T, random_grid, random_table
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -135,7 +135,7 @@ def test_stashing_identity_random_complex(rng):
         fs = [random_grid(rng, (N, N * N)),
               random_grid(rng, (2 * N, N * N)),
               random_grid(rng, (N, 2 * N * N))]
-        al = PhaseTable.from_floats(BoxSpec((N, N * N)), rng.random((N, N * N)))
+        al = random_table(rng, (N, N * N))
         lhs, rhs = expsum.stashing_identity_check(fs, [al], (1, 2, 3), N)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -143,11 +143,10 @@ def test_stashing_identity_random_complex(rng):
 def test_dual_function_reads_exact_tables(rng):
     # both sides of the stashing identity read an exact table's phase
     # alpha r^40 from its numerators, so both equal the exact oracle
-    N, T = 3, 999_983
+    N = 3
     fs = [random_grid(rng, (N, N * N)), random_grid(rng, (2 * N, N * N)),
           random_grid(rng, (N, 2 * N * N))]
-    al = PhaseTable.from_rationals(BoxSpec((N, N * N)),
-                                   rng.integers(0, T, (N, N * N)), T)
+    al = random_table(rng, (N, N * N))
     lhs, rhs = expsum.stashing_identity_check(fs, [al], (1, 2, 40), N)
     want = counting.lambda_phased_bruteforce(fs, [al], (1, 2, 40), N)
     assert abs(lhs - want) <= 1e-12 and abs(rhs - want) <= 1e-10
@@ -215,9 +214,11 @@ def test_phase_constancy_recovers_majority():
     rng = make_rng(34)
     N, m = 8, (2, 3)
     base = N ** 2
-    frac = np.zeros(base)
-    frac[base // 2:] = rng.uniform(0.35, 0.65, base - base // 2)
-    al = PhaseTable.from_floats(BoxSpec((base,)), frac)
+    nums = np.zeros(base, dtype=np.int64)
+    # half of the table in [0.35, 0.65)
+    nums[base // 2:] = rng.integers(int(0.35 * TABLE_T), int(0.65 * TABLE_T),
+                                    base - base // 2)
+    al = PhaseTable(BoxSpec((base,)), nums, TABLE_T)
     f = Line(1, np.ones(2 * base, dtype=complex))
     res = expsum.phase_constancy_search(f, [al], m, N, 0.3)
     assert res.status == "found"
@@ -233,15 +234,15 @@ def test_phase_constancy_values_equal_phased_average(N, m, delta):
     rng = make_rng(35)
     k = len(m) - 1
     base = N ** m[0]
-    tables = [PhaseTable.from_floats(BoxSpec((base,)), rng.random(base))
-              for _ in range(k)]
+    tables = [random_table(rng, (base,)) for _ in range(k)]
     f = Line(1, np.exp(2j * np.pi * rng.random(2 * base)))
     res = expsum.phase_constancy_search(f, tables, m, N, delta)
     assert res.status == "found" and len(res.candidates) > 1
-    rs = np.arange(1, N + 1)
+    # each table's phase t r^p / T mod 1, rounded once, summed in table order
     phase = np.zeros((base, N))
     for tab, p in zip(tables, m[1:]):
-        phase += np.outer(tab.frac, rs ** p)
+        phase += [[float(Fraction(int(t) * r ** p, TABLE_T) % 1)
+                   for r in range(1, N + 1)] for t in tab.numerators]
     assert res.premise == expsum.phased_average(f, phase, base, m[0])
     grids = [int(np.ceil(2 * k * N**p / delta)) for p in m[1:]]
     for cand in res.candidates:
@@ -281,7 +282,7 @@ def test_phase_constancy_builds_one_shift_matrix(monkeypatch):
 
     monkeypatch.setattr(expsum, "_shift_matrix", counted)
     rng = make_rng(36)
-    al = PhaseTable.from_floats(BoxSpec((64,)), rng.random(64))
+    al = random_table(rng, (64,))
     res = expsum.phase_constancy_search(Line(1, np.ones(128, dtype=complex)),
                                         [al], (2, 3), 8, 0.3)
     assert len(res.candidates) == expsum.CONSTANCY_TOP_K

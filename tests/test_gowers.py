@@ -183,7 +183,7 @@ def test_mult_diff_phase_telescopes():
 def test_add_diff_linear_and_constant():
     N, T = 30, 60
     xs = np.arange(1, N + 1)
-    lin = PhaseTable.from_rationals(BoxSpec((N,)), (7 * xs) % T, T)
+    lin = PhaseTable(BoxSpec((N,)), (7 * xs) % T, T)
     d = gowers.add_diff(lin, (4,))
     # interior values are -4 * 7/60 mod 1
     interior = d.numerators[: N - 4]
@@ -193,12 +193,28 @@ def test_add_diff_linear_and_constant():
     assert np.all(dc.numerators[: N - 2] == 0)
 
 
+@pytest.mark.parametrize("T", [2**62 + 1, 2**63 - 1, 2**63])
+def test_add_diff_exact_past_int64_sums(T):
+    # alpha(x) - alpha(x + h1) - alpha(x + h2) + alpha(x + h1 + h2) with
+    # numerators in [0, T): int64 partial sums wrapped below -2^63
+    N, hs = 40, (1, 3)
+    nums = make_rng(26).integers(0, T, N, dtype=np.uint64).tolist()
+    alpha = PhaseTable(BoxSpec((N,)), np.array(nums, dtype=np.uint64), T)
+
+    def a(x):
+        return nums[x - 1] if 1 <= x <= N else 0
+
+    want = [(a(x) - a(x + 1) - a(x + 3) + a(x + 4)) % T for x in range(1, N + 1)]
+    got = gowers.add_diff(alpha, hs)
+    assert got.denominator == T and got.numerators.tolist() == want
+
+
 def test_diff_phase_identity_random():
     rng = make_rng(25)
     for _ in range(30):
         N = int(rng.integers(5, 51))
         T = int(rng.integers(2, 60))
-        alpha = PhaseTable.from_rationals(BoxSpec((N,)), rng.integers(0, T, N), T)
+        alpha = PhaseTable(BoxSpec((N,)), rng.integers(0, T, N), T)
         hs = tuple(int(rng.integers(-8, 9))
                    for _ in range(int(rng.integers(1, 3))))
         assert gowers.diff_phase_identity_gap(alpha, hs) <= 1e-12
