@@ -2,12 +2,11 @@
 popular-difference search on dense integer grids."""
 
 from .core import (BoxSpec, ConfigSpec, GridFunction, Line, PhaseTable,
-                   SetIndicator, TorusPhase, ValidationReport, validate_config)
+                   SetIndicator, TorusPhase)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoxSpec", "ConfigSpec", "GridFunction", "Line", "PhaseTable",
-    "SetIndicator", "TorusPhase", "ValidationReport", "validate_config",
-    "__version__",
+    "SetIndicator", "TorusPhase", "__version__",
 ]

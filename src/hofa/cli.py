@@ -45,7 +45,7 @@ from . import counting
 from .core import (BoxSpec, ConfigSpec, DecompositionError, PhaseTable,
                    SetIndicator, TorusPhase, _check_exponents,
                    polynomial_phases)
-from .rng import make_rng
+from .rng import make_rng, random_mask
 from .setfile import SetFileError, read_set, write_set
 
 EXIT_OK = 0
@@ -215,8 +215,6 @@ def cmd_popdiff(args) -> int:
         raise UsageError("--delta and --fallback belong to --pipeline")
     A = read_set(args.set)
     m = _check_exponents(_parse_ints(args.m))
-    if A.box.n != len(m):
-        raise ValueError(f"set is {A.box.n}-D but m has {len(m)} entries")
     if args.pipeline:
         from . import energy
 
@@ -273,8 +271,8 @@ def cmd_gen(args) -> int:
         if args.p is None:
             raise UsageError("random needs --p")
         _check_p(args.p)
-        rng = make_rng(args.seed)
-        A = SetIndicator(box, rng.random(box.dims) < args.p)
+        A = SetIndicator(box, random_mask(make_rng(args.seed), box.dims,
+                                          args.p))
     elif kind in ("residue", "product-ap"):
         # a product set: the cells whose every coordinate is kept on its axis
         coords = [np.arange(1, d + 1) for d in box.dims]
@@ -319,8 +317,7 @@ def cmd_bench(args) -> int:
     _check_p(args.p)
     M = args.M if args.M is not None else max(1, box.dims[0] - 1)
     spec = ConfigSpec(m, box, 1, M)
-    rng = make_rng(args.seed)
-    mask = rng.random(box.dims) < args.p
+    mask = random_mask(make_rng(args.seed), box.dims, args.p)
     # warm-up
     counting.lambda_indicator_counts([SetIndicator(box, mask)] * (box.n + 1), spec)
     t0 = time.perf_counter()

@@ -33,14 +33,15 @@ Conventions used throughout the package:
 * Each type refuses at construction what breaks its invariants: ``BoxSpec``
   the cell cap ``MAX_GRID_CELLS``; ``ConfigSpec`` one exponent per axis in
   [1, ``MAX_EXPONENT``], q >= 1 and M in [1, 2^27].  ``ConfigSpec.power`` is
-  the one power box, and ``validate`` reports only the theory's conditions.
+  the one power box, and ``theory_issues`` reports only the theory's
+  conditions.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -433,42 +434,23 @@ class ConfigSpec:
     def n(self) -> int:
         return len(self.m)
 
-    def validate(self) -> "ValidationReport":
-        return validate_config(self)
-
-
-@dataclass
-class ValidationReport:
-    """Pass/fail record per invariant; never raises."""
-
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
-
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append((name, bool(ok), detail))
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def failures(self) -> list[str]:
-        return [f"{name}: {detail}" if detail else name
-                for name, ok, detail in self.checks if not ok]
-
-
-def validate_config(spec: ConfigSpec) -> ValidationReport:
-    """Report what a runnable ConfigSpec may still miss of the theory: strictly
-    increasing exponents, the box chain and the range condition."""
-    rep = ValidationReport()
-    m, dims = spec.m, spec.box.dims
-    rep.add("m strictly increasing",
-            all(a < b for a, b in zip(m, m[1:])), f"m={m}")
-    issues = spec.box.chain_issues(m)
-    rep.add("box chain", not issues, "; ".join(issues))
-    # qM <= N_n^(1/m_n), checked as (qM)^(m_n) <= N_n in exact integers
-    qm = spec.q * spec.M
-    rep.add("range condition", qm ** m[-1] <= dims[-1],
-            f"(qM)^m_n = {qm}^{m[-1]} vs N_n = {dims[-1]}")
-    return rep
+    def theory_issues(self) -> list[str]:
+        """The conditions of the theory that this runnable spec misses, one
+        ``"name: detail"`` message each: strictly increasing exponents, the
+        box chain and the range condition (qM)^(m_n) <= N_n, all in exact
+        integers."""
+        m, dims = self.m, self.box.dims
+        issues = []
+        if any(a >= b for a, b in zip(m, m[1:])):
+            issues.append(f"m strictly increasing: m={m}")
+        chain = self.box.chain_issues(m)
+        if chain:
+            issues.append("box chain: " + "; ".join(chain))
+        qm = self.q * self.M
+        if qm ** m[-1] > dims[-1]:
+            issues.append(f"range condition: (qM)^m_n = {qm}^{m[-1]} "
+                          f"vs N_n = {dims[-1]}")
+        return issues
 
 
 # ---------------------------------------------------------------------------
@@ -679,4 +661,6 @@ class PhaseTable:
 
     def snapped(self, T: int) -> "PhaseTable":
         """Round every value, as ``frac``, to the grid {t/T : 0 <= t < T}."""
-        return PhaseTable(self.box, np.rint(self.frac * T).astype(np.int64), T)
+        # rint(frac * T) is at most 2^63, so it is taken as uint64 and the
+        # constructor reduces it mod T
+        return PhaseTable(self.box, np.rint(self.frac * T).astype(np.uint64), T)

@@ -21,3 +21,20 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     key = np.array([seed, stream & 0xFFFFFFFFFFFFFFFF],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+# cells drawn per call of ``rng.random`` in ``random_mask``: one float64
+# block of 8 MiB
+MASK_BLOCK_CELLS = 1 << 20
+
+
+def random_mask(rng: np.random.Generator, dims, p: float) -> np.ndarray:
+    """The boolean mask ``rng.random(dims) < p``, drawn from the same stream
+    in row-major blocks of ``MASK_BLOCK_CELLS`` cells, so that it holds one
+    float64 block besides the mask."""
+    mask = np.empty(dims, dtype=bool)
+    flat = mask.reshape(-1)
+    for start in range(0, flat.size, MASK_BLOCK_CELLS):
+        stop = min(start + MASK_BLOCK_CELLS, flat.size)
+        flat[start:stop] = rng.random(stop - start) < p
+    return mask

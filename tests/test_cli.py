@@ -541,6 +541,23 @@ def test_long_header_read_is_bounded(tmp_path, capsys, magic):
     assert "header line longer" in capsys.readouterr().err
 
 
+def test_gen_random_draw_is_bounded(tmp_path, capsys):
+    # the mask is drawn by blocks of rows: a one-shot float64 draw of the
+    # 256x65536 box alone is 128 MB
+    import tracemalloc
+    path = tmp_path / "big.boxb"
+    tracemalloc.start()
+    try:
+        code = cli.main(["gen", "random", "--box", "256,65536", "--p", "0.5",
+                         "--seed", "1", "--binary", "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 48 << 20
+    assert json.loads(capsys.readouterr().out)["members"] == read_set(path).count
+
+
 def test_usage_error_exit2():
     proc = run_cli("count", "--set", "nowhere.box")
     assert proc.returncode == 2

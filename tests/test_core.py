@@ -11,8 +11,9 @@ from hofa import counting, kernels, setfile
 from hofa.core import (MAX_EXPONENT, MAX_GRID_CELLS, BoxSpec, ConfigSpec,
                        GridFunction, Line, PhaseTable, SetIndicator,
                        MAX_TABLE_DENOMINATOR, TorusPhase, polynomial_phases,
-                       read_translates, read_window, validate_config)
-from hofa.rng import make_rng
+                       read_translates, read_window)
+from hofa import rng as rng_module
+from hofa.rng import make_rng, random_mask
 from hofa.setfile import SetFileError, read_set, write_set
 
 
@@ -34,15 +35,15 @@ def test_box_chain_exact_integer_comparison():
     assert BoxSpec((9, 8)).chain_issues((2, 3)) == []
 
 
-def test_validate_config_examples():
-    ok = validate_config(ConfigSpec((1, 2), BoxSpec((10, 100)), q=1, M=10))
-    assert ok.ok
+def test_theory_issues_examples():
+    ok = ConfigSpec((1, 2), BoxSpec((10, 100)), q=1, M=10).theory_issues()
+    assert ok == []
 
-    bad_m = validate_config(ConfigSpec((2, 2), BoxSpec((100, 100)), q=1, M=1))
-    assert any("strictly increasing" in f for f in bad_m.failures())
+    bad_m = ConfigSpec((2, 2), BoxSpec((100, 100)), q=1, M=1).theory_issues()
+    assert any("strictly increasing" in f for f in bad_m)
 
-    bad_range = validate_config(ConfigSpec((1, 2), BoxSpec((10, 100)), q=2, M=10))
-    assert any("range condition" in f for f in bad_range.failures())
+    bad_range = ConfigSpec((1, 2), BoxSpec((10, 100)), q=2, M=10).theory_issues()
+    assert any("range condition" in f for f in bad_range)
 
 
 CAP = MAX_GRID_CELLS
@@ -88,7 +89,7 @@ def test_config_spec_refuses_exactly_what_no_operator_runs(args):
         return
     assert _runnable(*args)
     # a runnable spec can only miss the conditions of the theory
-    failed = {name for name, ok, _ in spec.validate().checks if not ok}
+    failed = {issue.split(":")[0] for issue in spec.theory_issues()}
     assert failed <= THEORY_CHECKS
 
 
@@ -120,6 +121,20 @@ def test_make_rng_seed_is_one_key_word():
         with pytest.raises(ValueError, match="2\\^64"):
             make_rng(seed)
     make_rng((1 << 64) - 1)
+
+
+@pytest.mark.parametrize("dims, block", [
+    ((1000,), 64), ((7, 300), 64), ((3, 5, 41), 100), ((2, 3), 4),
+    ((2, rng_module.MASK_BLOCK_CELLS + 3), rng_module.MASK_BLOCK_CELLS),
+    ((rng_module.MASK_BLOCK_CELLS + 1,), rng_module.MASK_BLOCK_CELLS)])
+def test_random_mask_is_the_one_shot_draw(monkeypatch, dims, block):
+    # drawn block by block, rows wider than a block included, from the same
+    # stream as one rng.random(dims) < p
+    monkeypatch.setattr(rng_module, "MASK_BLOCK_CELLS", block)
+    for p in (0.0, 0.3, 1.0):
+        got = random_mask(make_rng(9), dims, p)
+        assert got.shape == dims and got.dtype == bool
+        assert np.array_equal(got, make_rng(9).random(dims) < p)
 
 
 def test_grid_function_out_of_box_reads_zero():
@@ -275,6 +290,18 @@ def test_phase_table_reads_zero_outside():
     snapped = PhaseTable(BoxSpec((2,)), np.array([249, 755]), 1000).snapped(4)
     assert list(snapped.numerators) == [1, 3]
     assert snapped.denominator == 4
+
+
+@pytest.mark.filterwarnings("error")
+def test_phase_table_snapped_near_2_63_follows_its_rule():
+    # 1 - 2^-62 reads 1.0 as a float, so rint(frac T) is 2^63: the rule
+    # rint(frac T) mod T gives 1 at T = 2^63 - 1 and 0 at T = 2^63 (an int64
+    # cast of 2^63 warned and gave T - 1)
+    t = PhaseTable(BoxSpec((2,)), np.array([2**62 - 1, 2**61]), 2**62)
+    for T, top in ((2**63 - 1, 1), (2**63, 0)):
+        snapped = t.snapped(T)
+        assert snapped.numerators.tolist() == [top, 2**62]
+        assert snapped.denominator == T
 
 
 def test_phase_table_checks_denominator_and_numerators():

@@ -479,7 +479,7 @@ def test_averaging_identity(rng):
 def test_averaging_identity_with_modulus(rng):
     # q = 2 exercises the strided reads of the reparameterized slices
     spec = ConfigSpec((1, 2), BoxSpec((4, 16)), q=2, M=2)
-    assert spec.validate().ok
+    assert not spec.theory_issues()
     fs = []
     for i in range(3):
         dims = tuple(2 * d if (i >= 1 and a == i - 1) else d
@@ -522,7 +522,7 @@ def test_averaging_identity_matches_per_x_oracle(rng, m, dims, q, M):
     # the batched right-hand side (every x in one operator call over stacked
     # strided windows) against the per-x loop
     spec = ConfigSpec(m, BoxSpec(dims), q=q, M=M)
-    assert spec.validate().ok
+    assert not spec.theory_issues()
     for kind in ("complex", "indicator"):
         fs = [random_grid(rng, tuple(2 * d if (i >= 1 and a == i - 1) else d
                                      for a, d in enumerate(dims)), kind)
