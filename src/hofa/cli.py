@@ -17,8 +17,8 @@ to stderr.  JSON outputs conform to the schema shipped at
 2 usage or malformed input, 3 precondition or invariant violation.
 All randomness is Philox-keyed by ``--seed``, an integer in [0, 2^64)
 (one key word; any other value exits 2).  Every command runs on one
-thread.  ``count`` and ``popdiff`` still accept ``--threads``, an integer in
-[1, 64] (any other value exits 2), which changes nothing.
+thread.  ``popdiff`` still accepts ``--threads``, an integer in [1, 64] (any
+other value exits 2), which changes nothing.
 
 ``import hofa.cli`` loads numpy and the layers that the data commands
 (``count``, direct ``popdiff``, ``gen``, ``bench``) share: ``core``,
@@ -54,8 +54,8 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
 
-# ``--threads`` is parsed and range-checked only: every command runs on one
-# thread
+# ``popdiff --threads`` is parsed and range-checked only: every command runs
+# on one thread
 MAX_THREADS = 64
 THREADS_HELP = (f"accepted in [1, {MAX_THREADS}] and otherwise unused: "
                 "every command runs on one thread")
@@ -360,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--oracle", action="store_true",
                    help="cross-check against the brute-force path (cells "
                         "times range at most 2^20)")
-    c.add_argument("--threads", type=int, help=THREADS_HELP)
     c.set_defaults(fn=cmd_count)
 
     d = sub.add_parser("popdiff", help="popular-difference search")

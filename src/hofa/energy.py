@@ -300,12 +300,6 @@ class LinGapReport:
     def ok(self) -> bool:
         return self.gap <= self.bound + 1e-9
 
-    def to_dict(self) -> dict:
-        return {"gap": self.gap, "bound": self.bound,
-                "lambda_projected": self.lambda_projected,
-                "frozen_value": self.frozen_value,
-                "reference": self.reference, "ok": self.ok}
-
 
 def linearization_gap(f: GridFunction, spec: ConfigSpec, L: int,
                       delta: float) -> LinGapReport:
@@ -367,12 +361,6 @@ class TraceStep:
     q_step: int
     L_new: int
 
-    def to_dict(self) -> dict:
-        return {"iteration": self.iteration, "axis": self.axis,
-                "energy_before": self.energy_before,
-                "energy_after": self.energy_after,
-                "q_step": self.q_step, "L_new": self.L_new}
-
 
 @dataclass
 class DecompositionResult:
@@ -383,12 +371,6 @@ class DecompositionResult:
     iterations: int
     final_gap: float | None
     range_ok: bool
-
-    def to_dict(self) -> dict:
-        return {"q": self.q, "L": self.L, "status": self.status,
-                "iterations": self.iterations, "final_gap": self.final_gap,
-                "range_ok": self.range_ok,
-                "trace": [t.to_dict() for t in self.trace]}
 
 
 def _scale_range(delta: float, L: int, n: int) -> int:

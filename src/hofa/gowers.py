@@ -17,9 +17,10 @@ grids, whose projections take their atom sums from ``partition.Atoms``.
 The verifiers average over every h in [-N2, N2]^s: ``_axis2_diffs`` builds
 the s-fold axis-2 differences for all h as stacks of ``core.read_translates``
 views, in blocks over h_1 of at most ``DIFF_BLOCK_CELLS`` cells, and each
-block is projected and averaged in one batched pass.  Every reduction runs
-in the order of the one-h-at-a-time computation, so the reports are the
-same to the bit.
+block is projected and averaged in one batched pass; ``directional_diff``
+takes the same step (``_diff_step``) for one h at a time, along any axis.
+Every reduction runs in the order of the one-h-at-a-time computation, so
+the reports are the same to the bit.
 
 ``u2_inverse`` refines the ``U2_CANDIDATES`` largest lobes of its DFT grid by
 ``GOLDEN_ITERS`` golden-section steps each.  The lobes step in lockstep: each
@@ -129,15 +130,13 @@ def diff_phase_identity_gap(alpha: PhaseTable, h) -> float:
 
 
 def directional_diff(f: GridFunction, h, axis: int) -> GridFunction:
-    """Multiplicative difference along one grid axis (1-based)."""
+    """Multiplicative difference along one grid axis (1-based), zero
+    outside the box: ``_diff_step`` for one h at a time."""
     if not 1 <= axis <= f.box.n:
         raise ValueError(f"axis {axis} out of range for {f.box.n}-D grid")
-    a = axis - 1
     vals = f.values
-    dims = f.box.dims
     for hv in _shift_tuple(h):
-        off = tuple(hv if i == a else 0 for i in range(f.box.n))
-        vals = vals * np.conj(read_window(vals, off, dims))
+        vals = _diff_step(vals, 0, hv, 1, axis - 1)[0]
     return GridFunction(f.box, vals)
 
 
@@ -312,13 +311,6 @@ class VerifierReport:
     def ok(self) -> bool:
         return self.status != "fail"
 
-    def to_dict(self) -> dict:
-        out = {"name": self.name, "premise": self.premise,
-               "conclusion": self.conclusion, "threshold": self.threshold,
-               "status": self.status, "exponent": self.exponent}
-        out.update(self.extra)
-        return out
-
 
 def vdc_verify(family: Sequence[Line], weights: Sequence[float],
                interval: tuple[int, int], delta: float, H: int) -> VerifierReport:
@@ -372,18 +364,21 @@ def _axis2_diffs(values: np.ndarray, s: int, bound: int):
     per_h1 = width ** (s - 1) * values.size
     blk = max(1, DIFF_BLOCK_CELLS // per_h1)
     for h1 in range(-bound, bound + 1, blk):
-        out = _axis2_diff_step(values, 0, h1, min(blk, bound + 1 - h1))
+        out = _diff_step(values, 0, h1, min(blk, bound + 1 - h1))
         for k in range(1, s):
-            out = _axis2_diff_step(out, k, -bound, width)
+            out = _diff_step(out, k, -bound, width)
         yield out
 
 
-def _axis2_diff_step(g: np.ndarray, k: int, h0: int, count: int) -> np.ndarray:
-    # g has k difference axes in front; a new one for h in [h0, h0 + count)
-    # goes after them: out[..., i, ...] = g * conj(g translated by h0 + i)
-    lead = (0,) * (g.ndim - 1)
-    trans = read_translates(g, lead + (h0,), (1,) * (g.ndim - 1) + (count,),
-                            g.shape).reshape((count,) + g.shape)
+def _diff_step(g: np.ndarray, k: int, h0: int, count: int,
+               axis: int = -1) -> np.ndarray:
+    """g(.) conj g(. + h e_axis) for h in [h0, h0 + count), zero outside g,
+    stacked on a new axis k: out[..., i, ...] is the difference by h0 + i.
+    ``axis`` counts the axes of g, which has k difference axes in front."""
+    a = axis % g.ndim
+    first = tuple(h0 if i == a else 0 for i in range(g.ndim))
+    counts = tuple(count if i == a else 1 for i in range(g.ndim))
+    trans = read_translates(g, first, counts, g.shape).reshape((count,) + g.shape)
     return np.expand_dims(g, k) * np.conj(np.moveaxis(trans, 0, k))
 
 

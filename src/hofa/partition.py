@@ -242,10 +242,6 @@ class ShiftDeltaReport:
             return False
         return abs(self.lhs - self.rhs) <= self.bound + 1e-9
 
-    def to_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "bound": self.bound,
-                "clause": self.clause, "ok": self.ok}
-
 
 def shift_norm_delta(f: Line, P: APPartition, h: int) -> ShiftDeltaReport:
     """Compare ||E(f(.+h)|P)||_2^2 with ||E(f|P)||_2^2.
@@ -280,11 +276,6 @@ class PythagorasReport:
     tower_fine_dev: float     # max |E(E(f|B)|B') - E(f|B)|
     tower_coarse_dev: float   # max |E(E(f|B')|B) - E(f|B)|
 
-    def to_dict(self) -> dict:
-        return {"diff_energy": self.diff_energy, "energy_gap": self.energy_gap,
-                "tower_fine_dev": self.tower_fine_dev,
-                "tower_coarse_dev": self.tower_coarse_dev}
-
 
 def refinement_pythagoras(f: Line, B: APPartition, Bp: Partition) -> PythagorasReport:
     """Pythagoras and tower identities for a nested pair B inside B'.
@@ -315,10 +306,6 @@ class AlmostRefinementReport:
     @property
     def ok(self) -> bool:
         return abs(self.lhs - self.rhs) <= self.bound + 1e-9
-
-    def to_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "bound": self.bound,
-                "differing_points": self.differing_points, "ok": self.ok}
 
 
 def almost_refinement_delta(f: Line, q: int, L1: int, qt: int,

@@ -204,7 +204,7 @@ def test_criterion_06_linearization_gap():
         M = int(rng.integers(1, Mmax + 1))
         spec = ConfigSpec((1, 2), f.box, q=1, M=M)
         rep = energy.linearization_gap(f, spec, L, delta)
-        assert rep.ok, rep.to_dict()
+        assert rep.ok, rep
         worst_margin = min(worst_margin, rep.bound - rep.gap)
     report(6, worst_margin >= 0,
            f"100 admissible instances, min (bound - gap) = {worst_margin:.3e}")

@@ -436,6 +436,32 @@ def test_verify_trials_capped_exit2(monkeypatch, capsys):
     assert ran == [1, 20, verify.MAX_TRIALS]
 
 
+def test_failed_trial_note_is_the_report(monkeypatch):
+    # a failed trial's note prints the report dataclass that it checked
+    from hofa import energy, verify
+    rep = energy.LinGapReport(gap=1.0, bound=0.5, lambda_projected=0.0,
+                              frozen_value=0.0, reference=0.0)
+    assert not rep.ok
+    monkeypatch.setattr(energy, "linearization_gap", lambda *args: rep)
+    out = verify.prop_linearization(make_rng(0), 1)
+    assert out.failed == 1 and out.passed == 0
+    assert out.notes == [repr(rep)]
+    assert out.notes[0].startswith("LinGapReport(gap=")
+
+
+def test_suite_entries_are_named_properties():
+    # every SUITES entry is the module attribute named by its __name__ and
+    # is called as (rng, trials): perfbench's tracer rebinds the entries and
+    # maps them to their suites by these names
+    import inspect
+
+    from hofa import verify
+    for fns in verify.SUITES.values():
+        for fn in fns:
+            assert getattr(verify, fn.__name__) is fn
+            assert str(inspect.signature(fn)) == "(rng, trials)"
+
+
 def test_bench_csv_and_agreement():
     proc = run_cli("bench", "--box", "16,64", "--M", "5", "--p", "0.5")
     assert proc.returncode == 0
@@ -898,8 +924,9 @@ def test_thread_count_validated_exit2(tmp_path, capsys):
 
 
 def test_no_command_starts_a_thread(tmp_path, monkeypatch):
-    # --threads is accepted and range-checked only, and HOFA_THREADS is read
-    # by nothing: every command runs on the calling thread
+    # popdiff's --threads is accepted and range-checked only, and
+    # HOFA_THREADS is read by nothing: every command runs on the calling
+    # thread
     def refuse(self):
         raise AssertionError(f"thread {self.name} started")
 
@@ -909,15 +936,18 @@ def test_no_command_starts_a_thread(tmp_path, monkeypatch):
     write_set(SetIndicator(BoxSpec((16, 256)),
                            make_rng(5).random((16, 256)) < 0.6), out)
     s = str(out)
-    runs = [["count", "--set", s, "--m", "1,2", "--M", "6"],
-            ["count", "--set", s, "--m", "1,2,3", "--N", "16",
-             "--phase-const", "1/3"],
-            ["popdiff", "--set", s, "--m", "1,2", "--M", "8"],
-            ["popdiff", "--set", s, "--m", "1,2", "--pipeline", "--delta",
-             "0.2", "--fallback"]]
-    for argv in runs:
+    for argv in (["popdiff", "--set", s, "--m", "1,2", "--M", "8"],
+                 ["popdiff", "--set", s, "--m", "1,2", "--pipeline",
+                  "--delta", "0.2", "--fallback"]):
         assert cli.main(argv + ["--threads", "8"]) == 0, argv
-    for argv in (["bench", "--box", "16,256", "--M", "8"],
+    count = ["count", "--set", s, "--m", "1,2", "--M", "6"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(count + ["--threads", "1"])
+    assert exc.value.code == 2
+    for argv in (count,
+                 ["count", "--set", s, "--m", "1,2,3", "--N", "16",
+                  "--phase-const", "1/3"],
+                 ["bench", "--box", "16,256", "--M", "8"],
                  ["verify", "counting", "--trials", "1"]):
         assert cli.main(argv) == 0, argv
 

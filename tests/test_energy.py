@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -342,7 +343,7 @@ def test_increment_params_refuses_out_of_range(field, kwargs):
     energy.IncrementParams(Qmax=1, tau=1e-3, gamma=0.5)
 
 
-def test_energy_increment_trace_in_to_dict():
+def test_energy_increment_trace_in_asdict():
     dims = (32, 1024)
     box = BoxSpec(dims)
     x1 = np.arange(1, 33)[:, None]
@@ -351,8 +352,9 @@ def test_energy_increment_trace_in_to_dict():
           GridFunction(box, ph, bounded=True), GridFunction.ones(box)]
     res = energy.energy_increment(fs, (1, 2), 0.7,
                                   energy.IncrementParams(Qmax=4, gamma=0.75))
-    d = res.to_dict()
+    d = asdict(res)
     assert d["status"] == res.status and len(d["trace"]) == len(res.trace)
+    assert d["trace"] == [asdict(step) for step in res.trace]
 
 
 def test_pipeline_full_box_converges():
@@ -601,10 +603,10 @@ def test_energy_increment_on_sets_matches_their_grids():
                 for params in (energy.IncrementParams(Qmax=4, gamma=0.25),
                                energy.IncrementParams(Qmax=4, gamma=0.5),
                                None):
-                    res = energy.energy_increment([A] * (n + 1), m, delta,
-                                                  params).to_dict()
-                    want = energy.energy_increment([A.to_grid()] * (n + 1), m,
-                                                   delta, params).to_dict()
+                    res = asdict(energy.energy_increment([A] * (n + 1), m,
+                                                         delta, params))
+                    want = asdict(energy.energy_increment(
+                        [A.to_grid()] * (n + 1), m, delta, params))
                     assert repr(res) == repr(want), (N, m, delta, params)
                     seen.add((res["status"], res["iterations"]))
     assert {("converged", k) for k in range(4)} <= seen

@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from itertools import product
 
 import numpy as np
@@ -315,9 +316,10 @@ def test_same_coord_oscillation_vacuous():
 def test_verifier_report_dict_shape():
     f = GridFunction.ones(BoxSpec((8, 5)))
     rep = gowers.interchange_verify_2d([f], q=1, L=8, s=1, delta=0.3)
-    d = rep.to_dict()
+    d = asdict(rep)
     for key in ("name", "premise", "conclusion", "threshold", "status"):
         assert key in d
+    assert d["extra"] == rep.extra
 
 
 # Oracles for the verifiers: one multiplicative difference per h-tuple,
