@@ -84,7 +84,7 @@ def _parse_phase(part: str) -> TorusPhase:
         else:
             x = float(part)
             if math.isfinite(x):
-                return TorusPhase.from_float(x)
+                return TorusPhase(x)
     except ValueError:
         pass
     raise UsageError(f"bad phase {part!r}: expected t/T with integers t and "

@@ -25,11 +25,13 @@ Conventions used throughout the package:
   along axis 1 (a view, or a read of that band alone), and the whole words
   or mask are built on first use and cached; its boolean mask is unpacked
   only when a caller needs cells; as ``values`` it is the set's 0/1 weight.
-* A ``TorusPhase`` is always exact (a float is read as its exact binary
-  value).  ``polynomial_phases`` is the one phase P(r) mod 1 of a
-  polynomial with ``TorusPhase`` coefficients, exact at any degree, and
-  ``PhaseTable.times_int`` the one phase alpha(x) k of a table, whose
-  values are integer numerators over one denominator T <= 2^63.
+* ``TorusPhase(x)`` is the one way to build a phase: it reduces an int, a
+  Fraction or a float (read as its exact binary value) mod 1 exactly, and
+  ``TorusPhase.exact(t, T)`` spells t/T.  ``polynomial_phases`` is the one
+  phase P(r) mod 1 of a polynomial with ``TorusPhase`` coefficients, exact
+  at any degree, and ``PhaseTable.times_int`` the one phase alpha(x) k of
+  a table, whose values are integer numerators over one denominator
+  T <= 2^63.
 * Each type refuses at construction what breaks its invariants: ``BoxSpec``
   the cell cap ``MAX_GRID_CELLS``; ``ConfigSpec`` one exponent per axis in
   [1, ``MAX_EXPONENT``], q >= 1 and M in [1, 2^27].  ``ConfigSpec.power`` is
@@ -40,6 +42,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,15 +161,13 @@ class GridFunction:
     """Real- or complex-valued function with finite support on a box.
 
     ``values[i1-1, ..., in-1]`` is the value at (i1, ..., in); everything
-    outside the box is zero.  ``bounded`` asserts sup |f| <= 1.  Real
-    values are stored as float64 and complex ones as complex128; values
-    count as real when their dtype is real, or when it is complex and every
-    imaginary part is zero.
+    outside the box is zero.  Real values are stored as float64 and complex
+    ones as complex128; values count as real when their dtype is real, or
+    when it is complex and every imaginary part is zero.
     """
 
     box: BoxSpec
     values: np.ndarray
-    bounded: bool = False
 
     def __post_init__(self):
         if self.box.n > MAX_GRID_DIM:
@@ -179,8 +180,6 @@ class GridFunction:
         if self.values.shape != self.box.dims:
             raise ValueError(
                 f"values shape {self.values.shape} != box {self.box.dims}")
-        if self.bounded and self.max_abs() > 1.0 + 1e-12:
-            raise ValueError(f"bounded flag set but max |f| = {self.max_abs()}")
 
     @classmethod
     def zeros(cls, box: BoxSpec) -> "GridFunction":
@@ -188,7 +187,7 @@ class GridFunction:
 
     @classmethod
     def ones(cls, box: BoxSpec) -> "GridFunction":
-        return cls(box, np.ones(box.dims), bounded=True)
+        return cls(box, np.ones(box.dims))
 
     def max_abs(self) -> float:
         v = self.values
@@ -372,8 +371,10 @@ class SetIndicator:
             return self._mask[start:stop]
         return kernels.unpack_mask(self.packed_rows(start, stop))
 
-    @property
+    @functools.cached_property
     def count(self) -> int:
+        """The number of members, counted once (a set is not modified after
+        construction)."""
         if self._mask is not None and self._packed is None:
             return int(np.count_nonzero(self._mask))
         # the spare word of every row is zero; a reader is read a band at a
@@ -395,7 +396,7 @@ class SetIndicator:
 
     def to_grid(self) -> GridFunction:
         """The set's 0/1 weight as a float64 grid."""
-        return GridFunction(self.box, self.mask.astype(np.float64), bounded=True)
+        return GridFunction(self.box, self.mask.astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -523,28 +524,21 @@ class Line:
 class TorusPhase:
     """A point of R/Z, always exact: ``frac`` is a Fraction in [0, 1).
 
-    A float is read as its exact binary value (a dyadic rational), so sums
-    and integer multiples of phases are exact mod 1 whatever their source;
-    ``approx`` is ``frac`` rounded once to a float.
+    ``TorusPhase(x)`` takes an int, a Fraction or a float and reduces it mod
+    1; a float is read as its exact binary value (a dyadic rational), so
+    sums and integer multiples of phases are exact mod 1 whatever their
+    source.  ``approx`` is ``frac`` rounded once to a float.
     """
 
     frac: Fraction
 
+    def __post_init__(self):
+        object.__setattr__(self, "frac", Fraction(self.frac) % 1)
+
     @classmethod
     def exact(cls, num: int, den: int = 1) -> "TorusPhase":
-        return cls(Fraction(num, den) % 1)
-
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "TorusPhase":
-        return cls(f % 1)
-
-    @classmethod
-    def from_float(cls, x: float) -> "TorusPhase":
-        return cls.from_fraction(Fraction(x))
-
-    @classmethod
-    def zero(cls) -> "TorusPhase":
-        return cls.exact(0)
+        """The phase num/den mod 1."""
+        return cls(Fraction(num, den))
 
     @property
     def approx(self) -> float:
@@ -555,10 +549,10 @@ class TorusPhase:
         return min(self.frac, 1 - self.frac)
 
     def times_int(self, k: int) -> "TorusPhase":
-        return TorusPhase.from_fraction(self.frac * k)
+        return TorusPhase(self.frac * k)
 
     def __add__(self, other: "TorusPhase") -> "TorusPhase":
-        return TorusPhase.from_fraction(self.frac + other.frac)
+        return TorusPhase(self.frac + other.frac)
 
     def e(self) -> complex:
         """exp(2 pi i a)."""
@@ -656,7 +650,7 @@ class PhaseTable:
     def at(self, point: Sequence[int]) -> TorusPhase:
         idx = tuple(int(c) - 1 for c in point)
         if any(c < 0 or c >= d for c, d in zip(idx, self.box.dims)):
-            return TorusPhase.zero()
+            return TorusPhase(0)
         return TorusPhase.exact(int(self.numerators[idx]), self.denominator)
 
     def snapped(self, T: int) -> "PhaseTable":

@@ -281,7 +281,7 @@ def lambda_phased_bruteforce(fs: Sequence[Weight],
     k = len(alphas)
 
     def phase(x: tuple[int, ...], r: int) -> float:
-        total = TorusPhase.zero()
+        total = TorusPhase(0)
         for j in range(k):
             total += alphas[j].at(x).times_int(r ** m[n + j])
         return total.approx

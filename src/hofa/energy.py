@@ -562,9 +562,12 @@ def lift_1d(A: SetIndicator, m: Sequence[int], N: int) -> tuple[SetIndicator, di
     member = np.zeros(sum(dims) + 1, dtype=bool)
     idx = np.nonzero(A.mask)[0] + 1
     member[idx[idx <= sum(dims)]] = True
-    coord_sum = sum(np.ix_(*[np.arange(1, d + 1, dtype=np.int64) for d in dims]))
-    mask = member[coord_sum]
-    lifted = SetIndicator(box, mask)
+    # at 0-based x the lifted cell is member[n + x_1 + ... + x_n]: a
+    # read-only view of member[n:] in which every axis steps one element,
+    # copied once by the constructor (no cell-sized grid of sums)
+    step = member.strides[0]
+    lifted = SetIndicator(box, np.lib.stride_tricks.as_strided(
+        member[n:], dims, (step,) * n, writeable=False))
     side = box.cells // dims[-1]
     lower = (A.count - (n - 1) * dims[-2]) * side
     report = {"count": lifted.count, "lower_bound": lower,

@@ -167,7 +167,7 @@ def phi_tilde(phi: Callable[[tuple[int, ...]], Fraction | float],
     for bits in np.ndindex(*(2,) * d):
         arg = tuple(h1[a] if bits[a] else h0[a] for a in range(d))
         total += (-1) ** sum(bits) * Fraction(phi(arg))
-    return TorusPhase.from_fraction(total)
+    return TorusPhase(total)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,7 @@ def fourier_certificate(f: Line, P: dict[int, TorusPhase], n: int, N: int,
         pool = np.arange(G)
     t0 = int(pool[np.argmax(fhat[pool])])
     xi0 = TorusPhase.exact(t0, G)
-    pad = [TorusPhase.zero()] * (n - 1) + [xi0]
+    pad = [TorusPhase(0)] * (n - 1) + [xi0]
     approx = rational_approx_search(pad, N, Qmax)
 
     def check(L: int) -> float:

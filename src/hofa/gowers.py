@@ -254,7 +254,7 @@ def u2_inverse(f: Line) -> tuple[TorusPhase, float]:
     """
     nz = np.nonzero(f.values)[0]
     if len(nz) == 0:
-        return TorusPhase.zero(), 0.0
+        return TorusPhase(0), 0.0
     values = f.values[nz[0]:nz[-1] + 1]
     xs = (np.arange(len(values)) + f.start + int(nz[0])).astype(np.float64)
     N = len(values)
@@ -281,7 +281,7 @@ def u2_inverse(f: Line) -> tuple[TorusPhase, float]:
         raise RuntimeError(
             f"spectral search fell below the degree-2 guarantee: "
             f"{best_mag**2 * f.l2sq()} < {u4} - {slack}")
-    return TorusPhase.from_float(best_alpha), best_mag
+    return TorusPhase(best_alpha), best_mag
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,7 @@ def prop_count_set_oracle(rng, out, _):
 
 def _rand_grid(rng, dims) -> GridFunction:
     vals = rng.random(dims) * np.exp(2j * np.pi * rng.random(dims))
-    return GridFunction(BoxSpec(dims), vals, bounded=True)
+    return GridFunction(BoxSpec(dims), vals)
 
 
 @_per_trial("multilinearity")
@@ -454,12 +454,12 @@ def prop_same_coord(rng, out, t):
     elif kind == "osc":
         signs = rng.choice([-1.0, 1.0], N2)
         f = GridFunction(BoxSpec((N1, N2)),
-                         np.tile(signs, (N1, 1)).astype(complex), bounded=True)
+                         np.tile(signs, (N1, 1)).astype(complex))
     else:
         step = int(rng.integers(1, 4))
         ys = np.arange(1, N2 + 1)
         row = ((ys - 1) % step == 0).astype(complex)
-        f = GridFunction(BoxSpec((N1, N2)), np.tile(row, (N1, 1)), bounded=True)
+        f = GridFunction(BoxSpec((N1, N2)), np.tile(row, (N1, 1)))
     rep = gowers.same_coord_verify(f, q, L, s, delta)
     if rep.status == "vacuous":
         out.vacuous += 1
@@ -479,14 +479,14 @@ def prop_weyl_bounds(rng, out, _):
     N = int(rng.integers(1, 200))
     v = expsum.weyl_sum(alphas, N)
     out.check(abs(v) <= 1.0 + 1e-12, "modulus")
-    shifted = [TorusPhase.from_fraction(a.frac + 1) for a in alphas]
+    shifted = [TorusPhase(a.frac + 1) for a in alphas]
     out.check(abs(expsum.weyl_sum(shifted, N) - v) <= 1e-12, "wrap")
 
 
 @_per_trial("rational_search_oracle")
 def prop_rational_search(rng, out, _):
     s = int(rng.integers(1, 3))
-    alphas = [TorusPhase.from_float(rng.random()) for _ in range(s)]
+    alphas = [TorusPhase(rng.random()) for _ in range(s)]
     N = int(rng.integers(2, 60))
     Qmax = int(rng.integers(1, 50))
     got = expsum.rational_approx_search(alphas, N, Qmax)
@@ -503,7 +503,7 @@ def prop_rational_search(rng, out, _):
 def prop_weyl_lipschitz(rng, out, _):
     s = int(rng.integers(1, 4))
     N = int(rng.integers(5, 100))
-    alphas = [TorusPhase.from_float(rng.random()) for _ in range(s)]
+    alphas = [TorusPhase(rng.random()) for _ in range(s)]
     ra = expsum.rational_approx_search(alphas, N, int(rng.integers(1, 20)))
     snapped = [TorusPhase.exact(round(a.approx * ra.q), ra.q) for a in alphas]
     direct = abs(expsum.weyl_sum(snapped, N))
@@ -634,8 +634,7 @@ def prop_box_count_lower(rng, trials):
 @_per_trial("linearization_gap")
 def prop_linearization(rng, out, _):
     dims = (30, 900)
-    f = GridFunction(BoxSpec(dims), rng.random(dims) < rng.random(),
-                     bounded=True)
+    f = GridFunction(BoxSpec(dims), rng.random(dims) < rng.random())
     delta = 0.9
     L = int(rng.integers(18, 27))  # keeps floor(delta L / 8n) >= 1
     M = int(rng.integers(1, int(delta / 16 * L) + 1))
@@ -654,17 +653,17 @@ def prop_energy_increment(rng, out, t):
     if kind == "ones":
         fs = [GridFunction.ones(box)] * 3
     elif kind == "signs":
-        fs = [GridFunction(box, rng.choice([-1.0, 1.0], dims), bounded=True)
+        fs = [GridFunction(box, rng.choice([-1.0, 1.0], dims))
               for _ in range(3)]
     elif kind == "indicator":
-        fs = [GridFunction(box, rng.random(dims) < rng.random(), bounded=True)
+        fs = [GridFunction(box, rng.random(dims) < rng.random())
               for _ in range(3)]
     else:
         x1 = np.arange(1, dims[0] + 1)[:, None]
         den = int(rng.integers(2, 5))
         ph = np.exp(2j * np.pi * x1 / den) * np.ones((1, dims[1]))
-        fs = [GridFunction(box, np.conj(ph), bounded=True),
-              GridFunction(box, ph, bounded=True),
+        fs = [GridFunction(box, np.conj(ph)),
+              GridFunction(box, ph),
               GridFunction.ones(box)]
     params = energy.IncrementParams(Qmax=4, tau=0.05, gamma=0.25)
     res = energy.energy_increment(fs, (1, 2), 0.7, params)

@@ -19,7 +19,7 @@ def rng():
     return make_rng(20260810)
 
 
-def random_grid(rng, dims, kind="complex", bounded=True):
+def random_grid(rng, dims, kind="complex"):
     if kind == "complex":
         vals = rng.random(dims) * np.exp(2j * np.pi * rng.random(dims))
     elif kind == "signs":
@@ -28,7 +28,7 @@ def random_grid(rng, dims, kind="complex", bounded=True):
         vals = rng.random(dims).astype(complex)
     else:
         vals = (rng.random(dims) < rng.random()).astype(complex)
-    return GridFunction(BoxSpec(dims), vals, bounded=bounded)
+    return GridFunction(BoxSpec(dims), vals)
 
 
 # random phase tables are integer numerators over this one (prime) T

@@ -197,7 +197,7 @@ def test_criterion_06_linearization_gap():
     for _ in range(100):
         dims = (int(rng.integers(20, 33)), 900)
         vals = (rng.random(dims) < rng.random()).astype(complex)
-        f = GridFunction(BoxSpec(dims), vals, bounded=True)
+        f = GridFunction(BoxSpec(dims), vals)
         delta = float(rng.uniform(0.7, 0.95))
         L = int(rng.integers(int(np.ceil(16 / delta)), 28))
         Mmax = int(delta / 16 * L)
@@ -223,17 +223,17 @@ def test_criterion_07_energy_increment():
         if kind == "ones":
             fs = [GridFunction.ones(box)] * 3
         elif kind == "signs":
-            fs = [GridFunction(box, rng.choice([-1.0, 1.0], dims).astype(complex),
-                               bounded=True) for _ in range(3)]
+            fs = [GridFunction(box, rng.choice([-1.0, 1.0], dims).astype(complex))
+                  for _ in range(3)]
         elif kind == "indicator":
-            fs = [GridFunction(box, (rng.random(dims) < rng.random()).astype(complex),
-                               bounded=True) for _ in range(3)]
+            fs = [GridFunction(box, (rng.random(dims) < rng.random()).astype(complex))
+                  for _ in range(3)]
         else:
             den = int(rng.integers(2, 5))
             x1 = np.arange(1, dims[0] + 1)[:, None]
             ph = np.exp(2j * np.pi * x1 / den) * np.ones((1, dims[1]))
-            fs = [GridFunction(box, np.conj(ph), bounded=True),
-                  GridFunction(box, ph, bounded=True), GridFunction.ones(box)]
+            fs = [GridFunction(box, np.conj(ph)),
+                  GridFunction(box, ph), GridFunction.ones(box)]
         res = energy.energy_increment(fs, (1, 2), 0.7, params)
         statuses[res.status] = statuses.get(res.status, 0) + 1
         assert res.iterations <= cap, f"cap exceeded at instance {i}"

@@ -213,8 +213,8 @@ def test_read_translates_matches_read_window(rng):
 def test_grid_function_caps():
     with pytest.raises(ValueError):
         GridFunction.zeros(BoxSpec((2, 2, 2, 2)))
-    with pytest.raises(ValueError):
-        GridFunction(BoxSpec((2,)), np.array([1.5, 0]), bounded=True)
+    with pytest.raises(ValueError, match="shape"):
+        GridFunction(BoxSpec((2,)), np.zeros(3))
 
 
 def test_grid_function_keeps_real_weights_real(rng):
@@ -232,12 +232,11 @@ def test_grid_function_keeps_real_weights_real(rng):
     g = GridFunction(box, cplx)
     assert g.values.dtype == np.complex128 and g.values[2, 5].imag == 1e-300
     # sup |f| on real storage counts negative values
-    assert GridFunction(box, -np.ones(box.dims), bounded=True).max_abs() == 1.0
-    with pytest.raises(ValueError, match="bounded"):
-        GridFunction(BoxSpec((2,)), np.array([-1.5, 0.5]), bounded=True)
+    assert GridFunction(box, -np.ones(box.dims)).max_abs() == 1.0
+    assert GridFunction(BoxSpec((2,)), np.array([-1.5, 0.5])).max_abs() == 1.5
     # the operators take real grids as they are
     spec = ConfigSpec((1, 2), BoxSpec((3, 9)), q=1, M=3)
-    fs = [GridFunction(BoxSpec(d), rng.random(d) - 0.5, bounded=True)
+    fs = [GridFunction(BoxSpec(d), rng.random(d) - 0.5)
           for d in ((3, 9), (6, 9), (3, 18))]
     lam = counting.lambda_general(fs, spec)
     assert lam.imag == 0
@@ -253,6 +252,23 @@ def test_indicator_count_preserved_under_coercion():
     g = A.to_grid()
     assert g.values.sum() == 2
     assert A.density == 2 / 16
+
+
+def test_indicator_counts_a_read_set_once():
+    # a binary set file is read through such a reader; its count is one band
+    # pass, not one per use of count or density
+    mask = np.zeros((4, 70), dtype=bool)
+    mask[1, 3] = mask[3, 69] = True
+    words = kernels.pack_mask(mask).words
+    calls = []
+
+    def read(start, stop):
+        calls.append((start, stop))
+        return kernels.PackedMask((stop - start, 70), words[start:stop])
+
+    A = SetIndicator(BoxSpec((4, 70)), read)
+    assert (A.count, A.density, A.count) == (2, 2 / 280, 2)
+    assert calls == [(0, 4)]
 
 
 def test_members_row_major_axis1_slowest():
@@ -275,11 +291,40 @@ def test_torus_phase_exact_distance():
 
 def test_torus_phase_reads_a_float_exactly():
     # a float is its exact binary value, not a float phase of its own
-    assert TorusPhase.from_float(0.1).frac == Fraction(0.1)
-    assert TorusPhase.from_float(-0.25).frac == Fraction(3, 4)
-    assert TorusPhase.from_float(0.1) == TorusPhase.from_fraction(Fraction(0.1))
-    assert TorusPhase.from_float(0.1).times_int(3 ** 40).frac == (
+    assert TorusPhase(0.1).frac == Fraction(0.1)
+    assert TorusPhase(-0.25).frac == Fraction(3, 4)
+    assert TorusPhase(0.1) == TorusPhase(Fraction(0.1))
+    assert TorusPhase(0.1).times_int(3 ** 40).frac == (
         Fraction(0.1) * 3 ** 40 % 1)
+
+
+def test_torus_phase_constructor_reduces_mod_1():
+    half = TorusPhase(Fraction(3, 2))
+    assert half == TorusPhase.exact(1, 2)
+    assert half.frac == Fraction(1, 2) and half.approx == 0.5
+    assert half.norm_dist() == Fraction(1, 2)
+    assert TorusPhase(-3) == TorusPhase(0)
+
+
+BIG = st.integers(-2**80, 2**80)
+PHASE_VALUES = st.one_of(
+    BIG, st.builds(Fraction, BIG, st.integers(1, 2**80)),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=PHASE_VALUES, k=BIG)
+def test_torus_phase_reduces_every_value_mod_1(x, k):
+    p = TorusPhase(x)
+    assert 0 <= p.frac < 1
+    assert 0 <= p.norm_dist() <= Fraction(1, 2)
+    # a float is its exact binary value, so it is shifted exactly
+    exact = Fraction(x)
+    assert TorusPhase(exact + k) == p
+    if isinstance(x, float):
+        assert p == TorusPhase(exact)
+    else:
+        assert TorusPhase(x + k) == p
 
 
 def test_phase_table_reads_zero_outside():
@@ -345,7 +390,7 @@ def test_polynomial_phases_exact_at_any_degree():
     # a float coefficient is its exact binary value: still rounded once,
     # where float products lose the phase of r^40
     for x, d in ((0.25, 2), (0.1, 40)):
-        F = {1: TorusPhase.from_float(x), d: TorusPhase.exact(1, 3)}
+        F = {1: TorusPhase(x), d: TorusPhase.exact(1, 3)}
         assert polynomial_phases(F, 50).tolist() == [
             float((Fraction(x) * r + Fraction(1, 3) * r ** d) % 1)
             for r in range(1, 51)]

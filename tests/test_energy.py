@@ -159,7 +159,7 @@ def test_linearization_gap_bound(rng):
     for _ in range(10):
         dims = (30, 900)
         vals = (rng.random(dims) < rng.random()).astype(complex)
-        f = GridFunction(BoxSpec(dims), vals, bounded=True)
+        f = GridFunction(BoxSpec(dims), vals)
         L = int(rng.integers(18, 27))
         spec = ConfigSpec((1, 2), f.box, q=1, M=1)
         rep = energy.linearization_gap(f, spec, L=L, delta=0.9)
@@ -279,8 +279,8 @@ def test_energy_increment_dead_first_scale_builds_no_approximant(monkeypatch):
 
 def test_energy_increment_random_signs_converge(rng):
     box = BoxSpec((32, 1024))
-    fs = [GridFunction(box, rng.choice([-1.0, 1.0], box.dims).astype(complex),
-                       bounded=True) for _ in range(3)]
+    fs = [GridFunction(box, rng.choice([-1.0, 1.0], box.dims).astype(complex))
+          for _ in range(3)]
     res = energy.energy_increment(fs, (1, 2), 0.7,
                                   energy.IncrementParams(Qmax=4, tau=0.05,
                                                          gamma=0.25))
@@ -295,8 +295,8 @@ def test_energy_increment_oracle_selects_resonant_modulus():
     box = BoxSpec(dims)
     x1 = np.arange(1, 33)[:, None]
     ph = np.exp(2j * np.pi * x1 / 3) * np.ones((1, 1024))
-    fs = [GridFunction(box, np.conj(ph), bounded=True),
-          GridFunction(box, ph, bounded=True),
+    fs = [GridFunction(box, np.conj(ph)),
+          GridFunction(box, ph),
           GridFunction.ones(box)]
     params = energy.IncrementParams(Qmax=4, tau=0.05, gamma=0.75)
     res = energy.energy_increment(fs, (1, 2), 0.7, params)
@@ -316,9 +316,9 @@ def test_energy_increment_full_cycle_converges_after_step():
     box = BoxSpec(dims)
     x2 = np.arange(1, dims[1] + 1)[None, :]
     ph = np.exp(2j * np.pi * x2 / 3) * np.ones((dims[0], 1))
-    fs = [GridFunction(box, np.conj(ph), bounded=True),
+    fs = [GridFunction(box, np.conj(ph)),
           GridFunction.ones(box),
-          GridFunction(box, ph, bounded=True)]
+          GridFunction(box, ph)]
     params = energy.IncrementParams(Qmax=4, tau=0.05, gamma=0.25)
     res = energy.energy_increment(fs, (1, 2), 0.5, params)
     assert res.status == "converged"
@@ -348,8 +348,8 @@ def test_energy_increment_trace_in_asdict():
     box = BoxSpec(dims)
     x1 = np.arange(1, 33)[:, None]
     ph = np.exp(2j * np.pi * x1 / 3) * np.ones((1, 1024))
-    fs = [GridFunction(box, np.conj(ph), bounded=True),
-          GridFunction(box, ph, bounded=True), GridFunction.ones(box)]
+    fs = [GridFunction(box, np.conj(ph)),
+          GridFunction(box, ph), GridFunction.ones(box)]
     res = energy.energy_increment(fs, (1, 2), 0.7,
                                   energy.IncrementParams(Qmax=4, gamma=0.75))
     d = asdict(res)
@@ -417,8 +417,8 @@ def test_lift_refuses_negative_N():
 
 
 def test_lift_refuses_box_past_cap():
-    # [2^12] x [2^24] has 2^36 cells: refused before the 512 GiB grid of
-    # coordinate sums is built
+    # [2^12] x [2^24] has 2^36 cells: refused before the 64 GiB lifted mask
+    # is built
     A = SetIndicator.empty(BoxSpec((1 << 24,)))
     with pytest.raises(ValueError, match="dense-storage cap of 2\\^27"):
         energy.lift_1d(A, (1, 2), 1 << 24)
@@ -434,6 +434,31 @@ def test_lift_membership_and_inequality(rng):
             assert lifted.mask[x1 - 1, x2 - 1] == ((x1 + x2) in member)
     # exact integer lower bound
     assert rep["lower_bound"] == (A.count - 8) * 8
+
+
+@pytest.mark.parametrize("m, t", [((1, 2), 8), ((1, 3), 8), ((2, 3), 8),
+                                  ((1, 2, 3), 4)])
+def test_lift_mask_is_the_coordinate_sum_rule(rng, m, t):
+    N = t ** m[-1]
+    A = SetIndicator(BoxSpec((N,)), rng.random(N) < 0.5)
+    lifted, _ = energy.lift_1d(A, m, N)
+    dims = lifted.box.dims
+    member = np.zeros(sum(dims) + 1, dtype=bool)
+    member[1:N + 1] = A.mask
+    coord_sum = sum(np.ix_(*[np.arange(1, d + 1) for d in dims]))
+    assert np.array_equal(lifted.mask, member[coord_sum])
+
+
+def test_lift_holds_no_cell_sized_grid_of_sums(rng):
+    # the lifted mask (one byte per cell) is the only cell-sized array
+    t = 64
+    A = SetIndicator(BoxSpec((t * t,)), rng.random(t * t) < 0.5)
+    tracemalloc.start()
+    lifted, rep = energy.lift_1d(A, (1, 2), t * t)
+    per_cell = tracemalloc.get_traced_memory()[1] / lifted.box.cells
+    tracemalloc.stop()
+    assert rep["ok"] and lifted.box.dims == (64, 4096)
+    assert per_cell <= 2, f"{per_cell:.2f} bytes per lifted cell"
 
 
 def test_pipeline_dead_first_scale_builds_no_grid(rng, monkeypatch):
@@ -643,8 +668,8 @@ def test_energy_increment_complex_memory_per_cell():
     box = BoxSpec((32, 1024))
     rng = make_rng(3)
     fs = [GridFunction(box, rng.random(box.dims)
-                       * np.exp(2j * np.pi * rng.random(box.dims)),
-                       bounded=True) for _ in range(3)]
+                       * np.exp(2j * np.pi * rng.random(box.dims)))
+          for _ in range(3)]
     params = energy.IncrementParams(Qmax=4, tau=0.05, gamma=0.25)
     tracemalloc.start()
     try:
@@ -662,7 +687,7 @@ def test_energy_increment_real_memory_per_cell():
     # the float64 atom tables
     box = BoxSpec((32, 1024))
     rng = make_rng(3)
-    fs = [GridFunction(box, rng.choice([-1.0, 1.0], box.dims), bounded=True)
+    fs = [GridFunction(box, rng.choice([-1.0, 1.0], box.dims))
           for _ in range(3)]
     params = energy.IncrementParams(Qmax=4, tau=0.05, gamma=0.25)
     tracemalloc.start()
@@ -684,8 +709,8 @@ def test_energy_increment_finds_planted_modulus(den):
     box = BoxSpec(dims)
     x1 = np.arange(1, dims[0] + 1)[:, None]
     ph = np.exp(2j * np.pi * x1 / den) * np.ones((1, dims[1]))
-    fs = [GridFunction(box, np.conj(ph), bounded=True),
-          GridFunction(box, ph, bounded=True), GridFunction.ones(box)]
+    fs = [GridFunction(box, np.conj(ph)),
+          GridFunction(box, ph), GridFunction.ones(box)]
     params = energy.IncrementParams(Qmax=4, tau=0.05, gamma=0.25)
     res = energy.energy_increment(fs, (1, 2), 0.7, params)
     assert res.iterations == 1

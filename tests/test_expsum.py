@@ -14,7 +14,7 @@ from hofa.rng import make_rng
 
 
 def test_weyl_sum_basics():
-    assert expsum.weyl_sum([TorusPhase.zero()], 7) == pytest.approx(1.0)
+    assert expsum.weyl_sum([TorusPhase(0)], 7) == pytest.approx(1.0)
     assert expsum.weyl_sum([TorusPhase.exact(1, 2)], 2) == pytest.approx(0.0, abs=1e-15)
     assert expsum.weyl_sum([], 5) == 1.0
 
@@ -59,13 +59,13 @@ def test_weyl_sum_exact_equals_fraction_reference(phases, N):
 def test_rational_approx_exact_recovery():
     got = expsum.rational_approx_search([TorusPhase.exact(3, 7)], 100, 10)
     assert got.q == 7 and got.residuals == (0.0,)
-    zeros = expsum.rational_approx_search([TorusPhase.zero()] * 2, 50, 5)
+    zeros = expsum.rational_approx_search([TorusPhase(0)] * 2, 50, 5)
     assert zeros.q == 1 and all(r == 0 for r in zeros.residuals)
 
 
 def test_rational_approx_matches_exhaustive_oracle():
     golden_conj = (np.sqrt(5) - 1) / 2
-    alphas = [TorusPhase.from_float(0.0), TorusPhase.from_float(golden_conj)]
+    alphas = [TorusPhase(0.0), TorusPhase(golden_conj)]
     got = expsum.rational_approx_search(alphas, 50, 50)
     best = None
     for q in range(1, 51):
@@ -81,7 +81,7 @@ def test_weyl_lipschitz_forward_check():
     for _ in range(30):
         s = int(rng.integers(1, 4))
         N = int(rng.integers(5, 120))
-        alphas = [TorusPhase.from_float(rng.random()) for _ in range(s)]
+        alphas = [TorusPhase(rng.random()) for _ in range(s)]
         ra = expsum.rational_approx_search(alphas, N, int(rng.integers(1, 25)))
         snapped = [TorusPhase.exact(round(a.approx * ra.q), ra.q) for a in alphas]
         direct = abs(expsum.weyl_sum(snapped, N))

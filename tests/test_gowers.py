@@ -138,7 +138,7 @@ def u2_inverse_reference(f):
         mag = fun(x)
         if mag > best_mag:
             best_alpha, best_mag = x % 1.0, mag
-    return TorusPhase.from_float(best_alpha).approx, best_mag
+    return TorusPhase(best_alpha).approx, best_mag
 
 
 def test_u2_inverse_equals_scalar_golden_search():
