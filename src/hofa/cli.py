@@ -126,42 +126,38 @@ def _check_thread_count(args) -> None:
 
 def cmd_count(args) -> int:
     A = read_set(args.set)
-    m = _check_exponents(_parse_ints(args.m))
+    m = _parse_ints(args.m)
     phases = ([_parse_phase(part) for part in args.phase_const.split(",")]
               if args.phase_const else [])
-    k = len(phases)
-    n = len(m) - k
-    if n < 1:
-        raise UsageError("need more exponents than phases")
+    if args.N is not None and (args.q is not None or args.M is not None):
+        raise UsageError("--N sets the range of the power-box operator; "
+                         "--q and --M belong to the general operator")
+    if phases and args.N is None:
+        raise UsageError("--phase-const needs --N (the phased operator "
+                         "averages over the power box)")
+    fs = [A] * (A.box.n + 1)
     if phases:
-        # the theory's condition, which the phased operator needs
-        m = _check_exponents(m, increasing=True)
-    if A.box.n != n:
-        raise ValueError(f"set is {A.box.n}-D but the configuration needs {n}-D")
-    if args.N is not None:
-        if args.q is not None or args.M is not None:
-            raise UsageError("--N sets the range of the power-box operator; "
-                             "--q and --M belong to the general operator")
-        operator = "phased" if phases else "simple"
-        spec = ConfigSpec.power(m[:n], args.N)
+        operator = "phased"
+        spec, powers = counting.phased_spec(fs, phases, m, args.N)
     else:
-        if phases:
-            raise UsageError("--phase-const needs --N (the phased operator "
-                             "averages over the power box)")
-        operator = "general"
-        spec = ConfigSpec(m, A.box, q=1 if args.q is None else args.q,
-                          M=1 if args.M is None else args.M)
+        m = _check_exponents(m)
+        if A.box.n != len(m):
+            raise ValueError(f"set is {A.box.n}-D but the configuration "
+                             f"needs {len(m)}-D")
+        operator = "general" if args.N is None else "simple"
+        spec = (ConfigSpec.power(m, args.N) if args.N is not None else
+                ConfigSpec(m, A.box, q=1 if args.q is None else args.q,
+                           M=1 if args.M is None else args.M))
     norm = spec.box.cells * spec.M
     if args.oracle and norm > counting.ORACLE_MAX_TERMS:
         raise ValueError(f"--oracle needs cells x range <= 2^20, got {norm}")
-    fs = [A] * (n + 1)
     # on indicators every operator is a sum over the integer count h(r)
     hist = counting.lambda_indicator_counts(fs, spec)
     integer_count = oracle = None
     if operator == "phased":
         # constant phases depend on r alone: the operator is
         # sum_r e(P(r)) h(r) / norm with P(r) = sum_j beta_j r^(m_(n+j))
-        P = dict(zip(m[n:], phases))
+        P = dict(zip(powers, phases))
         weights = np.exp(2j * np.pi * polynomial_phases(P, len(hist.counts)))
         lam = complex(weights @ hist.counts) / norm
         if args.oracle:

@@ -30,8 +30,8 @@ Conventions used throughout the package:
   ``TorusPhase.exact(t, T)`` spells t/T.  ``polynomial_phases`` is the one
   phase P(r) mod 1 of a polynomial with ``TorusPhase`` coefficients, exact
   at any degree, and ``PhaseTable.times_int`` the one phase alpha(x) k of
-  a table, whose values are integer numerators over one denominator
-  T <= 2^63.
+  a table (integer numerators over one T <= 2^63, an integer k), summed over
+  a phased operator's tables by ``table_phases``.
 * Each type refuses at construction what breaks its invariants: ``BoxSpec``
   the cell cap ``MAX_GRID_CELLS``; ``ConfigSpec`` one exponent per axis in
   [1, ``MAX_EXPONENT``], q >= 1 and M in [1, 2^27].  ``ConfigSpec.power`` is
@@ -44,6 +44,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -106,6 +107,14 @@ def _check_exponents(m: Sequence[int],
     if increasing and any(a >= b for a, b in zip(m, m[1:])):
         raise ValueError(f"m must be strictly increasing, got {m}")
     return m
+
+
+def _multiplier(k: int) -> int:
+    """k as an int (numpy integers pass); anything else raises ValueError."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise ValueError(f"phases take integer multipliers, got {k!r}") from None
 
 
 def _check_range(M: int) -> int:
@@ -549,7 +558,7 @@ class TorusPhase:
         return min(self.frac, 1 - self.frac)
 
     def times_int(self, k: int) -> "TorusPhase":
-        return TorusPhase(self.frac * k)
+        return TorusPhase(self.frac * _multiplier(k))
 
     def __add__(self, other: "TorusPhase") -> "TorusPhase":
         return TorusPhase(self.frac + other.frac)
@@ -636,10 +645,10 @@ class PhaseTable:
         outside the table).
 
         The value is (numerator (k mod T) mod T) / T, rounded once, at any k;
-        it needs (T - 1)^2 at most the int64 maximum (T at most
-        MAX_TABLE_DENOMINATOR) and raises ``ValueError`` past it.
+        it needs an integer k and (T - 1)^2 at most the int64 maximum (T at
+        most MAX_TABLE_DENOMINATOR), and raises ``ValueError`` otherwise.
         """
-        T = self.denominator
+        k, T = _multiplier(k), self.denominator
         if T > MAX_TABLE_DENOMINATOR:
             raise ValueError(f"PhaseTable.times_int needs (T - 1)^2 <= 2^63 - 1 "
                              f"(int64 products), i.e. T <= "
@@ -658,3 +667,11 @@ class PhaseTable:
         # rint(frac * T) is at most 2^63, so it is taken as uint64 and the
         # constructor reduces it mod T
         return PhaseTable(self.box, np.rint(self.frac * T).astype(np.uint64), T)
+
+
+def table_phases(alphas: Sequence[PhaseTable], powers: Sequence[int], r: int,
+                 offsets: Sequence[int], out_dims: Sequence[int]) -> np.ndarray:
+    """sum_j alpha_j(x) r^(p_j) on a window: each term ``times_int``, exact
+    mod 1, summed in table order from zero (float64, not reduced again)."""
+    return sum((a.times_int(r ** p, offsets, out_dims)
+                for a, p in zip(alphas, powers)), np.zeros(out_dims))

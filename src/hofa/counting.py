@@ -5,51 +5,49 @@ The basic object is the normalized count of patterns
     x, x + d_1 e_1, ..., x + d_n e_n      with d_j = (q r)^(m_j)
 
 averaged over base points x in a box and differences r in a range.  Real or
-complex weights, or sets as their own 0/1 weights, give the averaged operators
-``lambda_*``; 0/1 indicators admit an exact integer path
+complex weights, or sets as their own 0/1 weights, give the averaged
+operators ``lambda_*``; 0/1 indicators admit an exact integer path
 (``lambda_indicator_counts`` and ``best_popular_difference``) built on the
 kernels module, and ``popular_count`` is the r = 1 entry of that histogram
 at modulus r, so a shift past the grid counts 0.  ``best_popular_difference``
-is the one direct popular-difference search (``popdiff``, and the
-pipeline's vacuous and fallback paths), and ``PopDiffResult`` the one result
-of both ``popdiff`` modes.  Every operator takes its exponents, modulus and
-range as a ``core.ConfigSpec``, which refuses at construction what no
-operator can run; the power-box operators (``lambda_simple``,
-``lambda_phased`` and their oracles) take ``ConfigSpec.power(m, N)``, and
-every normalization is ``spec.box.cells * spec.M``.  Every operator runs
-one loop over r, in order, on the calling thread, and stops it after the
-last r with a base point (``_useful_shifts``, which the oracles share).
-Per r, the averaged operators multiply the cropped views of
-``kernels.pattern_views`` and sum the product in blocks of rows of
-about ``LAMBDA_BLOCK_CELLS`` cells (``_product_sum``, the one row-blocked
-product sum, which ``energy``'s box counts and frozen value share); the
-integer path counts on the indicators' packed words
+is the one direct popular-difference search (``popdiff``, and the pipeline's
+vacuous and fallback paths), and ``PopDiffResult`` the one result of both
+``popdiff`` modes.  Every operator takes its exponents, modulus and range as
+a ``core.ConfigSpec``, which refuses at construction what no operator can
+run; the power-box operators take ``ConfigSpec.power(m, N)``, and every
+normalization is ``spec.box.cells * spec.M``.  The phased m (n shift
+exponents, then k phase powers) has one owner, ``phased_spec``, with one
+rule: n + k strictly increasing exponents in [1, 64], checked before
+powering, and extents N^(m_j) or 2 N^(m_j) read from each ``box.dims``.
+``lambda_phased``, its oracle, ``expsum.dual_function``,
+``expsum.stashing_identity_check`` and ``count --phase-const`` split m only
+through it.  Every operator runs one loop over r, in order, on the calling
+thread, and stops it after the last r with a base point (``_useful_shifts``,
+which the oracles share).  Per r, the averaged operators multiply the
+cropped views of ``kernels.pattern_views`` and sum the product in blocks of
+rows of about ``LAMBDA_BLOCK_CELLS`` cells (``_product_sum``, the one
+row-blocked product sum, which ``energy``'s box counts and frozen value
+share); the integer path counts on the indicators' packed words
 (``SetIndicator.packed_rows``, so a set read from a binary file is never
-unpacked) with the packed-word kernel
-``kernels.pattern_count_fast`` and returns a ``Histogram`` that keeps only
-the counted prefix of the range.  Its oracle
-``lambda_indicator_counts_pointwise`` runs the same loop with
+unpacked) with the packed-word kernel ``kernels.pattern_count_fast`` and
+returns a ``Histogram`` that keeps only the counted prefix of the range.
+Its oracle ``lambda_indicator_counts_pointwise`` runs the same loop with
 ``kernels.pattern_count_pointwise`` on the boolean masks
 (``SetIndicator.mask_rows``), and ``popular_count_naive`` reads that
-histogram.  That loop, ``_indicator_counts``, is band-major: the base
-rows along axis 1 go in bands of ``kernels.band_rows`` rows (about 1 MiB of
-words, a whole number of the kernel's blocks, and at least BAND_HALOS
-halos, so a tall halo makes fewer bands), each set is read once per
-band (a view of a set in memory, a read of a file's payload), the set of
-slot 1 with a halo as tall as the largest useful axis-1 shift, every useful
-r is counted on the band in order, and the per-band histograms are
-summed.  A band's reads are dropped before the next is read, so a set read
-from a binary file is held a band at a time; a 1-D set is one band.
-``_lambda_sum`` and ``pattern_views`` treat leading array axes as batch
-axes, so the averaging identity sums the simple operator over every
-translate x at once: its strided zero-padded windows for all x are one
-stacked view from ``core.read_translates``.  The brute-force oracles of
-the averaged operators share one (x, r) loop, ``_bruteforce_sum``, with an
-optional phase (``lambda_simple``'s oracle is ``lambda_general_bruteforce``
-at the power box); it stops after the last useful r as well, and
-``ORACLE_MAX_TERMS`` bounds what ``count --oracle`` asks of it.
-``lambda_phased`` takes each phase term from ``PhaseTable.times_int``
-(exact mod 1); ``count --phase-const`` does not run it.
+histogram.  That loop, ``_indicator_counts``, is band-major: each set is
+read once per band of ``kernels.band_rows`` base rows along axis 1 (the set
+of slot 1 with a halo), every useful r is counted on the band, and a band's
+reads are dropped before the next is read, so a set read from a binary file
+is held a band at a time.  ``_lambda_sum`` and ``pattern_views`` treat
+leading array axes as batch axes, so the averaging identity sums the simple
+operator over every translate x at once: its strided zero-padded windows for
+all x are one stacked view from ``core.read_translates``.  The brute-force
+oracles of the averaged operators share one (x, r) loop, ``_bruteforce_sum``,
+with an optional phase (``lambda_simple``'s oracle is
+``lambda_general_bruteforce`` at the power box); it stops after the last
+useful r as well, and ``ORACLE_MAX_TERMS`` bounds what ``count --oracle``
+asks of it.  ``lambda_phased``'s phase is ``core.table_phases``, each term
+exact mod 1; ``count --phase-const`` does not run it.
 """
 
 from __future__ import annotations
@@ -66,7 +64,7 @@ import numpy as np
 from . import kernels
 from .core import (ConfigSpec, GridFunction, PhaseTable, SetIndicator,
                    TorusPhase, _check_exponents, _integer_root,
-                   read_translates)
+                   read_translates, table_phases)
 
 # a weight of the averaged operators: a real (float64) or complex grid, a set
 # as its 0/1 mask, or any object whose ``values`` has a ``shape``, a
@@ -107,12 +105,11 @@ def _useful_shifts(spec: ConfigSpec,
 
 
 def _product_sum(views: Sequence, n: int, dtype: np.dtype,
-                 phase: Callable[[tuple[slice, ...]], np.ndarray]
-                 | None = None):
-    """Sum over every cell of views[0] * views[1] * ... [* phase(crop)],
-    the ``views`` aligned arrays whose trailing n axes are the grid (leading
-    axes are batch axes, summed too) and ``phase(crop)`` the phase on the
-    crop ``crop`` of the grid.
+                 phase: Callable[..., np.ndarray] | None = None):
+    """Sum over every cell of views[0] * views[1] * ... [* e(phase)], the
+    ``views`` aligned arrays whose trailing n axes are the grid (leading
+    axes are batch axes, summed too) and ``phase(offsets, dims)`` the phase
+    mod 1 on the window of the grid at 0-based ``offsets``.
 
     The product is multiplied and summed in blocks of rows along the first
     grid axis, about LAMBDA_BLOCK_CELLS cells each (batch axes whole), and
@@ -133,21 +130,19 @@ def _product_sum(views: Sequence, n: int, dtype: np.dtype,
         if phase is not None:
             # the block's cells of the grid, from row b0; out of place: a
             # product of sets is boolean
-            crop = [slice(0, d) for d in prod.shape[-n:]]
-            crop[0] = slice(b0, b0 + prod.shape[-n])
-            prod = prod * phase(tuple(crop))
+            prod = prod * np.exp(2j * np.pi * phase((b0,) + (0,) * (n - 1),
+                                                    prod.shape[-n:]))
         return prod.sum()
 
     return functools.reduce(operator.add, map(block, range(0, rows, step)))
 
 
 def _lambda_sum(arrays: Sequence[np.ndarray], spec: ConfigSpec,
-                phase: Callable[[int, tuple[slice, ...]], np.ndarray]
-                | None = None) -> complex:
+                phase: Callable[..., np.ndarray] | None = None) -> complex:
     """Sum over r in [M] of sum_x f_0(x) prod_j f_j(x + (q r)^(m_j) e_j)
-    [* phase(r, crop)(x)] for the (m, q, M) of ``spec``, with x in its box,
-    where f_i is the grid ``arrays[i]`` (zero outside it) and ``phase(r,
-    crop)`` is the phase of r on the crop ``crop`` of the box.
+    [* e(phase(r, offsets, dims))] for the (m, q, M) of ``spec``, with x in
+    its box, where f_i is the grid ``arrays[i]`` (zero outside it) and
+    ``phase(r, offsets, dims)`` is the phase of r mod 1 on a window.
 
     The trailing n axes of each array are the grid; leading
     axes are batch axes, and the sum runs over them too, so a stack of
@@ -192,33 +187,33 @@ def lambda_general(fs: Sequence[Weight], spec: ConfigSpec) -> complex:
     return total / (spec.box.cells * spec.M)
 
 
+def phased_spec(fs: Sequence[Weight], alphas: Sequence, m: Sequence[int],
+                N: int) -> tuple[ConfigSpec, tuple[int, ...]]:
+    """The power-box spec of the n = len(fs) - 1 shift exponents m[:n] and
+    the k = len(alphas) phase powers m[n:]: the one split of a phased m.
+    Its rule: m is n + k strictly increasing exponents in [1, MAX_EXPONENT],
+    checked before anything is powered, and each weight's ``box.dims`` (so
+    a set is never unpacked) are N^(m_j) or 2 N^(m_j) along each axis j;
+    anything else raises ``ValueError``.  Only len(alphas) is read."""
+    m = _check_exponents(m, increasing=True)
+    n, k = len(fs) - 1, len(alphas)
+    if len(m) != n + k:
+        raise ValueError(
+            f"need {n + k} exponent{'s' * (n + k != 1)} ({n} shift exponent"
+            f"{'s' * (n != 1)}, {k} phase power{'s' * (k != 1)}), got {len(m)}")
+    spec = ConfigSpec.power(m[:n], N)
+    _check_compatible([f.box.dims for f in fs], spec.box.dims)
+    return spec, m[n:]
+
+
 def lambda_phased(fs: Sequence[Weight], alphas: Sequence[PhaseTable],
                   m: Sequence[int], N: int) -> complex:
-    """lambda_simple with the extra factor e(sum_j alpha_j(x) r^(m_(n+j))).
-
-    ``m`` has length n + k where k = len(alphas); the first n exponents drive
-    the shifts and the last k drive the phase powers.  Each term
-    alpha_j r^(m_(n+j)) is ``PhaseTable.times_int``: exact mod 1 from the
-    table's integer numerators, rounded once.
+    """lambda_simple with the extra factor e(sum_j alpha_j(x) r^(m_(n+j))),
+    m split by ``phased_spec``; the phase is ``core.table_phases``.
     """
-    m = _check_exponents(m, increasing=True)
-    n = len(fs) - 1
-    k = len(alphas)
-    if len(m) != n + k:
-        raise ValueError(f"need {n + k} exponents, got {len(m)}")
-    spec = ConfigSpec.power(m[:n], N)
-
-    def phase(r: int, crop: tuple[slice, ...]) -> np.ndarray:
-        offsets = [s.start for s in crop]
-        dims = [s.stop - s.start for s in crop]
-        acc = np.zeros(dims)
-        for j in range(k):
-            acc += alphas[j].times_int(r ** m[n + j], offsets, dims)
-        return np.exp(2j * np.pi * acc)
-
-    arrays = [f.values for f in fs]
-    _check_compatible([a.shape for a in arrays], spec.box.dims)
-    total = _lambda_sum(arrays, spec, phase if k else None)
+    spec, powers = phased_spec(fs, alphas, m, N)
+    phase = functools.partial(table_phases, alphas, powers) if alphas else None
+    total = _lambda_sum([f.values for f in fs], spec, phase)
     return total / (spec.box.cells * spec.M)
 
 
@@ -276,17 +271,13 @@ def lambda_phased_bruteforce(fs: Sequence[Weight],
     """Oracle of ``lambda_phased``.  The phase at (x, r) is summed as
     ``TorusPhase``s (``PhaseTable.at``, numerator over T), exact mod 1 at any
     exponent and for every T a table holds."""
-    m = _check_exponents(m)
-    n = len(fs) - 1
-    k = len(alphas)
+    spec, powers = phased_spec(fs, alphas, m, N)
 
     def phase(x: tuple[int, ...], r: int) -> float:
-        total = TorusPhase(0)
-        for j in range(k):
-            total += alphas[j].at(x).times_int(r ** m[n + j])
-        return total.approx
+        return sum((a.at(x).times_int(r ** p) for a, p in zip(alphas, powers)),
+                   TorusPhase(0)).approx
 
-    return _bruteforce_sum(fs, ConfigSpec.power(m[:n], N), phase if k else None)
+    return _bruteforce_sum(fs, spec, phase if alphas else None)
 
 
 # ---------------------------------------------------------------------------

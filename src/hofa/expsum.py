@@ -6,10 +6,12 @@ polynomial with constant coefficients, in ``weyl_sum``,
 ``core.polynomial_phases``: every coefficient is an exact ``TorusPhase``
 (a float one is its exact binary value), so the phase is reduced exactly
 (an integer numerator over L = lcm(T_i), built from modular powers
-n^i mod T_i, rounded to a float once).  A phase table's phase, in the dual
-function and the constancy search's premise, is ``PhaseTable.times_int``,
-as in ``counting.lambda_phased``, exact from the table's integer
-numerators, and its snapping is ``PhaseTable.snapped``.
+n^i mod T_i, rounded to a float once).  The tables' phase, in the dual
+function and the constancy search's premise, is ``core.table_phases``, as in
+``counting.lambda_phased``, and a table's snapping is ``PhaseTable.snapped``.
+The dual function and the stashing identity split m only through its owner
+``counting.phased_spec`` (the one rule: n + k strictly increasing exponents
+in [1, 64], extents N^(m_j) or 2 N^(m_j)).
 
 The constancy search snaps each phase table to the grid {t/T_j} with
 T_j = ceil(2 k N^(m_j) / delta) and tries the ``CONSTANCY_TOP_K`` most
@@ -28,8 +30,8 @@ import numpy as np
 
 from .core import (BoxSpec, ConfigSpec, GridFunction, Line, PhaseTable,
                    TorusPhase, _check_exponents, polynomial_phases,
-                   read_window)
-from .counting import lambda_phased
+                   read_window, table_phases)
+from .counting import lambda_phased, phased_spec
 from .partition import APPartition, cond_expect
 
 MAX_POLY_DEGREE = 6
@@ -92,35 +94,30 @@ def dual_function(fs: Sequence[GridFunction], alphas: Sequence[PhaseTable],
                * prod_(j != i) f_j(x + r^(m_j) e_j - r^(m_i) e_i)
                * e(sum_j alpha_j(x - r^(m_i) e_i) r^(m_(n+j))).
 
-    Materialized on the base box doubled along axis i; one-bounded whenever
-    the inputs are.
+    m is split, and the inputs checked, by ``counting.phased_spec``; F lives
+    on the base box doubled along axis i, one-bounded if the inputs are.
     """
-    m = tuple(int(v) for v in m)
-    n = len(fs) - 1
-    k = len(alphas)
+    spec, powers = phased_spec(fs, alphas, m, N)
+    n, shifts = spec.n, spec.m
     if not 1 <= i <= n:
         raise ValueError(f"slot index {i} out of range 1..{n}")
-    if len(m) != n + k:
-        raise ValueError(f"need {n + k} exponents, got {len(m)}")
     ax = i - 1
-    out_dims = tuple(2 * d if a == ax else d for a, d in
-                     enumerate(ConfigSpec.power(m[:n], N).box.dims))
+    out_dims = tuple(2 * d if a == ax else d
+                     for a, d in enumerate(spec.box.dims))
     acc = np.zeros(out_dims, dtype=np.complex128)
     for r in range(1, N + 1):
-        back = r ** m[ax]
+        back = r ** shifts[ax]
         off0 = tuple(-back if a == ax else 0 for a in range(n))
         term = read_window(fs[0].values, off0, out_dims)
         for j in range(n):
             if j == ax:
                 continue
-            off = tuple(r ** m[j] if a == j else (-back if a == ax else 0)
+            off = tuple(r ** shifts[j] if a == j else (-back if a == ax else 0)
                         for a in range(n))
             term = term * read_window(fs[j + 1].values, off, out_dims)
-        if k:
-            phase = np.zeros(out_dims)
-            for j in range(k):
-                phase += alphas[j].times_int(r ** m[n + j], off0, out_dims)
-            term = term * np.exp(2j * np.pi * phase)
+        if alphas:
+            term = term * np.exp(2j * np.pi * table_phases(
+                alphas, powers, r, off0, out_dims))
         acc += term
     return GridFunction(BoxSpec(out_dims), acc / N)
 
@@ -135,12 +132,13 @@ def stashing_identity_check(fs: Sequence[GridFunction],
     with F the dual function in slot n.  Needs f_0 supported in the base box
     and f_j in the box doubled along axis j.
     """
-    n = len(fs) - 1
+    spec, _ = phased_spec(fs, alphas, m, N)
+    n = spec.n
     lhs = lambda_phased(fs, alphas, m, N)
     F = dual_function(fs, alphas, m, N, n)
     fn_win = read_window(fs[n].values, (0,) * n, F.box.dims)
     total = complex(np.sum(fn_win * F.values))
-    return lhs, total / ConfigSpec.power(m[:n], N).box.cells
+    return lhs, total / spec.box.cells
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +209,7 @@ def phase_constancy_search(f: Line, alphas: Sequence[PhaseTable],
     """Search for constant phases matching a table-driven phase average.
 
     The premise average uses the x-dependent tables alpha_j (phases by
-    ``PhaseTable.times_int``); each table is then snapped to the grid {t/T_j}
+    ``core.table_phases``); each table is then snapped to the grid {t/T_j}
     with T_j = ceil(2 k N^(m_j) / delta), the snapped tuples are histogrammed
     over x, and the CONSTANCY_TOP_K most frequent are tried as constants
     (phases by ``core.polynomial_phases``).  Returns the best constant tuple
@@ -235,10 +233,8 @@ def phase_constancy_search(f: Line, alphas: Sequence[PhaseTable],
     if max(grids, default=0) >= INT64_BOUND:
         raise ValueError(f"phase grids ceil(2 k N^m_j / delta) must be below "
                          f"2^63 (int64 numerators), got {max(grids)}")
-    phase = np.zeros((base, N))
-    for a, p in zip(alphas, powers):
-        phase += np.stack([a.times_int(r ** p, (0,), (base,))
-                           for r in range(1, N + 1)], axis=1)
+    phase = np.stack([table_phases(alphas, powers, r, (0,), (base,))
+                      for r in range(1, N + 1)], axis=1)
     W = _shift_matrix(f, base, m[0], N)
     premise = _phased_mean(W, phase)
     if premise == 0.0:

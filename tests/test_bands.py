@@ -298,3 +298,27 @@ def test_phased_count_peak_under_a_byte_per_cell(tmp_path, capsys):
     assert peak <= cells, f"{peak / cells:.2f} bytes per cell"
     doc = json.loads(capsys.readouterr().out)
     assert doc["operator"] == "phased" and doc["integer_count"] is None
+
+
+
+def test_phased_count_unpacks_no_mask(tmp_path, capsys):
+    # the split of m reads each set's box.dims, never its values: an
+    # unpacked mask alone is a byte per cell
+    dims = (256, 65536)
+    cells = math.prod(dims)
+    path = tmp_path / "wide.boxb"
+    with open(path, "wb") as fh:
+        fh.write(b"HOFA1\nbox 256 65536\n")
+        fh.write(make_rng(13).integers(0, 256, cells // 8,
+                                       dtype=np.uint8).tobytes())
+    argv = ["count", "--set", str(path), "--m", "2,4,5", "--N", "16",
+            "--phase-const", "1/3"]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cells, f"{peak / cells:.2f} bytes per cell"
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["operator"] == "phased" and doc["normalization"] == cells * 16

@@ -749,6 +749,25 @@ def test_count_phase_const_refuses_non_increasing_exponents(phased_sets,
     assert captured.out == ""
 
 
+
+def test_count_phase_const_names_the_missing_exponent(tmp_path):
+    # on an 8 x 64 set, --m 1,2 with one phase exited 3 with "set is 2-D but
+    # the configuration needs 1-D"; the phased fs now follow the set's box
+    out = tmp_path / "s.box"
+    cli.main(["gen", "random", "--box", "8,64", "--p", "0.5", "--seed", "2",
+              "--out", str(out)])
+    for m, message in [
+            ("1,2", "need 3 exponents (2 shift exponents, 1 phase power), "
+                    "got 2"),
+            ("1", "need 3 exponents (2 shift exponents, 1 phase power), got 1"),
+            ("1,2,2", "m must be strictly increasing, got (1, 2, 2)")]:
+        for oracle in ([], ["--oracle"]):
+            code, stdout, err = _cli_run(["count", "--set", str(out), "--m", m,
+                                          "--N", "8", "--phase-const", "1/3",
+                                          *oracle])
+            assert code == 3 and stdout == "", (m, oracle)
+            assert message in err and "Traceback" not in err, (m, oracle)
+
 # the oracle's constant phase tables hold numerators over one T <= 2^63
 TABLE_LIMIT = "phase tables need an integer denominator T in [1, 2^63]"
 

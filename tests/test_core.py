@@ -417,6 +417,22 @@ def test_phase_table_times_int():
                                                      1 / T]
 
 
+
+def test_times_int_takes_integers_only():
+    # a float k gave float-derived phases: 0.5 times [1, 2, 3]/7 returned
+    # [1/14, 1/7, 3/14]; integers of numpy pass as their Python values
+    table = PhaseTable(BoxSpec((3,)), [1, 2, 3], 7)
+    for k in (0.5, 2.0, np.float64(3.0), Fraction(1, 2), "2"):
+        with pytest.raises(ValueError, match="integer multipliers"):
+            table.times_int(k, (0,), (3,))
+        with pytest.raises(ValueError, match="integer multipliers"):
+            TorusPhase.exact(1, 3).times_int(k)
+    for k in (np.int64(5), np.uint8(5), True):
+        assert table.times_int(k, (0,), (3,)).tolist() == \
+            table.times_int(int(k), (0,), (3,)).tolist()
+        assert TorusPhase.exact(1, 3).times_int(k) == \
+            TorusPhase.exact(int(k), 3)
+
 def test_line_window_and_shift():
     f = Line(5, np.array([1.0, 2.0, 3.0]))
     assert f.at(6) == 2

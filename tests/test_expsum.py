@@ -152,6 +152,43 @@ def test_dual_function_reads_exact_tables(rng):
     assert abs(lhs - want) <= 1e-12 and abs(rhs - want) <= 1e-10
 
 
+
+PHASED_FAMILY = {
+    "lambda_phased": counting.lambda_phased,
+    "lambda_phased_bruteforce": counting.lambda_phased_bruteforce,
+    "dual_function": lambda fs, al, m, N: expsum.dual_function(fs, al, m, N, 2),
+    "stashing_identity_check": expsum.stashing_identity_check,
+}
+
+
+@pytest.mark.parametrize("dims, m, message", [
+    (None, (1, 2), "need 3 exponents (2 shift exponents, 1 phase power), got 2"),
+    (None, (1, 2, 1), "m must be strictly increasing, got (1, 2, 1)"),
+    *((None, m, f"exponents must be >= 1 and at most 64, got {m}")
+      for m in ((1, 2, 0), (1, 2, -1), (1, 2, 65), (1, 2, 10**7),
+                (0, 1, 2), (1, 10**7, 10**7 + 1))),
+    ([(3, 4), (4, 4), (2, 8)], (1, 2, 3),
+     "f_0 axis 1 has extent 3; expected 2 or 4"),
+    ([(2, 4), (2, 3), (2, 8)], (1, 2, 3),
+     "f_1 axis 2 has extent 3; expected 4 or 8"),
+    ([(2, 4, 1)] * 3, (1, 2, 3), "f_0 has dimension 3, expected 2"),
+    ([(2, 4), (4, 4), (2, 8, 2)], (1, 2, 3), "f_2 has dimension 3, expected 2"),
+], ids=["short", "non-increasing", "zero", "negative", "65", "huge",
+        "zero-shift", "huge-shift", "extent-3", "extent-3-axis-2", "3-D",
+        "one-3-D"])
+def test_phased_family_refuses_alike(rng, dims, m, message):
+    # on the 2 x 4 base box of N = 2 with one table: the oracle raised
+    # IndexError on a short m and returned values for (1, 2, 1) and a grid of
+    # extent 3; dual_function returned values for (1, 2, -1), (1, 2, 0) and
+    # extent 3, and failed in read_window on 3-D grids
+    dims = dims or [(2, 4), (4, 4), (2, 8)]
+    fs = [random_grid(rng, d) for d in dims]
+    al = random_table(rng, (2, 4))
+    for name, member in PHASED_FAMILY.items():
+        with pytest.raises(ValueError) as exc:
+            member(fs, [al], m, 2)
+        assert str(exc.value) == message, name
+
 def test_stashing_zero_slot():
     N = 3
     fs = [GridFunction.ones(BoxSpec((3, 9))), GridFunction.ones(BoxSpec((6, 9))),
