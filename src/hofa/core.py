@@ -32,6 +32,9 @@ Conventions used throughout the package:
   at any degree, and ``PhaseTable.times_int`` the one phase alpha(x) k of
   a table (integer numerators over one T <= 2^63, an integer k), summed over
   a phased operator's tables by ``table_phases``.
+* ``as_int`` is the one integer rule: every integer parameter is read by
+  ``operator.index`` (ints, numpy integers and bools pass), and anything
+  else (a float, a string, a Fraction) raises ``ValueError``, never truncated.
 * Each type refuses at construction what breaks its invariants: ``BoxSpec``
   the cell cap ``MAX_GRID_CELLS``; ``ConfigSpec`` one exponent per axis in
   [1, ``MAX_EXPONENT``], q >= 1 and M in [1, 2^27].  ``ConfigSpec.power`` is
@@ -81,8 +84,17 @@ def _integer_root(N: int, m: int) -> int:
     return r
 
 
+def as_int(value, what: str) -> int:
+    """``value`` by ``operator.index``, the package's one integer rule;
+    anything else raises ``ValueError`` "<what>, got <value>"."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what}, got {value!r}") from None
+
+
 def _as_dims(dims: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
+    out = tuple(as_int(d, "box dims must be positive integers") for d in dims)
     if not out:
         raise ValueError("box needs at least one axis")
     if any(d < 1 for d in out):
@@ -100,7 +112,7 @@ def _check_exponents(m: Sequence[int],
     anything is raised to an exponent.  With ``increasing``, exponents that
     are not strictly increasing are refused too (the theory's condition,
     which the phased operator and the decomposition need)."""
-    m = tuple(int(v) for v in m)
+    m = tuple(as_int(v, "exponents must be integers") for v in m)
     if not all(1 <= v <= MAX_EXPONENT for v in m):
         raise ValueError(f"exponents must be >= 1 and at most {MAX_EXPONENT}, "
                          f"got {m}")
@@ -109,16 +121,8 @@ def _check_exponents(m: Sequence[int],
     return m
 
 
-def _multiplier(k: int) -> int:
-    """k as an int (numpy integers pass); anything else raises ValueError."""
-    try:
-        return operator.index(k)
-    except TypeError:
-        raise ValueError(f"phases take integer multipliers, got {k!r}") from None
-
-
 def _check_range(M: int) -> int:
-    M = int(M)
+    M = as_int(M, "difference range M must be an integer")
     if not 1 <= M <= MAX_GRID_CELLS:
         raise ValueError(f"difference range M = {M} must lie in [1, 2^27]")
     return M
@@ -146,11 +150,10 @@ class BoxSpec:
         """Check N_n^(1/m_n) <= ... <= N_1^(1/m_1) exactly in integers.
 
         a^(1/p) <= b^(1/q) iff a^q <= b^p for a, b, p, q >= 1, so the chain
-        is decided without floating-point roots.
+        is decided without floating-point roots.  m is read as
+        ``ConfigSpec(m, self)`` reads it.
         """
-        m = tuple(int(v) for v in m)
-        if len(m) != self.n:
-            return [f"m has length {len(m)}, box has {self.n} axes"]
+        m = ConfigSpec(m, self).m
         issues = []
         for i in range(self.n - 1):
             a, p = self.dims[i], m[i]
@@ -232,9 +235,10 @@ def read_window(values: np.ndarray, offsets: Sequence[int],
     array and 0 otherwise, for 0 <= k < out_dims; strides default to 1.
     A view of ``values`` is returned whenever the window lies inside it.
     """
-    out_dims = tuple(int(d) for d in out_dims)
-    offsets = tuple(int(o) for o in offsets)
-    strides = (1,) * values.ndim if strides is None else tuple(int(s) for s in strides)
+    strides = (1,) * values.ndim if strides is None else strides
+    offsets, out_dims, strides = (tuple(
+        as_int(v, "window offsets, extents and strides must be integers") for v in seq)
+        for seq in (offsets, out_dims, strides))
     if not len(offsets) == len(out_dims) == len(strides) == values.ndim:
         raise ValueError("offsets/out_dims/strides rank mismatch")
     if any(s < 1 for s in strides):
@@ -271,10 +275,10 @@ def read_translates(values: np.ndarray, first: Sequence[int],
     when every read lies inside it, else of one zero-padded copy of the part
     of ``values`` they cover.
     """
-    first = tuple(int(o) for o in first)
-    counts = tuple(int(c) for c in counts)
-    out_dims = tuple(int(d) for d in out_dims)
-    strides = (1,) * values.ndim if strides is None else tuple(int(s) for s in strides)
+    strides = (1,) * values.ndim if strides is None else strides
+    first, counts, out_dims, strides = (tuple(
+        as_int(v, "window offsets, extents and strides must be integers") for v in seq)
+        for seq in (first, counts, out_dims, strides))
     if not len(first) == len(counts) == len(out_dims) == len(strides) == values.ndim:
         raise ValueError("first/counts/out_dims/strides rank mismatch")
     if any(s < 1 for s in strides):
@@ -423,7 +427,7 @@ class ConfigSpec:
     M: int = 1
 
     def __init__(self, m: Sequence[int], box: BoxSpec, q: int = 1, M: int = 1):
-        m, q = _check_exponents(m), int(q)
+        m, q = _check_exponents(m), as_int(q, "modulus q must be an integer")
         if len(m) != box.n:
             raise ValueError(f"m has {len(m)} entries, box has {box.n} axes")
         if q < 1:
@@ -475,7 +479,7 @@ class Line:
     values: np.ndarray
 
     def __post_init__(self):
-        self.start = int(self.start)
+        self.start = as_int(self.start, "a Line starts at an integer")
         self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
         if self.values.ndim != 1:
             raise ValueError("Line values must be 1-D")
@@ -501,6 +505,11 @@ class Line:
     def shifted(self, h: int) -> "Line":
         """The function x -> f(x + h)."""
         return Line(self.start - h, self.values.copy())
+
+    def __sub__(self, other: "Line") -> "Line":
+        """f - g, stored on the hull of both supports."""
+        lo, hi = min(self.start, other.start), max(self.stop, other.stop)
+        return Line(lo, self.window(lo, hi - 1) - other.window(lo, hi - 1))
 
     def l2sq(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2))
@@ -558,7 +567,7 @@ class TorusPhase:
         return min(self.frac, 1 - self.frac)
 
     def times_int(self, k: int) -> "TorusPhase":
-        return TorusPhase(self.frac * _multiplier(k))
+        return TorusPhase(self.frac * as_int(k, "phases take integer multipliers"))
 
     def __add__(self, other: "TorusPhase") -> "TorusPhase":
         return TorusPhase(self.frac + other.frac)
@@ -607,11 +616,11 @@ class PhaseTable:
     denominator: int = 1
 
     def __post_init__(self):
-        T = self.denominator
-        if not isinstance(T, (int, np.integer)) or not 1 <= T <= MAX_PHASE_DENOMINATOR:
-            raise ValueError(f"phase tables need an integer denominator T in "
-                             f"[1, 2^63] (int64 numerators), got T = {T}")
-        T = self.denominator = int(T)
+        what = ("phase tables need an integer denominator T in [1, 2^63] "
+                "(int64 numerators)")
+        T = self.denominator = as_int(self.denominator, what)
+        if not 1 <= T <= MAX_PHASE_DENOMINATOR:
+            raise ValueError(f"{what}, got T = {T}")
         nums = np.asarray(self.numerators)
         if nums.shape != self.box.dims:
             raise ValueError("phase table shape mismatch")
@@ -648,7 +657,7 @@ class PhaseTable:
         it needs an integer k and (T - 1)^2 at most the int64 maximum (T at
         most MAX_TABLE_DENOMINATOR), and raises ``ValueError`` otherwise.
         """
-        k, T = _multiplier(k), self.denominator
+        k, T = as_int(k, "phases take integer multipliers"), self.denominator
         if T > MAX_TABLE_DENOMINATOR:
             raise ValueError(f"PhaseTable.times_int needs (T - 1)^2 <= 2^63 - 1 "
                              f"(int64 products), i.e. T <= "
@@ -657,7 +666,7 @@ class PhaseTable:
         return (nums * (k % T)) % T / T
 
     def at(self, point: Sequence[int]) -> TorusPhase:
-        idx = tuple(int(c) - 1 for c in point)
+        idx = tuple(as_int(c, "table points must be integers") - 1 for c in point)
         if any(c < 0 or c >= d for c, d in zip(idx, self.box.dims)):
             return TorusPhase(0)
         return TorusPhase.exact(int(self.numerators[idx]), self.denominator)

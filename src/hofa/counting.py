@@ -18,7 +18,8 @@ run; the power-box operators take ``ConfigSpec.power(m, N)``, and every
 normalization is ``spec.box.cells * spec.M``.  The phased m (n shift
 exponents, then k phase powers) has one owner, ``phased_spec``, with one
 rule: n + k strictly increasing exponents in [1, 64], checked before
-powering, and extents N^(m_j) or 2 N^(m_j) read from each ``box.dims``.
+powering, extents N^(m_j) or 2 N^(m_j) read from each ``box.dims``, and
+phase tables on the power box.
 ``lambda_phased``, its oracle, ``expsum.dual_function``,
 ``expsum.stashing_identity_check`` and ``count --phase-const`` split m only
 through it.  Every operator runs one loop over r, in order, on the calling
@@ -193,8 +194,9 @@ def phased_spec(fs: Sequence[Weight], alphas: Sequence, m: Sequence[int],
     the k = len(alphas) phase powers m[n:]: the one split of a phased m.
     Its rule: m is n + k strictly increasing exponents in [1, MAX_EXPONENT],
     checked before anything is powered, and each weight's ``box.dims`` (so
-    a set is never unpacked) are N^(m_j) or 2 N^(m_j) along each axis j;
-    anything else raises ``ValueError``.  Only len(alphas) is read."""
+    a set is never unpacked) are N^(m_j) or 2 N^(m_j) along each axis j, and
+    each table's box is the spec's (``count --phase-const`` passes its
+    constant ``TorusPhase``s); anything else raises ``ValueError``."""
     m = _check_exponents(m, increasing=True)
     n, k = len(fs) - 1, len(alphas)
     if len(m) != n + k:
@@ -203,6 +205,9 @@ def phased_spec(fs: Sequence[Weight], alphas: Sequence, m: Sequence[int],
             f"{'s' * (n != 1)}, {k} phase power{'s' * (k != 1)}), got {len(m)}")
     spec = ConfigSpec.power(m[:n], N)
     _check_compatible([f.box.dims for f in fs], spec.box.dims)
+    for j, a in enumerate(alphas, start=1):
+        if isinstance(a, PhaseTable) and a.box != spec.box:
+            raise ValueError(f"alpha_{j} has box {a.box}, expected {spec.box}")
     return spec, m[n:]
 
 

@@ -57,7 +57,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (BoxSpec, ConfigSpec, DecompositionError, GridFunction,
-                   SetIndicator, _check_exponents, _integer_root, read_window)
+                   SetIndicator, _check_exponents, _integer_root, as_int,
+                   read_window)
 from .counting import (PopDiffResult, Weight, _product_sum,
                        best_popular_difference, lambda_general,
                        lambda_indicator_counts)
@@ -86,12 +87,14 @@ def _real_unit_values(f: GridFunction) -> np.ndarray:
     return np.clip(g, 0.0, 1.0) if lo < 0 or hi > 1 else g
 
 
-def _check_axis_params(f: GridFunction, qs: Sequence[int],
-                       Ls: Sequence[int]) -> None:
+def _axis_params(f: GridFunction, qs: Sequence[int],
+                 Ls: Sequence[int]) -> list[list[int]]:
     n = f.box.n
     if len(qs) != n or len(Ls) != n:
         raise ValueError(f"need one q_i and one L_i per axis of the {n}-D "
                          f"grid, got {len(qs)} and {len(Ls)}")
+    return [[as_int(v, "q_i and L_i must be integers") for v in vs]
+            for vs in (qs, Ls)]
 
 
 def _check_delta(delta: float) -> None:
@@ -227,11 +230,10 @@ def cond_box_count(f: GridFunction, qs: Sequence[int],
     """E_x f(x) prod_i E(slice_i | partition (q_i, L_i))(x_i), with the
     comparison value (E f)^(n+1) reported alongside.  ``qs`` and ``Ls``
     have one entry per axis."""
-    _check_axis_params(f, qs, Ls)
+    qs, Ls = _axis_params(f, qs, Ls)
     g = _real_unit_values(f)
     n = f.box.n
-    approx = [axis_approximant(f, ax + 1, int(qs[ax]), int(Ls[ax]))
-              for ax in range(n)]
+    approx = [axis_approximant(f, ax + 1, qs[ax], Ls[ax]) for ax in range(n)]
     return _frozen_value(g, approx), float(g.mean()) ** (n + 1)
 
 
@@ -245,12 +247,10 @@ def cond_box_expansion(f: GridFunction, qs: Sequence[int],
     (n+1)-st power of the cell mean and the aggregated convexity bound are
     both reported.
     """
-    _check_axis_params(f, qs, Ls)
+    qs, Ls = _axis_params(f, qs, Ls)
     g = _real_unit_values(f)
     dims = f.box.dims
     n = len(dims)
-    qs = [int(v) for v in qs]
-    Ls = [int(v) for v in Ls]
     for d, q, L in zip(dims, qs, Ls):
         if d % (q * L):
             raise ValueError("cell expansion needs q_i L_i | N_i")
@@ -550,7 +550,7 @@ def lift_1d(A: SetIndicator, m: Sequence[int], N: int) -> tuple[SetIndicator, di
     """
     if A.box.n != 1:
         raise ValueError("lift_1d expects a 1-D set")
-    m = tuple(int(v) for v in m)
+    m, N = _check_exponents(m), as_int(N, "lift_1d needs an integer N")
     n = len(m)
     if n < 2:
         raise ValueError("lift needs n >= 2 exponents")

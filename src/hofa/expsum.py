@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (BoxSpec, ConfigSpec, GridFunction, Line, PhaseTable,
-                   TorusPhase, _check_exponents, polynomial_phases,
+                   TorusPhase, _check_exponents, as_int, polynomial_phases,
                    read_window, table_phases)
 from .counting import lambda_phased, phased_spec
 from .partition import APPartition, cond_expect
@@ -156,8 +156,8 @@ def phi_tilde(phi: Callable[[tuple[int, ...]], Fraction | float],
     ``count --phase-const`` reads one.  It vanishes identically when phi
     splits as a sum of functions each ignoring one coordinate.
     """
-    h0 = tuple(int(v) for v in h0)
-    h1 = tuple(int(v) for v in h1)
+    h0, h1 = (tuple(as_int(v, "shift tuples must hold integers") for v in h)
+              for h in (h0, h1))
     if len(h0) != len(h1):
         raise ValueError("shift tuples must share a length")
     d = len(h0)

@@ -37,8 +37,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (GridFunction, Line, PhaseTable, TorusPhase, read_translates,
-                   read_window)
+from .core import (GridFunction, Line, PhaseTable, TorusPhase, as_int,
+                   read_translates, read_window)
 from .partition import APPartition, Atoms
 
 MAX_GOWERS_ORDER = 4
@@ -52,9 +52,9 @@ SAME_COORD_KAPPA = 1.0 / 64
 
 
 def _shift_tuple(h) -> tuple[int, ...]:
-    if isinstance(h, int):
-        return (h,)
-    return tuple(int(v) for v in h)
+    """h as a tuple of integer shifts: one integer, or a sequence of them."""
+    return tuple(as_int(v, "shifts h must be integers")
+                 for v in ((h,) if np.ndim(h) == 0 else h))
 
 
 def _diff_arr(g: np.ndarray, h: int) -> np.ndarray:
@@ -166,6 +166,7 @@ def _inner(g: np.ndarray, s: int) -> float:
 
 def gowers_inner(f: Line | np.ndarray, s: int) -> float:
     """The 2^s-power sum behind the degree-s uniformity norm."""
+    s = as_int(s, "order s must be an integer")
     if s < 1:
         raise ValueError("order s must be >= 1")
     if s > MAX_GOWERS_ORDER:

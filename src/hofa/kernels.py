@@ -52,6 +52,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import core  # for ``as_int``; ``core`` imports this module first
+
 WORD_BITS = 64
 # words per block of the counting loop (its buffers take about 0.5 MiB)
 BLOCK_WORDS = 1 << 15
@@ -83,7 +85,7 @@ def word_bytes(shape: Sequence[int]) -> np.ndarray:
     byte layout of ``np.packbits(..., bitorder="little")`` along the row.
     ``from_word_bytes`` turns the filled bytes into the ``PackedMask``.
     """
-    shape = tuple(int(d) for d in shape)
+    shape = tuple(core.as_int(d, "mask dims must be integers") for d in shape)
     if not shape:
         raise ValueError("a packed mask needs at least one axis")
     nwords = -(-shape[-1] // WORD_BITS) + 1
@@ -94,8 +96,8 @@ def from_word_bytes(shape: Sequence[int], raw: np.ndarray) -> PackedMask:
     """The ``PackedMask`` of logical ``shape`` whose words are the bytes of
     ``raw`` (from ``word_bytes``), made native: a view of the bytes on
     little-endian hosts, a byte-swapped copy elsewhere."""
-    return PackedMask(tuple(int(d) for d in shape),
-                      raw.view("<u8").astype(np.uint64, copy=False))
+    shape = tuple(core.as_int(d, "mask dims must be integers") for d in shape)
+    return PackedMask(shape, raw.view("<u8").astype(np.uint64, copy=False))
 
 
 def pack_mask(mask: np.ndarray) -> PackedMask:
@@ -113,7 +115,7 @@ def band_rows(shape: Sequence[int], min_rows: int = 1) -> int:
     words in all (at least one block, and at least ``min_rows`` rows).  A
     1-D mask is one band."""
     if len(shape) == 1:
-        return int(shape[0])
+        return shape[0]
     slab = math.prod(shape[1:-1]) * (-(-shape[-1] // WORD_BITS) + 1)
     block = max(1, BLOCK_WORDS // slab)
     return block * max(1, BAND_WORDS // slab // block, -(-min_rows // block))
@@ -276,8 +278,9 @@ def pattern_count_fast(masks: Sequence[PackedMask], base_dims: Sequence[int],
                        shifts: Sequence[int]) -> int:
     """Exact pattern count on ``PackedMask``s (``pack_mask`` packs a boolean
     mask; a ``core.SetIndicator`` holds its words as ``packed``)."""
-    base_dims = tuple(int(b) for b in base_dims)
-    shifts = tuple(int(d) for d in shifts)
+    what = "pattern base dims and shifts must be integers"
+    base_dims, shifts = (tuple(core.as_int(v, what) for v in seq)
+                         for seq in (base_dims, shifts))
     if any(d < 0 for d in shifts):
         raise ValueError("pattern shifts must be nonnegative")
     if len(masks) != len(base_dims) + 1 or len(shifts) != len(base_dims):

@@ -33,7 +33,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import Line
+from .core import Line, as_int
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,11 @@ class APPartition:
     L: int
 
     def __post_init__(self):
-        if self.q < 1 or self.L < 1:
+        q, L = (as_int(v, "q and L must be integers") for v in (self.q, self.L))
+        if q < 1 or L < 1:
             raise ValueError("q and L must be positive")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "L", L)
 
     @property
     def block(self) -> int:
@@ -263,12 +266,6 @@ def shift_norm_delta(f: Line, P: APPartition, h: int) -> ShiftDeltaReport:
     return ShiftDeltaReport(lhs, rhs, None, None)
 
 
-def _line_max_diff(u: Line, v: Line) -> float:
-    lo = min(u.start, v.start)
-    hi = max(u.stop, v.stop)
-    return float(np.abs(u.window(lo, hi - 1) - v.window(lo, hi - 1)).max())
-
-
 @dataclass
 class PythagorasReport:
     diff_energy: float        # ||E(f|B') - E(f|B)||_2^2
@@ -286,14 +283,9 @@ def refinement_pythagoras(f: Line, B: APPartition, Bp: Partition) -> PythagorasR
         raise ValueError(f"{Bp} does not refine {B}")
     pf = cond_expect(f, B)
     pfp = cond_expect(f, Bp)
-    lo = min(pf.start, pfp.start)
-    hi = max(pf.stop, pfp.stop)
-    diff = pfp.window(lo, hi - 1) - pf.window(lo, hi - 1)
-    diff_energy = float(np.sum(np.abs(diff) ** 2))
-    energy_gap = pfp.l2sq() - pf.l2sq()
-    tower_fine = _line_max_diff(cond_expect(pf, Bp), pf)
-    tower_coarse = _line_max_diff(cond_expect(pfp, B), pf)
-    return PythagorasReport(diff_energy, energy_gap, tower_fine, tower_coarse)
+    return PythagorasReport((pfp - pf).l2sq(), pfp.l2sq() - pf.l2sq(),
+                            (cond_expect(pf, Bp) - pf).max_abs(),
+                            (cond_expect(pfp, B) - pf).max_abs())
 
 
 @dataclass
@@ -326,9 +318,6 @@ def almost_refinement_delta(f: Line, q: int, L1: int, qt: int,
     both = RefinedPartition((B1, B2))
     p12 = cond_expect(f, both)
     p2 = cond_expect(f, B2)
-    lo = min(p12.start, p2.start)
-    hi = max(p12.stop, p2.stop)
-    delta = np.abs(p12.window(lo, hi - 1) - p2.window(lo, hi - 1))
-    differing = int(np.count_nonzero(delta > 1e-12))
+    differing = int(np.count_nonzero(np.abs((p12 - p2).values) > 1e-12))
     bound = 8.0 * (qt * L2 / L1) * N
     return AlmostRefinementReport(p12.l2sq(), p2.l2sq(), bound, differing)

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import as_int
+
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Return a Generator over Philox-4x64 keyed by (seed, stream)."""
+    seed = as_int(seed, "seed must be an integer in [0, 2^64)")
     if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    key = np.array([seed, stream & 0xFFFFFFFFFFFFFFFF],
-                   dtype=np.uint64)
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed}")
+    key = np.array([seed, as_int(stream, "stream must be an integer")
+                    & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

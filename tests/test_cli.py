@@ -299,6 +299,22 @@ def test_pipeline_refuses_non_increasing_exponents(tmp_path, capsys, m, p):
         assert "strictly increasing" in captured.err
 
 
+def test_pipeline_words_a_wrong_length_m_alike(tmp_path, capsys):
+    # m of 3 exponents on a 2-D set: the decomposition (a dense set) said
+    # "m has length 3, box has 2 axes", the vacuous path (a sparse set)
+    # "m has 3 entries, box has 2 axes"
+    errs = []
+    for p in (0.9, 0.05):
+        path = tmp_path / f"a-{p}.box"
+        write_set(SetIndicator(BoxSpec((64, 64)),
+                               make_rng(7).random((64, 64)) < p), path)
+        assert cli.main(["popdiff", "--set", str(path), "--m", "1,2,3",
+                         "--pipeline", "--delta", "0.1"]) == 3
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert "m has 3 entries, box has 2 axes" in errs[0]
+
+
 @pytest.mark.parametrize("m", ["1,1", "2,1"])
 def test_direct_commands_count_any_exponents(tmp_path, capsys, m):
     # direct popdiff, count and bench count non-increasing exponents too

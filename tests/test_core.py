@@ -1,4 +1,5 @@
 import math
+import operator
 from datetime import timedelta
 from fractions import Fraction
 
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hofa import counting, kernels, setfile
+from hofa import counting, energy, expsum, gowers, kernels, setfile
 from hofa.core import (MAX_EXPONENT, MAX_GRID_CELLS, BoxSpec, ConfigSpec,
                        GridFunction, Line, PhaseTable, SetIndicator,
                        MAX_TABLE_DENOMINATOR, TorusPhase, polynomial_phases,
                        read_translates, read_window)
 from hofa import rng as rng_module
+from hofa.partition import APPartition
 from hofa.rng import make_rng, random_mask
 from hofa.setfile import SetFileError, read_set, write_set
 
@@ -62,17 +64,40 @@ SPEC_REFUSALS = ("exponents must be", "m has", "modulus q must",
 SPEC_DEADLINE = timedelta(milliseconds=500)
 
 
+def _or_not_int(ints):
+    """``ints``, or at times the same values as numpy integers, floats,
+    numpy floats or strings, or a bool: what a caller may pass for an
+    integer."""
+    return st.one_of(ints, st.one_of(
+        ints.map(np.int64), ints.map(float), ints.map(np.float64),
+        ints.map(str), st.booleans(), st.floats(-3, 70)))
+
+
+def _index(v):
+    """``operator.index(v)``, or None where it refuses v."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        return None
+
+
 @st.composite
 def spec_args(draw):
     """(m, dims, q, M), with one exponent per axis plus at times one more."""
     n = draw(st.integers(1, 3))
-    m = (draw(st.lists(EXPONENT, min_size=n, max_size=n))
-         + draw(st.lists(EXPONENT, max_size=1)))
-    dims = draw(st.lists(EDGE_DIMS, min_size=n, max_size=n))
-    return m, dims, draw(st.integers(-2, 5)), draw(EDGE_RANGES)
+    exponent = _or_not_int(EXPONENT)
+    m = (draw(st.lists(exponent, min_size=n, max_size=n))
+         + draw(st.lists(exponent, max_size=1)))
+    dims = draw(st.lists(_or_not_int(EDGE_DIMS), min_size=n, max_size=n))
+    return (m, dims, draw(_or_not_int(st.integers(-2, 5))),
+            draw(_or_not_int(EDGE_RANGES)))
 
 
 def _runnable(m, dims, q, M) -> bool:
+    m, dims = [_index(v) for v in m], [_index(d) for d in dims]
+    q, M = _index(q), _index(M)
+    if None in m + dims + [q, M]:
+        return False
     return (len(m) == len(dims) and all(1 <= v <= MAX_EXPONENT for v in m)
             and min(dims) >= 1 and math.prod(dims) <= CAP
             and q >= 1 and 1 <= M <= CAP)
@@ -88,6 +113,10 @@ def test_config_spec_refuses_exactly_what_no_operator_runs(args):
         assert any(msg in str(exc) for msg in SPEC_REFUSALS), exc
         return
     assert _runnable(*args)
+    # read as operator.index reads them, never truncated
+    assert (spec.m, spec.box.dims, spec.q, spec.M) == (
+        tuple(map(_index, args[0])), tuple(map(_index, args[1])),
+        _index(args[2]), _index(args[3]))
     # a runnable spec can only miss the conditions of the theory
     failed = {issue.split(":")[0] for issue in spec.theory_issues()}
     assert failed <= THEORY_CHECKS
@@ -121,6 +150,78 @@ def test_make_rng_seed_is_one_key_word():
         with pytest.raises(ValueError, match="2\\^64"):
             make_rng(seed)
     make_rng((1 << 64) - 1)
+
+
+GRID = np.arange(12.0).reshape(3, 4)
+UNIT = GridFunction(BoxSpec((4, 4)), np.linspace(0, 1, 16).reshape(4, 4))
+LINE = SetIndicator(BoxSpec((40,)), np.arange(40) % 3 == 0)
+PACKED = kernels.pack_mask(np.arange(16).reshape(4, 4) % 3 == 0)
+# one integer parameter of each public entry, read at v, and a non-integer
+# that the entry truncated or failed on before the rule (gowers_inner
+# recursed until RecursionError, APPartition failed later in Atoms)
+INTEGER_ENTRIES = {
+    "BoxSpec extent": (lambda v: BoxSpec((v, 3)).dims, 2.7),
+    "ConfigSpec.power exponent": (lambda v: ConfigSpec.power((1, v), 2).m, 2.9),
+    "ConfigSpec.power N": (lambda v: ConfigSpec.power((1, 2), v).box.dims, 2.5),
+    "ConfigSpec q": (lambda v: ConfigSpec((1,), BoxSpec((9,)), q=v).q, 1.9),
+    "ConfigSpec M": (lambda v: ConfigSpec((1,), BoxSpec((9,)), M=v).M, 3.99),
+    "chain_issues exponent": (
+        lambda v: BoxSpec((4, 16)).chain_issues((1, v)), 2.5),
+    "read_window offset": (
+        lambda v: read_window(GRID, (v, 0), (2, 2)).tolist(), 1.5),
+    "read_window dim": (
+        lambda v: read_window(GRID, (0, 0), (2, v)).tolist(), 1.5),
+    "read_window stride": (
+        lambda v: read_window(GRID, (0, 0), (2, 2), (1, v)).tolist(), 1.5),
+    "read_translates count": (
+        lambda v: read_translates(GRID, (0, 0), (v, 1), (2, 2)).tolist(), 1.5),
+    "Line start": (lambda v: Line(v, [1, 2]).start, 1.5),
+    "PhaseTable denominator": (
+        lambda v: PhaseTable(BoxSpec((2,)), [1, 3], v).frac.tolist(), 2.5),
+    "PhaseTable.at point": (
+        lambda v: PhaseTable(BoxSpec((3,)), [0, 1, 2], 3).at((v,)), 1.5),
+    "word_bytes dim": (lambda v: kernels.word_bytes((v, 70)).shape, 2.5),
+    "from_word_bytes dim": (lambda v: kernels.from_word_bytes(
+        (v, 70), kernels.word_bytes((2, 70))).shape, 2.5),
+    "pattern_count_fast base dim": (lambda v: kernels.pattern_count_fast(
+        [PACKED] * 3, (v, 3), (1, 1)), 2.5),
+    "pattern_count_fast shift": (lambda v: kernels.pattern_count_fast(
+        [PACKED] * 3, (3, 3), (v, 1)), 1.5),
+    "cond_box_count q": (
+        lambda v: energy.cond_box_count(UNIT, (v, 1), (1, 2)), 1.5),
+    "cond_box_expansion L": (lambda v: str(
+        energy.cond_box_expansion(UNIT, (1, 1), (v, 2))), 1.5),
+    "lift_1d exponent": (
+        lambda v: energy.lift_1d(LINE, (1, v), 4)[1], 2.5),
+    "lift_1d N": (lambda v: energy.lift_1d(LINE, (1, 1), v)[1], 2.5),
+    "mult_diff shift": (lambda v: gowers.mult_diff(
+        Line(1, [1, 2j, 3]), v).values.tolist(), 1.5),
+    "gowers_inner order": (
+        lambda v: gowers.gowers_inner(Line(1, [1, 2, 3]), v), 2.5),
+    "gowers_norm order": (
+        lambda v: gowers.gowers_norm(Line(1, [1, 2, 3]), v), 2.5),
+    "phi_tilde shift": (lambda v: expsum.phi_tilde(
+        lambda h: Fraction(h[0] * h[1], 7), (v, 3), (5, 4)), 1.5),
+    "APPartition q": (lambda v: APPartition(v, 2), 1.5),
+    "APPartition L": (lambda v: APPartition(2, v), 1.5),
+    "make_rng seed": (lambda v: make_rng(v).integers(0, 1 << 62, 3).tolist(),
+                      1.7),
+    "make_rng stream": (
+        lambda v: make_rng(0, v).integers(0, 1 << 62, 3).tolist(), 1.7),
+}
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRIES)
+def test_integer_parameters_follow_the_one_rule(entry):
+    # an integer parameter passes with the value operator.index gives it, and
+    # anything operator.index refuses raises ValueError from core.as_int
+    call, example = INTEGER_ENTRIES[entry]
+    for v in (2, np.int64(2), np.uint8(1), True):
+        assert call(v) == call(operator.index(v)), v
+    for v in (example, 2.0, np.float64(2.0), "2", Fraction(2)):
+        with pytest.raises(ValueError) as exc:
+            call(v)
+        assert exc.traceback[-1].name == "as_int", (v, exc.value)
 
 
 @pytest.mark.parametrize("dims, block", [

@@ -161,29 +161,33 @@ PHASED_FAMILY = {
 }
 
 
-@pytest.mark.parametrize("dims, m, message", [
-    (None, (1, 2), "need 3 exponents (2 shift exponents, 1 phase power), got 2"),
-    (None, (1, 2, 1), "m must be strictly increasing, got (1, 2, 1)"),
-    *((None, m, f"exponents must be >= 1 and at most 64, got {m}")
+@pytest.mark.parametrize("dims, table, m, message", [
+    (None, None, (1, 2),
+     "need 3 exponents (2 shift exponents, 1 phase power), got 2"),
+    (None, None, (1, 2, 1), "m must be strictly increasing, got (1, 2, 1)"),
+    *((None, None, m, f"exponents must be >= 1 and at most 64, got {m}")
       for m in ((1, 2, 0), (1, 2, -1), (1, 2, 65), (1, 2, 10**7),
                 (0, 1, 2), (1, 10**7, 10**7 + 1))),
-    ([(3, 4), (4, 4), (2, 8)], (1, 2, 3),
+    ([(3, 4), (4, 4), (2, 8)], None, (1, 2, 3),
      "f_0 axis 1 has extent 3; expected 2 or 4"),
-    ([(2, 4), (2, 3), (2, 8)], (1, 2, 3),
+    ([(2, 4), (2, 3), (2, 8)], None, (1, 2, 3),
      "f_1 axis 2 has extent 3; expected 4 or 8"),
-    ([(2, 4, 1)] * 3, (1, 2, 3), "f_0 has dimension 3, expected 2"),
-    ([(2, 4), (4, 4), (2, 8, 2)], (1, 2, 3), "f_2 has dimension 3, expected 2"),
+    ([(2, 4, 1)] * 3, None, (1, 2, 3), "f_0 has dimension 3, expected 2"),
+    ([(2, 4), (4, 4), (2, 8, 2)], None, (1, 2, 3),
+     "f_2 has dimension 3, expected 2"),
+    (None, (2, 4, 1), (1, 2, 3), "alpha_1 has box 2x4x1, expected 2x4"),
 ], ids=["short", "non-increasing", "zero", "negative", "65", "huge",
         "zero-shift", "huge-shift", "extent-3", "extent-3-axis-2", "3-D",
-        "one-3-D"])
-def test_phased_family_refuses_alike(rng, dims, m, message):
+        "one-3-D", "3-D-table"])
+def test_phased_family_refuses_alike(rng, dims, table, m, message):
     # on the 2 x 4 base box of N = 2 with one table: the oracle raised
     # IndexError on a short m and returned values for (1, 2, 1) and a grid of
     # extent 3; dual_function returned values for (1, 2, -1), (1, 2, 0) and
-    # extent 3, and failed in read_window on 3-D grids
+    # extent 3, and failed in read_window on 3-D grids; on a 2 x 4 x 1 table
+    # lambda_phased failed in read_window and the oracle returned 0j
     dims = dims or [(2, 4), (4, 4), (2, 8)]
     fs = [random_grid(rng, d) for d in dims]
-    al = random_table(rng, (2, 4))
+    al = random_table(rng, table or (2, 4))
     for name, member in PHASED_FAMILY.items():
         with pytest.raises(ValueError) as exc:
             member(fs, [al], m, 2)

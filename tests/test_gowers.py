@@ -53,6 +53,11 @@ def test_inner_matches_direct_expansion():
 def test_order_cap_and_negativity_guard():
     with pytest.raises(ValueError):
         gowers.gowers_norm(Line(1, np.ones(4)), 5)
+    # a float order recursed until RecursionError
+    for s in (2.5, 2.0, "2"):
+        for order in (gowers.gowers_inner, gowers.gowers_norm):
+            with pytest.raises(ValueError, match="order s must be an integer"):
+                order(Line(1, np.ones(4)), s)
     assert gowers.gowers_norm(Line(1, np.zeros(3)), 2) == 0.0
 
 
