@@ -14,7 +14,8 @@ e(P(r)) from ``core.polynomial_phases``, exact at any exponent.
 stdout carries exactly one JSON document (CSV for ``bench``); diagnostics go
 to stderr.  JSON outputs conform to the schema shipped at
 ``hofa/schemas/cli.schema.json``.  Exit codes: 0 ok, 1 property failure,
-2 usage or malformed input, 3 precondition or invariant violation.
+2 usage or malformed input, 3 precondition or invariant violation, or no
+C compiler (``cc``) to build the counting kernel on first use.
 All randomness is Philox-keyed by ``--seed``, an integer in [0, 2^64)
 (one key word; any other value exits 2).  Every command runs on one
 thread.  ``popdiff`` still accepts ``--threads``, an integer in [1, 64] (any
@@ -45,6 +46,7 @@ from . import counting
 from .core import (BoxSpec, ConfigSpec, DecompositionError, PhaseTable,
                    SetIndicator, TorusPhase, _check_exponents,
                    polynomial_phases)
+from .kernels import BuildError
 from .rng import make_rng, random_mask
 from .setfile import SetFileError, read_set, write_set
 
@@ -431,6 +433,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ValueError, OverflowError, DecompositionError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except BuildError as exc:
+        print(f"cannot build the counting kernel: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

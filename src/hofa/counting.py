@@ -75,7 +75,7 @@ from .core import (ConfigSpec, GridFunction, PhaseTable, SetIndicator,
 Weight = GridFunction | SetIndicator
 
 # cells per block of a product in ``_product_sum``: 128 KiB of float64, and
-# 256 KiB of complex128, one block of the packed kernel (BLOCK_WORDS words)
+# 256 KiB of complex128, so a block's operands stay in a core's L2 cache
 LAMBDA_BLOCK_CELLS = 1 << 14
 
 

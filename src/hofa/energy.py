@@ -338,6 +338,8 @@ class IncrementParams:
     gamma: float | None = None  # default delta / (16 n)
 
     def __post_init__(self):
+        self.Qmax = as_int(self.Qmax,
+                           "IncrementParams.Qmax must be an integer")
         if self.Qmax < 1:
             raise ValueError(f"IncrementParams.Qmax must be >= 1, got {self.Qmax}")
         if not self.tau > 0:

@@ -49,6 +49,7 @@ def weyl_sum(alphas: Sequence[TorusPhase], N: int) -> complex:
     reduced mod 1 with integer arithmetic and rounded once; the terms are
     summed in order of n, and the result modulus never exceeds 1.
     """
+    N = as_int(N, "weyl_sum needs an integer N")
     if N < 1:
         raise ValueError("N must be >= 1")
     total = 0j
@@ -69,6 +70,7 @@ def rational_approx_search(alphas: Sequence[TorusPhase], N: int,
 
     Deterministic; the caller judges the residuals against its own budget.
     """
+    Qmax = as_int(Qmax, "Qmax must be an integer")
     if Qmax < 1:
         raise ValueError("Qmax must be >= 1")
     best = None
@@ -99,6 +101,7 @@ def dual_function(fs: Sequence[GridFunction], alphas: Sequence[PhaseTable],
     """
     spec, powers = phased_spec(fs, alphas, m, N)
     n, shifts = spec.n, spec.m
+    i = as_int(i, "the slot index i must be an integer")
     if not 1 <= i <= n:
         raise ValueError(f"slot index {i} out of range 1..{n}")
     ax = i - 1

@@ -291,6 +291,7 @@ def u2_inverse(f: Line) -> tuple[TorusPhase, float]:
 
 def fejer_weights(H: int) -> tuple[np.ndarray, np.ndarray]:
     """Offsets -(H-1)..(H-1) and their kernel weights as floats."""
+    H = as_int(H, "the Fejer width H must be an integer")
     offs = np.arange(-(H - 1), H)
     w = (H - np.abs(offs)) / float(H * H)
     return offs, w
@@ -393,6 +394,7 @@ def interchange_verify_2d(family: Sequence[GridFunction], q: int, L: int,
     |avg over x and family members of the differenced members| is positive,
     with its empirical delta-exponent logged.
     """
+    s = as_int(s, "order s must be an integer")
     dims = family[0].box.dims
     if any(f.box.dims != dims for f in family):
         raise ValueError("family members must share one box")
@@ -439,6 +441,7 @@ def same_coord_verify(f: GridFunction, q: int, L: int, s: int,
     kappa delta^3 N2^(s+2) with kappa = SAME_COORD_KAPPA; the measured ratio
     is logged.
     """
+    s = as_int(s, "order s must be an integer")
     N1, N2 = f.box.dims
     if N2 < delta**-3 - 1e-9:
         raise ValueError("need N2 >= delta^-3")

@@ -13,29 +13,23 @@ read in one call.
 words.  It is the primary storage of ``core.SetIndicator``: ``setfile``
 reads a binary set file straight into it (``word_bytes`` and
 ``from_word_bytes``), a band of rows at a time when the counts ask for
-bands (``band_rows``: about ``BAND_WORDS`` words, a whole number of the
-counting loop's blocks), ``pack_mask`` packs a boolean mask and
-``unpack_mask`` rebuilds the mask for the callers that need cells.
+bands (``band_rows``: about ``BAND_WORDS`` words), ``pack_mask`` packs a
+boolean mask and ``unpack_mask`` rebuilds the mask for the callers that
+need cells.
 
 Two counting implementations are kept side by side:
 
 * ``pattern_count_fast`` - the packed-word kernel.  It takes ``PackedMask``s
   only, so a set is packed once for all its differences.  A shift along any
   axis but the last is a row offset of the words, a shift along the last
-  axis is a word offset plus a bit shift, and the count is
-  ``np.bitwise_count`` of the AND of the shifted words.  The ufunc calls run
-  on contiguous 1-D runs of words that cover whole rows of a block along
-  axis 0, read at each slot's flat offset in slot 0's word layout; the words
-  the runs take past the window (from word k on in every row, rows cropped
-  on the middle axes, bits past the width) are zeroed before the popcount.
-  numpy runs the strided views of cropped rows 2-3.5x slower per word than
-  contiguous runs (a 63x500-word AND of two cropped views: 30-33 us; the
-  same words as contiguous runs: 9-11 us), so the runs win while the window
-  holds most of each row: on 2048x32768 they took 0.74-0.9x the time of the
-  views for windows of 75-97% of the words, and 1.1x at 63-69%, 1.5-1.8x at
-  31-48%, 3.5x at 17%.  When the window holds less than 3/4 of the words, or
-  a slot's rows have another layout (a doubled middle or last axis), the
-  calls run on the cropped views instead;
+  axis is a word offset plus a bit shift, and the count is the popcount of
+  the AND of the shifted words.  One C loop (``_kernel.c``) walks the rows
+  of the window: per row it ANDs the n + 1 slots' words, reads the last
+  slot across word pairs at its bit shift, clears the bits past the window
+  and sums ``__builtin_popcountll``.  It is compiled on first use with
+  ``cc -O3 -march=native`` into a per-user cache (``_load_kernel``), loaded
+  with ``ctypes``, and allocates nothing; without a C compiler a count
+  raises ``BuildError``;
 * ``pattern_count_pointwise`` - a member-driven bounds-checked membership
   loop on boolean masks, kept as the independent oracle.
 
@@ -46,8 +40,10 @@ they agree exactly before reporting.
 from __future__ import annotations
 
 import math
-import operator
+import os
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -55,9 +51,7 @@ import numpy as np
 from . import core  # for ``as_int``; ``core`` imports this module first
 
 WORD_BITS = 64
-# words per block of the counting loop (its buffers take about 0.5 MiB)
-BLOCK_WORDS = 1 << 15
-# words per band of a banded count or read (1 MiB), a whole number of blocks
+# words per band of a banded count or read (1 MiB)
 BAND_WORDS = 1 << 17
 
 
@@ -111,14 +105,12 @@ def pack_mask(mask: np.ndarray) -> PackedMask:
 
 def band_rows(shape: Sequence[int], min_rows: int = 1) -> int:
     """Rows along axis 0 in one band of a packed mask of logical ``shape``:
-    a whole number of the counting loop's blocks, with about BAND_WORDS
-    words in all (at least one block, and at least ``min_rows`` rows).  A
-    1-D mask is one band."""
+    about BAND_WORDS words in all, and at least one row and ``min_rows``
+    rows.  A 1-D mask is one band."""
     if len(shape) == 1:
         return shape[0]
     slab = math.prod(shape[1:-1]) * (-(-shape[-1] // WORD_BITS) + 1)
-    block = max(1, BLOCK_WORDS // slab)
-    return block * max(1, BAND_WORDS // slab // block, -(-min_rows // block))
+    return max(1, BAND_WORDS // slab, min_rows)
 
 
 def unpack_mask(packed: PackedMask) -> np.ndarray:
@@ -186,6 +178,110 @@ def pattern_count_pointwise(masks: Sequence[np.ndarray],
     return int(ok.sum())
 
 
+class BuildError(RuntimeError):
+    """The compiled kernel could not be built: no C compiler, or it failed."""
+
+
+KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+COMPILE = ("cc", "-O3", "-march=native", "-shared", "-fPIC")
+_kernel_fn = None  # the loaded ``hofa_pattern_count``, built on first use
+_load_lock = threading.Lock()
+_scratch = threading.local()  # per thread: the kernel's argument buffer
+
+
+def _cpu_flags() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
+            for line in fh:
+                if line.startswith("flags"):
+                    return line
+    except OSError:
+        pass
+    import platform
+    return platform.processor()
+
+
+def _build(directory: Path, name: str) -> Path:
+    """Compile the kernel into ``directory / name`` through a temporary
+    name; OSError when the directory cannot be written."""
+    import subprocess
+    import tempfile
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", dir=directory)
+    os.close(fd)
+    try:
+        try:
+            proc = subprocess.run([*COMPILE, "-o", tmp, str(KERNEL_SOURCE)],
+                                  capture_output=True, text=True)
+        except OSError as exc:
+            raise BuildError(f"`cc` could not be run ({exc}); the kernel is "
+                             f"compiled with a C compiler on first use"
+                             ) from None
+        if proc.returncode:
+            raise BuildError(f"`cc` could not compile {KERNEL_SOURCE}:\n"
+                             f"{proc.stderr.strip()}")
+        os.replace(tmp, directory / name)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return directory / name
+
+
+def _load_kernel():
+    """Build the kernel if its library is not cached yet, and load it.
+
+    The library lives in ``$XDG_CACHE_HOME/hofa`` (else ``~/.cache/hofa``),
+    named by the sha256 of the source, the compile command and the CPU's
+    flags; where that directory cannot be written, it is built into a
+    temporary directory, removed once the library is loaded."""
+    import hashlib
+    import tempfile
+    key = hashlib.sha256(b"\0".join([
+        KERNEL_SOURCE.read_bytes(), " ".join(COMPILE).encode(),
+        _cpu_flags().encode()])).hexdigest()
+    name = f"_kernel-{key[:32]}.so"
+    cache = Path(os.environ.get("XDG_CACHE_HOME")
+                 or Path.home() / ".cache") / "hofa"
+    lib = cache / name
+    if not lib.exists():
+        try:
+            cache.mkdir(parents=True, exist_ok=True)
+            _build(cache, name)
+        except OSError:
+            with tempfile.TemporaryDirectory(prefix="hofa-") as tmp:
+                return _open(_build(Path(tmp), name))
+    return _open(lib)
+
+
+def _open(lib: Path):
+    """The kernel's function in the library ``lib``, declared for ctypes
+    (a loaded library stays mapped when its file is removed)."""
+    import ctypes
+    fn = ctypes.CDLL(str(lib)).hofa_pattern_count
+    fn.argtypes = (ctypes.c_int, ctypes.c_int, ctypes.POINTER(ctypes.c_int64),
+                   ctypes.c_int64, ctypes.c_int, ctypes.c_uint64)
+    fn.restype = ctypes.c_uint64
+    return fn
+
+
+def _kernel():
+    global _kernel_fn
+    if _kernel_fn is None:
+        with _load_lock:
+            if _kernel_fn is None:
+                _kernel_fn = _load_kernel()
+    return _kernel_fn
+
+
+def _kernel_args(size: int):
+    """This thread's int64 argument buffer of at least ``size`` entries,
+    kept between calls."""
+    buf = getattr(_scratch, "args", None)
+    if buf is None or len(buf) < size:
+        import ctypes
+        buf = _scratch.args = (ctypes.c_int64 * max(size, 64))()
+    return buf
+
+
 def _count_packed(packed: Sequence[PackedMask], base_dims: tuple[int, ...],
                   shifts: tuple[int, ...]) -> int:
     lims = _axis_limits(packed, base_dims, shifts)
@@ -194,84 +290,23 @@ def _count_packed(packed: Sequence[PackedMask], base_dims: tuple[int, ...],
     n = len(base_dims)
     k = -(-lims[-1] // WORD_BITS)  # words of a row that hold base points
     q, s = divmod(shifts[-1], WORD_BITS)
-    # Rows of words under the leading axes (a 1-D mask is one row under a
-    # leading axis of extent 1); ``lead`` is the window's leading extents.
-    # Slot j < n starts at origins[j] on them, the last slot at word q, and
-    # its operand has one more word a row for the bit shift.
-    words = [p.words if n > 1 else p.words[None] for p in packed]
-    lead = lims[:-1] if n > 1 else [1]
-    origins = [[0] * len(lead) for _ in range(n + 1)]
-    for a in range(n - 1):
-        origins[a + 1][a] = shifts[a]
-    # The ufunc calls run on flat runs of the words, each covering whole rows
-    # of a block of slabs along axis 0, when every slot has slot 0's row
-    # layout and the window holds at least 3/4 of its words: the words past
-    # the window ride along and are zeroed before the popcount.  Otherwise
-    # they run on the cropped views of the window, and the accumulator has
-    # the window's layout.  See the module docstring for the measurements.
-    layout = words[0].shape[1:]
-    window = (*lead[1:], k)
-    runs = (4 * math.prod(window) >= 3 * math.prod(layout)
-            and all([w.shape[1:] == layout for w in words]))
-    if runs:
-        strides = [math.prod(layout[a:]) for a in range(len(lead))]
-        slab = strides[0]
-        # a run of h slabs ends at the last word that holds a base point, so
-        # no run reads past a slot's words
-        run_tail = sum((v - 1) * st for v, st in zip(lead[1:], strides[1:])) + k
-        srcs = [w.reshape(-1)[sum(map(operator.mul, org, strides)):]
-                for w, org in zip(words, origins)]
-        srcs[n] = srcs[n][q:]
-    else:
-        layout = window
-        slab = run_tail = math.prod(window)
-        srcs = [w[tuple(slice(o, o + v) for o, v in zip(org, lead))
-                  + (slice(0, k),)] for w, org in zip(words[:n], origins)]
-        srcs.append(words[n][tuple(slice(0, v) for v in lead)
-                             + (slice(q, q + k + 1),)])
-    # Blocks of about BLOCK_WORDS words keep the buffers in a core's L2 cache
-    # between the passes over a block.
-    step = min(max(1, BLOCK_WORDS // slab), lead[0])
-    acc = np.empty((step,) + layout, dtype=np.uint64)
-    flat_acc = acc.reshape(-1)
-    spill = np.empty_like(acc)
-    popcounts = np.empty(acc.size, dtype=np.uint8)
-    sum_dtype = np.uint32 if acc.size * WORD_BITS < 1 << 32 else np.uint64
-    tail = lims[-1] - WORD_BITS * (k - 1)
-    tail_mask = np.uint64((1 << tail) - 1)
-    total = 0
-    for b0 in range(0, lead[0], step):
-        h = min(step, lead[0] - b0)
-        run = (h - 1) * slab + run_tail
-        if runs:
-            o = b0 * slab
-            ops = [src[o:o + run] for src in srcs[:n]]
-            last = srcs[n][o:o + run + 1]
-            dst, t = flat_acc[:run], spill.reshape(-1)[:run]
-        else:
-            ops = [src[b0:b0 + h] for src in srcs[:n]]
-            last = srcs[n][b0:b0 + h]
-            dst, t = acc[:h], spill[:h]
-        if s:
-            np.right_shift(last[..., :-1], np.uint64(s), out=dst)
-            np.left_shift(last[..., 1:], np.uint64(WORD_BITS - s), out=t)
-            dst |= t
-        else:
-            np.bitwise_and(last[..., :-1], ops.pop(0), out=dst)
-        for op in ops:
-            dst &= op
-        blk = acc[:h]
-        if runs:
-            # zero the words past the window: from word k on in every row
-            # and the rows past the window on the middle axes
-            blk[..., k:] = 0
-            for ax in range(1, len(lead)):
-                blk[(slice(None),) * ax + (slice(lead[ax], None),)] = 0
-        if tail < WORD_BITS:
-            blk[..., k - 1] &= tail_mask  # the bits past the width
-        total += int(np.bitwise_count(flat_acc[:run], out=popcounts[:run])
-                     .sum(dtype=sum_dtype))
-    return total
+    words = [np.ascontiguousarray(p.words, dtype=np.uint64) for p in packed]
+    # The rows of the window run over its nlead leading axes (none for a 1-D
+    # mask).  Slot j + 1 < n starts shifts[j] rows down axis j, the last
+    # slot q words into its rows (byte offsets of the first row).
+    nlead = n - 1
+    starts = ([0] + [shifts[j] * words[j + 1].strides[j] for j in range(nlead)]
+              + [8 * q])
+    # addresses, the window's leading extents, then strides in words
+    args = _kernel_args((n + 1) * (nlead + 1) + nlead)
+    for j, (w, start) in enumerate(zip(words, starts)):
+        args[j] = w.ctypes.data + start
+        for a in range(nlead):
+            args[n + 1 + nlead + j * nlead + a] = w.strides[a] // 8
+    for a in range(nlead):
+        args[n + 1 + a] = lims[a]
+    tail = lims[-1] - WORD_BITS * (k - 1)  # bits of the last word counted
+    return _kernel()(n + 1, nlead, args, k, s, (1 << tail) - 1)
 
 
 def pattern_count_fast(masks: Sequence[PackedMask], base_dims: Sequence[int],
@@ -289,4 +324,9 @@ def pattern_count_fast(masks: Sequence[PackedMask], base_dims: Sequence[int],
         raise ValueError("need at least one axis")
     if any(len(p.shape) != len(base_dims) for p in masks):
         raise ValueError(f"every mask needs {len(base_dims)} axes")
+    # the kernel reads the words unchecked, so they must be what the
+    # logical shape promises
+    if any(p.words.shape != p.shape[:-1] + (-(-p.shape[-1] // WORD_BITS) + 1,)
+           for p in masks):
+        raise ValueError("a packed mask's words do not match its shape")
     return _count_packed(masks, base_dims, shifts)

@@ -22,12 +22,11 @@ from hofa.setfile import read_set, write_set
 @contextlib.contextmanager
 def _bands_of(rows, inds):
     """Count in bands of ``rows`` base rows, also shorter than the halo:
-    one-word blocks, BAND_WORDS of ``rows`` rows of the widest set and no
-    lower bound by the halo."""
+    BAND_WORDS of ``rows`` rows of the widest set and no lower bound by the
+    halo."""
     slab = max(math.prod(A.box.dims[1:-1]) * (-(-A.box.dims[-1] // 64) + 1)
                for A in inds)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "BLOCK_WORDS", 1)
         mp.setattr(kernels, "BAND_WORDS", rows * slab)
         mp.setattr(counting, "BAND_HALOS", 0)
         yield
@@ -116,7 +115,6 @@ def test_payload_rows_equal_mask_rows(tmp_path, rng, monkeypatch, dims):
             assert np.array_equal(A.mask_rows(a, b), mask[a:b])
     assert A._packed is None and A._mask is None  # nothing was cached
     # the member count streams the payload a band at a time
-    monkeypatch.setattr(kernels, "BLOCK_WORDS", 1)
     monkeypatch.setattr(kernels, "BAND_WORDS", 1)
     assert kernels.band_rows(dims) == 1
     assert A.count == int(mask.sum())
@@ -153,7 +151,6 @@ def test_band_is_four_halos_tall(tmp_path, monkeypatch, m, M, reads, calls):
     path = tmp_path / "a.boxb"
     write_set(SetIndicator(BoxSpec(mask.shape), mask), path, binary=True)
     A = read_set(path)
-    monkeypatch.setattr(kernels, "BLOCK_WORDS", 1)
     monkeypatch.setattr(kernels, "BAND_WORDS", 2 * 3)  # 3 words a row
     assert kernels.band_rows(mask.shape) == 2
     seen, kernel_calls = [], []
@@ -188,7 +185,6 @@ def test_count_power_box_doubled_axis_in_one_row_bands(tmp_path, capsys,
     argv = ["count", "--set", str(path), "--m", "1,2", "--N", "8", "--oracle"]
     assert cli.main(argv) == 0
     whole = json.loads(capsys.readouterr().out)
-    monkeypatch.setattr(kernels, "BLOCK_WORDS", 1)
     monkeypatch.setattr(kernels, "BAND_WORDS", 1)
     assert kernels.band_rows(dims) == 1
     assert cli.main(argv) == 0
@@ -247,8 +243,8 @@ def test_set_file_removed_after_read_exit2(tmp_path, capsys, monkeypatch):
 
 def test_popdiff_peak_is_a_band_not_the_words(tmp_path, capsys):
     # 1024x32768 cells hold 4.1 MiB of words; popdiff holds one band of
-    # them (1 MiB and a halo of 16 rows), the read buffer and the kernel's
-    # block buffers, where reading the whole set held every word
+    # them (1 MiB and a halo of 16 rows) and the read buffer, where reading
+    # the whole set held every word; the kernel allocates nothing
     dims = (1024, 32768)
     path = tmp_path / "big.boxb"
     with open(path, "wb") as fh:
@@ -266,10 +262,9 @@ def test_popdiff_peak_is_a_band_not_the_words(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     # a band is 1 MiB of words (kernels.BAND_WORDS) and a halo of r^1 <= 16
-    # rows; the kernel holds two blocks of words, the read one block of bits
+    # rows; the read holds one block of bits
     band = (1 << 20) + 16 * row
-    buffers = 2 * kernels.BLOCK_WORDS * 8 + setfile.READ_BLOCK_CELLS // 8
-    assert peak <= band + buffers + (1 << 19)
+    assert peak <= band + setfile.READ_BLOCK_CELLS // 8 + (1 << 19)
     assert kernels.band_rows(dims) * row <= 1 << 20
     assert json.loads(capsys.readouterr().out)["count"] > 0
 

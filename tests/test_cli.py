@@ -3,11 +3,13 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -931,6 +933,54 @@ def test_cli_imports_only_the_layers_a_command_runs(tmp_path):
     assert sorted(m for m in doc["after"] if m.startswith("hofa")) == [
         "hofa", "hofa.cli", "hofa.core", "hofa.counting", "hofa.kernels",
         "hofa.rng", "hofa.setfile"]
+
+
+def test_kernel_is_built_once_into_the_cache(tmp_path):
+    # the compiled kernel is built on first use into $XDG_CACHE_HOME/hofa,
+    # reused from there, and nothing is written under src/; with no
+    # compiler on PATH and nothing cached, popdiff exits 3 naming `cc`
+    src = Path(cli.__file__).resolve().parents[1]
+
+    def tree():
+        return sorted((str(p), p.stat().st_mtime_ns) for p in src.rglob("*")
+                      if "__pycache__" not in p.parts)
+
+    before = tree()
+    out = tmp_path / "r.box"
+    run_cli("gen", "random", "--box", "4,130", "--p", "0.7", "--seed", "1",
+            "--out", str(out))
+    (tmp_path / "bin").mkdir()
+    cache = tmp_path / "cache"
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache))
+    no_cc = dict(env, PATH=str(tmp_path / "bin"))
+
+    def popdiff(env):
+        return subprocess.run(
+            [sys.executable, "-m", "hofa", "popdiff", "--set", str(out),
+             "--m", "1,2", "--M", "3"], capture_output=True, text=True,
+            env=env, timeout=120)
+
+    proc = popdiff(no_cc)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "`cc`" in proc.stderr and "Traceback" not in proc.stderr
+    assert not any((cache / "hofa").iterdir())
+    built = popdiff(env)
+    assert built.returncode == 0, built.stderr
+    libs = list((cache / "hofa").iterdir())
+    assert len(libs) == 1 and libs[0].suffix == ".so"
+    stat = libs[0].stat()
+    # no compiler is needed once the library is cached
+    again = popdiff(no_cc)
+    assert again.returncode == 0 and again.stdout == built.stdout
+    assert list((cache / "hofa").iterdir()) == libs
+    assert (libs[0].stat().st_ino, libs[0].stat().st_mtime_ns) == (
+        stat.st_ino, stat.st_mtime_ns)
+    # where the cache cannot be written, the kernel is built for the run
+    blocked = tmp_path / "not-a-directory"
+    blocked.write_text("")
+    private = popdiff(dict(env, XDG_CACHE_HOME=str(blocked)))
+    assert private.returncode == 0 and private.stdout == built.stdout
+    assert tree() == before
 
 
 def test_popdiff_default_M_is_integer_root(tmp_path):

@@ -156,6 +156,8 @@ GRID = np.arange(12.0).reshape(3, 4)
 UNIT = GridFunction(BoxSpec((4, 4)), np.linspace(0, 1, 16).reshape(4, 4))
 LINE = SetIndicator(BoxSpec((40,)), np.arange(40) % 3 == 0)
 PACKED = kernels.pack_mask(np.arange(16).reshape(4, 4) % 3 == 0)
+UNIT_2x4 = GridFunction(BoxSpec((2, 4)), np.linspace(0, 1, 8).reshape(2, 4))
+THIRD = [TorusPhase(Fraction(1, 3))]
 # one integer parameter of each public entry, read at v, and a non-integer
 # that the entry truncated or failed on before the rule (gowers_inner
 # recursed until RecursionError, APPartition failed later in Atoms)
@@ -204,6 +206,17 @@ INTEGER_ENTRIES = {
         lambda h: Fraction(h[0] * h[1], 7), (v, 3), (5, 4)), 1.5),
     "APPartition q": (lambda v: APPartition(v, 2), 1.5),
     "APPartition L": (lambda v: APPartition(2, v), 1.5),
+    "fejer_weights H": (
+        lambda v: [a.tolist() for a in gowers.fejer_weights(v)], 2.5),
+    "interchange_verify_2d order": (lambda v: gowers.interchange_verify_2d(
+        [UNIT], 1, 4, v, 0.5), 1.5),
+    "IncrementParams Qmax": (lambda v: energy.IncrementParams(Qmax=v).Qmax,
+                             2.5),
+    "weyl_sum N": (lambda v: expsum.weyl_sum(THIRD, v), 2.5),
+    "rational_approx_search Qmax": (
+        lambda v: expsum.rational_approx_search(THIRD, 4, v), 2.5),
+    "dual_function slot": (lambda v: expsum.dual_function(
+        [UNIT_2x4] * 3, [], (1, 2), 2, v).values.tolist(), 1.5),
     "make_rng seed": (lambda v: make_rng(v).integers(0, 1 << 62, 3).tolist(),
                       1.7),
     "make_rng stream": (

@@ -1,10 +1,9 @@
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import random_grid, random_set, random_table
-from hypothesis import event, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hofa import counting, kernels
@@ -186,9 +185,13 @@ def _random_pattern_case(rng):
     return masks, base, tuple(shifts)
 
 
-@pytest.mark.parametrize("block_words", [kernels.BLOCK_WORDS, 3])
-def test_packed_count_matches_pointwise(rng, monkeypatch, block_words):
-    monkeypatch.setattr(kernels, "BLOCK_WORDS", block_words)
+# two independent random streams, named by their seeds
+PACKED_SEEDS = [32768, 3]
+
+
+@pytest.mark.parametrize("seed", PACKED_SEEDS)
+def test_packed_count_matches_pointwise(seed):
+    rng = make_rng(seed)
     for _ in range(300):
         masks, base, shifts = _random_pattern_case(rng)
         ref = kernels.pattern_count_pointwise(masks, base, shifts)
@@ -218,15 +221,14 @@ def _assert_packed_count(masks, base, shifts):
     assert kernels.pattern_count_fast(packed, base, shifts) == ref, (base, shifts)
 
 
-@pytest.mark.parametrize("block_words", [kernels.BLOCK_WORDS, 3])
-def test_packed_count_run_edges(rng, monkeypatch, block_words):
-    # the kernel's word runs (windows of at least 3/4 of the words) and its
-    # cropped views at the ends of the arrays and of the window
-    monkeypatch.setattr(kernels, "BLOCK_WORDS", block_words)
+@pytest.mark.parametrize("seed", PACKED_SEEDS)
+def test_packed_count_run_edges(seed):
+    # the kernel's row runs of k words at the ends of the arrays
+    rng = make_rng(seed)
     # the last slot's words q .. q + k, the last of them the spare word,
     # read in the final row: slot 1 doubled along axis 0 keeps every row of
-    # slot 0 in the window; with q = words per row - 2 (k = 1, views) and
-    # with q + k = words per row - 1 for a window of most of each row (runs)
+    # slot 0 in the window; with q = words per row - 2 (k = 1) and with
+    # q + k = words per row - 1 (a window of most of each row)
     N0 = 7
     for width, lasts in ((130, (128, 129)), (1920, (64, 65))):
         wpr = kernels.pack_mask(np.zeros((1, width), bool)).words.shape[-1]
@@ -251,7 +253,7 @@ def test_packed_count_run_edges(rng, monkeypatch, block_words):
                 _assert_packed_count([a0, a1], (width,), (d,))
     # n = 3, the window cropped on the middle axis by the base box or by the
     # slot 2 shift; slot 2 as is or doubled along its axis (another row
-    # layout, so views)
+    # layout)
     for dims in ((4, 6, 70), (4, 8, 960)):
         for doubled in (False, True):
             masks = [rng.random(dims) < 0.7 for _ in range(4)]
@@ -270,8 +272,44 @@ def test_packed_count_run_edges(rng, monkeypatch, block_words):
                                  (9, 300), (d0, last))
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), width=st.integers(1, 130),
+       lead=st.lists(st.integers(1, 5), min_size=2, max_size=2),
+       crop=st.lists(st.integers(0, 70), min_size=3, max_size=3),
+       steps=st.lists(st.integers(0, 3), min_size=2, max_size=2),
+       last=st.integers(0, 140),
+       doubled=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 2)),
+       p=st.sampled_from([0.5, 0.9, 1.0]), seed=st.integers(0, 2**32 - 1))
+@example(n=2, width=130, lead=[3, 1], crop=[0, 0, 0], steps=[1, 0], last=128,
+         doubled=(1, 0), p=1.0, seed=0)  # the spare word, in the last row
+@example(n=2, width=128, lead=[2, 1], crop=[0, 0, 0], steps=[0, 0], last=64,
+         doubled=None, p=1.0, seed=0)  # whole words and no bit shift
+@example(n=3, width=65, lead=[3, 3], crop=[0, 0, 0], steps=[1, 1], last=63,
+         doubled=(3, 2), p=0.9, seed=1)  # 2 x 2 rows, the last slot's longer
+def test_fast_count_equals_pointwise_on_tiny_boxes(n, width, lead, crop,
+                                                   steps, last, doubled, p,
+                                                   seed):
+    # the compiled kernel and the pointwise oracle agree exactly: row tails,
+    # whole words and the spare word; a different set in every slot, at most
+    # one slot doubled along one axis (``doubled`` = (slot, axis), each taken
+    # mod its range), so the slots' strides differ, and a base box cropped
+    # by ``crop`` (mod each extent) inside the sets
+    dims = tuple(lead[:n - 1]) + (width,)
+    base = tuple(d - c % d for d, c in zip(dims, crop[-n:]))
+    slot, axis = (-1, -1) if doubled is None else (doubled[0] % (n + 1),
+                                                   doubled[1] % n)
+    rng = make_rng(seed)
+    masks = [rng.random(tuple(2 * d if (j, a) == (slot, axis) else d
+                              for a, d in enumerate(dims))) < p
+             for j in range(n + 1)]
+    shifts = tuple(steps[:n - 1]) + (last,)
+    assert kernels.pattern_count_fast([kernels.pack_mask(m) for m in masks],
+                                      base, shifts) == \
+        kernels.pattern_count_pointwise(masks, base, shifts)
+
+
 def test_popular_difference_memory_is_bounded_by_words(rng):
-    # the kernel's buffers are about 0.5 MiB whatever the grid; a temporary
+    # the kernel allocates nothing, whatever the grid; a temporary
     # of the grid's size (a byte per cell is 8 MiB here) would break this
     import tracemalloc
     A = SetIndicator(BoxSpec((512, 16384)),
@@ -366,20 +404,6 @@ def test_popular_count_shift_past_grid_counts_zero():
                 count(A, m, r)
 
 
-def _kernel_path(packed, base, shifts) -> str:
-    """Which ufunc layout ``kernels._count_packed`` runs for one count:
-    "runs" (flat word runs) or "views" (cropped views); reported as a
-    Hypothesis event, so ``--hypothesis-show-statistics`` shows how often
-    the strategy reaches each."""
-    lims = kernels._axis_limits(packed, base, shifts)
-    words = [p.words if len(base) > 1 else p.words[None] for p in packed]
-    layout = words[0].shape[1:]
-    window = (*lims[1:-1], -(-lims[-1] // kernels.WORD_BITS))
-    runs = (4 * math.prod(window) >= 3 * math.prod(layout)
-            and all(w.shape[1:] == layout for w in words))
-    return "runs" if runs else "views"
-
-
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 3), q=st.integers(1, 3), M=st.integers(1, 16),
        width=st.sampled_from([63, 64, 65, 127, 128, 129, 1023, 1024, 1025]),
@@ -389,20 +413,19 @@ def _kernel_path(packed, base, shifts) -> str:
        p=st.sampled_from([0.3, 0.7, 0.95, 1.0]),
        seed=st.integers(0, 2**32 - 1))
 @example(n=2, q=1, M=3, width=1024, lead=[8, 2], m=[1, 2, 1], doubled=None,
-         p=0.95, seed=0)  # every r on the word runs
+         p=0.95, seed=0)  # windows of most of each row
 @example(n=2, q=1, M=13, width=1025, lead=[16, 2], m=[1, 2, 1],
-         doubled=(0, 0), p=1.0, seed=0)  # runs read words past the window
+         doubled=(0, 0), p=1.0, seed=0)  # slot 0 doubled along axis 0
 @example(n=3, q=2, M=4, width=129, lead=[5, 6], m=[1, 1, 2], doubled=(3, 2),
-         p=0.7, seed=1)  # the last slot doubled along its axis: views
+         p=0.7, seed=1)  # the last slot doubled along its axis
 @example(n=2, q=1, M=5, width=127, lead=[6, 2], m=[1, 1, 1], doubled=(0, 1),
          p=1.0, seed=2)  # slot 0 doubled along the last axis: a cropped window
 def test_indicator_counts_equal_pointwise_oracle(n, q, M, width, lead, m,
                                                  doubled, p, seed):
     # the packed histogram and its pointwise oracle agree exactly: widths
-    # around multiples of 64, windows on the kernel's word runs (most of each
-    # row, every slot in slot 0's layout) and on its cropped views, and at
-    # most one slot doubled along one axis (``doubled`` = (slot, axis), each
-    # taken mod its range)
+    # around multiples of 64, windows of most of each row and of a few words,
+    # and at most one slot doubled along one axis (``doubled`` = (slot,
+    # axis), each taken mod its range)
     base = tuple(lead[:n - 1]) + (width,)
     spec = ConfigSpec(m[:n], BoxSpec(base), q=q, M=M)
     slot, axis = (-1, -1) if doubled is None else (doubled[0] % (n + 1),
@@ -417,11 +440,6 @@ def test_indicator_counts_equal_pointwise_oracle(n, q, M, width, lead, m,
     naive = counting.lambda_indicator_counts_pointwise(inds, spec)
     assert fast.M == naive.M == M
     assert fast.counts.tolist() == naive.counts.tolist()
-    packed = [A.packed for A in inds]
-    rows = counting._useful_shifts(spec, [A.box.dims[j]
-                                          for j, A in enumerate(inds[1:])])
-    for path in sorted({_kernel_path(packed, base, row) for row in rows}):
-        event(path)
 
 
 def test_paths_agree_on_million_cell_box(rng):
