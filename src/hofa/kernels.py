@@ -10,7 +10,11 @@ of same-shape arrays with leading batch axes (``core.read_translates``) is
 read in one call.
 
 ``PackedMask`` is a boolean mask packed along its last axis into ``uint64``
-words.  It is the primary storage of ``core.SetIndicator``: ``setfile``
+words.  It owns that layout: it checks its words against its shape once,
+when it is built, keeps them C-contiguous and native, and caches their
+address and row strides, so the kernel reads the cached address instead of
+checking and converting the words on every count.  It is the primary
+storage of ``core.SetIndicator``: ``setfile``
 reads a binary set file straight into it (``word_bytes`` and
 ``from_word_bytes``), a band of rows at a time when the counts ask for
 bands (``band_rows``: about ``BAND_WORDS`` words), ``pack_mask`` packs a
@@ -33,6 +37,9 @@ Two counting implementations are kept side by side:
 * ``pattern_count_pointwise`` - a member-driven bounds-checked membership
   loop on boolean masks, kept as the independent oracle.
 
+Both check their base dims and shifts in one place (``_pattern_args``):
+integers by ``core.as_int``, nonnegative, and one mask per slot.
+
 The ``bench`` CLI subcommand times the two against each other and insists
 they agree exactly before reporting.
 """
@@ -42,7 +49,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -55,7 +62,7 @@ WORD_BITS = 64
 BAND_WORDS = 1 << 17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PackedMask:
     """A boolean mask packed along its last axis.
 
@@ -64,10 +71,33 @@ class PackedMask:
     is cell 64k + b of that row, and the last word of every row is a spare
     zero word, so a shifted read of k words at word offset q may touch word
     q + k without a bounds check.
+
+    The mask owns that layout: it checks the shape once, keeps the words as
+    a C-contiguous native ``uint64`` array (a copy only of words that are
+    not: Fortran-ordered, strided or byte-swapped), and keeps their address
+    and row strides in words for the kernel.
     """
 
     shape: tuple[int, ...]
     words: np.ndarray
+    _address: int = field(init=False, repr=False)
+    _row_strides: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shape = tuple(core.as_int(d, "mask dims must be integers")
+                      for d in self.shape)
+        if not shape:
+            raise ValueError("a packed mask needs at least one axis")
+        if any(d < 0 for d in shape):
+            raise ValueError(f"mask dims must be nonnegative, got {shape}")
+        words = np.ascontiguousarray(self.words, dtype=np.uint64)
+        if words.shape != shape[:-1] + (-(-shape[-1] // WORD_BITS) + 1,):
+            raise ValueError("a packed mask's words do not match its shape")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "_address", words.ctypes.data)
+        object.__setattr__(self, "_row_strides",
+                           tuple(b // 8 for b in words.strides[:-1]))
 
 
 def word_bytes(shape: Sequence[int]) -> np.ndarray:
@@ -90,8 +120,7 @@ def from_word_bytes(shape: Sequence[int], raw: np.ndarray) -> PackedMask:
     """The ``PackedMask`` of logical ``shape`` whose words are the bytes of
     ``raw`` (from ``word_bytes``), made native: a view of the bytes on
     little-endian hosts, a byte-swapped copy elsewhere."""
-    shape = tuple(core.as_int(d, "mask dims must be integers") for d in shape)
-    return PackedMask(shape, raw.view("<u8").astype(np.uint64, copy=False))
+    return PackedMask(shape, raw.view("<u8"))
 
 
 def pack_mask(mask: np.ndarray) -> PackedMask:
@@ -123,16 +152,40 @@ def unpack_mask(packed: PackedMask) -> np.ndarray:
 def _axis_limits(masks: Sequence[np.ndarray], base_dims: Sequence[int],
                  shifts: Sequence[int]) -> list[int]:
     # Largest 0-based exclusive bound per axis so every read stays in range;
-    # extents come from the trailing n axes (leading axes are batch axes).
+    # extents come from the trailing n axes (leading axes are batch axes),
+    # and slot j > 0 is read shifts[j - 1] further along axis j - 1.
     n = len(base_dims)
-    lims = []
-    for axis in range(n):
-        m = min(base_dims[axis], masks[0].shape[axis - n])
-        for j in range(n):
-            d = shifts[j] if j == axis else 0
-            m = min(m, masks[j + 1].shape[axis - n] - d)
-        lims.append(m)
+    lims = list(base_dims)
+    for j, mask in enumerate(masks):
+        for a, e in enumerate(mask.shape[-n:]):
+            if a == j - 1:
+                e -= shifts[a]
+            if e < lims[a]:
+                lims[a] = e
     return lims
+
+
+def _pattern_args(masks: Sequence, base_dims: Sequence[int],
+                  shifts: Sequence[int]) -> tuple[tuple[int, ...],
+                                                  tuple[int, ...]]:
+    """The checked base dims and shifts of a pattern count on ``masks``
+    (boolean masks or ``PackedMask``s, each with a ``shape``): integers by
+    ``core.as_int``, nonnegative, one shift per axis and one mask of that
+    many axes per slot."""
+    what = "pattern base dims and shifts must be integers"
+    base_dims = tuple([core.as_int(v, what) for v in base_dims])
+    shifts = tuple([core.as_int(v, what) for v in shifts])
+    n = len(base_dims)
+    if not n:
+        raise ValueError("need at least one axis")
+    if len(masks) != n + 1 or len(shifts) != n:
+        raise ValueError("need one mask per slot and one shift per axis")
+    if min(base_dims + shifts) < 0:
+        raise ValueError("pattern base dims and shifts must be nonnegative")
+    for mask in masks:
+        if len(mask.shape) != n:
+            raise ValueError(f"every mask needs {n} axes")
+    return base_dims, shifts
 
 
 def pattern_views(arrays: Sequence[np.ndarray], base_dims: Sequence[int],
@@ -158,6 +211,7 @@ def pattern_count_pointwise(masks: Sequence[np.ndarray],
                             base_dims: Sequence[int],
                             shifts: Sequence[int]) -> int:
     """Oracle path: walk the members of A_0 and bounds-check every read."""
+    base_dims, shifts = _pattern_args(masks, base_dims, shifts)
     n = len(base_dims)
     base_view = masks[0][tuple(slice(0, min(b, s))
                                for b, s in zip(base_dims, masks[0].shape))]
@@ -285,26 +339,26 @@ def _kernel_args(size: int):
 def _count_packed(packed: Sequence[PackedMask], base_dims: tuple[int, ...],
                   shifts: tuple[int, ...]) -> int:
     lims = _axis_limits(packed, base_dims, shifts)
-    if any(v <= 0 for v in lims):
+    if min(lims) <= 0:
         return 0
     n = len(base_dims)
     k = -(-lims[-1] // WORD_BITS)  # words of a row that hold base points
     q, s = divmod(shifts[-1], WORD_BITS)
-    words = [np.ascontiguousarray(p.words, dtype=np.uint64) for p in packed]
     # The rows of the window run over its nlead leading axes (none for a 1-D
     # mask).  Slot j + 1 < n starts shifts[j] rows down axis j, the last
-    # slot q words into its rows (byte offsets of the first row).
+    # slot q words into its rows.
     nlead = n - 1
-    starts = ([0] + [shifts[j] * words[j + 1].strides[j] for j in range(nlead)]
-              + [8 * q])
     # addresses, the window's leading extents, then strides in words
     args = _kernel_args((n + 1) * (nlead + 1) + nlead)
-    for j, (w, start) in enumerate(zip(words, starts)):
-        args[j] = w.ctypes.data + start
-        for a in range(nlead):
-            args[n + 1 + nlead + j * nlead + a] = w.strides[a] // 8
-    for a in range(nlead):
-        args[n + 1 + a] = lims[a]
+    args[0] = packed[0]._address
+    for j in range(nlead):
+        p = packed[j + 1]
+        args[j + 1] = p._address + 8 * shifts[j] * p._row_strides[j]
+    args[n] = packed[n]._address + 8 * q
+    args[n + 1:n + 1 + nlead] = lims[:-1]
+    for j, p in enumerate(packed):
+        first = n + 1 + nlead * (j + 1)
+        args[first:first + nlead] = p._row_strides
     tail = lims[-1] - WORD_BITS * (k - 1)  # bits of the last word counted
     return _kernel()(n + 1, nlead, args, k, s, (1 << tail) - 1)
 
@@ -313,20 +367,4 @@ def pattern_count_fast(masks: Sequence[PackedMask], base_dims: Sequence[int],
                        shifts: Sequence[int]) -> int:
     """Exact pattern count on ``PackedMask``s (``pack_mask`` packs a boolean
     mask; a ``core.SetIndicator`` holds its words as ``packed``)."""
-    what = "pattern base dims and shifts must be integers"
-    base_dims, shifts = (tuple(core.as_int(v, what) for v in seq)
-                         for seq in (base_dims, shifts))
-    if any(d < 0 for d in shifts):
-        raise ValueError("pattern shifts must be nonnegative")
-    if len(masks) != len(base_dims) + 1 or len(shifts) != len(base_dims):
-        raise ValueError("need one mask per slot and one shift per axis")
-    if not base_dims:
-        raise ValueError("need at least one axis")
-    if any(len(p.shape) != len(base_dims) for p in masks):
-        raise ValueError(f"every mask needs {len(base_dims)} axes")
-    # the kernel reads the words unchecked, so they must be what the
-    # logical shape promises
-    if any(p.words.shape != p.shape[:-1] + (-(-p.shape[-1] // WORD_BITS) + 1,)
-           for p in masks):
-        raise ValueError("a packed mask's words do not match its shape")
-    return _count_packed(masks, base_dims, shifts)
+    return _count_packed(masks, *_pattern_args(masks, base_dims, shifts))

@@ -158,6 +158,17 @@ LINE = SetIndicator(BoxSpec((40,)), np.arange(40) % 3 == 0)
 PACKED = kernels.pack_mask(np.arange(16).reshape(4, 4) % 3 == 0)
 UNIT_2x4 = GridFunction(BoxSpec((2, 4)), np.linspace(0, 1, 8).reshape(2, 4))
 THIRD = [TorusPhase(Fraction(1, 3))]
+
+
+def _word_rows(v):
+    # the bytes of v rows where v is an integer, else of two rows, so that
+    # only the dims check of from_word_bytes can refuse v
+    try:
+        return operator.index(v)
+    except TypeError:
+        return 2
+
+
 # one integer parameter of each public entry, read at v, and a non-integer
 # that the entry truncated or failed on before the rule (gowers_inner
 # recursed until RecursionError, APPartition failed later in Atoms)
@@ -184,7 +195,7 @@ INTEGER_ENTRIES = {
         lambda v: PhaseTable(BoxSpec((3,)), [0, 1, 2], 3).at((v,)), 1.5),
     "word_bytes dim": (lambda v: kernels.word_bytes((v, 70)).shape, 2.5),
     "from_word_bytes dim": (lambda v: kernels.from_word_bytes(
-        (v, 70), kernels.word_bytes((2, 70))).shape, 2.5),
+        (v, 70), kernels.word_bytes((_word_rows(v), 70))).shape, 2.5),
     "pattern_count_fast base dim": (lambda v: kernels.pattern_count_fast(
         [PACKED] * 3, (v, 3), (1, 1)), 2.5),
     "pattern_count_fast shift": (lambda v: kernels.pattern_count_fast(

@@ -340,6 +340,62 @@ def test_pack_mask_layout(rng):
         kernels.pack_mask(np.bool_(True))
     with pytest.raises(ValueError):
         kernels.pattern_count_fast([mask[0]] * 3, (3, 130), (1, 1))
+    # the same words Fortran-ordered, as a strided slice and big-endian: the
+    # mask keeps them as the contiguous native array whose address the
+    # kernel reads, and counts as the oracle does
+    spread = np.zeros((6, 8), dtype=np.uint64)
+    spread[::2, ::2] = p.words
+    for words in (np.asfortranarray(p.words), spread[::2, ::2],
+                  p.words.astype(">u8")):
+        q = kernels.PackedMask((3, 130), words)
+        assert q.words.flags.c_contiguous and q.words.dtype == np.uint64
+        assert q.words.dtype.isnative and np.array_equal(q.words, p.words)
+        assert q._address == q.words.ctypes.data
+        assert q._row_strides == (4,)
+        for shifts in ((0, 0), (1, 1), (1, 64), (2, 67), (0, 129)):
+            assert kernels.pattern_count_fast([q] * 3, (3, 130), shifts) == \
+                kernels.pattern_count_pointwise([mask] * 3, (3, 130), shifts)
+
+
+def test_packed_mask_refuses_words_of_another_shape():
+    # two rows of words under a one-row shape used to unpack to two rows
+    with pytest.raises(ValueError, match="do not match its shape"):
+        kernels.from_word_bytes((1, 70), kernels.word_bytes((2, 70)))
+    words = kernels.pack_mask(np.ones((2, 70), dtype=bool)).words
+    for shape, bad in (((1, 70), words), ((2, 70), words[:, :2]),
+                       ((2, 64), words), ((2, 2, 70), words),
+                       ((140,), words)):
+        with pytest.raises(ValueError, match="do not match its shape"):
+            kernels.PackedMask(shape, bad)
+    with pytest.raises(ValueError, match="nonnegative"):
+        kernels.PackedMask((2, -5), words[:, :1])
+    with pytest.raises(ValueError, match="at least one axis"):
+        kernels.PackedMask((), words)
+
+
+def test_both_kernels_check_their_pattern_arguments(rng):
+    # a negative base dim used to crop the oracle's window from the end
+    # (-1 read rows 0:-1) while the fast kernel counted 0
+    A = random_set(rng, (6, 70), p=0.7)
+    for kernel, mask in ((kernels.pattern_count_fast, A.packed),
+                         (kernels.pattern_count_pointwise, A.mask)):
+        for base, shifts in (((-1, 70), (1, 2)), ((6, -3), (1, 2)),
+                             ((6, 70), (-1, 2)), ((6, 70), (1, -2))):
+            with pytest.raises(ValueError, match="nonnegative"):
+                kernel([mask] * 3, base, shifts)
+        with pytest.raises(ValueError, match="one mask per slot"):
+            kernel([mask] * 2, (6, 70), (1, 2))
+        with pytest.raises(ValueError, match="one mask per slot"):
+            kernel([mask] * 3, (6, 70), (1,))
+        with pytest.raises(ValueError, match="at least one axis"):
+            kernel([mask], (), ())
+        with pytest.raises(ValueError, match="needs 1 axes"):
+            kernel([mask] * 2, (6,), (1,))
+        with pytest.raises(ValueError) as exc:
+            kernel([mask] * 3, (6, 70.0), (1, 2))
+        assert exc.traceback[-1].name == "as_int"
+        assert kernel([mask] * 3, (0, 70), (1, 2)) == 0
+        assert kernel([mask] * 3, (6, 70), (6, 70)) == 0
 
 
 def test_best_popular_difference_tie_break():
