@@ -2,10 +2,13 @@
  *
  * Counts the bits set in the AND of n + 1 slots of packed words over the
  * rows of a window.  A row of slot j < n is k words at its row pointer; a
- * row of the last slot is read k + 1 words from its row pointer and shifted
- * right by s bits across word pairs, so bit b of its word w is bit s + b of
- * the slot's row from word w on.  Bits of word k - 1 past the window are
- * cleared by ``tail``.
+ * row of the last slot is read from its row pointer and shifted right by
+ * s bits across word pairs, so bit b of its word w is bit s + b of the
+ * slot's row from word w on.  Bits of word k - 1 past the window are
+ * cleared by ``tail``.  The final pair reads word k only when s plus the
+ * bits of ``tail`` exceed 64: the window ends at least s bits before the
+ * slot's row does, so that word is then in the row, and otherwise ``tail``
+ * clears all that it would add.
  *
  * ``args`` holds, as int64: the n + 1 slots' first-row addresses, the
  * window's extents on its ``nlead`` leading axes, and each slot's strides in
@@ -31,7 +34,9 @@ row_count(const uint64_t *const *rows, int nslots, int64_t k, int s,
                 acc &= rows[j][w];
             total += (uint64_t)__builtin_popcountll(acc);
         }
-        acc = (last[w] >> s) | (last[w + 1] << (64 - s));
+        acc = last[w] >> s;
+        if (tail >> (64 - s))  /* s + the bits of tail > 64 */
+            acc |= last[w + 1] << (64 - s);
     } else {
         for (w = 0; w < k - 1; w++) {
             acc = last[w];

@@ -431,6 +431,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # a directory, or a file we may not open
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, OverflowError, DecompositionError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -390,7 +390,7 @@ class SetIndicator:
         construction)."""
         if self._mask is not None and self._packed is None:
             return int(np.count_nonzero(self._mask))
-        # the spare word of every row is zero; a reader is read a band at a
+        # the bits past the width are zero; a reader is read a band at a
         # time
         rows = self.box.dims[0]
         step = rows if self._packed is not None else kernels.band_rows(

@@ -10,16 +10,16 @@ of same-shape arrays with leading batch axes (``core.read_translates``) is
 read in one call.
 
 ``PackedMask`` is a boolean mask packed along its last axis into ``uint64``
-words.  It owns that layout: it checks its words against its shape once,
-when it is built, keeps them C-contiguous and native, and caches their
-address and row strides, so the kernel reads the cached address instead of
-checking and converting the words on every count.  It is the primary
-storage of ``core.SetIndicator``: ``setfile``
-reads a binary set file straight into it (``word_bytes`` and
-``from_word_bytes``), a band of rows at a time when the counts ask for
-bands (``band_rows``: about ``BAND_WORDS`` words), ``pack_mask`` packs a
-boolean mask and ``unpack_mask`` rebuilds the mask for the callers that
-need cells.
+words, ``row_words`` of them a row and every bit past the width zero.  It
+owns that layout: it checks its words against its shape once, when it is
+built, keeps them C-contiguous and native, and caches their address and row
+strides, so the kernel reads the cached address instead of checking and
+converting the words on every count.  It is the primary storage of
+``core.SetIndicator``: ``setfile`` reads a binary set file straight into
+it (``word_bytes`` and ``from_word_bytes``), a band of rows at a time when
+the counts ask for bands (``band_rows``: about ``BAND_WORDS`` words),
+``pack_mask`` packs a boolean mask and ``unpack_mask`` rebuilds the mask
+for the callers that need cells.
 
 Two counting implementations are kept side by side:
 
@@ -30,7 +30,11 @@ Two counting implementations are kept side by side:
   the AND of the shifted words.  One C loop (``_kernel.c``) walks the rows
   of the window: per row it ANDs the n + 1 slots' words, reads the last
   slot across word pairs at its bit shift, clears the bits past the window
-  and sums ``__builtin_popcountll``.  It is compiled on first use with
+  and sums ``__builtin_popcountll``.  It reads no word past a row: for a
+  last-axis shift of 64q + s bits, the last slot's final word pair takes
+  its second word, q + k, only when s plus the window's bits in its last
+  word exceed 64, and the window's bound 64q + s + (its last extent) <=
+  width then puts that word in the row.  It is compiled on first use with
   ``cc -O3 -march=native`` into a per-user cache (``_load_kernel``), loaded
   with ``ctypes``, and allocates nothing; without a C compiler a count
   raises ``BuildError``;
@@ -67,15 +71,14 @@ class PackedMask:
     """A boolean mask packed along its last axis.
 
     ``shape`` is the logical boolean shape.  ``words`` has shape
-    ``shape[:-1] + (ceil(shape[-1] / 64) + 1,)``: bit b of word k of a row
-    is cell 64k + b of that row, and the last word of every row is a spare
-    zero word, so a shifted read of k words at word offset q may touch word
-    q + k without a bounds check.
+    ``shape[:-1] + (row_words(shape[-1]),)``: bit b of word k of a row is
+    cell 64k + b of that row, and the bits past the width are zero.
 
-    The mask owns that layout: it checks the shape once, keeps the words as
-    a C-contiguous native ``uint64`` array (a copy only of words that are
-    not: Fortran-ordered, strided or byte-swapped), and keeps their address
-    and row strides in words for the kernel.
+    The mask owns that layout: it checks the shape and the bits past the
+    width once, keeps the words as a C-contiguous native ``uint64`` array
+    (a copy only of words that are not: Fortran-ordered, strided or
+    byte-swapped), and keeps their address and row strides in words for
+    the kernel.
     """
 
     shape: tuple[int, ...]
@@ -91,13 +94,21 @@ class PackedMask:
         if any(d < 0 for d in shape):
             raise ValueError(f"mask dims must be nonnegative, got {shape}")
         words = np.ascontiguousarray(self.words, dtype=np.uint64)
-        if words.shape != shape[:-1] + (-(-shape[-1] // WORD_BITS) + 1,):
+        if words.shape != shape[:-1] + (row_words(shape[-1]),):
             raise ValueError("a packed mask's words do not match its shape")
+        used = shape[-1] % WORD_BITS  # bits of a row's last word, if not 64
+        if used and np.any(words[..., -1] >> np.uint64(used)):
+            raise ValueError("a packed mask's words set bits past its width")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "_address", words.ctypes.data)
         object.__setattr__(self, "_row_strides",
                            tuple(b // 8 for b in words.strides[:-1]))
+
+
+def row_words(width: int) -> int:
+    """Words in a packed row of ``width`` cells: ceil(width / 64)."""
+    return -(-width // WORD_BITS)
 
 
 def word_bytes(shape: Sequence[int]) -> np.ndarray:
@@ -112,8 +123,7 @@ def word_bytes(shape: Sequence[int]) -> np.ndarray:
     shape = tuple(core.as_int(d, "mask dims must be integers") for d in shape)
     if not shape:
         raise ValueError("a packed mask needs at least one axis")
-    nwords = -(-shape[-1] // WORD_BITS) + 1
-    return np.zeros(shape[:-1] + (nwords * 8,), dtype=np.uint8)
+    return np.zeros(shape[:-1] + (row_words(shape[-1]) * 8,), dtype=np.uint8)
 
 
 def from_word_bytes(shape: Sequence[int], raw: np.ndarray) -> PackedMask:
@@ -138,7 +148,7 @@ def band_rows(shape: Sequence[int], min_rows: int = 1) -> int:
     rows.  A 1-D mask is one band."""
     if len(shape) == 1:
         return shape[0]
-    slab = math.prod(shape[1:-1]) * (-(-shape[-1] // WORD_BITS) + 1)
+    slab = math.prod(shape[1:-1]) * row_words(shape[-1])
     return max(1, BAND_WORDS // slab, min_rows)
 
 
@@ -285,8 +295,9 @@ def _load_kernel():
 
     The library lives in ``$XDG_CACHE_HOME/hofa`` (else ``~/.cache/hofa``),
     named by the sha256 of the source, the compile command and the CPU's
-    flags; where that directory cannot be written, it is built into a
-    temporary directory, removed once the library is loaded."""
+    flags; a cached library that will not load is built again.  Where that
+    directory cannot be written, it is built into a temporary directory,
+    removed once the library is loaded."""
     import hashlib
     import tempfile
     key = hashlib.sha256(b"\0".join([
@@ -296,21 +307,30 @@ def _load_kernel():
     cache = Path(os.environ.get("XDG_CACHE_HOME")
                  or Path.home() / ".cache") / "hofa"
     lib = cache / name
-    if not lib.exists():
+    if lib.exists():
         try:
-            cache.mkdir(parents=True, exist_ok=True)
-            _build(cache, name)
-        except OSError:
-            with tempfile.TemporaryDirectory(prefix="hofa-") as tmp:
-                return _open(_build(Path(tmp), name))
+            return _open(lib)
+        except BuildError:
+            pass  # a truncated or corrupt library: build it again
+    try:
+        cache.mkdir(parents=True, exist_ok=True)
+        _build(cache, name)
+    except OSError:
+        with tempfile.TemporaryDirectory(prefix="hofa-") as tmp:
+            return _open(_build(Path(tmp), name))
     return _open(lib)
 
 
 def _open(lib: Path):
     """The kernel's function in the library ``lib``, declared for ctypes
-    (a loaded library stays mapped when its file is removed)."""
+    (a loaded library stays mapped when its file is removed); BuildError
+    when the library will not load."""
     import ctypes
-    fn = ctypes.CDLL(str(lib)).hofa_pattern_count
+    try:
+        fn = ctypes.CDLL(str(lib)).hofa_pattern_count
+    except OSError as exc:
+        raise BuildError(f"the kernel library {lib} will not load: {exc}"
+                         ) from None
     fn.argtypes = (ctypes.c_int, ctypes.c_int, ctypes.POINTER(ctypes.c_int64),
                    ctypes.c_int64, ctypes.c_int, ctypes.c_uint64)
     fn.restype = ctypes.c_uint64
@@ -342,7 +362,7 @@ def _count_packed(packed: Sequence[PackedMask], base_dims: tuple[int, ...],
     if min(lims) <= 0:
         return 0
     n = len(base_dims)
-    k = -(-lims[-1] // WORD_BITS)  # words of a row that hold base points
+    k = row_words(lims[-1])  # words of a row that hold base points
     q, s = divmod(shifts[-1], WORD_BITS)
     # The rows of the window run over its nlead leading axes (none for a 1-D
     # mask).  Slot j + 1 < n starts shifts[j] rows down axis j, the last

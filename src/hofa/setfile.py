@@ -20,9 +20,11 @@ its mask and one block of lines besides; writing one builds the lines of
 ``read_set`` on a binary file checks the magic, the header and the payload
 length, and returns a ``SetIndicator`` backed by the payload (the third
 storage form, beside a mask and packed words): ``_read_words`` reads the
-words of a range of rows along axis 1, in blocks of ``READ_BLOCK_CELLS``
-cells, so the banded counts of ``counting`` read one band at a time, and
-``packed`` or ``mask`` read the whole payload once and cache it.  Every
+words of a range of rows along axis 1, so the banded counts of ``counting``
+read one band at a time, and ``packed`` or ``mask`` read the whole payload
+once and cache it.  Where the width is a multiple of 64 the payload bytes
+of those rows are their word bytes, and one read fills the words in place;
+other widths are read in blocks of ``READ_BLOCK_CELLS`` cells.  Every
 such read opens the file again and raises ``SetFileError`` when its inode,
 size or modification time differ from what ``read_set`` saw.
 """
@@ -225,14 +227,12 @@ def _read_words(fh, payload: int, dims: tuple[int, ...], start: int,
                 stop: int) -> kernels.PackedMask:
     """The words of the rows [start, stop) along axis 1 of the set of box
     ``dims`` whose payload begins at byte ``payload`` of ``fh`` (a 1-D set
-    is read whole); the reads take whole rows along the last axis, in
-    blocks of at most READ_BLOCK_CELLS cells."""
+    is read whole): in place when the width is a multiple of 64, else in
+    blocks of at most READ_BLOCK_CELLS cells of whole rows along the last
+    axis."""
     width = dims[-1]
     shape = (stop - start,) + dims[1:] if len(dims) > 1 else dims
     raw = kernels.word_bytes(shape)
-    out = raw.reshape(-1, raw.shape[-1])  # one row of word bytes per row
-    # buf[0] carries the byte that holds the first unread bit
-    buf = np.empty(READ_BLOCK_CELLS // 8 + 2, dtype=np.uint8)
     pos = start * math.prod(dims[1:])  # payload bits consumed
     fh.seek(payload + pos // 8)
 
@@ -240,6 +240,12 @@ def _read_words(fh, payload: int, dims: tuple[int, ...], start: int,
         if fh.readinto(view) != len(view):
             raise SetFileError("bitset payload ended early")
 
+    if width % kernels.WORD_BITS == 0:
+        read_into(raw.reshape(-1))  # the payload bytes are the word bytes
+        return kernels.from_word_bytes(shape, raw)
+    out = raw.reshape(-1, raw.shape[-1])  # one row of word bytes per row
+    # buf[0] carries the byte that holds the first unread bit
+    buf = np.empty(READ_BLOCK_CELLS // 8 + 2, dtype=np.uint8)
     if pos % 8:
         read_into(buf[:1])
     for rs, c0, c1 in _blocks(len(out), width):

@@ -24,7 +24,7 @@ def _bands_of(rows, inds):
     """Count in bands of ``rows`` base rows, also shorter than the halo:
     BAND_WORDS of ``rows`` rows of the widest set and no lower bound by the
     halo."""
-    slab = max(math.prod(A.box.dims[1:-1]) * (-(-A.box.dims[-1] // 64) + 1)
+    slab = max(math.prod(A.box.dims[1:-1]) * kernels.row_words(A.box.dims[-1])
                for A in inds)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "BAND_WORDS", rows * slab)
@@ -43,6 +43,26 @@ def _stored(mask, storage, directory, name):
     path = os.path.join(directory, name)
     write_set(SetIndicator(box, mask), path, binary=True)
     return read_set(path)
+
+
+def test_aligned_band_is_read_into_its_words(tmp_path, rng):
+    # at a width that is a multiple of 64 a band's payload bytes are its
+    # word bytes: the read holds the words alone, where a bounce buffer of
+    # READ_BLOCK_CELLS bits and a copy of the band used to come besides
+    dims = (64, 4096)
+    mask = rng.random(dims) < 0.5
+    path = tmp_path / "a.boxb"
+    write_set(SetIndicator(BoxSpec(dims), mask), path, binary=True)
+    A = read_set(path)
+    tracemalloc.start()
+    try:
+        rows = A.packed_rows(8, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rows.words, kernels.pack_mask(mask[8:40]).words)
+    assert rows.words.nbytes == 32 * 4096 // 8
+    assert peak <= rows.words.nbytes + (16 << 10)
 
 
 @settings(max_examples=120, deadline=None)
@@ -97,7 +117,7 @@ def test_banded_histogram_on_threads(rng):
 
 
 @pytest.mark.parametrize("dims", [(9, 13), (5, 3, 7), (6, 200), (4, 2, 65),
-                                  (3, 5000)])
+                                  (3, 5000), (5, 2, 128)])
 def test_payload_rows_equal_mask_rows(tmp_path, rng, monkeypatch, dims):
     # every row range of a payload reads the words pack_mask builds for it,
     # also when a range starts inside a byte and a row spans read blocks
@@ -151,7 +171,7 @@ def test_band_is_four_halos_tall(tmp_path, monkeypatch, m, M, reads, calls):
     path = tmp_path / "a.boxb"
     write_set(SetIndicator(BoxSpec(mask.shape), mask), path, binary=True)
     A = read_set(path)
-    monkeypatch.setattr(kernels, "BAND_WORDS", 2 * 3)  # 3 words a row
+    monkeypatch.setattr(kernels, "BAND_WORDS", 2 * 2)  # 2 words a row
     assert kernels.band_rows(mask.shape) == 2
     seen, kernel_calls = [], []
     read_words, count_fast = setfile._read_words, kernels.pattern_count_fast
@@ -242,16 +262,16 @@ def test_set_file_removed_after_read_exit2(tmp_path, capsys, monkeypatch):
 
 
 def test_popdiff_peak_is_a_band_not_the_words(tmp_path, capsys):
-    # 1024x32768 cells hold 4.1 MiB of words; popdiff holds one band of
-    # them (1 MiB and a halo of 16 rows) and the read buffer, where reading
-    # the whole set held every word; the kernel allocates nothing
+    # 1024x32768 cells hold 4 MiB of words; popdiff holds one band of them
+    # (1 MiB and a halo of 16 rows, read in place), where reading the whole
+    # set held every word; the kernel allocates nothing
     dims = (1024, 32768)
     path = tmp_path / "big.boxb"
     with open(path, "wb") as fh:
         fh.write(b"HOFA1\nbox 1024 32768\n")
         fh.write(make_rng(11).integers(0, 256, math.prod(dims) // 8,
                                        dtype=np.uint8).tobytes())
-    row = (dims[-1] // 64 + 1) * 8  # bytes of words per row
+    row = kernels.row_words(dims[-1]) * 8  # bytes of words per row
     assert dims[0] * row >= 4 << 20
     argv = ["popdiff", "--set", str(path), "--m", "1,2", "--M", "16",
             "--threads", "1"]
@@ -262,7 +282,8 @@ def test_popdiff_peak_is_a_band_not_the_words(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     # a band is 1 MiB of words (kernels.BAND_WORDS) and a halo of r^1 <= 16
-    # rows; the read holds one block of bits
+    # rows; the bound leaves room for one block of bits, which only the
+    # reads of widths that are not a multiple of 64 hold
     band = (1 << 20) + 16 * row
     assert peak <= band + setfile.READ_BLOCK_CELLS // 8 + (1 << 19)
     assert kernels.band_rows(dims) * row <= 1 << 20

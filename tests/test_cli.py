@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hofa import cli, counting
+from hofa import cli, counting, kernels
 from hofa.core import MAX_EXPONENT, BoxSpec, ConfigSpec, SetIndicator
 from hofa.rng import make_rng
 from hofa.setfile import SetFileError, _parse_header, read_set, write_set
@@ -512,6 +512,27 @@ def test_malformed_set_exit2(tmp_path):
     assert "bad set file" in proc.stderr
 
 
+def test_path_that_cannot_be_opened_exit2(tmp_path):
+    # a directory given as a set or an output path used to raise
+    # IsADirectoryError out of the command (a traceback and exit 1, after the
+    # whole histogram for popdiff --out); a missing file keeps its message
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    good = tmp_path / "g.box"
+    assert run_cli("gen", "random", "--box", "4,16", "--p", "0.7", "--seed",
+                   "1", "--out", str(good)).returncode == 0
+    for argv in (["popdiff", "--set", str(sub), "--m", "1,2"],
+                 ["popdiff", "--set", str(good), "--m", "1,2", "--M", "3",
+                  "--out", str(sub)],
+                 ["gen", "full", "--box", "4,16", "--out", str(sub)]):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2 and proc.stdout == "", argv
+        assert str(sub) in proc.stderr and "Traceback" not in proc.stderr
+    proc = run_cli("popdiff", "--set", str(tmp_path / "none.box"),
+                   "--m", "1,2")
+    assert proc.returncode == 2 and "missing file" in proc.stderr
+
+
 def test_set_numbers_ascii_decimal_only_exit2(tmp_path, capsys):
     # int() alone takes underscores, signs and non-ASCII digits; the format
     # allows [0-9]+ only, in the header and in member lines
@@ -975,6 +996,14 @@ def test_kernel_is_built_once_into_the_cache(tmp_path):
     assert list((cache / "hofa").iterdir()) == libs
     assert (libs[0].stat().st_ino, libs[0].stat().st_mtime_ns) == (
         stat.st_ino, stat.st_mtime_ns)
+    # a cached library that will not load (it used to raise OSError "file
+    # too short" on every later run) is built again in its place
+    libs[0].write_bytes(b"not a library")
+    rebuilt = popdiff(env)
+    assert rebuilt.returncode == 0 and rebuilt.stdout == built.stdout, \
+        rebuilt.stderr
+    assert list((cache / "hofa").iterdir()) == libs
+    kernels._open(libs[0])  # loads
     # where the cache cannot be written, the kernel is built for the run
     blocked = tmp_path / "not-a-directory"
     blocked.write_text("")

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -225,13 +227,16 @@ def _assert_packed_count(masks, base, shifts):
 def test_packed_count_run_edges(seed):
     # the kernel's row runs of k words at the ends of the arrays
     rng = make_rng(seed)
-    # the last slot's words q .. q + k, the last of them the spare word,
-    # read in the final row: slot 1 doubled along axis 0 keeps every row of
-    # slot 0 in the window; with q = words per row - 2 (k = 1) and with
-    # q + k = words per row - 1 (a window of most of each row)
+    # the last slot's final word pair at a shift of 64q + s, read in the
+    # final row at its two edges: its carry word q + k is the row's last
+    # word (s + tail > 64), or it reads no carry word, q + k being the
+    # words per row; slot 1 doubled along axis 0 keeps every row of slot 0
+    # in the window
     N0 = 7
-    for width, lasts in ((130, (128, 129)), (1920, (64, 65))):
-        wpr = kernels.pack_mask(np.zeros((1, width), bool)).words.shape[-1]
+    for width, lasts, carry in ((130, (2, 127), True),
+                                (130, (128, 129), False),
+                                (1920, (64, 65), False)):
+        wpr = kernels.row_words(width)
         full = np.ones((N0, width), dtype=bool)
         for masks in ([full, np.ones((2 * N0, width), bool), full],
                       [rng.random((N0, width)) < 0.8,
@@ -240,10 +245,14 @@ def test_packed_count_run_edges(seed):
             for d0 in (0, 1, N0):
                 for last in lasts:
                     shifts = (d0, last)
-                    assert kernels._axis_limits(masks, (N0, width),
-                                                shifts)[0] == N0
-                    q, k = last // 64, -(-(width - last) // 64)
-                    assert q == wpr - 2 if width == 130 else q + k == wpr - 1
+                    rows, lim = kernels._axis_limits(masks, (N0, width),
+                                                     shifts)
+                    assert rows == N0
+                    q, s = divmod(last, 64)
+                    k = kernels.row_words(lim)
+                    tail = lim - 64 * (k - 1)
+                    assert ((s + tail > 64 and q + k == wpr - 1) if carry
+                            else q + k == wpr)
                     _assert_packed_count(masks, (N0, width), shifts)
     # n = 1, shifts around the width, slot 1 as wide or doubled
     for width in (1, 63, 64, 65, 128, 130):
@@ -281,7 +290,7 @@ def test_packed_count_run_edges(seed):
        doubled=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 2)),
        p=st.sampled_from([0.5, 0.9, 1.0]), seed=st.integers(0, 2**32 - 1))
 @example(n=2, width=130, lead=[3, 1], crop=[0, 0, 0], steps=[1, 0], last=128,
-         doubled=(1, 0), p=1.0, seed=0)  # the spare word, in the last row
+         doubled=(1, 0), p=1.0, seed=0)  # the row's last word, in the last row
 @example(n=2, width=128, lead=[2, 1], crop=[0, 0, 0], steps=[0, 0], last=64,
          doubled=None, p=1.0, seed=0)  # whole words and no bit shift
 @example(n=3, width=65, lead=[3, 3], crop=[0, 0, 0], steps=[1, 1], last=63,
@@ -290,10 +299,10 @@ def test_fast_count_equals_pointwise_on_tiny_boxes(n, width, lead, crop,
                                                    steps, last, doubled, p,
                                                    seed):
     # the compiled kernel and the pointwise oracle agree exactly: row tails,
-    # whole words and the spare word; a different set in every slot, at most
-    # one slot doubled along one axis (``doubled`` = (slot, axis), each taken
-    # mod its range), so the slots' strides differ, and a base box cropped
-    # by ``crop`` (mod each extent) inside the sets
+    # whole words and the row's last word; a different set in every slot,
+    # at most one slot doubled along one axis (``doubled`` = (slot, axis),
+    # each taken mod its range), so the slots' strides differ, and a base
+    # box cropped by ``crop`` (mod each extent) inside the sets
     dims = tuple(lead[:n - 1]) + (width,)
     base = tuple(d - c % d for d, c in zip(dims, crop[-n:]))
     slot, axis = (-1, -1) if doubled is None else (doubled[0] % (n + 1),
@@ -330,8 +339,7 @@ def test_pack_mask_layout(rng):
     mask = rng.random((3, 130)) < 0.5
     p = kernels.pack_mask(mask)
     assert p.shape == (3, 130) and p.words.dtype == np.uint64
-    assert p.words.shape == (3, 4)  # three data words and a spare zero word
-    assert not p.words[:, 3].any()
+    assert p.words.shape == (3, 3)  # three data words, no spare word
     for c in range(130):
         bit = (p.words[:, c // 64] >> np.uint64(c % 64)) & np.uint64(1)
         assert np.array_equal(bit.astype(bool), mask[:, c])
@@ -343,7 +351,7 @@ def test_pack_mask_layout(rng):
     # the same words Fortran-ordered, as a strided slice and big-endian: the
     # mask keeps them as the contiguous native array whose address the
     # kernel reads, and counts as the oracle does
-    spread = np.zeros((6, 8), dtype=np.uint64)
+    spread = np.zeros((6, 6), dtype=np.uint64)
     spread[::2, ::2] = p.words
     for words in (np.asfortranarray(p.words), spread[::2, ::2],
                   p.words.astype(">u8")):
@@ -351,10 +359,48 @@ def test_pack_mask_layout(rng):
         assert q.words.flags.c_contiguous and q.words.dtype == np.uint64
         assert q.words.dtype.isnative and np.array_equal(q.words, p.words)
         assert q._address == q.words.ctypes.data
-        assert q._row_strides == (4,)
+        assert q._row_strides == (3,)
         for shifts in ((0, 0), (1, 1), (1, 64), (2, 67), (0, 129)):
             assert kernels.pattern_count_fast([q] * 3, (3, 130), shifts) == \
                 kernels.pattern_count_pointwise([mask] * 3, (3, 130), shifts)
+
+
+GUARDED_COUNTS = """
+import ctypes, mmap
+import numpy as np
+from hofa import kernels
+from hofa.rng import make_rng
+
+mask = make_rng(3).random((3, 130)) < 0.9
+packed = kernels.pack_mask(mask).words
+page = mmap.PAGESIZE
+mem = mmap.mmap(-1, 2 * page)
+start = ctypes.addressof(ctypes.c_char.from_buffer(mem))
+words = np.frombuffer(mem, np.uint64, packed.size, page - packed.nbytes)
+words[:] = packed.ravel()
+libc = ctypes.CDLL(None, use_errno=True)
+libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+PROT_NONE = 0
+assert libc.mprotect(start + page, page, PROT_NONE) == 0
+guarded = kernels.PackedMask(mask.shape, words.reshape(packed.shape))
+assert guarded._address + packed.nbytes == start + page  # ends at the guard
+for d0 in range(3):
+    for last in range(130):
+        assert kernels.pattern_count_fast([guarded] * 3, (3, 130), (d0, last)) \\
+            == kernels.pattern_count_pointwise([mask] * 3, (3, 130), (d0, last))
+print("390 counts")
+"""
+
+
+def test_kernel_reads_no_word_past_the_mask():
+    # no count shows a read past the words (``tail`` clears its bits), so
+    # the words of a 3x130 mask end at a page that may not be read, and
+    # every (d0, last) count runs in a child process, where a read of that
+    # page faults the child instead of pytest
+    proc = subprocess.run([sys.executable, "-c", GUARDED_COUNTS],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    assert proc.stdout == "390 counts\n"
 
 
 def test_packed_mask_refuses_words_of_another_shape():
@@ -362,11 +408,19 @@ def test_packed_mask_refuses_words_of_another_shape():
     with pytest.raises(ValueError, match="do not match its shape"):
         kernels.from_word_bytes((1, 70), kernels.word_bytes((2, 70)))
     words = kernels.pack_mask(np.ones((2, 70), dtype=bool)).words
-    for shape, bad in (((1, 70), words), ((2, 70), words[:, :2]),
+    for shape, bad in (((1, 70), words), ((2, 70), words[:, :1]),
                        ((2, 64), words), ((2, 2, 70), words),
                        ((140,), words)):
         with pytest.raises(ValueError, match="do not match its shape"):
             kernels.PackedMask(shape, bad)
+    # a bit set past the width used to be counted as a member: one member
+    # and cell 84 (bit 20 of word 1 of row 0) counted 2, not 1
+    one = np.zeros((2, 70), dtype=bool)
+    one[1, 3] = True
+    padded = kernels.pack_mask(one).words.copy()
+    padded[0, 1] |= np.uint64(1) << np.uint64(20)
+    with pytest.raises(ValueError, match="bits past its width"):
+        kernels.PackedMask((2, 70), padded)
     with pytest.raises(ValueError, match="nonnegative"):
         kernels.PackedMask((2, -5), words[:, :1])
     with pytest.raises(ValueError, match="at least one axis"):
