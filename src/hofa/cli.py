@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``count`` (the averaged counting operators over set files),
-``popdiff`` (popular-difference search, direct or through the decomposition
-pipeline), ``verify`` (seeded property suites), ``gen`` (deterministic set
-generation), and ``bench`` (the popular-difference histogram timed against
-the pointwise oracle).
+``popdiff`` (popular-difference search: direct over r <= ``--M``, or
+through the decomposition pipeline at tolerance ``--delta``), ``verify``
+(seeded property suites), ``gen`` (deterministic set generation; each kind
+reads the flags ``GEN_FLAGS`` lists for it and refuses the others), and
+``bench`` (the popular-difference histogram timed against the pointwise
+oracle).
 
 ``count`` reads every operator off the integer histogram h(r) of
 ``counting.lambda_indicator_counts``: the general and simple operators are
@@ -26,7 +28,7 @@ other value exits 2), which changes nothing.
 ``kernels``, ``counting``, ``setfile`` and ``rng``.  A layer that one command
 alone needs is imported inside that command: ``verify`` loads the property
 suites (``verify``, ``energy``, ``partition``, ``gowers``, ``expsum``) and
-``popdiff --pipeline`` loads ``energy`` (with ``partition``).  Python
+``popdiff --delta`` loads ``energy`` (with ``partition``).  Python
 compiles every module it loads when no bytecode cache is present, so
 start-up pays only for what the command can run.
 """
@@ -37,6 +39,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 
@@ -199,21 +202,34 @@ def _write_histogram(fh, hist: counting.Histogram) -> None:
     fh.write("]}")
 
 
+def _check_out(path: str) -> None:
+    """Refuse an output path that cannot be written before any work: a
+    directory, or a file whose directory is missing or not writable."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise UsageError(f"--out {path} is a directory")
+    if not os.path.isdir(parent):
+        raise UsageError(f"--out {path}: no directory {parent}")
+    if not os.access(parent, os.W_OK):
+        raise UsageError(f"--out {path}: directory {parent} is not writable")
+
+
 def cmd_popdiff(args) -> int:
-    if args.pipeline:
-        if args.delta is None:
-            raise UsageError("--pipeline needs --delta")
+    pipeline = args.delta is not None
+    if pipeline:
         if not 0 < args.delta <= 1:
             raise UsageError(f"--delta must lie in (0, 1], got {args.delta}")
         if args.M is not None:
             raise UsageError("--M sets the range of the direct search; "
-                             "--pipeline takes its range from the "
-                             "decomposition")
-    elif args.delta is not None or args.fallback:
-        raise UsageError("--delta and --fallback belong to --pipeline")
+                             "--delta runs the pipeline, which takes its "
+                             "range from the decomposition")
+    elif args.fallback:
+        raise UsageError("--fallback belongs to the pipeline (--delta)")
+    if args.out:
+        _check_out(args.out)
     A = read_set(args.set)
     m = _check_exponents(_parse_ints(args.m))
-    if args.pipeline:
+    if pipeline:
         from . import energy
 
         res = energy.popular_difference_pipeline(
@@ -228,7 +244,7 @@ def cmd_popdiff(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             _write_histogram(fh, res.histogram)
     _emit({"command": "popdiff",
-           "mode": "pipeline" if args.pipeline else "direct",
+           "mode": "pipeline" if pipeline else "direct",
            "r_star": res.r_star, "count": res.count,
            "certificate": res.certificate,
            "histogram_path": args.out or None})
@@ -258,32 +274,42 @@ def cmd_verify(args) -> int:
 # gen
 
 
+# each kind of ``gen`` and the flags it reads beside --box, --out and
+# --binary: None marks a flag it needs, any other value the default of one
+# it may leave out; every other kind's flag is refused
+GEN_FLAGS = {"random": {"p": None, "seed": 0}, "full": {}, "empty": {},
+             "residue": {"q": None, "allowed": None},
+             "product-ap": {"start": None, "step": None}}
+
+
 def cmd_gen(args) -> int:
     box = BoxSpec(_parse_ints(args.box))
     kind = args.kind
+    own = GEN_FLAGS[kind]
+    for flag in dict.fromkeys(f for fs in GEN_FLAGS.values() for f in fs):
+        if flag not in own and getattr(args, flag) is not None:
+            raise UsageError(f"{kind} takes no --{flag}")
+    missing = [f"--{f}" for f, default in own.items()
+               if default is None and getattr(args, f) is None]
+    if missing:
+        raise UsageError(f"{kind} needs {' and '.join(missing)}")
     if kind == "full":
         A = SetIndicator.full(box)
     elif kind == "empty":
         A = SetIndicator.empty(box)
     elif kind == "random":
-        if args.p is None:
-            raise UsageError("random needs --p")
         _check_p(args.p)
-        A = SetIndicator(box, random_mask(make_rng(args.seed), box.dims,
-                                          args.p))
-    elif kind in ("residue", "product-ap"):
+        seed = own["seed"] if args.seed is None else args.seed
+        A = SetIndicator(box, random_mask(make_rng(seed), box.dims, args.p))
+    else:
         # a product set: the cells whose every coordinate is kept on its axis
         coords = [np.arange(1, d + 1) for d in box.dims]
         if kind == "residue":
-            if args.q is None or args.allowed is None:
-                raise UsageError("residue needs --q and --allowed")
             if args.q < 1:
                 raise UsageError(f"--q must be >= 1, got {args.q}")
             allowed = [v % args.q for v in _parse_ints(args.allowed)]
             keep = [np.isin(xs % args.q, allowed) for xs in coords]
         else:
-            if args.start is None or args.step is None:
-                raise UsageError("product-ap needs --start and --step")
             start = _parse_ints(args.start)
             step = _parse_ints(args.step)
             if len(start) != box.n or len(step) != box.n:
@@ -293,8 +319,6 @@ def cmd_gen(args) -> int:
             keep = [(xs >= s0) & ((xs - s0) % st == 0)
                     for xs, s0, st in zip(coords, start, step)]
         A = SetIndicator(box, functools.reduce(np.logical_and.outer, keep))
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown kind {kind}")
     write_set(A, args.out, binary=args.binary)
     _emit({"command": "gen", "kind": kind, "path": args.out,
            "box": list(box.dims), "members": A.count,
@@ -365,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--m", required=True)
     d.add_argument("--M", type=int)
     d.add_argument("--delta", type=float)
-    d.add_argument("--pipeline", action="store_true")
     d.add_argument("--fallback", action="store_true")
     d.add_argument("--out", help="write the count histogram to this JSON file")
     d.add_argument("--threads", type=int, help=THREADS_HELP)
@@ -378,12 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_verify)
 
     g = sub.add_parser("gen", help="generate a set file")
-    g.add_argument("kind", choices=["random", "full", "empty", "residue",
-                                    "product-ap"])
+    g.add_argument("kind", choices=list(GEN_FLAGS))
     g.add_argument("--box", required=True)
     g.add_argument("--out", required=True)
     g.add_argument("--p", type=float)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int)
     g.add_argument("--q", type=int)
     g.add_argument("--allowed")
     g.add_argument("--start")

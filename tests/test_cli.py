@@ -132,11 +132,10 @@ def test_gen_product_ap(tmp_path, schema):
     ["gen", "random", "--box", "3,9", "--p", "nan"],
     ["gen", "random", "--box", "3,9", "--p", "2"],
     ["gen", "random", "--box", "3,9", "--p", "-0.5"],
-    *(["popdiff", "--m", "1,2", "--pipeline", "--fallback", f"--delta={d}"]
+    *(["popdiff", "--m", "1,2", "--fallback", f"--delta={d}"]
       for d in ("nan", "inf", "-inf", "-1", "0", "2")),
-    ["popdiff", "--m", "1,2", "--delta", "0.5"],
     ["popdiff", "--m", "1,2", "--fallback"],
-    ["popdiff", "--m", "1,2", "--pipeline", "--delta", "0.5", "--M", "3"],
+    ["popdiff", "--m", "1,2", "--delta", "0.5", "--M", "3"],
     *(["bench", "--box", "4,16", "--p", p] for p in ("nan", "-0.5", "2")),
     # a seed is one 64-bit key word: -1 was exit 3, 2^64 drew seed 0
     *(argv + ["--seed", seed] for seed in ("-1", str(1 << 64))
@@ -190,12 +189,12 @@ def test_popdiff_pipeline_fallback(tmp_path, schema):
     run_cli("gen", "random", "--box", "16,256", "--p", "0.5", "--seed", "2",
             "--out", str(out))
     proc = run_cli("popdiff", "--set", str(out), "--m", "1,2", "--delta",
-                   "0.1", "--pipeline", "--fallback")
+                   "0.1", "--fallback")
     assert proc.returncode == 0
     doc = check_json(proc, schema)
     assert doc["certificate"]["fallback"] is True
     proc2 = run_cli("popdiff", "--set", str(out), "--m", "1,2", "--delta",
-                    "0.1", "--pipeline")
+                    "0.1")
     assert proc2.returncode == 3  # fallback disabled, decomposition dies
 
 
@@ -207,7 +206,7 @@ def test_popdiff_one_document_for_both_modes(tmp_path, capsys, schema):
               "--out", str(out)])
     capsys.readouterr()
     docs, hists = [], []
-    for mode in ([], ["--pipeline", "--delta", "0.1", "--fallback"]):
+    for mode in ([], ["--delta", "0.1", "--fallback"]):
         hist = tmp_path / f"h{len(mode)}.json"
         assert cli.main(["popdiff", "--set", str(out), "--m", "1,2",
                          "--out", str(hist)] + mode) == 0
@@ -270,7 +269,7 @@ def test_popdiff_certificate_threshold_met(tmp_path, capsys, schema, kind):
     path = tmp_path / "a.box"
     write_set(A, path)
     assert cli.main(["popdiff", "--set", str(path), "--m", "1,2",
-                     "--pipeline", "--delta", "0.01", "--fallback"]) == 0
+                     "--delta", "0.01", "--fallback"]) == 0
     doc = json.loads(capsys.readouterr().out)
     jsonschema.validate(doc, schema)
     cert = doc["certificate"]
@@ -294,7 +293,7 @@ def test_pipeline_refuses_non_increasing_exponents(tmp_path, capsys, m, p):
                            make_rng(7).random((64, 64)) < p), path)
     for extra in ([], ["--fallback"]):
         code = cli.main(["popdiff", "--set", str(path), "--m", m,
-                         "--pipeline", "--delta", "0.1"] + extra)
+                         "--delta", "0.1"] + extra)
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
@@ -311,7 +310,7 @@ def test_pipeline_words_a_wrong_length_m_alike(tmp_path, capsys):
         write_set(SetIndicator(BoxSpec((64, 64)),
                                make_rng(7).random((64, 64)) < p), path)
         assert cli.main(["popdiff", "--set", str(path), "--m", "1,2,3",
-                         "--pipeline", "--delta", "0.1"]) == 3
+                         "--delta", "0.1"]) == 3
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1]
     assert "m has 3 entries, box has 2 axes" in errs[0]
@@ -922,7 +921,7 @@ def test_popdiff_out_streams_zero_tail(tmp_path):
         assert buf.getvalue() == json.dumps({"histogram": [0] * M})
 
 
-# modules that only `verify` or `popdiff --pipeline` runs, and the thread
+# modules that only `verify` or `popdiff --delta` runs, and the thread
 # pool, which no command runs
 LAZY_MODULES = ("hofa.verify", "hofa.energy", "hofa.gowers", "hofa.expsum",
                 "hofa.partition", "concurrent.futures")
@@ -1051,8 +1050,8 @@ def test_no_command_starts_a_thread(tmp_path, monkeypatch):
                            make_rng(5).random((16, 256)) < 0.6), out)
     s = str(out)
     for argv in (["popdiff", "--set", s, "--m", "1,2", "--M", "8"],
-                 ["popdiff", "--set", s, "--m", "1,2", "--pipeline",
-                  "--delta", "0.2", "--fallback"]):
+                 ["popdiff", "--set", s, "--m", "1,2", "--delta", "0.2",
+                  "--fallback"]):
         assert cli.main(argv + ["--threads", "8"]) == 0, argv
     count = ["count", "--set", s, "--m", "1,2", "--M", "6"]
     with pytest.raises(SystemExit) as exc:
@@ -1082,11 +1081,11 @@ HUGE_M = "1,1000000000"
 
 @pytest.mark.parametrize("p, argv", [
     (0.7, ["popdiff", "--m", HUGE_M]),
-    (0.7, ["popdiff", "--pipeline", "--delta", "0.5", "--fallback",
+    (0.7, ["popdiff", "--delta", "0.5", "--fallback",
            "--m", HUGE_M]),
-    (0.9, ["popdiff", "--pipeline", "--delta", "0.05", "--fallback",
+    (0.9, ["popdiff", "--delta", "0.05", "--fallback",
            "--m", HUGE_M]),
-    (0.9, ["popdiff", "--pipeline", "--delta", "0.05", "--fallback",
+    (0.9, ["popdiff", "--delta", "0.05", "--fallback",
            "--m", "1000000000,1000000001"]),
     (0.7, ["count", "--m", HUGE_M, "--M", "2"]),
     (0.7, ["count", "--N", "3", "--m", HUGE_M]),
@@ -1123,3 +1122,147 @@ def test_boxes_past_cell_cap_exit3(tmp_path, argv):
     assert "dense-storage cap of 2^27" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert not out.exists()
+
+
+def test_popdiff_out_refused_before_the_count(tmp_path, capsys, monkeypatch):
+    # an --out that cannot be written exits 2 before the set is read; it
+    # used to exit 2 only after the whole histogram had been counted
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted despite an unwritable --out")
+
+    from hofa import energy
+
+    monkeypatch.setattr(counting, "best_popular_difference", refuse)
+    monkeypatch.setattr(energy, "popular_difference_pipeline", refuse)
+    path = tmp_path / "a.box"
+    write_set(SetIndicator(BoxSpec((4, 16)),
+                           make_rng(1).random((4, 16)) < 0.7), path)
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    real_access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode: (
+        p != str(locked) and real_access(p, mode)))
+    for out in (tmp_path, tmp_path / "missing" / "h.json",
+                locked / "h.json"):
+        for mode in ([], ["--delta", "0.5"]):
+            assert cli.main(["popdiff", "--set", str(path), "--m", "1,2",
+                             "--out", str(out)] + mode) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "usage error" in captured.err
+            assert str(out) in captured.err
+    assert not (tmp_path / "missing").exists()
+    assert not (locked / "h.json").exists()
+
+
+def test_popdiff_out_kept_when_the_run_fails(tmp_path, capsys):
+    # the histogram is written only after the count, so a run that fails
+    # (here an empty set, exit 3) leaves an existing --out as it was
+    path = tmp_path / "empty.box"
+    write_set(SetIndicator.empty(BoxSpec((4, 16))), path)
+    out = tmp_path / "h.json"
+    out.write_bytes(b'{"histogram": [7]}')
+    for mode in ([], ["--delta", "0.5"], ["--delta", "0.5", "--fallback"]):
+        assert cli.main(["popdiff", "--set", str(path), "--m", "1,2",
+                         "--out", str(out)] + mode) == 3
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == b'{"histogram": [7]}'
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["full", "--p", "0.5", "--seed", "3", "--q", "2"], "full takes no --p"),
+    (["empty", "--step", "1,1"], "empty takes no --step"),
+    (["random", "--p", "0.5", "--allowed", "0"], "random takes no --allowed"),
+    (["residue", "--q", "2", "--allowed", "0", "--seed", "1"],
+     "residue takes no --seed"),
+    (["product-ap", "--start", "1,1", "--step", "1,1", "--p", "0.5"],
+     "product-ap takes no --p"),
+    (["random", "--seed", "3"], "random needs --p"),
+    (["residue"], "residue needs --q and --allowed"),
+    (["residue", "--q", "2"], "residue needs --allowed"),
+    (["product-ap"], "product-ap needs --start and --step"),
+    (["product-ap", "--start", "1,1"], "product-ap needs --step"),
+])
+def test_gen_refuses_flags_it_does_not_read(tmp_path, capsys, argv, message):
+    # each kind reads its own flags: one of another kind was ignored (exit
+    # 0), and a missing one of its own is named
+    out = tmp_path / "o.box"
+    assert cli.main(["gen", *argv, "--box", "4,16", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+def test_gen_random_seed_defaults_to_zero(tmp_path, capsys):
+    paths = [tmp_path / "a.box", tmp_path / "b.box"]
+    for path, seed in zip(paths, ([], ["--seed", "0"])):
+        assert cli.main(["gen", "random", "--box", "6,36", "--p", "0.5",
+                         "--out", str(path)] + seed) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# each kind of `gen` and the flags it reads, with values to draw for each
+GEN_KIND_FLAGS = {"random": ("--p", "--seed"), "full": (), "empty": (),
+                  "residue": ("--q", "--allowed"),
+                  "product-ap": ("--start", "--step")}
+GEN_FLAG_VALUES = {"--p": ["0.5", "2"], "--seed": ["3"], "--q": ["2", "0"],
+                   "--allowed": ["0,1"], "--start": ["1,2"],
+                   "--step": ["2,3", "0,1"]}
+
+
+def _flag_subset(values):
+    """Any subset of the flags in ``values``, each with one of its values
+    (None for a flag that takes none), as an argv list."""
+    return st.fixed_dictionaries(
+        {}, optional={f: st.sampled_from(v) for f, v in values.items()}
+    ).map(lambda d: [a for f, v in d.items()
+                     for a in ([f] if v is None else [f, v])])
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([0.7, 0.9]),
+       flags=_flag_subset({"--M": ["0", "1", "3"],
+                           "--delta": ["0", "0.5", "1", "2", "nan"],
+                           "--fallback": [None]}))
+def test_popdiff_flags_fuzz(sets_4x16, tmp_path_factory, schema, p, flags):
+    # any mix of the mode flags gives one document whose mode is the
+    # pipeline exactly when --delta is given, or exit 2 or 3 with a message
+    # and no histogram file
+    out = tmp_path_factory.mktemp("popdiff") / "h.json"
+    code, stdout, err = _cli_run(["popdiff", "--set", str(sets_4x16[p]),
+                                  "--m", "1,2", "--out", str(out)] + flags)
+    assert "Traceback" not in err
+    if code == 0:
+        doc = json.loads(stdout)
+        jsonschema.validate(doc, schema)
+        assert doc["mode"] == ("pipeline" if "--delta" in flags else "direct")
+        assert len(json.loads(out.read_text())["histogram"]) >= 1
+    else:
+        assert code in (2, 3) and stdout == "" and err and not out.exists()
+    if "--fallback" in flags and "--delta" not in flags:
+        assert code == 2
+    if "--delta" in flags and "--M" in flags:
+        assert code == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(list(GEN_KIND_FLAGS)),
+       flags=_flag_subset(GEN_FLAG_VALUES))
+def test_gen_flags_fuzz(tmp_path_factory, schema, kind, flags):
+    # any kind with any mix of its own and the other kinds' flags writes a
+    # set that reads back, or exits 2 or 3 with a message and no file; a
+    # flag of another kind is always refused
+    out = tmp_path_factory.mktemp("gen") / "o.box"
+    code, stdout, err = _cli_run(["gen", kind, "--box", "4,16",
+                                  "--out", str(out)] + flags)
+    assert "Traceback" not in err
+    if code == 0:
+        doc = json.loads(stdout)
+        jsonschema.validate(doc, schema)
+        assert read_set(out).count == doc["members"]
+    else:
+        assert code in (2, 3) and stdout == "" and err and not out.exists()
+    foreign = [f for f in flags
+               if f.startswith("--") and f not in GEN_KIND_FLAGS[kind]]
+    if foreign:
+        assert code == 2 and "takes no" in err
